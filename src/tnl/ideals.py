@@ -38,10 +38,10 @@ from .spaces import (
     SpaceError,
     UnsupportedNormError,
     Vector,
-    extreme_points,
     scalar_space,
 )
 from .injective import BudgetError, EpsilonConfig, canonical_gauge, multilinear_sup
+from .kernels import contract, grid_values, vertex_matrix, vertex_total
 from .projective import PiConfig, pi_dual_certificate
 from .sigma import (
     SigmaConfig,
@@ -169,18 +169,14 @@ def _enumerate_ball_sup(
     coeffs: np.ndarray, balls: Sequence[NormedSpace], budget: int
 ) -> tuple[float, tuple[np.ndarray, ...], int]:
     """Exact supremum over polyhedral balls by extreme-point enumeration."""
-    mats = [np.stack([v.coords for v in extreme_points(sp)]) for sp in balls]
-    total = int(np.prod([len(M) for M in mats]))
+    total = vertex_total(balls)
     if total > budget:
         raise BudgetError(f"enumeration size {total} exceeds budget {budget}")
-    n = len(balls)
-    letters = string.ascii_lowercase[:n]
-    out = string.ascii_uppercase[:n]
-    spec = letters + "," + ",".join(out[l] + letters[l] for l in range(n)) + "->" + out
-    values = np.einsum(spec, coeffs, *mats, optimize=True)
+    mats = [vertex_matrix(sp) for sp in balls]
+    values = grid_values(coeffs, mats)
     flat = int(np.argmax(np.abs(values)))
     idx = np.unravel_index(flat, values.shape)
-    slots = tuple(mats[l][idx[l]] for l in range(n))
+    slots = tuple(M[i].copy() for M, i in zip(mats, idx))
     return float(abs(values[idx])), slots, total
 
 
@@ -555,29 +551,6 @@ class SmConfig:
     pi: PiConfig = field(default_factory=lambda: PiConfig(restarts=1))
 
 
-def _grid_values(coeffs: np.ndarray, fams: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluate a map's coefficients on the full family grid.
-
-    coeffs has one axis per domain factor (plus optionally an output axis);
-    the result has one grid axis per factor (plus the output axis if any).
-    """
-    n = len(fams)
-    extra = coeffs.ndim - n
-    letters = string.ascii_lowercase[:n]
-    out = string.ascii_uppercase[:n]
-    tail = string.ascii_lowercase[n : n + extra]
-    spec = (
-        letters
-        + tail
-        + ","
-        + ",".join(out[l] + letters[l] for l in range(n))
-        + "->"
-        + out
-        + tail
-    )
-    return np.einsum(spec, coeffs, *fams, optimize=True)
-
-
 def _family_norms(spaces: Sequence[NormedSpace], fams: Sequence[np.ndarray]) -> np.ndarray:
     """Outer product of member norms: entry J is prod_l ||x_{l, j_l}||."""
     per = [np.atleast_1d(sp.norm(X)) for sp, X in zip(spaces, fams)]
@@ -631,14 +604,14 @@ def _form_ball_denominator(
         starts.append(g)
 
     def q_sum(form: np.ndarray) -> float:
-        return _q_norm(_grid_values(form, fams).ravel(), q)
+        return _q_norm(grid_values(form, fams).ravel(), q)
 
     best = 0.0
     for phi in starts:
         val = q_sum(phi)
         best = max(best, val)
         for _ in range(cfg.cg_iters):
-            v = _grid_values(phi, fams)
+            v = grid_values(phi, fams)
             av = np.abs(v)
             if q == 1.0:
                 u = np.sign(v)
@@ -648,9 +621,7 @@ def _form_ball_denominator(
                     break
                 u = (av / peak) ** (q - 1.0) * np.sign(v)
             # gradient direction as a tensor on the domain product
-            G = np.einsum(
-                _grid_values_spec_reverse(len(fams)), u, *fams, optimize=True
-            )
+            G = contract(_grid_values_spec_reverse(len(fams)), u, *fams)
             _, cand = pi_dual_certificate(spaces, G, cfg.pi)
             val = q_sum(cand)
             if val <= best * (1.0 + 1e-12):
@@ -674,7 +645,7 @@ def _sm_ratio(
     q: float,
     cfg: SmConfig,
 ) -> tuple[float, bool]:
-    vals = _grid_values(A.coeffs, fams)
+    vals = grid_values(A.coeffs, fams)
     norms = np.atleast_1d(A.codomain.norm(vals.reshape(-1, A.codomain.dim)))
     num = _q_norm(norms, p)
     if num <= 1e-300:

@@ -31,8 +31,8 @@ from .spaces import (
     SpaceError,
     UnsupportedNormError,
     ball_linear_maximizer_batch,
-    extreme_points,
 )
+from .kernels import contract, grid_values, vertex_matrix, vertex_total
 from .tensors import NormEstimate, Tensor
 
 __all__ = [
@@ -175,7 +175,7 @@ def multilinear_sup(
         v = vals
         for l in range(n):
             others = [slots[m] for m in range(n) if m != l]
-            C = np.einsum(specs[l], coeffs, *others, optimize=True)
+            C = contract(specs[l], coeffs, *others)
             slots[l], v = ball_linear_maximizer_batch(ball_spaces[l], C)
         improvement = v - vals
         stall = np.where(improvement <= cfg.tol * np.maximum(1.0, v), stall + 1, 0)
@@ -252,10 +252,7 @@ def epsilon_bruteforce(z: Tensor, cfg: EpsilonConfig | None = None) -> NormEstim
     slack_sum = 0.0
     total = 1
     if polyhedral:
-        for sp in duals:
-            pts = np.stack([v.coords for v in extreme_points(sp)])
-            mats.append(pts)
-            total *= len(pts)
+        total = vertex_total(duals)
     else:
         if cfg.grid_resolution < 2:
             raise UnsupportedNormError(
@@ -268,18 +265,9 @@ def epsilon_bruteforce(z: Tensor, cfg: EpsilonConfig | None = None) -> NormEstim
             total *= len(pts)
     if total > cfg.budget:
         raise BudgetError(f"enumeration size {total} exceeds budget {cfg.budget}")
-
-    n = z.space.order
-    letters = string.ascii_lowercase[:n]
-    out = string.ascii_uppercase[:n]
-    spec = (
-        letters
-        + ","
-        + ",".join(out[l] + letters[l] for l in range(n))
-        + "->"
-        + out
-    )
-    values = np.einsum(spec, normalized, *mats, optimize=True)
+    if polyhedral:
+        mats = [vertex_matrix(sp) for sp in duals]
+    values = grid_values(normalized, mats)
     best = float(np.abs(values).max()) * scale
     if polyhedral:
         return NormEstimate.exact(best, iterations=total, seed=cfg.seed)

@@ -25,9 +25,9 @@ from .spaces import (
     NormedSpace,
     SpaceError,
     Vector,
-    extreme_points,
 )
 from .injective import BudgetError, EpsilonConfig, canonical_gauge, multilinear_sup
+from .kernels import grid_values, vertex_matrix, vertex_total
 from .tensors import (
     Decomposition,
     DecompositionTerm,
@@ -471,26 +471,14 @@ def _reattach_units(
     return Decomposition(tuple(terms))
 
 
-def _sup_norm_exact_polyhedral(factors: Sequence[NormedSpace], A: np.ndarray) -> float:
-    import string
-
-    mats = [np.stack([v.coords for v in extreme_points(f)]) for f in factors]
-    n = len(factors)
-    letters = string.ascii_lowercase[:n]
-    out = string.ascii_uppercase[:n]
-    spec = letters + "," + ",".join(out[l] + letters[l] for l in range(n)) + "->" + out
-    vals = np.einsum(spec, A, *mats, optimize=True)
-    return float(np.abs(vals).max())
-
-
 def _pi_lower_polyhedral(
     factors: Sequence[NormedSpace], coeffs: np.ndarray, budget: int
 ) -> tuple[float, np.ndarray]:
     """Exact dual bound by linear programming over the polytope of feasible forms."""
-    pts = [np.stack([v.coords for v in extreme_points(f)]) for f in factors]
-    count = int(np.prod([len(P) for P in pts]))
+    count = vertex_total(factors)
     if count > budget:
         raise BudgetError(f"{count} dual constraints exceed budget {budget}")
+    pts = [vertex_matrix(f) for f in factors]
     rows = pts[0]
     for P in pts[1:]:
         rows = (rows[:, None, :, None] * P[None, :, None, :]).reshape(
@@ -508,7 +496,7 @@ def _pi_lower_polyhedral(
     if not res.success:
         return 0.0, np.zeros_like(coeffs)
     A = res.x.reshape(coeffs.shape)
-    sup = _sup_norm_exact_polyhedral(factors, A)
+    sup = float(np.abs(grid_values(A, pts)).max())  # exact sup norm of A
     if sup <= 1e-300:
         return 0.0, np.zeros_like(coeffs)
     A = A / sup

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .injective import BudgetError, EpsilonConfig, canonical_gauge, multilinear_sup
+from .kernels import contract, vertex_matrix, vertex_total
 from .projective import (
     PiConfig,
     _deflation_candidate,
@@ -41,7 +42,6 @@ from .spaces import (
     Vector,
     ball_linear_maximizer_batch,
     conjugate_exponent,
-    extreme_points,
 )
 from .tensors import (
     Decomposition,
@@ -184,16 +184,17 @@ def _family_arrays(
 def _modulus_exact(
     spaces: Sequence[NormedSpace], mats: Sequence[np.ndarray], p: float, budget: int
 ) -> ModulusResult:
-    points = [np.stack([v.coords for v in extreme_points(s.dual())]) for s in spaces]
-    total = int(np.prod([len(P) for P in points]))
+    duals = [s.dual() for s in spaces]
+    total = vertex_total(duals)
     m = mats[0].shape[0]
     if total * m > budget:
         raise BudgetError(f"{total}x{m} grid exceeds modulus budget {budget}")
+    points = [vertex_matrix(d) for d in duals]
     acts = [P @ X.T for P, X in zip(points, mats)]
     n = len(spaces)
     up = string.ascii_uppercase
     spec = ",".join(up[l] + "j" for l in range(n)) + "->" + up[:n] + "j"
-    prod = np.einsum(spec, *acts, optimize=True)
+    prod = contract(spec, *acts)
     if p == INF:
         grid = np.abs(prod).max(axis=-1)
     else:
@@ -201,7 +202,7 @@ def _modulus_exact(
     flat = int(np.argmax(grid))
     idx = np.unravel_index(flat, grid.shape)
     value = float(grid[idx]) if p == INF else float(grid[idx]) ** (1.0 / p)
-    funcs = tuple(points[l][idx[l]] for l in range(n))
+    funcs = tuple(P[i].copy() for P, i in zip(points, idx))
     return ModulusResult(value, funcs, True, total)
 
 
@@ -527,7 +528,7 @@ def _eval_form_family(form: np.ndarray, fams: Sequence[np.ndarray]) -> np.ndarra
     n = len(fams)
     letters = string.ascii_lowercase[:n]
     spec = letters + "," + ",".join("j" + letters[l] for l in range(n)) + "->j"
-    return np.einsum(spec, form, *fams, optimize=True)
+    return contract(spec, form, *fams)
 
 
 def _si_ratio(

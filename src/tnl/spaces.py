@@ -8,7 +8,9 @@ so duality is an involution on the represented family.
 The module also provides the three primitives every norm estimator in this
 package is built from: seeded unit-sphere sampling, extreme-point
 enumeration for the polyhedral balls (p in {1, inf}), and the closed-form
-maximizer of a linear functional over a unit ball.
+maximizer of a linear functional over a unit ball.  The norm modules use
+:func:`tnl.kernels.vertex_matrix`, the cached array form of
+:func:`extreme_points`.
 """
 
 from __future__ import annotations

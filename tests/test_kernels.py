@@ -1,0 +1,222 @@
+"""Tests for the cached kernel layer: einsum plans and ball vertex matrices."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import tnl
+from tnl import (
+    INF,
+    BudgetError,
+    EpsilonConfig,
+    MultilinearMap,
+    NormedSpace,
+    PiConfig,
+    Tensor,
+    TensorSpace,
+    UnsupportedNormError,
+    epsilon_bruteforce,
+    family_strong_norm,
+    pi_dual_certificate,
+    pi_lower,
+    sup_argmax,
+    sup_norm,
+)
+from tnl import kernels
+from tnl.evaluators import make_epsilon_evaluator
+from tnl.ideals import _grid_values_spec_reverse
+from tnl.injective import _contract_specs
+from tnl.spaces import extreme_points
+
+from conftest import ball_vertices
+
+
+def _spec_families(n: int) -> list[str]:
+    """Every einsum spec family the library contracts, for n factors."""
+    lo = "abcd"[:n]
+    up = "ABCD"[:n]
+    grid = lo + "," + ",".join(up[l] + lo[l] for l in range(n)) + "->" + up
+    sweeps = _contract_specs(n) if n > 1 else []  # one factor needs no sweep
+    return sweeps + [
+        grid,  # enumeration / family grid (kernels.grid_values)
+        lo + "e," + ",".join(up[l] + lo[l] for l in range(n)) + "->" + up + "e",  # grid with an output axis
+        _grid_values_spec_reverse(n),  # domain tensor from grid weights
+        ",".join(u + "j" for u in up) + "->" + up + "j",  # modulus products
+        lo + "," + ",".join("j" + c for c in lo) + "->j",  # form on aligned families
+    ]
+
+
+def _random_operands(spec: str, rng: np.random.Generator) -> list[np.ndarray]:
+    sizes = {c: int(rng.integers(1, 5)) for c in sorted(set(spec) - set(",->"))}
+    inputs = spec.split("->")[0].split(",")
+    return [rng.standard_normal(tuple(sizes[c] for c in term)) for term in inputs]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_contract_is_bitwise_einsum_optimize_true(n):
+    rng = np.random.default_rng(100 + n)
+    for spec in _spec_families(n):
+        for _ in range(12):
+            ops = _random_operands(spec, rng)
+            ref = np.einsum(spec, *ops, optimize=True)
+            got = kernels.contract(spec, *ops)
+            assert got.shape == ref.shape and got.dtype == ref.dtype, spec
+            assert np.array_equal(got, ref), spec
+            # a cached plan replays to the same bits
+            assert np.array_equal(kernels.contract(spec, *ops), ref), spec
+
+
+def test_contract_covers_each_plan_kind():
+    rng = np.random.default_rng(7)
+    cases = {
+        "abc,ja,jb,jc->j": ((3, 3, 3), (5, 3), (5, 3), (5, 3)),  # one step, 4 operands
+        "abc,Aa,Bb,Cc->ABC": ((3, 4, 2), (6, 3), (16, 4), (4, 2)),  # greedy multi-step path
+        "ab,zb->za": ((3, 4), (8, 4)),  # two operands: a matmul step
+        "Aj->Aj": ((4, 5),),  # one operand
+    }
+    kinds = set()
+    for spec, shapes in cases.items():
+        ops = [rng.standard_normal(s) for s in shapes]
+        assert np.array_equal(kernels.contract(spec, *ops), np.einsum(spec, *ops, optimize=True))
+        _, path = kernels._plan(spec, shapes)
+        kinds.add("direct" if path is None else f"{len(path) - 1}-step path")
+    assert {"direct", "1-step path", "3-step path"} <= kinds
+
+
+def test_contract_needs_explicit_output():
+    with pytest.raises(ValueError):
+        kernels.contract("ab,b", np.ones((2, 2)), np.ones(2))
+
+
+def test_grid_values_matches_loop():
+    rng = np.random.default_rng(3)
+    coeffs = rng.standard_normal((2, 3, 2))
+    fams = [rng.standard_normal((4, 2)), rng.standard_normal((3, 3))]
+    vals = kernels.grid_values(coeffs, fams)
+    assert vals.shape == (4, 3, 2)
+    for i in range(4):
+        for j in range(3):
+            ref = np.tensordot(fams[1][j], np.tensordot(fams[0][i], coeffs, axes=(0, 0)), axes=(0, 0))
+            assert np.allclose(vals[i, j], ref, rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        NormedSpace(1, 3.0),
+        NormedSpace(3, 1.0),
+        NormedSpace(3, INF),
+        NormedSpace(2, 1.0, weights=(2.0, 0.5)),
+        NormedSpace(3, INF, weights=(4.0, 1.0, 0.25)),
+    ],
+)
+def test_vertex_matrix_cached_read_only(space):
+    M = kernels.vertex_matrix(space)
+    assert kernels.vertex_count(space) == len(M) == len(extreme_points(space))
+    assert np.array_equal(M, np.stack([v.coords for v in extreme_points(space)]))
+    assert not M.flags.writeable
+    with pytest.raises(ValueError):
+        M[0, 0] = 7.0
+    assert kernels.vertex_matrix(space) is M
+    assert kernels.vertex_matrix(space.dual().dual()) is M
+    if space.dim > 1:
+        assert {tuple(r) for r in M} == {tuple(v) for v in ball_vertices(space)}
+
+
+def test_vertex_count_rejects_smooth_balls():
+    with pytest.raises(UnsupportedNormError):
+        kernels.vertex_count(NormedSpace(2, 2.0))
+    assert kernels.vertex_total([NormedSpace(2, 1.0), NormedSpace(3, INF), NormedSpace(1)]) == 64
+
+
+@pytest.fixture
+def counted_extreme_points(monkeypatch):
+    """Empty the vertex cache and count every vertex build the kernel makes."""
+    calls = []
+
+    def counting(space):
+        calls.append(space)
+        return extreme_points(space)
+
+    kernels._cached_vertex_matrix.cache_clear()
+    monkeypatch.setattr(kernels, "extreme_points", counting)
+    yield calls
+    kernels._cached_vertex_matrix.cache_clear()
+
+
+def test_budget_checked_before_vertices_are_built(counted_extreme_points):
+    rng = np.random.default_rng(11)
+    big = NormedSpace(10, INF)  # 1024 vertices per ball
+    A = MultilinearMap((big, big), NormedSpace(1), rng.standard_normal((10, 10, 1)))
+    cfg = EpsilonConfig(budget=1000, seed=2)
+    est = sup_norm(A, cfg)
+    assert est.upper == INF and est.lower > 0.0  # the ascent fallback
+
+    z = Tensor(TensorSpace((NormedSpace(10, 1.0), NormedSpace(10, 1.0))), rng.standard_normal((10, 10)))
+    with pytest.raises(BudgetError):
+        epsilon_bruteforce(z, cfg)
+    eps = make_epsilon_evaluator(cfg)(z)
+    assert eps.upper == INF and eps.lower > 0.0
+
+    w = Tensor(TensorSpace((NormedSpace(3, 1.0), NormedSpace(3, 1.0))), rng.standard_normal((3, 3)))
+    low = pi_lower(w, PiConfig(lp_budget=20))  # 36 dual constraints
+    assert counted_extreme_points == []
+
+    # within budget the exact LP runs, and the counter sees its vertex builds
+    assert 0.0 < low <= pi_lower(w) * (1.0 + 1e-9)
+    assert counted_extreme_points
+
+
+def test_returned_rows_are_copies():
+    rng = np.random.default_rng(5)
+    dom = (NormedSpace(2, INF), NormedSpace(3, 1.0))
+    A = MultilinearMap(dom, NormedSpace(2, 1.0), rng.standard_normal((2, 3, 2)))
+    est, slots = sup_argmax(A)
+    assert est.lower == est.upper
+    kept = [s.copy() for s in slots]
+    for s in slots:
+        s[...] = 99.0
+    est2, slots2 = sup_argmax(A)
+    assert est2 == est
+    assert all(np.array_equal(a, b) for a, b in zip(slots2, kept))
+
+    space = NormedSpace(3, 1.0)
+    X = rng.standard_normal((4, 3))
+    res = family_strong_norm(space, X, 1.5)
+    assert res.exact
+    kept = [f.copy() for f in res.functionals]
+    for f in res.functionals:
+        f[...] = -5.0
+    res2 = family_strong_norm(space, X, 1.5)
+    assert res2.value == res.value
+    assert all(np.array_equal(a, b) for a, b in zip(res2.functionals, kept))
+
+    factors = (NormedSpace(2, 1.0), NormedSpace(2, INF))
+    coeffs = rng.standard_normal((2, 2))
+    value, form = pi_dual_certificate(factors, coeffs)
+    kept = form.copy()
+    form[...] = 0.0
+    value2, form2 = pi_dual_certificate(factors, coeffs)
+    assert value2 == value and np.array_equal(form2, kept)
+
+    for sp in dom + factors + (space.dual(), NormedSpace(2, 1.0).dual()):
+        assert not kernels.vertex_matrix(sp).flags.writeable
+
+
+_SRC = Path(tnl.__file__).resolve().parent
+_STACKED_VERTICES = re.compile(r"stack\(\s*\[[^\]]*extreme_points\(", re.S)
+
+
+def test_hot_paths_go_through_the_kernel_layer():
+    offenders = []
+    for path in sorted(_SRC.glob("*.py")):
+        if path.name == "kernels.py":
+            continue
+        text = path.read_text()
+        if "optimize=True" in text:
+            offenders.append(f"{path.name}: einsum planned per call (optimize=True)")
+        if _STACKED_VERTICES.search(text):
+            offenders.append(f"{path.name}: extreme_points stacked outside vertex_matrix")
+    assert offenders == []
