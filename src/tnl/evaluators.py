@@ -26,14 +26,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .injective import (
-    BudgetError,
-    EpsilonConfig,
-    canonical_gauge,
-    epsilon_bruteforce,
-    epsilon_estimate,
-)
-from .projective import PiConfig, pi_estimate, strip_unit_factors
+from .injective import BudgetError, EpsilonConfig, epsilon_bruteforce, epsilon_estimate
+from .projective import PiConfig, gauge, pi_estimate
 from .sigma import BetaConfig, SigmaConfig, beta_p_upper, sigma_p_upper
 from .spaces import INF, SpaceError
 from .tensors import NormEstimate, Tensor, TensorNormEvaluator
@@ -52,29 +46,23 @@ def make_epsilon_evaluator(cfg: EpsilonConfig | None = None) -> TensorNormEvalua
     cfg = cfg or EpsilonConfig()
 
     def fn(z: Tensor) -> NormEstimate:
-        normalized, scale = canonical_gauge(z.coeffs)
-        if scale == 0.0:
-            return NormEstimate.exact(0.0, seed=cfg.seed)
-        reduced, mult = strip_unit_factors(Tensor(z.space, normalized))
-        if reduced is None:
-            v = mult * abs(float(normalized.ravel()[0])) * scale
-            return NormEstimate.exact(v, seed=cfg.seed)
-        if reduced.space.order == 1:
-            v = mult * float(reduced.space.factors[0].norm(reduced.coeffs)) * scale
-            return NormEstimate.exact(v, seed=cfg.seed)
-        duals = reduced.space.dual_factors()
+        g = gauge(z)
+        hit = g.direct()
+        if hit is not None:
+            return NormEstimate.exact(hit[0], seed=cfg.seed)
+        duals = g.reduced.space.dual_factors()
         if all(sp.is_polyhedral() for sp in duals) or cfg.grid_resolution >= 2:
             try:
-                est = epsilon_bruteforce(reduced, cfg)
-                upper = est.upper * mult * scale if np.isfinite(est.upper) else INF
+                est = epsilon_bruteforce(g.reduced, cfg)
+                upper = est.upper * g.mult * g.scale if np.isfinite(est.upper) else INF
                 return NormEstimate(
-                    est.lower * mult * scale, upper, est.converged, est.iterations, cfg.seed
+                    est.lower * g.mult * g.scale, upper, est.converged, est.iterations, cfg.seed
                 )
             except BudgetError:
                 pass
-        est = epsilon_estimate(reduced, cfg)
+        est = epsilon_estimate(g.reduced, cfg)
         return NormEstimate(
-            est.lower * mult * scale, INF, est.converged, est.iterations, cfg.seed
+            est.lower * g.mult * g.scale, INF, est.converged, est.iterations, cfg.seed
         )
 
     return TensorNormEvaluator("eps", fn, {"norm": "eps", **asdict(cfg)}, "lower")

@@ -39,15 +39,16 @@ from .spaces import (
     UnsupportedNormError,
     Vector,
     scalar_space,
+    unit_rows,
 )
 from .injective import BudgetError, EpsilonConfig, canonical_gauge, multilinear_sup
-from .kernels import contract, grid_values, vertex_matrix, vertex_total
-from .projective import PiConfig, pi_dual_certificate
+from .kernels import contract, enumerate_sup, grid_values
+from .projective import PiConfig, norm_gradient, pi_dual_certificate
 from .sigma import (
     SigmaConfig,
     SigmaDualConfig,
-    _q_norm,
     family_strong_norm,
+    q_norm,
     sigma_p_dual,
 )
 from .tensors import (
@@ -165,21 +166,6 @@ def _ball_spaces(A: MultilinearMap) -> tuple[NormedSpace, ...]:
     return A.domain + (A.codomain.dual(),)
 
 
-def _enumerate_ball_sup(
-    coeffs: np.ndarray, balls: Sequence[NormedSpace], budget: int
-) -> tuple[float, tuple[np.ndarray, ...], int]:
-    """Exact supremum over polyhedral balls by extreme-point enumeration."""
-    total = vertex_total(balls)
-    if total > budget:
-        raise BudgetError(f"enumeration size {total} exceeds budget {budget}")
-    mats = [vertex_matrix(sp) for sp in balls]
-    values = grid_values(coeffs, mats)
-    flat = int(np.argmax(np.abs(values)))
-    idx = np.unravel_index(flat, values.shape)
-    slots = tuple(M[i].copy() for M, i in zip(mats, idx))
-    return float(abs(values[idx])), slots, total
-
-
 def sup_argmax(
     A: MultilinearMap, cfg: EpsilonConfig | None = None
 ) -> tuple[NormEstimate, tuple[np.ndarray, ...]]:
@@ -200,7 +186,7 @@ def sup_argmax(
         )
     if all(sp.is_polyhedral() for sp in balls):
         try:
-            value, slots, total = _enumerate_ball_sup(normalized, balls, cfg.budget)
+            value, slots, total = enumerate_sup(normalized, balls, cfg.budget)
             return (
                 NormEstimate.exact(value * scale, iterations=total, seed=cfg.seed),
                 slots,
@@ -562,9 +548,7 @@ def _family_norms(spaces: Sequence[NormedSpace], fams: Sequence[np.ndarray]) -> 
 
 def _norming_functional(space: NormedSpace, x: np.ndarray) -> np.ndarray:
     """A functional of dual norm at most 1 with <g, x> = ||x||."""
-    from .projective import _norm_gradient
-
-    return _norm_gradient(space, np.asarray(x, dtype=float)[:, None])[:, 0]
+    return norm_gradient(space, np.asarray(x, dtype=float)[:, None])[:, 0]
 
 
 def _form_ball_denominator(
@@ -604,7 +588,7 @@ def _form_ball_denominator(
         starts.append(g)
 
     def q_sum(form: np.ndarray) -> float:
-        return _q_norm(grid_values(form, fams).ravel(), q)
+        return q_norm(grid_values(form, fams).ravel(), q)
 
     best = 0.0
     for phi in starts:
@@ -647,7 +631,7 @@ def _sm_ratio(
 ) -> tuple[float, bool]:
     vals = grid_values(A.coeffs, fams)
     norms = np.atleast_1d(A.codomain.norm(vals.reshape(-1, A.codomain.dim)))
-    num = _q_norm(norms, p)
+    num = q_norm(norms, p)
     if num <= 1e-300:
         return 0.0, True
     den, exact = _form_ball_denominator(A.domain, fams, q, cfg)
@@ -704,25 +688,17 @@ def sm_pq_norm(
     rng = np.random.default_rng([cfg.seed, 49979687])
     for m in range(1, family_budget + 1):
         for _ in range(cfg.restarts):
-            fams = []
-            for sp in A.domain:
-                G = rng.standard_normal((m, sp.dim))
-                norms = np.atleast_1d(sp.norm(G))
-                norms = np.where(norms > 1e-12, norms, 1.0)
-                fams.append(G / norms[:, None])
-            consider(fams)
+            consider([unit_rows(sp, rng.standard_normal((m, sp.dim))) for sp in A.domain])
 
     if best_fams is not None and cfg.polish_rounds > 0:
         cur = [X.copy() for X in best_fams]
         cur_ratio = best
         step = cfg.step
         for _ in range(cfg.polish_rounds):
-            cand = []
-            for sp, X in zip(A.domain, cur):
-                P = X + step * rng.standard_normal(X.shape)
-                norms = np.atleast_1d(sp.norm(P))
-                norms = np.where(norms > 1e-12, norms, 1.0)
-                cand.append(P / norms[:, None])
+            cand = [
+                unit_rows(sp, X + step * rng.standard_normal(X.shape))
+                for sp, X in zip(A.domain, cur)
+            ]
             r = consider(cand)
             if r > cur_ratio * (1.0 + 1e-12):
                 cur, cur_ratio = cand, r

@@ -19,9 +19,8 @@ Three evaluation routes are provided:
 
 from __future__ import annotations
 
-import itertools
 import string
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +30,9 @@ from .spaces import (
     SpaceError,
     UnsupportedNormError,
     ball_linear_maximizer_batch,
+    unit_rows,
 )
-from .kernels import contract, grid_values, vertex_matrix, vertex_total
+from .kernels import BudgetError, contract, enumerate_sup, grid_values
 from .tensors import NormEstimate, Tensor
 
 __all__ = [
@@ -49,10 +49,6 @@ __all__ = [
 ]
 
 _STALL_SWEEPS = 3
-
-
-class BudgetError(RuntimeError):
-    """An exhaustive mode would exceed its evaluation budget."""
 
 
 @dataclass(frozen=True)
@@ -155,10 +151,7 @@ def multilinear_sup(
         mats[0] = lead / (nl if nl > 1e-300 else 1.0)
         if R > 1:
             rng = np.random.default_rng([cfg.seed, 7919 + l])
-            g = rng.standard_normal((R - 1, sp.dim))
-            norms = np.atleast_1d(sp.norm(g))
-            norms = np.where(norms > 1e-12, norms, 1.0)
-            mats[1:] = g / norms[:, None]
+            mats[1:] = unit_rows(sp, rng.standard_normal((R - 1, sp.dim)))
         slots.append(mats)
 
     if n == 1:
@@ -247,30 +240,25 @@ def epsilon_bruteforce(z: Tensor, cfg: EpsilonConfig | None = None) -> NormEstim
     if scale == 0.0:
         return NormEstimate.exact(0.0, seed=cfg.seed)
     duals = z.space.dual_factors()
-    polyhedral = all(sp.is_polyhedral() for sp in duals)
+    if all(sp.is_polyhedral() for sp in duals):
+        value, _, total = enumerate_sup(normalized, duals, cfg.budget)
+        return NormEstimate.exact(value * scale, iterations=total, seed=cfg.seed)
+    if cfg.grid_resolution < 2:
+        raise UnsupportedNormError(
+            "factors with non-polyhedral dual balls need grid_resolution >= 2"
+        )
     mats: list[np.ndarray] = []
     slack_sum = 0.0
     total = 1
-    if polyhedral:
-        total = vertex_total(duals)
-    else:
-        if cfg.grid_resolution < 2:
-            raise UnsupportedNormError(
-                "factors with non-polyhedral dual balls need grid_resolution >= 2"
-            )
-        for sp in duals:
-            pts, delta = _dual_ball_grid(sp, cfg.grid_resolution)
-            mats.append(pts)
-            slack_sum += delta
-            total *= len(pts)
+    for sp in duals:
+        pts, delta = _dual_ball_grid(sp, cfg.grid_resolution)
+        mats.append(pts)
+        slack_sum += delta
+        total *= len(pts)
     if total > cfg.budget:
         raise BudgetError(f"enumeration size {total} exceeds budget {cfg.budget}")
-    if polyhedral:
-        mats = [vertex_matrix(sp) for sp in duals]
     values = grid_values(normalized, mats)
     best = float(np.abs(values).max()) * scale
-    if polyhedral:
-        return NormEstimate.exact(best, iterations=total, seed=cfg.seed)
     upper = best / (1.0 - slack_sum) if slack_sum < 1.0 else INF
     return NormEstimate(best, upper, True, total, cfg.seed)
 

@@ -12,7 +12,8 @@ lists thousands of times per call.  Two things are computed once here:
   Callers that hand rows to outside code copy them first.
 
 :func:`vertex_total` counts vertices without building them, so a budget is
-checked first; :func:`grid_values` is the one enumeration contraction.
+checked first; :func:`grid_values` is the one enumeration contraction, and
+:func:`enumerate_sup` the one exact supremum over polyhedral balls.
 """
 
 from __future__ import annotations
@@ -125,3 +126,29 @@ def vertex_matrix(space: NormedSpace) -> np.ndarray:
     if vertex_count(space) * space.dim > _VERTEX_CACHE_MAX_ENTRIES:
         return _build_vertex_matrix(space)
     return _cached_vertex_matrix(space)
+
+
+class BudgetError(RuntimeError):
+    """An exhaustive mode would exceed its evaluation budget."""
+
+
+def enumerate_sup(
+    coeffs: np.ndarray, balls: Sequence[NormedSpace], budget: int
+) -> tuple[float, tuple[np.ndarray, ...], int]:
+    """Exact supremum of |coeffs| over a product of polyhedral unit balls.
+
+    A multilinear form attains its supremum on extreme points, so this
+    evaluates every vertex tuple.  Returns ``(value, slots, total)``: the
+    supremum, writable copies of a maximizing vertex tuple, and the number
+    of tuples.  Raises :class:`BudgetError`, before any vertex is built,
+    when that number exceeds ``budget``.
+    """
+    total = vertex_total(balls)
+    if total > budget:
+        raise BudgetError(f"enumeration size {total} exceeds budget {budget}")
+    mats = [vertex_matrix(sp) for sp in balls]
+    values = grid_values(coeffs, mats)
+    flat = int(np.argmax(np.abs(values)))
+    idx = np.unravel_index(flat, values.shape)
+    slots = tuple(M[i].copy() for M, i in zip(mats, idx))
+    return float(abs(values[idx])), slots, total

@@ -34,7 +34,6 @@ from .tensors import (
     NormEstimate,
     Tensor,
     TensorSpace,
-    from_decomposition,
 )
 
 __all__ = [
@@ -90,7 +89,78 @@ def strip_unit_factors(z: Tensor) -> tuple[Tensor | None, float]:
     return Tensor(TensorSpace(tuple(keep), z.space.dim_cap), z.coeffs.reshape(shape)), mult
 
 
-def _norm_gradient(space: NormedSpace, X: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class Gauge:
+    """A tensor split into sign * scale * mult * reduced (see :func:`gauge`).
+
+    ``reduced`` is the unit-norm, canonically signed tensor with every
+    one-dimensional factor stripped; it is None when no factor is left (or
+    the tensor is zero), and ``value`` then holds the norm itself.
+    """
+
+    space: TensorSpace
+    reduced: Tensor | None
+    scale: float
+    sign: float
+    mult: float
+    value: float | None
+
+    def lift(self, base: Decomposition | None) -> Decomposition:
+        """Lift a decomposition of ``reduced`` back to ``space``, rescaled.
+
+        ``base=None`` stands for the single term of ones used when every
+        factor is one-dimensional.
+        """
+        weight = self.sign * self.scale
+        if base is None:
+            vectors = tuple(Vector(f, np.ones(1)) for f in self.space.factors)
+            return Decomposition((DecompositionTerm(weight, vectors),))
+        terms = []
+        for t in base.terms:
+            it = iter(t.vectors)
+            vecs = tuple(
+                next(it) if f.dim > 1 else Vector(f, np.ones(1)) for f in self.space.factors
+            )
+            terms.append(DecompositionTerm(t.weight * weight, vecs))
+        return Decomposition(tuple(terms))
+
+    def direct(self) -> tuple[float, Decomposition] | None:
+        """Value and decomposition when no search is needed, else None.
+
+        That is the zero tensor, every factor one-dimensional, or a single
+        factor left, whose norm is the norm of the vector itself.
+        """
+        if self.reduced is None:
+            if self.scale == 0.0:
+                return 0.0, Decomposition(())
+            return self.value, self.lift(None)
+        if self.reduced.space.order > 1:
+            return None
+        f = self.reduced.space.factors[0]
+        value = self.mult * float(f.norm(self.reduced.coeffs)) * self.scale
+        base = Decomposition((DecompositionTerm(1.0, (Vector(f, self.reduced.coeffs),)),))
+        return value, self.lift(base)
+
+
+def gauge(z: Tensor) -> Gauge:
+    """Normalize z, take its sign and strip its one-dimensional factors.
+
+    Every norm in this package except beta_p satisfies
+    norm(z) = scale * mult * norm(reduced), so the estimators search on
+    ``reduced`` and map results back with :meth:`Gauge.lift`.
+    """
+    normalized, scale = canonical_gauge(z.coeffs)
+    if scale == 0.0:
+        return Gauge(z.space, None, 0.0, 1.0, 1.0, 0.0)
+    sign = 1.0 if z.coeffs.ravel()[np.flatnonzero(z.coeffs.ravel())[0]] > 0 else -1.0
+    reduced, mult = strip_unit_factors(Tensor(z.space, normalized))
+    value = None
+    if reduced is None:
+        value = mult * float(abs(normalized.ravel()[0])) * scale
+    return Gauge(z.space, reduced, scale, sign, mult, value)
+
+
+def norm_gradient(space: NormedSpace, X: np.ndarray) -> np.ndarray:
     """Columnwise gradient of the factor norm; subgradient 0 at kinks."""
     w = space.weight_array()[:, None]
     wx = w * X
@@ -125,7 +195,7 @@ def _pi_objective(factors: Sequence[NormedSpace], mats: Sequence[np.ndarray]) ->
     return float(np.prod(_column_norms(factors, mats), axis=0).sum())
 
 
-def _repair_pivot(
+def repair_pivot(
     unfolded: np.ndarray, free_mats: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, float]:
     """Least-squares pivot factor given the other factors; returns residual too."""
@@ -230,7 +300,7 @@ def _refine_candidate(
     unfolded = np.moveaxis(coeffs, pivot, 0).reshape(coeffs.shape[pivot], -1)
 
     free = [_normalize_columns(s, M) for s, M in zip(free_spaces, free_mats)]
-    pivot_mat, resid = _repair_pivot(unfolded, free)
+    pivot_mat, resid = repair_pivot(unfolded, free)
     if resid > _RESIDUAL_TOL:
         return INF, None, False
     mats = _assemble(free, pivot_mat, pivot)
@@ -243,7 +313,7 @@ def _refine_candidate(
         prods = np.prod(norms, axis=0)
         grads = []
         for k, l in enumerate(free_idx):
-            g = _norm_gradient(free_spaces[k], mats[l])
+            g = norm_gradient(free_spaces[k], mats[l])
             coef = np.where(norms[l] > 0.0, prods / np.where(norms[l] > 0, norms[l], 1.0), 0.0)
             grads.append(g * coef[None, :])
         gnorm = np.sqrt(sum(float((g * g).sum()) for g in grads))
@@ -257,7 +327,7 @@ def _refine_candidate(
                 _normalize_columns(s, M - trial * g / gnorm)
                 for s, M, g in zip(free_spaces, best_free, grads)
             ]
-            piv, resid = _repair_pivot(unfolded, cand)
+            piv, resid = repair_pivot(unfolded, cand)
             if resid <= _RESIDUAL_TOL:
                 val = _pi_objective(factors, _assemble(cand, piv, pivot))
                 if val < best - 1e-15:
@@ -281,15 +351,13 @@ def _assemble(free: Sequence[np.ndarray], pivot_mat: np.ndarray, pivot: int) -> 
     return mats
 
 
-def _decomposition_from_mats(
-    space: TensorSpace, mats: Sequence[np.ndarray], scale: float
-) -> Decomposition:
+def _decomposition_from_mats(space: TensorSpace, mats: Sequence[np.ndarray]) -> Decomposition:
     """Package factor matrices as unit-vector terms with signed weights."""
     factors = space.factors
     R = mats[0].shape[1]
     terms = []
     for j in range(R):
-        weight = scale
+        weight = 1.0
         vectors = []
         for l, f in enumerate(factors):
             col = mats[l][:, j]
@@ -312,7 +380,7 @@ def _first_unit(space: NormedSpace) -> np.ndarray:
     return e
 
 
-def _mats_from_decomposition(
+def mats_from_decomposition(
     dec: Decomposition, space: TensorSpace, pivot: int
 ) -> list[np.ndarray] | None:
     """Free factor matrices whose column products match the given terms."""
@@ -329,146 +397,78 @@ def _mats_from_decomposition(
     return [np.stack(cols[l], axis=1) for l in range(n) if l != pivot]
 
 
-def pi_upper(
-    z: Tensor,
-    cfg: PiConfig | None = None,
-    warm: Sequence[Decomposition] = (),
-) -> tuple[float, Decomposition | None, bool, int]:
-    """Best decomposition value found; every reported value is a true upper bound.
+def exact_candidates(
+    factors: Sequence[NormedSpace],
+    coeffs: np.ndarray,
+    max_rank: int | None,
+    deflation_iters: int,
+) -> tuple[int, int, list[list[np.ndarray]]]:
+    """Free factor matrices of exact decompositions, to refit and refine.
 
-    Returns (value, decomposition, converged, candidates_tried).  The
-    decomposition lives on the original space and reconstructs z.  Warm-start
-    decompositions are both evaluated directly and used as refinement seeds,
-    so the result never exceeds the value of a valid warm start.
+    Returns ``(pivot, max_rank, candidates)``: the pivot axis (the longest),
+    the rank cap (``max_rank`` or the slice rank), and the free factors of
+    the slice decomposition (if within the cap), the Euclidean deflation
+    and, for two factors, the weighted SVD basis, in that order.  The pivot
+    factor is refit by least squares, see :func:`repair_pivot`.
     """
-    cfg = cfg or PiConfig()
-    normalized, scale = canonical_gauge(z.coeffs)
-    if scale == 0.0:
-        return 0.0, Decomposition(()), True, 0
-    sign = 1.0 if z.coeffs.ravel()[np.flatnonzero(z.coeffs.ravel())[0]] > 0 else -1.0
-
-    reduced, mult = strip_unit_factors(Tensor(z.space, normalized))
-    if reduced is None:
-        value = mult * float(abs(normalized.ravel()[0])) * scale
-        dec = _reattach_units(z.space, None, sign * scale)
-        return value, dec, True, 1
-    if reduced.space.order == 1:
-        f = reduced.space.factors[0]
-        value = mult * float(f.norm(reduced.coeffs)) * scale
-        base = Decomposition((DecompositionTerm(1.0, (Vector(f, reduced.coeffs),)),))
-        return value, _reattach_units(z.space, base, sign * scale), True, 1
-
-    factors = reduced.space.factors
-    coeffs = reduced.coeffs
     shape = coeffs.shape
-    n = len(factors)
     pivot = int(np.argmax(shape))
     rest = int(np.prod([d for i, d in enumerate(shape) if i != pivot]))
-    max_rank = cfg.max_rank if cfg.max_rank is not None else rest
-
+    max_rank = max_rank if max_rank is not None else rest
     candidates: list[list[np.ndarray]] = []
     if rest <= max_rank:
         candidates.append(_slice_candidate(shape, pivot))
-    defl = _deflation_candidate(coeffs, pivot, max_rank, cfg.deflation_iters)
+    defl = _deflation_candidate(coeffs, pivot, max_rank, deflation_iters)
     if defl:
         candidates.append(defl)
-    if n == 2:
+    if len(factors) == 2:
         other = 1 - pivot
         scaled = coeffs * factors[0].weight_array()[:, None] * factors[1].weight_array()[None, :]
         u, s, vt = np.linalg.svd(scaled, full_matrices=False)
         basis = (u if other == 0 else vt.T) / factors[other].weight_array()[:, None]
         candidates.append([basis[:, : min(len(s), max_rank)]])
+    return pivot, max_rank, candidates
+
+
+def pi_upper(
+    z: Tensor, cfg: PiConfig | None = None
+) -> tuple[float, Decomposition | None, bool, int]:
+    """Best decomposition value found; every reported value is a true upper bound.
+
+    Returns (value, decomposition, converged, candidates_tried).  The
+    decomposition lives on the original space and reconstructs z.
+    """
+    cfg = cfg or PiConfig()
+    g = gauge(z)
+    hit = g.direct()
+    if hit is not None:  # one direct candidate; none for the zero tensor
+        return hit[0], hit[1], True, int(g.scale > 0.0)
+
+    factors = g.reduced.space.factors
+    coeffs = g.reduced.coeffs
+    pivot, max_rank, candidates = exact_candidates(
+        factors, coeffs, cfg.max_rank, cfg.deflation_iters
+    )
     rng = np.random.default_rng([cfg.seed, 104729])
     for _ in range(cfg.restarts):
         candidates.append(
-            [rng.standard_normal((shape[l], max_rank)) for l in range(n) if l != pivot]
+            [rng.standard_normal((d, max_rank)) for l, d in enumerate(coeffs.shape) if l != pivot]
         )
 
     best = INF
     best_mats: list[np.ndarray] | None = None
-    best_warm: Decomposition | None = None
     converged = False
-    tried = 0
-
-    for dec in warm:
-        try:
-            direct = from_decomposition(z.space, dec)
-        except SpaceError:
-            continue
-        resid = float(np.linalg.norm(direct.coeffs - z.coeffs)) / max(scale, 1e-300)
-        if resid <= _RESIDUAL_TOL:
-            obj = sum(
-                abs(t.weight) * np.prod([v.norm() for v in t.vectors]) for t in dec.terms
-            )
-            val = float(obj) / (mult * scale)
-            if val < best:
-                best = val
-                best_warm = dec
-        red_dec, _ = _strip_decomposition(dec, z.space)
-        mats = _mats_from_decomposition(red_dec, reduced.space, pivot) if red_dec else None
-        if mats is not None:
-            candidates.append(mats)
-
     for mats in candidates:
-        tried += 1
         val, out, conv = _refine_candidate(factors, coeffs, pivot, mats, cfg)
         if val < best:
             best = val
             best_mats = out
-            best_warm = None
             converged = conv
 
     if not np.isfinite(best):
-        return INF, None, False, tried
-
-    value = best * mult * scale
-    if best_warm is not None:
-        return value, best_warm, True, tried
-    base = _decomposition_from_mats(reduced.space, best_mats, 1.0)
-    return value, _reattach_units(z.space, base, sign * scale), converged, tried
-
-
-def _strip_decomposition(
-    dec: Decomposition, space: TensorSpace
-) -> tuple[Decomposition | None, float]:
-    """Project a decomposition onto the stripped space (drop unit factors)."""
-    keep = [i for i, f in enumerate(space.factors) if f.dim > 1]
-    if len(keep) == space.order:
-        return dec, 1.0
-    if not keep:
-        return None, 1.0
-    terms = []
-    for t in dec.terms:
-        w = t.weight
-        vecs = []
-        for i, v in enumerate(t.vectors):
-            if i in keep:
-                vecs.append(v)
-            else:
-                w *= float(v.coords[0])
-        terms.append(DecompositionTerm(w, tuple(vecs)))
-    return Decomposition(tuple(terms)), 1.0
-
-
-def _reattach_units(
-    space: TensorSpace, base: Decomposition | None, scale: float
-) -> Decomposition:
-    """Lift a stripped-space decomposition back to the original space."""
-    terms = []
-    if base is None:
-        vectors = tuple(Vector(f, np.ones(1)) for f in space.factors)
-        return Decomposition((DecompositionTerm(scale, vectors),))
-    keep = [i for i, f in enumerate(space.factors) if f.dim > 1]
-    for t in base.terms:
-        vecs: list[Vector] = []
-        it = iter(t.vectors)
-        for i, f in enumerate(space.factors):
-            if i in keep:
-                vecs.append(next(it))
-            else:
-                vecs.append(Vector(f, np.ones(1)))
-        terms.append(DecompositionTerm(t.weight * scale, tuple(vecs)))
-    return Decomposition(tuple(terms))
+        return INF, None, False, len(candidates)
+    base = _decomposition_from_mats(g.reduced.space, best_mats)
+    return best * g.mult * g.scale, g.lift(base), converged, len(candidates)
 
 
 def _pi_lower_polyhedral(
@@ -559,7 +559,7 @@ def pi_dual_certificate(
         return 0.0, np.zeros_like(coeffs)
 
     if len(factors) == 1:
-        g = _norm_gradient(factors[0], coeffs[:, None])[:, 0]
+        g = norm_gradient(factors[0], coeffs[:, None])[:, 0]
         return abs(float(np.vdot(g, coeffs))), g
 
     if all(f.is_polyhedral() for f in factors):
@@ -605,14 +605,11 @@ def pi_lower(z: Tensor, cfg: PiConfig | None = None) -> float:
     back to the Euclidean-embedding certificate.
     """
     cfg = cfg or PiConfig()
-    normalized, scale = canonical_gauge(z.coeffs)
-    if scale == 0.0:
-        return 0.0
-    reduced, mult = strip_unit_factors(Tensor(z.space, normalized))
-    if reduced is None:
-        return mult * float(abs(normalized.ravel()[0])) * scale
-    value, _ = pi_dual_certificate(reduced.space.factors, reduced.coeffs, cfg)
-    return value * mult * scale
+    g = gauge(z)
+    if g.reduced is None:
+        return g.value
+    value, _ = pi_dual_certificate(g.reduced.space.factors, g.reduced.coeffs, cfg)
+    return value * g.mult * g.scale
 
 
 def pi_estimate(z: Tensor, cfg: PiConfig | None = None) -> NormEstimate:

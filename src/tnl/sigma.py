@@ -27,13 +27,11 @@ from .injective import BudgetError, EpsilonConfig, canonical_gauge, multilinear_
 from .kernels import contract, vertex_matrix, vertex_total
 from .projective import (
     PiConfig,
-    _deflation_candidate,
-    _mats_from_decomposition,
-    _reattach_units,
-    _repair_pivot,
-    _slice_candidate,
+    exact_candidates,
+    gauge,
+    mats_from_decomposition,
     pi_upper,
-    strip_unit_factors,
+    repair_pivot,
 )
 from .spaces import (
     INF,
@@ -42,6 +40,7 @@ from .spaces import (
     Vector,
     ball_linear_maximizer_batch,
     conjugate_exponent,
+    unit_rows,
 )
 from .tensors import (
     Decomposition,
@@ -49,7 +48,6 @@ from .tensors import (
     GroupedBlock,
     GroupedDecomposition,
     Tensor,
-    grouped_to_tensor,
 )
 
 __all__ = [
@@ -86,7 +84,8 @@ class ConjugatePair:
         return conjugate_exponent(self.p)
 
 
-def _q_norm(values: np.ndarray, q: float) -> float:
+def q_norm(values: np.ndarray, q: float) -> float:
+    """The ell_q norm of the entries of ``values``; 0 for an empty array."""
     a = np.abs(np.asarray(values, dtype=float))
     if a.size == 0:
         return 0.0
@@ -218,9 +217,7 @@ def _modulus_engine(
     phis: list[np.ndarray] = []
     for l in range(n):
         rng = np.random.default_rng([cfg.seed, 6007 + l])
-        g = rng.standard_normal((max(cfg.restarts, 1), duals[l].dim))
-        norms = np.atleast_1d(duals[l].norm(g))
-        block = g / np.where(norms > 1e-12, norms, 1.0)[:, None]
+        block = unit_rows(duals[l], rng.standard_normal((max(cfg.restarts, 1), duals[l].dim)))
         rows = [np.asarray(s[l], dtype=float) for s in seeds]
         phis.append(np.vstack([np.stack(rows), block]) if rows else block)
     acts = [phis[l] @ mats[l].T for l in range(n)]
@@ -395,7 +392,7 @@ def _sigma_candidate_value(
     base_seeds = list(seeds)
     for _ in range(cfg.split_rounds):
         mod = _modulus_arrays(factors, fams, p, cfg, seeds)
-        value = _q_norm(lam, q) * mod.value
+        value = q_norm(lam, q) * mod.value
         if value < best:
             best = value
             best_state = (lam.copy(), [F.copy() for F in fams], mod.functionals)
@@ -430,21 +427,13 @@ def sigma_p_upper(
     cfg = cfg or SigmaConfig()
     pair = ConjugatePair(p)
     q = pair.q
-    normalized, scale = canonical_gauge(z.coeffs)
-    if scale == 0.0:
-        return SigmaResult(0.0, Decomposition(()), True, 0)
-    sign = 1.0 if z.coeffs.ravel()[np.flatnonzero(z.coeffs.ravel())[0]] > 0 else -1.0
-    reduced, mult = strip_unit_factors(Tensor(z.space, normalized))
-    if reduced is None:
-        value = mult * float(abs(normalized.ravel()[0])) * scale
-        return SigmaResult(value, _reattach_units(z.space, None, sign * scale), True, 1)
+    g = gauge(z)
+    hit = g.direct()
+    if hit is not None:  # one direct candidate; none for the zero tensor
+        return SigmaResult(hit[0], hit[1], True, int(g.scale > 0.0))
+    reduced = g.reduced
     factors = reduced.space.factors
     coeffs = reduced.coeffs
-    if reduced.space.order == 1:
-        f = factors[0]
-        value = mult * float(f.norm(coeffs)) * scale
-        base = Decomposition((DecompositionTerm(1.0, (Vector(f, coeffs),)),))
-        return SigmaResult(value, _reattach_units(z.space, base, sign * scale), True, 1)
 
     # seed the modulus runs with the injective argmax at the full default
     # restart budget: the reported value then never drops below the bound an
@@ -453,50 +442,20 @@ def sigma_p_upper(
     sup = multilinear_sup(coeffs, reduced.space.dual_factors(), eps_cfg)
     seeds = [sup.slots]
 
-    shape = coeffs.shape
-    n = len(factors)
-    pivot = int(np.argmax(shape))
-    rest = int(np.prod([d for i, d in enumerate(shape) if i != pivot]))
-    max_rank = cfg.max_rank if cfg.max_rank is not None else rest
-    unfolded = np.moveaxis(coeffs, pivot, 0).reshape(shape[pivot], -1)
-
-    def full_mats(free: list[np.ndarray]) -> list[np.ndarray] | None:
-        piv, resid = _repair_pivot(unfolded, free)
-        if resid > _RESIDUAL_TOL:
-            return None
-        mats = list(free)
-        mats.insert(pivot, piv)
-        return mats
-
-    candidates: list[list[np.ndarray]] = []
-    if rest <= max_rank:
-        c = full_mats(_slice_candidate(shape, pivot))
-        if c is not None:
-            candidates.append(c)
-    defl = _deflation_candidate(coeffs, pivot, max_rank, 40)
-    if defl:
-        c = full_mats(defl)
-        if c is not None:
-            candidates.append(c)
-    if n == 2:
-        other = 1 - pivot
-        w0 = factors[0].weight_array()
-        w1 = factors[1].weight_array()
-        scaled = coeffs * w0[:, None] * w1[None, :]
-        u, s, vt = np.linalg.svd(scaled, full_matrices=False)
-        basis = (u if other == 0 else vt.T) / factors[other].weight_array()[:, None]
-        c = full_mats([basis[:, : min(len(s), max_rank)]])
-        if c is not None:
-            candidates.append(c)
-    pi_val, pi_dec, _, _ = pi_upper(
+    pivot, _, free_lists = exact_candidates(factors, coeffs, cfg.max_rank, 40)
+    _, pi_dec, _, _ = pi_upper(
         Tensor(reduced.space, coeffs), PiConfig(seed=cfg.seed, restarts=2)
     )
     if pi_dec is not None and pi_dec.terms:
-        free = _mats_from_decomposition(pi_dec, reduced.space, pivot)
+        free = mats_from_decomposition(pi_dec, reduced.space, pivot)
         if free is not None:
-            c = full_mats(free)
-            if c is not None:
-                candidates.append(c)
+            free_lists.append(free)
+    unfolded = np.moveaxis(coeffs, pivot, 0).reshape(coeffs.shape[pivot], -1)
+    candidates: list[list[np.ndarray]] = []
+    for free in free_lists:
+        piv, resid = repair_pivot(unfolded, free)
+        if resid <= _RESIDUAL_TOL:
+            candidates.append(free[:pivot] + [piv] + free[pivot:])
 
     best = np.inf
     best_lam: np.ndarray | None = None
@@ -518,9 +477,8 @@ def sigma_p_upper(
             Vector(factors[l], best_fams[l][j]) for l in range(len(factors))
         )
         terms.append(DecompositionTerm(float(best_lam[j]), vecs))
-    base = Decomposition(tuple(terms))
-    dec = _reattach_units(z.space, base, sign * scale)
-    return SigmaResult(best * mult * scale, dec, converged, len(candidates))
+    dec = g.lift(Decomposition(tuple(terms)))
+    return SigmaResult(best * g.mult * g.scale, dec, converged, len(candidates))
 
 
 def _eval_form_family(form: np.ndarray, fams: Sequence[np.ndarray]) -> np.ndarray:
@@ -538,7 +496,7 @@ def _si_ratio(
     p: float,
     cfg: SigmaConfig,
 ) -> float:
-    num = _q_norm(_eval_form_family(form, fams), p)
+    num = q_norm(_eval_form_family(form, fams), p)
     den = _modulus_arrays(spaces, fams, p, cfg).value
     if den <= 1e-300:
         return 0.0
@@ -571,21 +529,15 @@ def sigma_p_dual(form: Tensor, p: float, cfg: SigmaDualConfig | None = None) -> 
     rng_master = np.random.default_rng([cfg.seed, 15485863])
     for m in cfg.family_sizes:
         for r in range(cfg.restarts_per_size):
-            fams = []
-            for sp in spaces:
-                g = rng_master.standard_normal((m, sp.dim))
-                norms = np.atleast_1d(sp.norm(g))
-                fams.append(g / np.where(norms > 1e-12, norms, 1.0)[:, None])
+            fams = [unit_rows(sp, rng_master.standard_normal((m, sp.dim))) for sp in spaces]
             val = _si_ratio(coeffs, spaces, fams, p, cfg.modulus)
             step = 0.3
             for _ in range(cfg.polish_rounds):
                 iterations += 1
-                cand = []
-                for sp, F in zip(spaces, fams):
-                    g = rng_master.standard_normal(F.shape)
-                    trial = F + step * g
-                    norms = np.atleast_1d(sp.norm(trial))
-                    cand.append(trial / np.where(norms > 1e-12, norms, 1.0)[:, None])
+                cand = [
+                    unit_rows(sp, F + step * rng_master.standard_normal(F.shape))
+                    for sp, F in zip(spaces, fams)
+                ]
                 cval = _si_ratio(coeffs, spaces, cand, p, cfg.modulus)
                 if cval > val:
                     fams, val = cand, cval
@@ -642,7 +594,7 @@ def _beta_objective(
     certified = True
     for fams, b in zip(family_sets, coeff_arrays):
         flat = b.reshape(-1, b.shape[-1])
-        coef = _q_norm(np.atleast_1d(cod.norm(flat)), q)
+        coef = q_norm(np.atleast_1d(cod.norm(flat)), q)
         strong = 1.0
         for sp, X in zip(domain, fams):
             res = family_strong_norm(sp, X, p, cfg)
@@ -692,18 +644,14 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
             candidate_sets.append(blocks)
 
     rng = np.random.default_rng([cfg.seed, 32452843])
+    sizes = [(min(cfg.max_family, f.dim), f.dim) for f in domain]
     for r in range(cfg.restarts):
-        nblocks = 1 + r % cfg.max_blocks
-        blocks = []
-        for _ in range(nblocks):
-            fams = []
-            for f in domain:
-                size = min(cfg.max_family, f.dim)
-                g = rng.standard_normal((size, f.dim))
-                norms = np.atleast_1d(f.norm(g))
-                fams.append(g / np.where(norms > 1e-12, norms, 1.0)[:, None])
-            blocks.append(fams)
-        candidate_sets.append(blocks)
+        candidate_sets.append(
+            [
+                [unit_rows(f, rng.standard_normal(size)) for f, size in zip(domain, sizes)]
+                for _ in range(1 + r % cfg.max_blocks)
+            ]
+        )
 
     best = np.inf
     best_state: tuple[list[list[np.ndarray]], list[np.ndarray]] | None = None
@@ -718,15 +666,10 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
         step = 0.2
         stalled = 0
         for _ in range(cfg.polish_rounds):
-            trial_sets = []
-            for fams in state[0]:
-                tf = []
-                for sp, X in zip(domain, fams):
-                    g = rng.standard_normal(X.shape)
-                    t = X + step * g
-                    norms = np.atleast_1d(sp.norm(t))
-                    tf.append(t / np.where(norms > 1e-12, norms, 1.0)[:, None])
-                trial_sets.append(tf)
+            trial_sets = [
+                [unit_rows(sp, X + step * rng.standard_normal(X.shape)) for sp, X in zip(domain, F)]
+                for F in state[0]
+            ]
             t_coeffs, t_resid = _fit_blocks(dom_dim, cod.dim, target, trial_sets)
             if t_resid <= _RESIDUAL_TOL:
                 t_val, t_cert = _beta_objective(

@@ -16,8 +16,7 @@ maximizer of a linear functional over a unit ball.  The norm modules use
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,11 +109,23 @@ class NormedSpace:
         return (m[..., 0]) * val.sum(axis=-1) ** (1.0 / self.p)
 
     def dual(self) -> "NormedSpace":
-        """The dual space: conjugate exponent, reciprocal weights."""
-        w = None
-        if self.weights is not None:
-            w = tuple(1.0 / wi for wi in self.weights)
-        return NormedSpace(self.dim, conjugate_exponent(self.p), w)
+        """The dual space: conjugate exponent, reciprocal weights.
+
+        Built once per space and linked both ways, so the dual of the dual
+        is the space itself.  Recomputing it would not round-trip:
+        ``1 / (1 / w)`` and the conjugate of the conjugate of p can miss the
+        original floats by an ulp.  The link is a plain attribute, outside
+        the dataclass fields, so equality, hashing and ``repr`` ignore it.
+        """
+        dual = self.__dict__.get("_dual")
+        if dual is None:
+            w = None
+            if self.weights is not None:
+                w = tuple(1.0 / wi for wi in self.weights)
+            dual = NormedSpace(self.dim, conjugate_exponent(self.p), w)
+            object.__setattr__(dual, "_dual", self)
+            object.__setattr__(self, "_dual", dual)
+        return dual
 
     def is_polyhedral(self) -> bool:
         # every norm on a one-dimensional space is an interval, hence polyhedral
@@ -195,6 +206,12 @@ def sample_unit_sphere(space: NormedSpace, seed: int, count: int) -> list[Vector
             continue
         out.append(Vector(space, g / n))
     return out
+
+
+def unit_rows(space: NormedSpace, X: np.ndarray) -> np.ndarray:
+    """The rows of X scaled to unit norm; rows of norm <= 1e-12 stay as they are."""
+    norms = np.atleast_1d(space.norm(X))
+    return X / np.where(norms > 1e-12, norms, 1.0)[:, None]
 
 
 def extreme_points(space: NormedSpace) -> list[Vector]:

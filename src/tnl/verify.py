@@ -21,7 +21,7 @@ valid outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +29,6 @@ import numpy as np
 from .spaces import (
     INF,
     NormedSpace,
-    SpaceError,
     UnsupportedNormError,
     Vector,
     scalar_space,
@@ -38,13 +37,13 @@ from .injective import BudgetError, EpsilonConfig, epsilon_argmax, operator_norm
 from .ideals import (
     LinConfig,
     MultilinearMap,
-    _enumerate_ball_sup,
     linearization_norm,
     random_map,
     sup_argmax,
     sup_norm,
     vector_scalar_bridge,
 )
+from .kernels import enumerate_sup
 from .projective import pi_dual_certificate
 from .tensors import (
     Decomposition,
@@ -438,7 +437,7 @@ def _product_functional_candidates(
     out: list[tuple[str, list[np.ndarray]]] = []
     if all(sp.is_polyhedral() for sp in duals):
         try:
-            _, slots, _ = _enumerate_ball_sup(z.coeffs, duals, 2_000_000)
+            _, slots, _ = enumerate_sup(z.coeffs, duals, 2_000_000)
             out.append(("exact_argmax", [np.asarray(s) for s in slots]))
         except BudgetError:
             pass

@@ -1,5 +1,6 @@
 """Tests for the cached kernel layer: einsum plans and ball vertex matrices."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from tnl.ideals import _grid_values_spec_reverse
 from tnl.injective import _contract_specs
 from tnl.spaces import extreme_points
 
-from conftest import ball_vertices
+from conftest import ball_vertices, map_sup_oracle
 
 
 def _spec_families(n: int) -> list[str]:
@@ -123,6 +124,22 @@ def test_vertex_matrix_cached_read_only(space):
     assert kernels.vertex_matrix(space.dual().dual()) is M
     if space.dim > 1:
         assert {tuple(r) for r in M} == {tuple(v) for v in ball_vertices(space)}
+
+
+def test_enumerate_sup_matches_oracle_and_checks_budget_first(counted_extreme_points):
+    rng = np.random.default_rng(9)
+    dom = (NormedSpace(2, INF), NormedSpace(3, 1.0, weights=(1.0, 2.0, 0.5)))
+    cod = NormedSpace(2, 1.0)
+    A = MultilinearMap(dom, cod, rng.standard_normal((2, 3, 2)))
+    balls = dom + (cod.dual(),)
+    value, slots, total = kernels.enumerate_sup(A.coeffs, balls, 1000)
+    assert total == 4 * 6 * 4
+    assert value == pytest.approx(map_sup_oracle(A), rel=1e-12)
+    assert abs(float(A.apply(slots[:2]) @ slots[2])) == pytest.approx(value, rel=1e-12)
+    counted_extreme_points.clear()
+    with pytest.raises(BudgetError, match="enumeration size 96 exceeds budget 95"):
+        kernels.enumerate_sup(A.coeffs, balls, 95)
+    assert counted_extreme_points == []
 
 
 def test_vertex_count_rejects_smooth_balls():
@@ -220,3 +237,40 @@ def test_hot_paths_go_through_the_kernel_layer():
         if _STACKED_VERTICES.search(text):
             offenders.append(f"{path.name}: extreme_points stacked outside vertex_matrix")
     assert offenders == []
+
+
+def _private_tnl_imports(path: Path) -> list[str]:
+    """Underscore names a module imports from another tnl module, anywhere in it."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module != "tnl" and not module.startswith("tnl."):
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                where = "." * node.level + module
+                found.append(f"{path.name}:{node.lineno}: {alias.name} from {where}")
+    return found
+
+
+def test_no_private_names_imported_across_modules():
+    offenders = [hit for path in sorted(_SRC.glob("*.py")) for hit in _private_tnl_imports(path)]
+    assert offenders == []
+
+
+def test_private_import_scan_sees_function_local_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .spaces import INF\n"
+        "from tnl.sigma import q_norm\n"
+        "def f():\n"
+        "    from .projective import _first_unit\n"
+        "    from tnl import _hidden\n"
+        "from numpy import _NoValue\n"
+    )
+    assert _private_tnl_imports(probe) == [
+        "probe.py:4: _first_unit from .projective",
+        "probe.py:5: _hidden from tnl",
+    ]

@@ -16,8 +16,10 @@ from tnl import (
     pi_lower,
     pi_upper,
     random_tensor,
+    sigma_p_upper,
     unflatten_scalar,
 )
+from tnl.tensors import from_decomposition
 from tnl.projective import strip_unit_factors
 
 from conftest import elementary_tensor, nuclear, random_factors
@@ -146,6 +148,46 @@ class TestScalarSlot:
         b = pi_estimate(unflatten_scalar(z))
         assert a.lower == b.lower
         assert a.upper == b.upper
+
+
+def _scalar_slot_case(n: int, units: int, seed: int) -> Tensor:
+    """n factors of dim 2-3 with `units` weighted 1-dim factors inserted; z[0...] < 0."""
+    rng = np.random.default_rng(seed)
+    ps = (1.0, 1.5, 2.0, 3.0, INF)
+    factors = []
+    for k in range(n):
+        d = int(rng.integers(2, 4))
+        weights = tuple(rng.uniform(0.5, 2.0, d)) if k % 2 else None
+        factors.append(NormedSpace(d, ps[int(rng.integers(0, 5))], weights))
+    for _ in range(units):
+        unit = NormedSpace(1, ps[int(rng.integers(0, 5))], (float(rng.uniform(0.5, 3.0)),))
+        factors.insert(int(rng.integers(0, len(factors) + 1)), unit)
+    coeffs = rng.standard_normal(tuple(f.dim for f in factors))
+    coeffs.ravel()[0] = -abs(coeffs.ravel()[0])
+    return Tensor(TensorSpace(tuple(factors)), coeffs)
+
+
+_CASES = [(n, u) for n in (1, 2, 3) for u in (0, 1, 2)] + [(0, 2), (0, 3), ("zero", 1)]
+
+
+@pytest.mark.parametrize("n,units", _CASES)
+def test_decompositions_reconstruct_z(n, units):
+    """pi and sigma_p decompositions live on z's space, unit factors and sign included."""
+    if n == "zero":
+        z = _scalar_slot_case(2, units, seed=77)
+        z = Tensor(z.space, np.zeros(z.space.shape))
+    else:
+        z = _scalar_slot_case(n, units, seed=70 + 3 * n + units)
+    size = float(np.linalg.norm(z.coeffs))
+    value, dec, _, _ = pi_upper(z)
+    back = from_decomposition(z.space, dec).coeffs
+    assert float(np.linalg.norm(back - z.coeffs)) <= 1e-9 * size
+    total = sum(abs(t.weight) * np.prod([v.norm() for v in t.vectors]) for t in dec.terms)
+    assert value == pytest.approx(total, rel=1e-12, abs=1e-300)
+    for p in (1.5, INF):
+        res = sigma_p_upper(z, p)
+        back = from_decomposition(z.space, res.decomposition).coeffs
+        assert float(np.linalg.norm(back - z.coeffs)) <= 1e-9 * size
 
 
 class TestDeterminism:

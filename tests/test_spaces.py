@@ -20,6 +20,7 @@ from tnl.spaces import (
     extreme_points,
     pair,
     sample_unit_sphere,
+    unit_rows,
 )
 
 P_VALUES = st.sampled_from([1.0, 1.3, 1.5, 2.0, 3.0, INF])
@@ -78,13 +79,32 @@ class TestDuality:
         np.testing.assert_allclose(d.weights, (0.5, 0.25))
 
     def test_involution(self):
-        for p in (1.0, 1.5, 2.0, 3.0, INF):
+        for p in (1.0, 1.5, 2.0, 3.0, 4.0, 7.0, INF):
             sp = NormedSpace(3, p)
+            assert sp.dual().dual() == sp
+        # 1 / (1 / 49) is not 49 in floating point, and 4 -> 4/3 -> 4 misses by an ulp
+        for sp in (
+            NormedSpace(2, 1.0, weights=(2.0, 0.5)),
+            NormedSpace(2, 1.0, weights=(49.0, 1.0)),
+            NormedSpace(3, 4.0, weights=(49.0, 1.0, 0.3)),
+        ):
             back = sp.dual().dual()
-            assert back.dim == sp.dim
-            assert back.p == pytest.approx(sp.p) if np.isfinite(sp.p) else back.p == sp.p
-        sp = NormedSpace(2, 1.0, weights=(2.0, 0.5))  # power-of-two weights roundtrip exactly
-        assert sp.dual().dual() == sp
+            assert back == sp and hash(back) == hash(sp) and repr(back) == repr(sp)
+
+    def test_dual_link_leaves_value_semantics(self):
+        sp = NormedSpace(2, 3.0, weights=(49.0, 1.0))
+        d = sp.dual()
+        fresh = NormedSpace(2, d.p, d.weights)
+        assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+        f = Functional(d.dual(), np.array([1.0, 2.0]))
+        assert pair(f, Vector(sp, np.array([0.5, -1.0]))) == pytest.approx(-1.5)
+
+    def test_unit_rows(self):
+        sp = NormedSpace(3, 1.5, weights=(2.0, 1.0, 0.5))
+        X = np.array([[1.0, -2.0, 3.0], [0.0, 0.0, 0.0], [1e-14, 0.0, 0.0]])
+        U = unit_rows(sp, X)
+        assert sp.norm(U[0]) == pytest.approx(1.0, rel=1e-12)
+        assert np.array_equal(U[1:], X[1:])  # norm <= 1e-12: left as it is
 
     @settings(max_examples=60, deadline=None)
     @given(p=P_VALUES, data=st.data())
