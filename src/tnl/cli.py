@@ -49,7 +49,7 @@ from .serialize import (
 )
 from .sigma import SigmaDualConfig
 from .spaces import INF, NormedSpace, SpaceError
-from .tensors import NormEstimate, TensorSpace
+from .tensors import NormEstimate, TensorNormEvaluator, TensorSpace
 from .verify import (
     SMOOTHNESS_TOLERANCES,
     Report,
@@ -67,7 +67,7 @@ TENSOR_KINDS = ("eps", "pi", "sigma_p", "beta_p")
 MAP_KINDS = ("sup", "lin", "sm_pq", "si_p")
 KINDS = TENSOR_KINDS + MAP_KINDS
 SUITES = ("crossnorm", "metric", "smoothness", "property_b", "representation", "bidual")
-NORM_NAMES = ("eps", "pi", "sigma_p", "beta_p")
+NORM_NAMES = TENSOR_KINDS
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -202,16 +202,20 @@ def _estimate_csv(result: dict) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _evaluator(kind: str, args: argparse.Namespace, cfg: RunConfig) -> TensorNormEvaluator:
+    """The tensor norm evaluator named ``kind``, built from the shared knobs."""
+    return evaluator_for(
+        kind, p=args.p, seed=cfg.seed, restarts=cfg.restarts, max_rank=cfg.max_rank, grid=cfg.grid
+    )
+
+
 def _norm_result(args: argparse.Namespace, cfg: RunConfig) -> tuple[NormEstimate, dict]:
     obj = load_input(args.input)
     kind = args.kind
     if kind in TENSOR_KINDS:
         if isinstance(obj, MultilinearMap):
             raise SpaceError(f"{kind} takes a tensor input, not a multilinear map")
-        evaluator = evaluator_for(
-            kind, p=args.p, seed=cfg.seed, restarts=cfg.restarts,
-            max_rank=cfg.max_rank, grid=cfg.grid,
-        )
+        evaluator = _evaluator(kind, args, cfg)
         return evaluator(obj), dict(evaluator.params)
     if not isinstance(obj, MultilinearMap):
         raise SpaceError(f"{kind} takes a multilinear map input (with a codomain block)")
@@ -221,10 +225,7 @@ def _norm_result(args: argparse.Namespace, cfg: RunConfig) -> tuple[NormEstimate
         )
         return sup_norm(obj, sup_cfg), {"norm": "sup", "restarts": sup_cfg.restarts}
     if kind == "lin":
-        beta = evaluator_for(
-            args.norm or "pi", p=args.p, seed=cfg.seed, restarts=cfg.restarts,
-            max_rank=cfg.max_rank, grid=cfg.grid,
-        )
+        beta = _evaluator(args.norm or "pi", args, cfg)
         lin_cfg = LinConfig(seed=cfg.seed)
         est = linearization_norm(obj, beta, lin_cfg)
         return est, {"norm": "lin", "base": beta.name, "tensors": lin_cfg.tensors}
@@ -258,10 +259,7 @@ def _suite_space(args: argparse.Namespace) -> TensorSpace:
 
 def _run_suite(args: argparse.Namespace, cfg: RunConfig) -> Report:
     norm_name = args.norm or "pi"
-    beta = evaluator_for(
-        norm_name, p=args.p, seed=cfg.seed, restarts=cfg.restarts,
-        max_rank=cfg.max_rank, grid=cfg.grid,
-    )
+    beta = _evaluator(norm_name, args, cfg)
     samples = cfg.samples if cfg.samples is not None else 8
     suite = args.suite
     if suite == "crossnorm":
@@ -317,10 +315,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_witness(args: argparse.Namespace, cfg: RunConfig) -> int:
     norm_name = args.norm or "beta_p"
-    beta = evaluator_for(
-        norm_name, p=args.p, seed=cfg.seed, restarts=cfg.restarts,
-        max_rank=cfg.max_rank, grid=cfg.grid,
-    )
+    beta = _evaluator(norm_name, args, cfg)
     dims = args.dims or (2, 2)
     report = witness_search_nonsmooth(beta, dims, budget=cfg.budget, seed=cfg.seed)
     path = _write_report(report, cfg, f"witness_{norm_name}")

@@ -3,9 +3,10 @@
 Each factory wraps one norm as a :class:`~tnl.tensors.TensorNormEvaluator`
 with a fixed configuration, a stable name, and a declared certified side:
 
-* ``eps``   — injective norm; certified lower bound from alternating
-  maximization, with an exact bracket (lower == upper) whenever every dual
-  ball is polyhedral (or a grid resolution is configured) within budget.
+* ``eps``   — injective norm through :func:`~tnl.injective.sup_bracket`;
+  certified lower bound from alternating maximization, with an exact
+  bracket (lower == upper) whenever every dual ball is polyhedral, or a
+  grid bracket when a grid resolution is configured, within budget.
 * ``pi``    — projective norm; two-sided bracket (dual certificate below,
   reconstructed decomposition above).
 * ``sigma_p`` — certified upper bound from the decomposition search; the
@@ -26,7 +27,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .injective import BudgetError, EpsilonConfig, epsilon_bruteforce, epsilon_estimate
+from .injective import EpsilonConfig, sup_bracket
 from .projective import PiConfig, gauge, pi_estimate
 from .sigma import BetaConfig, SigmaConfig, beta_p_upper, sigma_p_upper
 from .spaces import INF, SpaceError
@@ -50,19 +51,10 @@ def make_epsilon_evaluator(cfg: EpsilonConfig | None = None) -> TensorNormEvalua
         hit = g.direct()
         if hit is not None:
             return NormEstimate.exact(hit[0], seed=cfg.seed)
-        duals = g.reduced.space.dual_factors()
-        if all(sp.is_polyhedral() for sp in duals) or cfg.grid_resolution >= 2:
-            try:
-                est = epsilon_bruteforce(g.reduced, cfg)
-                upper = est.upper * g.mult * g.scale if np.isfinite(est.upper) else INF
-                return NormEstimate(
-                    est.lower * g.mult * g.scale, upper, est.converged, est.iterations, cfg.seed
-                )
-            except BudgetError:
-                pass
-        est = epsilon_estimate(g.reduced, cfg)
+        est, _ = sup_bracket(g.reduced.coeffs, g.reduced.space.dual_factors(), cfg)
+        upper = est.upper * g.mult * g.scale if np.isfinite(est.upper) else INF
         return NormEstimate(
-            est.lower * g.mult * g.scale, INF, est.converged, est.iterations, cfg.seed
+            est.lower * g.mult * g.scale, upper, est.converged, est.iterations, cfg.seed
         )
 
     return TensorNormEvaluator("eps", fn, {"norm": "eps", **asdict(cfg)}, "lower")
@@ -124,32 +116,21 @@ def evaluator_for(
     max_rank: int | None = None,
     grid: int = 0,
 ) -> TensorNormEvaluator:
-    """Build a named evaluator from scalar knobs (the command-line surface)."""
+    """Build a named evaluator from scalar knobs (the command-line surface).
+
+    A knob left at None keeps its config's default.
+    """
+    knobs: dict = {"seed": seed}
+    if restarts is not None:
+        knobs["restarts"] = restarts
     if kind == "eps":
-        cfg = EpsilonConfig(
-            restarts=restarts if restarts is not None else 32,
-            grid_resolution=grid,
-            seed=seed,
-        )
-        return make_epsilon_evaluator(cfg)
-    if kind == "pi":
-        cfg = PiConfig(
-            restarts=restarts if restarts is not None else 2,
-            max_rank=max_rank,
-            seed=seed,
-        )
-        return make_pi_evaluator(cfg)
-    if kind == "sigma_p":
-        cfg = SigmaConfig(
-            restarts=restarts if restarts is not None else 8,
-            max_rank=max_rank,
-            seed=seed,
-        )
-        return make_sigma_evaluator(p, cfg)
+        return make_epsilon_evaluator(EpsilonConfig(grid_resolution=grid, **knobs))
     if kind == "beta_p":
-        cfg = BetaConfig(
-            restarts=restarts if restarts is not None else 4,
-            seed=seed,
-        )
-        return make_beta_evaluator(p, cfg)
+        return make_beta_evaluator(p, BetaConfig(**knobs))
+    if max_rank is not None:
+        knobs["max_rank"] = max_rank
+    if kind == "pi":
+        return make_pi_evaluator(PiConfig(**knobs))
+    if kind == "sigma_p":
+        return make_sigma_evaluator(p, SigmaConfig(**knobs))
     raise SpaceError(f"unknown tensor norm kind: {kind!r}")

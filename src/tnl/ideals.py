@@ -4,9 +4,9 @@ A continuous n-linear map between finite-dimensional normed spaces is a
 dense coefficient array with one axis per domain factor plus an output
 axis.  This module provides:
 
-* the supremum norm (alternating maximization over the domain unit balls
-  and the codomain dual ball, with an exact enumeration mode when every
-  one of those balls is polyhedral);
+* the supremum norm over the domain unit balls and the codomain dual
+  ball, routed by :func:`~tnl.injective.sup_bracket` (enumeration, grid or
+  alternating maximization);
 * the linearization norm obtained by viewing the map as a functional on
   the tensor product of its domain, normed by a chosen tensor norm — the
   operator norm of the induced linear map on that normed tensor product;
@@ -20,7 +20,7 @@ axis.  This module provides:
   forms with one extra slot.
 
 Every maximization-based value reported here is a certified lower bound;
-``upper`` is finite only when an exact enumeration closed the bracket.
+``upper`` is finite only when an enumeration or a grid closed the bracket.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .spaces import (
     scalar_space,
     unit_rows,
 )
-from .injective import BudgetError, EpsilonConfig, canonical_gauge, multilinear_sup
-from .kernels import contract, enumerate_sup, grid_values
+from .injective import EpsilonConfig, sup_bracket
+from .kernels import contract, grid_values
 from .projective import PiConfig, norm_gradient, pi_dual_certificate
 from .sigma import (
     SigmaConfig,
@@ -56,6 +56,8 @@ from .tensors import (
     Tensor,
     TensorNormEvaluator,
     TensorSpace,
+    flatten_scalar,
+    outer,
     random_tensor,
     unflatten_scalar,
 )
@@ -172,36 +174,25 @@ def sup_argmax(
     """Supremum norm with the maximizing slot vectors.
 
     The slots are (x_1, ..., x_n, y') — unit vectors of each domain factor
-    followed by a unit functional on the codomain.  Exact (lower == upper)
-    when every one of those balls is polyhedral and fits the enumeration
-    budget; otherwise a lower bound from alternating maximization.
+    followed by a unit functional on the codomain.  Routed by
+    :func:`~tnl.injective.sup_bracket`: exact (lower == upper) when every
+    one of those balls is polyhedral and fits the enumeration budget, a
+    grid bracket when ``cfg.grid_resolution >= 2``, otherwise a lower bound
+    from alternating maximization.
     """
-    cfg = cfg or EpsilonConfig()
-    balls = _ball_spaces(A)
-    normalized, scale = canonical_gauge(A.coeffs)
-    if scale == 0.0:
-        return (
-            NormEstimate.exact(0.0, seed=cfg.seed),
-            tuple(np.zeros(sp.dim) for sp in balls),
-        )
-    if all(sp.is_polyhedral() for sp in balls):
-        try:
-            value, slots, total = enumerate_sup(normalized, balls, cfg.budget)
-            return (
-                NormEstimate.exact(value * scale, iterations=total, seed=cfg.seed),
-                slots,
-            )
-        except BudgetError:
-            pass
-    res = multilinear_sup(normalized, balls, cfg)
-    est = NormEstimate(res.value * scale, INF, res.converged, res.iterations, cfg.seed)
-    return est, res.slots
+    return sup_bracket(A.coeffs, _ball_spaces(A), cfg)
 
 
 def sup_norm(A: MultilinearMap, cfg: EpsilonConfig | None = None) -> NormEstimate:
     """sup of the codomain norm of A(x_1, ..., x_n) over the domain unit balls."""
     est, _ = sup_argmax(A, cfg)
     return est
+
+
+def argmax_elementary(A: MultilinearMap, cfg: EpsilonConfig | None = None) -> Tensor:
+    """The elementary tensor x_1 (x) ... (x) x_n of the supremum-norm argmax slots."""
+    _, slots = sup_argmax(A, cfg)
+    return Tensor(A.domain_space(), outer(slots[: A.arity]))
 
 
 def one_adjunction(A: MultilinearMap) -> MultilinearMap:
@@ -316,10 +307,7 @@ def finite_type_map(
     for weight, funcs, y in terms:
         if tuple(f.space for f in funcs) != domain or y.space != codomain:
             raise SpaceError("all finite-type terms must share domain and codomain")
-        block = np.asarray(funcs[0].coords, dtype=float)
-        for f in funcs[1:]:
-            block = np.multiply.outer(block, f.coords)
-        coeffs += weight * np.multiply.outer(block, y.coords)
+        coeffs += weight * outer([f.coords for f in funcs] + [y.coords])
     return MultilinearMap(domain, codomain, coeffs)
 
 
@@ -381,13 +369,7 @@ def linearization_norm(
     if not np.any(form):
         return NormEstimate.exact(0.0, seed=cfg.seed)
 
-    sup_est, slots = sup_argmax(A, cfg.sup)
-    candidates: list[Tensor] = []
-    elem = slots[0]
-    for x in slots[1 : A.arity]:
-        elem = np.multiply.outer(elem, x)
-    candidates.append(Tensor(space, elem.reshape(space.shape)))
-    candidates.extend(extra)
+    candidates = [argmax_elementary(A, cfg.sup), *extra]
     if cfg.tensors > 0:
         rng_seed = np.random.default_rng([cfg.seed, 32452843])
         for _ in range(cfg.tensors):
@@ -479,17 +461,7 @@ def property_B_check(
         A1 = one_adjunction(A)
 
         base_space = TensorSpace(factors)
-        pool: list[Tensor] = []
-        _, slots1 = sup_argmax(A1, cfg.sup)
-        elem = slots1[0]
-        for x in slots1[1 : A1.arity]:
-            elem = np.multiply.outer(elem, x)
-        pool.append(Tensor(base_space, elem.reshape(base_space.shape)))
-        _, slots = sup_argmax(A, cfg.sup)
-        elem = slots[0]
-        for x in slots[1 : A.arity]:
-            elem = np.multiply.outer(elem, x)
-        pool.append(Tensor(base_space, elem.reshape(base_space.shape + (1,))[..., 0]))
+        pool = [argmax_elementary(A1, cfg.sup), flatten_scalar(argmax_elementary(A, cfg.sup))]
         for _ in range(max(cfg.tensors, 2)):
             t = int(rng.integers(0, 2**31 - 1))
             pool.append(random_tensor(base_space, seed=t))
@@ -539,11 +511,7 @@ class SmConfig:
 
 def _family_norms(spaces: Sequence[NormedSpace], fams: Sequence[np.ndarray]) -> np.ndarray:
     """Outer product of member norms: entry J is prod_l ||x_{l, j_l}||."""
-    per = [np.atleast_1d(sp.norm(X)) for sp, X in zip(spaces, fams)]
-    out = per[0]
-    for v in per[1:]:
-        out = np.multiply.outer(out, v)
-    return out
+    return outer([np.atleast_1d(sp.norm(X)) for sp, X in zip(spaces, fams)])
 
 
 def _norming_functional(space: NormedSpace, x: np.ndarray) -> np.ndarray:
@@ -582,10 +550,8 @@ def _form_ball_denominator(
     starts = []
     for flat in flat_order[: cfg.cg_starts]:
         idx = np.unravel_index(int(flat), prod_norms.shape)
-        g = _norming_functional(spaces[0], fams[0][idx[0]])
-        for l in range(1, len(spaces)):
-            g = np.multiply.outer(g, _norming_functional(spaces[l], fams[l][idx[l]]))
-        starts.append(g)
+        norming = [_norming_functional(sp, F[i]) for sp, F, i in zip(spaces, fams, idx)]
+        starts.append(outer(norming))
 
     def q_sum(form: np.ndarray) -> float:
         return q_norm(grid_values(form, fams).ravel(), q)

@@ -1,24 +1,29 @@
-"""The injective tensor norm and the shared multilinear supremum engine.
+"""The injective tensor norm and the one route rule for multilinear suprema.
 
 The injective norm of z on E_1 (x) ... (x) E_n is the supremum of
-|<z, f_1 (x) ... (x) f_n>| over the dual unit balls ||f_l||' <= 1.  Fixing
-all slots but one leaves a linear functional, whose maximum over a unit
-ball has a closed form, so coordinate-ascent sweeps are exact and monotone.
-The same engine drives every other supremum in the package (operator norms,
-multilinear sup norms) by passing different ball spaces.
+|<z, f_1 (x) ... (x) f_n>| over the dual unit balls ||f_l||' <= 1.  Every
+supremum of this kind (injective norms, supremum norms of maps, the argmax
+candidates of the verification suites) takes its route in
+:func:`sup_bracket`, in this order:
 
-Three evaluation routes are provided:
+* enumeration, when every ball is polyhedral: the supremum is attained on
+  vertex tuples, so the bracket is exact;
+* grid, otherwise, when ``grid_resolution >= 2``: grid points with a
+  rigorous Lipschitz upper end;
+* ascent, when neither applies or the budget is exceeded: seeded
+  multi-start alternating maximization, a lower end.  Fixing all slots but
+  one leaves a linear functional with a closed-form maximum over a unit
+  ball, so the sweeps are exact and monotone.
 
-* :func:`epsilon_estimate`: seeded multi-start alternating maximization.
-  Always a lower bound; upper stays +inf unless a certificate is attached.
-* :func:`epsilon_bruteforce`: exact enumeration when every dual ball is
-  polyhedral, or a grid sweep with a rigorous Lipschitz bracket otherwise.
-* :func:`epsilon_matrix_oracle`: largest singular value for two Euclidean
-  factors.
+:func:`epsilon_bruteforce` runs the first two routes and raises instead of
+falling back, :func:`epsilon_estimate` runs the last, and
+:func:`epsilon_matrix_oracle` is the top singular value for two Euclidean
+factors.
 """
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 
@@ -32,7 +37,7 @@ from .spaces import (
     ball_linear_maximizer_batch,
     unit_rows,
 )
-from .kernels import BudgetError, contract, enumerate_sup, grid_values
+from .kernels import BudgetError, contract, enumerate_sup, grid_sup
 from .tensors import NormEstimate, Tensor
 
 __all__ = [
@@ -44,11 +49,15 @@ __all__ = [
     "epsilon_bruteforce",
     "epsilon_matrix_oracle",
     "operator_norm",
+    "sup_bracket",
     "canonical_gauge",
     "BudgetError",
 ]
 
 _STALL_SWEEPS = 3
+
+#: A supremum bracket and the slot vectors attaining its lower end.
+_Bracket = tuple[NormEstimate, tuple[np.ndarray, ...]]
 
 
 @dataclass(frozen=True)
@@ -185,16 +194,9 @@ def multilinear_sup(
     )
 
 
-def epsilon_argmax(z: Tensor, cfg: EpsilonConfig | None = None) -> tuple[NormEstimate, tuple[np.ndarray, ...]]:
+def epsilon_argmax(z: Tensor, cfg: EpsilonConfig | None = None) -> _Bracket:
     """Injective norm lower bound plus the maximizing dual functionals."""
-    cfg = cfg or EpsilonConfig()
-    normalized, scale = canonical_gauge(z.coeffs)
-    if scale == 0.0:
-        unit = tuple(np.zeros(f.dim) for f in z.space.factors)
-        return NormEstimate.exact(0.0, seed=cfg.seed), unit
-    res = multilinear_sup(normalized, z.space.dual_factors(), cfg)
-    est = NormEstimate(res.value * scale, INF, res.converged, res.iterations, cfg.seed)
-    return est, res.slots
+    return _ascent_sup(z.coeffs, z.space.dual_factors(), cfg or EpsilonConfig())
 
 
 def epsilon_estimate(z: Tensor, cfg: EpsilonConfig | None = None) -> NormEstimate:
@@ -203,7 +205,7 @@ def epsilon_estimate(z: Tensor, cfg: EpsilonConfig | None = None) -> NormEstimat
     return est
 
 
-def _dual_ball_grid(space: NormedSpace, resolution: int) -> tuple[np.ndarray, float]:
+def _ball_grid(space: NormedSpace, resolution: int) -> tuple[np.ndarray, float]:
     """Cover the unit ball of ``space`` with grid points and a covering radius.
 
     Returns (points, delta): every ball point is within delta of some
@@ -226,41 +228,77 @@ def _dual_ball_grid(space: NormedSpace, resolution: int) -> tuple[np.ndarray, fl
     return pts / w, 2.0 * half_cover
 
 
-def epsilon_bruteforce(z: Tensor, cfg: EpsilonConfig | None = None) -> NormEstimate:
-    """Certified injective norm bracket by exhaustive evaluation.
+def _zero_sup(balls: tuple[NormedSpace, ...], cfg: EpsilonConfig) -> _Bracket:
+    return NormEstimate.exact(0.0, seed=cfg.seed), tuple(np.zeros(sp.dim) for sp in balls)
 
-    If every dual ball is polyhedral the supremum is attained on extreme
-    points and the result is exact (lower == upper).  Otherwise each dual
-    ball is swept on a grid and the upper bound carries the multilinear
-    Lipschitz slack implied by the covering radius: the true supremum is at
-    most best/(1 - sum of radii) whenever the radii sum below one.
+
+def _exhaustive_sup(
+    coeffs: np.ndarray, balls: tuple[NormedSpace, ...], cfg: EpsilonConfig
+) -> _Bracket:
+    """Enumeration (every ball polyhedral, exact) or grid route of :func:`sup_bracket`.
+
+    The grid's upper end carries the multilinear Lipschitz slack of the
+    covering radii: the supremum is at most best/(1 - sum of radii)
+    whenever the radii sum below one.  Raises :class:`UnsupportedNormError`
+    on a ball that is not polyhedral when no grid is configured, and
+    :class:`BudgetError` when the evaluation count exceeds ``cfg.budget``.
     """
-    cfg = cfg or EpsilonConfig()
-    normalized, scale = canonical_gauge(z.coeffs)
+    normalized, scale = canonical_gauge(coeffs)
     if scale == 0.0:
-        return NormEstimate.exact(0.0, seed=cfg.seed)
-    duals = z.space.dual_factors()
-    if all(sp.is_polyhedral() for sp in duals):
-        value, _, total = enumerate_sup(normalized, duals, cfg.budget)
-        return NormEstimate.exact(value * scale, iterations=total, seed=cfg.seed)
+        return _zero_sup(balls, cfg)
+    if all(sp.is_polyhedral() for sp in balls):
+        value, slots, total = enumerate_sup(normalized, balls, cfg.budget)
+        return NormEstimate.exact(value * scale, iterations=total, seed=cfg.seed), slots
     if cfg.grid_resolution < 2:
         raise UnsupportedNormError(
             "factors with non-polyhedral dual balls need grid_resolution >= 2"
         )
-    mats: list[np.ndarray] = []
-    slack_sum = 0.0
-    total = 1
-    for sp in duals:
-        pts, delta = _dual_ball_grid(sp, cfg.grid_resolution)
-        mats.append(pts)
-        slack_sum += delta
-        total *= len(pts)
+    grids = [_ball_grid(sp, cfg.grid_resolution) for sp in balls]
+    total = math.prod(len(pts) for pts, _ in grids)
     if total > cfg.budget:
         raise BudgetError(f"enumeration size {total} exceeds budget {cfg.budget}")
-    values = grid_values(normalized, mats)
-    best = float(np.abs(values).max()) * scale
+    value, slots = grid_sup(normalized, [pts for pts, _ in grids])
+    best = value * scale
+    slack_sum = sum(delta for _, delta in grids)
     upper = best / (1.0 - slack_sum) if slack_sum < 1.0 else INF
-    return NormEstimate(best, upper, True, total, cfg.seed)
+    return NormEstimate(best, upper, True, total, cfg.seed), slots
+
+
+def _ascent_sup(
+    coeffs: np.ndarray, balls: tuple[NormedSpace, ...], cfg: EpsilonConfig
+) -> _Bracket:
+    """The ascent route of :func:`sup_bracket`: a lower end, upper = inf."""
+    normalized, scale = canonical_gauge(coeffs)
+    if scale == 0.0:
+        return _zero_sup(balls, cfg)
+    res = multilinear_sup(normalized, balls, cfg)
+    return NormEstimate(res.value * scale, INF, res.converged, res.iterations, cfg.seed), res.slots
+
+
+def sup_bracket(
+    coeffs: np.ndarray, balls: tuple[NormedSpace, ...], cfg: EpsilonConfig | None = None
+) -> _Bracket:
+    """Bracket sup |sum coeffs * x_1 ... x_n| over unit balls, with maximizing slots.
+
+    The one route rule for such suprema: exhaustive evaluation (vertices,
+    or a grid when ``cfg.grid_resolution >= 2``) while it fits
+    ``cfg.budget``, else seeded ascent with upper = inf.  The zero array
+    is exactly 0, with zero slots.
+    """
+    cfg = cfg or EpsilonConfig()
+    try:
+        return _exhaustive_sup(coeffs, balls, cfg)
+    except (BudgetError, UnsupportedNormError):
+        return _ascent_sup(coeffs, balls, cfg)
+
+
+def epsilon_bruteforce(z: Tensor, cfg: EpsilonConfig | None = None) -> NormEstimate:
+    """Certified injective norm bracket by exhaustive evaluation of the dual balls.
+
+    Exact on polyhedral dual balls, else a grid bracket; raises as
+    :func:`_exhaustive_sup` does.
+    """
+    return _exhaustive_sup(z.coeffs, z.space.dual_factors(), cfg or EpsilonConfig())[0]
 
 
 def epsilon_matrix_oracle(z: Tensor) -> float:
@@ -297,8 +335,5 @@ def operator_norm(
         wt = target.weight_array()
         return float(np.linalg.svd(wt[:, None] * M / ws[None, :], compute_uv=False)[0])
     cfg = cfg or EpsilonConfig(restarts=16, max_iters=300)
-    normalized, scale = canonical_gauge(M)
-    if scale == 0.0:
-        return 0.0
-    res = multilinear_sup(normalized, (target.dual(), source), cfg)
-    return res.value * scale
+    est, _ = _ascent_sup(M, (target.dual(), source), cfg)
+    return est.lower

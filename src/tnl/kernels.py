@@ -12,8 +12,9 @@ lists thousands of times per call.  Two things are computed once here:
   Callers that hand rows to outside code copy them first.
 
 :func:`vertex_total` counts vertices without building them, so a budget is
-checked first; :func:`grid_values` is the one enumeration contraction, and
-:func:`enumerate_sup` the one exact supremum over polyhedral balls.
+checked first; :func:`grid_values` is the one enumeration contraction,
+:func:`grid_sup` its maximum, and :func:`enumerate_sup` the one exact
+supremum over polyhedral balls.
 """
 
 from __future__ import annotations
@@ -146,9 +147,12 @@ def enumerate_sup(
     total = vertex_total(balls)
     if total > budget:
         raise BudgetError(f"enumeration size {total} exceeds budget {budget}")
-    mats = [vertex_matrix(sp) for sp in balls]
-    values = grid_values(coeffs, mats)
-    flat = int(np.argmax(np.abs(values)))
-    idx = np.unravel_index(flat, values.shape)
-    slots = tuple(M[i].copy() for M, i in zip(mats, idx))
-    return float(abs(values[idx])), slots, total
+    value, slots = grid_sup(coeffs, [vertex_matrix(sp) for sp in balls])
+    return value, slots, total
+
+
+def grid_sup(coeffs: np.ndarray, fams: Sequence[np.ndarray]) -> tuple[float, tuple[np.ndarray, ...]]:
+    """Largest |value| on the :func:`grid_values` grid, and copies of a row tuple attaining it."""
+    values = grid_values(coeffs, fams)
+    idx = np.unravel_index(int(np.argmax(np.abs(values))), values.shape)
+    return float(abs(values[idx])), tuple(F[i].copy() for F, i in zip(fams, idx))

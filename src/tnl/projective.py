@@ -34,6 +34,7 @@ from .tensors import (
     NormEstimate,
     Tensor,
     TensorSpace,
+    outer,
 )
 
 __all__ = [
@@ -532,9 +533,7 @@ def _product_functional_certificate(
         if nrm <= 1e-300:
             return 0.0, np.zeros_like(coeffs)
         slots.append(phi / nrm)
-    A = slots[0]
-    for phi in slots[1:]:
-        A = np.multiply.outer(A, phi)
+    A = outer(slots)
     return abs(float(np.vdot(A, coeffs))), A
 
 

@@ -6,11 +6,11 @@ a diagonal scaling: ||x|| = ||(w_i * x_i)||_p.  Under the standard pairing
 so duality is an involution on the represented family.
 
 The module also provides the three primitives every norm estimator in this
-package is built from: seeded unit-sphere sampling, extreme-point
-enumeration for the polyhedral balls (p in {1, inf}), and the closed-form
-maximizer of a linear functional over a unit ball.  The norm modules use
-:func:`tnl.kernels.vertex_matrix`, the cached array form of
-:func:`extreme_points`.
+package is built from: seeded unit-sphere sampling (:func:`unit_vector`,
+:func:`unit_rows`), extreme-point enumeration for the polyhedral balls
+(p in {1, inf}), and the closed-form maximizer of a linear functional over
+a unit ball.  The norm modules use :func:`tnl.kernels.vertex_matrix`, the
+cached array form of :func:`extreme_points`.
 """
 
 from __future__ import annotations
@@ -198,14 +198,17 @@ def sample_unit_sphere(space: NormedSpace, seed: int, count: int) -> list[Vector
     if count < 1:
         raise SpaceError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    out: list[Vector] = []
-    while len(out) < count:
+    return [Vector(space, unit_vector(space, rng)) for _ in range(count)]
+
+
+def unit_vector(space: NormedSpace, rng: np.random.Generator) -> np.ndarray:
+    """One Gaussian draw scaled to norm 1; a draw of norm below 1e-12 is redrawn."""
+    g = rng.standard_normal(space.dim)
+    n = float(space.norm(g))
+    while n < 1e-12:
         g = rng.standard_normal(space.dim)
         n = float(space.norm(g))
-        if n < 1e-12:
-            continue
-        out.append(Vector(space, g / n))
-    return out
+    return g / n
 
 
 def unit_rows(space: NormedSpace, X: np.ndarray) -> np.ndarray:

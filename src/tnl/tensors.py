@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spaces import NormedSpace, SpaceError, Vector, scalar_space
+from .spaces import NormedSpace, SpaceError, Vector, scalar_space, unit_vector
 
 DEFAULT_DIM_CAP = 4096
 
@@ -230,7 +230,8 @@ class TensorNormEvaluator:
         return 0.5 * (est.lower + est.upper)
 
 
-def _outer(vectors: Sequence[np.ndarray]) -> np.ndarray:
+def outer(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """The outer product v_1 (x) ... (x) v_n as a float array, built left to right."""
     out = np.asarray(vectors[0], dtype=float)
     for v in vectors[1:]:
         out = np.multiply.outer(out, np.asarray(v, dtype=float))
@@ -246,7 +247,7 @@ def from_decomposition(space: TensorSpace, d: Decomposition) -> Tensor:
         for v, f in zip(term.vectors, space.factors):
             if v.space != f:
                 raise SpaceError("term vector lives on the wrong factor space")
-        coeffs += term.weight * _outer([v.coords for v in term.vectors])
+        coeffs += term.weight * outer([v.coords for v in term.vectors])
     return Tensor(space, coeffs)
 
 
@@ -370,11 +371,6 @@ def random_decomposition(space: TensorSpace, rank: int, seed: int) -> Decomposit
     for _ in range(rank):
         vectors = []
         for f in space.factors:
-            g = rng.standard_normal(f.dim)
-            n = float(f.norm(g))
-            while n < 1e-12:
-                g = rng.standard_normal(f.dim)
-                n = float(f.norm(g))
-            vectors.append(Vector(f, g / n))
+            vectors.append(Vector(f, unit_vector(f, rng)))
         terms.append(DecompositionTerm(1.0, tuple(vectors)))
     return Decomposition(tuple(terms))

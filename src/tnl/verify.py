@@ -32,18 +32,17 @@ from .spaces import (
     UnsupportedNormError,
     Vector,
     scalar_space,
+    unit_vector,
 )
-from .injective import BudgetError, EpsilonConfig, epsilon_argmax, operator_norm
+from .injective import EpsilonConfig, operator_norm, sup_bracket
 from .ideals import (
     LinConfig,
-    MultilinearMap,
+    argmax_elementary,
     linearization_norm,
     random_map,
-    sup_argmax,
     sup_norm,
     vector_scalar_bridge,
 )
-from .kernels import enumerate_sup
 from .projective import pi_dual_certificate
 from .tensors import (
     Decomposition,
@@ -117,15 +116,6 @@ def _rel_dev(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), abs(y), 1e-12)
 
 
-def _unit_vector(space: NormedSpace, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal(space.dim)
-    n = float(space.norm(g))
-    while n < 1e-12:
-        g = rng.standard_normal(space.dim)
-        n = float(space.norm(g))
-    return g / n
-
-
 def check_crossnorm(
     beta: TensorNormEvaluator, space: TensorSpace, samples: int, seed: int = 0
 ) -> Report:
@@ -142,9 +132,7 @@ def check_crossnorm(
     max_dev = 0.0
     max_violation = 0.0
     for s in range(samples):
-        vectors = tuple(
-            Vector(f, _unit_vector(f, rng)) for f in space.factors
-        )
+        vectors = tuple(Vector(f, unit_vector(f, rng)) for f in space.factors)
         w = float(rng.standard_normal()) or 1.0
         z = from_decomposition(space, Decomposition((DecompositionTerm(w, vectors),)))
         target = abs(w)
@@ -157,7 +145,7 @@ def check_crossnorm(
 
         z2 = random_tensor(space, seed=int(rng.integers(0, 2**31 - 1)))
         est2 = beta(z2)
-        phis = [_unit_vector(f.dual(), rng) for f in space.factors]
+        phis = [unit_vector(f.dual(), rng) for f in space.factors]
         pairing = abs(eval_functionals(z2, phis))
         if np.isfinite(est2.upper):
             violation = max(0.0, pairing - est2.upper)
@@ -327,15 +315,6 @@ def check_smoothness(
     )
 
 
-def _argmax_elementary(A: MultilinearMap, space: TensorSpace, cfg: EpsilonConfig) -> Tensor:
-    """The elementary tensor built from a map's supremum-norm argmax slots."""
-    _, slots = sup_argmax(A, cfg)
-    elem = np.asarray(slots[0], dtype=float)
-    for x in slots[1 : A.arity]:
-        elem = np.multiply.outer(elem, x)
-    return Tensor(space, elem.reshape(space.shape))
-
-
 def check_representation(
     ideal_norm: str,
     beta: TensorNormEvaluator,
@@ -385,9 +364,7 @@ def check_representation(
             A = random_map(factors, scalar_space(), mseed)
             B = vector_scalar_bridge(A)
             base_space = TensorSpace(factors)
-            pool = [
-                _argmax_elementary(A, base_space, cfg.sup),
-            ]
+            pool = [argmax_elementary(A, cfg.sup)]
             for _ in range(max(cfg.tensors, 2)):
                 pool.append(random_tensor(base_space, seed=int(rng.integers(0, 2**31 - 1))))
             lifted = [unflatten_scalar(t) for t in pool]
@@ -434,19 +411,10 @@ def _product_functional_candidates(
     within budget, engine argmax otherwise), then random unit tuples.
     """
     duals = z.space.dual_factors()
-    out: list[tuple[str, list[np.ndarray]]] = []
-    if all(sp.is_polyhedral() for sp in duals):
-        try:
-            _, slots, _ = enumerate_sup(z.coeffs, duals, 2_000_000)
-            out.append(("exact_argmax", [np.asarray(s) for s in slots]))
-        except BudgetError:
-            pass
-    if not out:
-        _, slots = epsilon_argmax(z, EpsilonConfig(restarts=32, seed=seed))
-        out.append(("engine_argmax", [np.asarray(s) for s in slots]))
-    for _ in range(count):
-        out.append(("random", [_unit_vector(sp, rng) for sp in duals]))
-    return out
+    est, slots = sup_bracket(z.coeffs, duals, EpsilonConfig(restarts=32, seed=seed))
+    kind = "exact_argmax" if est.lower == est.upper else "engine_argmax"
+    randoms = [("random", [unit_vector(sp, rng) for sp in duals]) for _ in range(count)]
+    return [(kind, list(slots)), *randoms]
 
 
 def check_bidual_consistency(

@@ -171,6 +171,18 @@ def test_sup_argmax_slots_certify_the_value():
         assert float(sp.norm(np.asarray(x))) <= 1.0 + 1e-9
 
 
+def test_sup_argmax_honours_the_grid():
+    sp = NormedSpace(2, 2.0)
+    M = np.array([[2.0, -1.5], [0.5, 1.0]])
+    A = MultilinearMap((sp, sp), scalar_space(), M[..., None])
+    spectral = float(np.linalg.svd(M, compute_uv=False)[0])
+    est, slots = sup_argmax(A, EpsilonConfig(grid_resolution=16))
+    assert est.upper < INF
+    assert 0.95 * spectral <= est.lower <= spectral * (1.0 + 1e-12) <= est.upper
+    assert abs(float(slots[0] @ M @ slots[1]) * slots[2][0]) == pytest.approx(est.lower, rel=1e-12)
+    assert sup_argmax(A)[0].upper == INF
+
+
 def test_sup_norm_zero_map():
     sp = NormedSpace(2, 2.0)
     est = sup_norm(MultilinearMap((sp,), sp, np.zeros((2, 2))))

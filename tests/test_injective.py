@@ -18,6 +18,7 @@ from tnl import (
     operator_norm,
     random_tensor,
 )
+from tnl.injective import sup_bracket
 from tnl.tensors import eval_functionals
 
 from conftest import elementary_tensor, eps_oracle, random_factors, sigma_max
@@ -100,6 +101,45 @@ class TestGridCertificate:
         z = random_tensor(sp, seed=31)
         with pytest.raises(UnsupportedNormError):
             epsilon_bruteforce(z, EpsilonConfig(grid_resolution=1))
+
+
+_POLY = TensorSpace(
+    (NormedSpace(2, 1.0), NormedSpace(3, INF, weights=(2.0, 1.0, 0.5)), NormedSpace(2, INF))
+)
+_SMOOTH = TensorSpace((NormedSpace(2, 2.0), NormedSpace(2, 2.0)))
+
+
+@pytest.mark.parametrize(
+    "space, cfg, route",
+    [
+        (_POLY, EpsilonConfig(), "enumeration"),
+        (_POLY, EpsilonConfig(budget=10), "ascent"),
+        (_SMOOTH, EpsilonConfig(grid_resolution=12), "grid"),
+        (_SMOOTH, EpsilonConfig(), "ascent"),
+        (_POLY, EpsilonConfig(budget=10), "zero"),
+    ],
+    ids=["polyhedral", "over_budget", "smooth_grid", "smooth_no_grid", "zero"],
+)
+def test_sup_bracket_routes(space, cfg, route):
+    z = Tensor(space, np.zeros(space.shape)) if route == "zero" else random_tensor(space, seed=41)
+    balls = space.dual_factors()
+    est, slots = sup_bracket(z.coeffs, balls, cfg)
+    assert [s.shape for s in slots] == [(sp.dim,) for sp in balls]
+    if route == "zero":
+        assert est.lower == est.upper == 0.0
+        assert not any(s.any() for s in slots)
+        return
+    assert abs(eval_functionals(z, slots)) == pytest.approx(est.lower, rel=1e-12)
+    assert all(sp.norm(s) <= 1.0 + 1e-12 for sp, s in zip(balls, slots))
+    truth = eps_oracle(z) if space is _POLY else sigma_max(z.coeffs)
+    if route == "enumeration":
+        assert est.lower == est.upper == pytest.approx(truth, rel=1e-12)
+        assert est.iterations == 4 * 6 * 4
+    elif route == "grid":
+        assert est.lower <= truth <= est.upper < INF
+    else:
+        assert est.upper == INF
+        assert est.lower == pytest.approx(truth, rel=1e-9)
 
 
 class TestArgmax:

@@ -239,6 +239,15 @@ def test_hot_paths_go_through_the_kernel_layer():
     assert offenders == []
 
 
+def test_one_supremum_route_rule():
+    """Only injective.sup_bracket chooses between enumeration, grid and ascent."""
+    callers = {p.name for p in _SRC.glob("*.py") if "enumerate_sup(" in p.read_text()}
+    assert callers == {"kernels.py", "injective.py"}
+    for name in ("evaluators.py", "ideals.py", "verify.py"):
+        text = (_SRC / name).read_text()
+        assert "is_polyhedral" not in text and "BudgetError" not in text, name
+
+
 def _private_tnl_imports(path: Path) -> list[str]:
     """Underscore names a module imports from another tnl module, anywhere in it."""
     found = []

@@ -21,6 +21,7 @@ from tnl.spaces import (
     pair,
     sample_unit_sphere,
     unit_rows,
+    unit_vector,
 )
 
 P_VALUES = st.sampled_from([1.0, 1.3, 1.5, 2.0, 3.0, INF])
@@ -163,6 +164,19 @@ class TestBallMachinery:
         assert all(abs(v.norm() - 1.0) < 1e-9 for v in a)
         for u, v in zip(a, b):
             np.testing.assert_array_equal(u.coords, v.coords)
+
+    def test_unit_vector_redraws_tiny_draws(self):
+        class Draws:
+            def __init__(self, rows):
+                self.rows = list(rows)
+
+            def standard_normal(self, dim):
+                return np.array(self.rows.pop(0), dtype=float)
+
+        sp = NormedSpace(2, 1.0, weights=(2.0, 1.0))
+        rng = Draws([[0.0, 0.0], [1e-13, 0.0], [1.0, -1.0], [5.0, 5.0]])
+        np.testing.assert_array_equal(unit_vector(sp, rng), [1.0 / 3.0, -1.0 / 3.0])
+        assert rng.rows == [[5.0, 5.0]]  # the draw after the accepted one is untouched
 
 
 class TestWrappers:

@@ -1,16 +1,21 @@
 """Tests for the verification suites and the non-smoothness witness search."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from tnl import (
     INF,
+    BetaConfig,
+    EpsilonConfig,
     LinConfig,
     NormedSpace,
+    PiConfig,
     Report,
     SMOOTHNESS_TOLERANCES,
+    SigmaConfig,
     TensorSpace,
     UnsupportedNormError,
     check_bidual_consistency,
@@ -23,6 +28,18 @@ from tnl import (
 )
 
 SPACE_22 = TensorSpace((NormedSpace(2, 2.0), NormedSpace(2, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "kind, defaults",
+    [("eps", EpsilonConfig()), ("pi", PiConfig()), ("sigma_p", SigmaConfig()), ("beta_p", BetaConfig())],
+)
+def test_evaluator_for_defaults_and_knobs(kind, defaults):
+    params = evaluator_for(kind, p=1.5).params
+    assert {k: v for k, v in params.items() if k not in ("norm", "p")} == asdict(defaults)
+    tuned = evaluator_for(kind, p=1.5, seed=4, restarts=3, max_rank=2, grid=5).params
+    assert (tuned["seed"], tuned["restarts"]) == (4, 3)
+    assert tuned.get("max_rank", 2) == 2 and tuned.get("grid_resolution", 5) == 5
 
 
 def test_smoothness_tolerance_table():
