@@ -220,10 +220,10 @@ def _norm_result(args: argparse.Namespace, cfg: RunConfig) -> tuple[NormEstimate
     if not isinstance(obj, MultilinearMap):
         raise SpaceError(f"{kind} takes a multilinear map input (with a codomain block)")
     if kind == "sup":
-        sup_cfg = EpsilonConfig(
-            restarts=cfg.restarts if cfg.restarts is not None else 32, seed=cfg.seed
-        )
-        return sup_norm(obj, sup_cfg), {"norm": "sup", "restarts": sup_cfg.restarts}
+        restarts = {} if cfg.restarts is None else {"restarts": cfg.restarts}
+        sup_cfg = EpsilonConfig(seed=cfg.seed, grid_resolution=cfg.grid, **restarts)
+        grid = {"grid_resolution": cfg.grid} if cfg.grid else {}
+        return sup_norm(obj, sup_cfg), {"norm": "sup", "restarts": sup_cfg.restarts, **grid}
     if kind == "lin":
         beta = _evaluator(args.norm or "pi", args, cfg)
         lin_cfg = LinConfig(seed=cfg.seed)

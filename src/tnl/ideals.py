@@ -5,8 +5,8 @@ dense coefficient array with one axis per domain factor plus an output
 axis.  This module provides:
 
 * the supremum norm over the domain unit balls and the codomain dual
-  ball, routed by :func:`~tnl.injective.sup_bracket` (enumeration, grid or
-  alternating maximization);
+  ball, routed by :func:`~tnl.injective.sup_bracket` (vertices and grid
+  points, or alternating maximization);
 * the linearization norm obtained by viewing the map as a functional on
   the tensor product of its domain, normed by a chosen tensor norm — the
   operator norm of the induced linear map on that normed tensor product;
@@ -177,8 +177,8 @@ def sup_argmax(
     followed by a unit functional on the codomain.  Routed by
     :func:`~tnl.injective.sup_bracket`: exact (lower == upper) when every
     one of those balls is polyhedral and fits the enumeration budget, a
-    grid bracket when ``cfg.grid_resolution >= 2``, otherwise a lower bound
-    from alternating maximization.
+    grid bracket on the other balls when ``cfg.grid_resolution >= 2`` and
+    the grid fits, otherwise a lower bound from alternating maximization.
     """
     return sup_bracket(A.coeffs, _ball_spaces(A), cfg)
 

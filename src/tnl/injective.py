@@ -3,20 +3,19 @@
 The injective norm of z on E_1 (x) ... (x) E_n is the supremum of
 |<z, f_1 (x) ... (x) f_n>| over the dual unit balls ||f_l||' <= 1.  Every
 supremum of this kind (injective norms, supremum norms of maps, the argmax
-candidates of the verification suites) takes its route in
-:func:`sup_bracket`, in this order:
+candidates of the verification suites) is gauged once and takes its route
+in :func:`sup_bracket`, in this order:
 
-* enumeration, when every ball is polyhedral: the supremum is attained on
-  vertex tuples, so the bracket is exact;
-* grid, otherwise, when ``grid_resolution >= 2``: grid points with a
-  rigorous Lipschitz upper end;
-* ascent, when neither applies or the budget is exceeded: seeded
-  multi-start alternating maximization, a lower end.  Fixing all slots but
-  one leaves a linear functional with a closed-form maximum over a unit
-  ball, so the sweeps are exact and monotone.
+* exhaustive, while it fits the budget: the vertices of each polyhedral
+  ball and, when ``grid_resolution >= 2``, grid points on the others.
+  Exact when no ball is gridded, else a rigorous Lipschitz upper end;
+* ascent, otherwise: seeded multi-start alternating maximization, a lower
+  end.  Fixing all slots but one leaves a linear functional with a
+  closed-form maximum over a unit ball, so the sweeps are exact and
+  monotone.
 
-:func:`epsilon_bruteforce` runs the first two routes and raises instead of
-falling back, :func:`epsilon_estimate` runs the last, and
+:func:`epsilon_bruteforce` runs the exhaustive route and raises instead of
+falling back, :func:`epsilon_estimate` runs ascent, and
 :func:`epsilon_matrix_oracle` is the top singular value for two Euclidean
 factors.
 """
@@ -37,8 +36,8 @@ from .spaces import (
     ball_linear_maximizer_batch,
     unit_rows,
 )
-from .kernels import BudgetError, contract, enumerate_sup, grid_sup
-from .tensors import NormEstimate, Tensor
+from .kernels import BudgetError, contract, grid_sup, vertex_count, vertex_matrix
+from .tensors import NormEstimate, Tensor, weighted_matrix
 
 __all__ = [
     "EpsilonConfig",
@@ -97,21 +96,22 @@ class SupResult:
     converged: bool
 
 
-def canonical_gauge(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
+def canonical_gauge(coeffs: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Normalize a coefficient array to unit Frobenius norm and canonical sign.
 
-    Returns (normalized, scale) with coeffs = (sign) * scale * normalized and
-    scale >= 0.  Estimators run on the normalized array and multiply by the
+    Returns (normalized, scale, sign) with coeffs = sign * scale * normalized,
+    scale >= 0, and sign the sign of the first nonzero entry (1.0 for the
+    zero array).  Estimators run on the normalized array and multiply by the
     scale, which makes them equivariant under scaling of the input (exactly
     so for power-of-two scalings, where float multiplication is exact).
     """
     flat = coeffs.ravel()
     scale = float(np.linalg.norm(flat))
     if scale == 0.0:
-        return coeffs, 0.0
+        return coeffs, 0.0, 1.0
     nz = flat[flat != 0.0]
     sign = 1.0 if nz[0] > 0 else -1.0
-    return coeffs * (sign / scale), scale
+    return coeffs * (sign / scale), scale, sign
 
 
 def _leading_direction(coeffs: np.ndarray, axis: int) -> np.ndarray:
@@ -196,7 +196,7 @@ def multilinear_sup(
 
 def epsilon_argmax(z: Tensor, cfg: EpsilonConfig | None = None) -> _Bracket:
     """Injective norm lower bound plus the maximizing dual functionals."""
-    return _ascent_sup(z.coeffs, z.space.dual_factors(), cfg or EpsilonConfig())
+    return _gauged_sup(z.coeffs, z.space.dual_factors(), cfg or EpsilonConfig(), _ascent_sup)
 
 
 def epsilon_estimate(z: Tensor, cfg: EpsilonConfig | None = None) -> NormEstimate:
@@ -213,7 +213,7 @@ def _ball_grid(space: NormedSpace, resolution: int) -> tuple[np.ndarray, float]:
     point lies inside the ball.
     """
     if resolution < 2:
-        raise SpaceError("grid mode needs grid_resolution >= 2")
+        raise UnsupportedNormError("balls that are not polyhedral need grid_resolution >= 2")
     d, q = space.dim, space.p
     w = space.weight_array()
     h = 2.0 / resolution
@@ -228,51 +228,59 @@ def _ball_grid(space: NormedSpace, resolution: int) -> tuple[np.ndarray, float]:
     return pts / w, 2.0 * half_cover
 
 
-def _zero_sup(balls: tuple[NormedSpace, ...], cfg: EpsilonConfig) -> _Bracket:
-    return NormEstimate.exact(0.0, seed=cfg.seed), tuple(np.zeros(sp.dim) for sp in balls)
-
-
 def _exhaustive_sup(
-    coeffs: np.ndarray, balls: tuple[NormedSpace, ...], cfg: EpsilonConfig
+    normalized: np.ndarray, scale: float, balls: tuple[NormedSpace, ...], cfg: EpsilonConfig
 ) -> _Bracket:
-    """Enumeration (every ball polyhedral, exact) or grid route of :func:`sup_bracket`.
+    """The exhaustive route of :func:`sup_bracket`: one point family per ball.
 
-    The grid's upper end carries the multilinear Lipschitz slack of the
-    covering radii: the supremum is at most best/(1 - sum of radii)
-    whenever the radii sum below one.  Raises :class:`UnsupportedNormError`
-    on a ball that is not polyhedral when no grid is configured, and
-    :class:`BudgetError` when the evaluation count exceeds ``cfg.budget``.
+    A polyhedral ball gives its vertices (covering radius 0), any other a
+    :func:`_ball_grid` grid.  By multilinear Lipschitz slack the supremum is
+    at most best/(1 - sum of radii), which is exact when no ball is
+    gridded.  Raises :class:`UnsupportedNormError` when a grid is needed
+    but not configured or its radii sum to 1 or more, and
+    :class:`BudgetError`, before any vertex is built, when the product of
+    the family sizes exceeds ``cfg.budget``.
     """
-    normalized, scale = canonical_gauge(coeffs)
-    if scale == 0.0:
-        return _zero_sup(balls, cfg)
-    if all(sp.is_polyhedral() for sp in balls):
-        value, slots, total = enumerate_sup(normalized, balls, cfg.budget)
-        return NormEstimate.exact(value * scale, iterations=total, seed=cfg.seed), slots
-    if cfg.grid_resolution < 2:
-        raise UnsupportedNormError(
-            "factors with non-polyhedral dual balls need grid_resolution >= 2"
-        )
-    grids = [_ball_grid(sp, cfg.grid_resolution) for sp in balls]
-    total = math.prod(len(pts) for pts, _ in grids)
+    grids = [None if sp.is_polyhedral() else _ball_grid(sp, cfg.grid_resolution) for sp in balls]
+    slack = sum(grid[1] for grid in grids if grid is not None)
+    if slack >= 1.0:
+        raise UnsupportedNormError(f"grid radii sum to {slack:.3g} >= 1: raise grid_resolution")
+    total = math.prod(
+        vertex_count(sp) if grid is None else len(grid[0]) for sp, grid in zip(balls, grids)
+    )
     if total > cfg.budget:
         raise BudgetError(f"enumeration size {total} exceeds budget {cfg.budget}")
-    value, slots = grid_sup(normalized, [pts for pts, _ in grids])
+    fams = [vertex_matrix(sp) if grid is None else grid[0] for sp, grid in zip(balls, grids)]
+    value, slots = grid_sup(normalized, fams)
     best = value * scale
-    slack_sum = sum(delta for _, delta in grids)
-    upper = best / (1.0 - slack_sum) if slack_sum < 1.0 else INF
-    return NormEstimate(best, upper, True, total, cfg.seed), slots
+    return NormEstimate(best, best / (1.0 - slack), True, total, cfg.seed), slots
 
 
 def _ascent_sup(
-    coeffs: np.ndarray, balls: tuple[NormedSpace, ...], cfg: EpsilonConfig
+    normalized: np.ndarray, scale: float, balls: tuple[NormedSpace, ...], cfg: EpsilonConfig
 ) -> _Bracket:
     """The ascent route of :func:`sup_bracket`: a lower end, upper = inf."""
-    normalized, scale = canonical_gauge(coeffs)
-    if scale == 0.0:
-        return _zero_sup(balls, cfg)
     res = multilinear_sup(normalized, balls, cfg)
     return NormEstimate(res.value * scale, INF, res.converged, res.iterations, cfg.seed), res.slots
+
+
+def _gauged_sup(
+    coeffs: np.ndarray, balls: tuple[NormedSpace, ...], cfg: EpsilonConfig, *routes
+) -> _Bracket:
+    """Gauge ``coeffs`` once, then take the first of ``routes`` that does not raise.
+
+    The zero array is exactly 0, with zero slots.  The last route's
+    :class:`BudgetError` or :class:`UnsupportedNormError` propagates.
+    """
+    normalized, scale, _ = canonical_gauge(coeffs)
+    if scale == 0.0:
+        return NormEstimate.exact(0.0, seed=cfg.seed), tuple(np.zeros(sp.dim) for sp in balls)
+    for route in routes[:-1]:
+        try:
+            return route(normalized, scale, balls, cfg)
+        except (BudgetError, UnsupportedNormError):
+            pass
+    return routes[-1](normalized, scale, balls, cfg)
 
 
 def sup_bracket(
@@ -281,24 +289,20 @@ def sup_bracket(
     """Bracket sup |sum coeffs * x_1 ... x_n| over unit balls, with maximizing slots.
 
     The one route rule for such suprema: exhaustive evaluation (vertices,
-    or a grid when ``cfg.grid_resolution >= 2``) while it fits
-    ``cfg.budget``, else seeded ascent with upper = inf.  The zero array
-    is exactly 0, with zero slots.
+    and a grid when ``cfg.grid_resolution >= 2``) while it fits
+    ``cfg.budget`` and certifies, else seeded ascent with upper = inf.
+    The zero array is exactly 0, with zero slots.
     """
-    cfg = cfg or EpsilonConfig()
-    try:
-        return _exhaustive_sup(coeffs, balls, cfg)
-    except (BudgetError, UnsupportedNormError):
-        return _ascent_sup(coeffs, balls, cfg)
+    return _gauged_sup(coeffs, balls, cfg or EpsilonConfig(), _exhaustive_sup, _ascent_sup)
 
 
 def epsilon_bruteforce(z: Tensor, cfg: EpsilonConfig | None = None) -> NormEstimate:
     """Certified injective norm bracket by exhaustive evaluation of the dual balls.
 
     Exact on polyhedral dual balls, else a grid bracket; raises as
-    :func:`_exhaustive_sup` does.
+    :func:`_exhaustive_sup` does instead of falling back to ascent.
     """
-    return _exhaustive_sup(z.coeffs, z.space.dual_factors(), cfg or EpsilonConfig())[0]
+    return _gauged_sup(z.coeffs, z.space.dual_factors(), cfg or EpsilonConfig(), _exhaustive_sup)[0]
 
 
 def epsilon_matrix_oracle(z: Tensor) -> float:
@@ -308,9 +312,7 @@ def epsilon_matrix_oracle(z: Tensor) -> float:
     for f in z.space.factors:
         if f.p != 2.0:
             raise UnsupportedNormError("matrix oracle needs both factors Euclidean")
-    w1 = z.space.factors[0].weight_array()
-    w2 = z.space.factors[1].weight_array()
-    scaled = z.coeffs * w1[:, None] * w2[None, :]
+    scaled = weighted_matrix(z.coeffs, z.space.factors)
     return float(np.linalg.svd(scaled, compute_uv=False)[0])
 
 
@@ -335,5 +337,5 @@ def operator_norm(
         wt = target.weight_array()
         return float(np.linalg.svd(wt[:, None] * M / ws[None, :], compute_uv=False)[0])
     cfg = cfg or EpsilonConfig(restarts=16, max_iters=300)
-    est, _ = _ascent_sup(M, (target.dual(), source), cfg)
+    est, _ = _gauged_sup(M, (target.dual(), source), cfg, _ascent_sup)
     return est.lower

@@ -11,10 +11,11 @@ lists thousands of times per call.  Two things are computed once here:
   ball into one read-only array, cached per (frozen, hashable) space.
   Callers that hand rows to outside code copy them first.
 
-:func:`vertex_total` counts vertices without building them, so a budget is
-checked first; :func:`grid_values` is the one enumeration contraction,
-:func:`grid_sup` its maximum, and :func:`enumerate_sup` the one exact
-supremum over polyhedral balls.
+:func:`vertex_count` and :func:`vertex_total` count vertices without
+building them, so a budget is checked first; :func:`grid_values` is the one
+enumeration contraction, and :func:`grid_sup` its maximum over a product of
+point families (vertex matrices, grid points), which the exhaustive route
+of :func:`~tnl.injective.sup_bracket` evaluates in one call.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .spaces import INF, NormedSpace, UnsupportedNormError, extreme_points
 
-__all__ = ["contract", "grid_values", "vertex_count", "vertex_total", "vertex_matrix"]
+__all__ = ["contract", "grid_sup", "grid_values", "vertex_count", "vertex_total", "vertex_matrix"]
 
 #: Distinct (spec, shapes) plans kept; an entry is a short string and a path.
 _PLAN_CACHE_SIZE = 1024
@@ -131,24 +132,6 @@ def vertex_matrix(space: NormedSpace) -> np.ndarray:
 
 class BudgetError(RuntimeError):
     """An exhaustive mode would exceed its evaluation budget."""
-
-
-def enumerate_sup(
-    coeffs: np.ndarray, balls: Sequence[NormedSpace], budget: int
-) -> tuple[float, tuple[np.ndarray, ...], int]:
-    """Exact supremum of |coeffs| over a product of polyhedral unit balls.
-
-    A multilinear form attains its supremum on extreme points, so this
-    evaluates every vertex tuple.  Returns ``(value, slots, total)``: the
-    supremum, writable copies of a maximizing vertex tuple, and the number
-    of tuples.  Raises :class:`BudgetError`, before any vertex is built,
-    when that number exceeds ``budget``.
-    """
-    total = vertex_total(balls)
-    if total > budget:
-        raise BudgetError(f"enumeration size {total} exceeds budget {budget}")
-    value, slots = grid_sup(coeffs, [vertex_matrix(sp) for sp in balls])
-    return value, slots, total
 
 
 def grid_sup(coeffs: np.ndarray, fams: Sequence[np.ndarray]) -> tuple[float, tuple[np.ndarray, ...]]:

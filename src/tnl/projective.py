@@ -23,11 +23,11 @@ from scipy.optimize import linprog
 from .spaces import (
     INF,
     NormedSpace,
-    SpaceError,
+    UnsupportedNormError,
     Vector,
 )
 from .injective import BudgetError, EpsilonConfig, canonical_gauge, multilinear_sup
-from .kernels import grid_values, vertex_matrix, vertex_total
+from .kernels import grid_sup, vertex_matrix, vertex_total
 from .tensors import (
     Decomposition,
     DecompositionTerm,
@@ -35,6 +35,7 @@ from .tensors import (
     Tensor,
     TensorSpace,
     outer,
+    weighted_matrix,
 )
 
 __all__ = [
@@ -150,10 +151,9 @@ def gauge(z: Tensor) -> Gauge:
     norm(z) = scale * mult * norm(reduced), so the estimators search on
     ``reduced`` and map results back with :meth:`Gauge.lift`.
     """
-    normalized, scale = canonical_gauge(z.coeffs)
+    normalized, scale, sign = canonical_gauge(z.coeffs)
     if scale == 0.0:
         return Gauge(z.space, None, 0.0, 1.0, 1.0, 0.0)
-    sign = 1.0 if z.coeffs.ravel()[np.flatnonzero(z.coeffs.ravel())[0]] > 0 else -1.0
     reduced, mult = strip_unit_factors(Tensor(z.space, normalized))
     value = None
     if reduced is None:
@@ -424,8 +424,7 @@ def exact_candidates(
         candidates.append(defl)
     if len(factors) == 2:
         other = 1 - pivot
-        scaled = coeffs * factors[0].weight_array()[:, None] * factors[1].weight_array()[None, :]
-        u, s, vt = np.linalg.svd(scaled, full_matrices=False)
+        u, s, vt = np.linalg.svd(weighted_matrix(coeffs, factors), full_matrices=False)
         basis = (u if other == 0 else vt.T) / factors[other].weight_array()[:, None]
         candidates.append([basis[:, : min(len(s), max_rank)]])
     return pivot, max_rank, candidates
@@ -497,7 +496,7 @@ def _pi_lower_polyhedral(
     if not res.success:
         return 0.0, np.zeros_like(coeffs)
     A = res.x.reshape(coeffs.shape)
-    sup = float(np.abs(grid_values(A, pts)).max())  # exact sup norm of A
+    sup, _ = grid_sup(A, pts)  # exact sup norm of A
     if sup <= 1e-300:
         return 0.0, np.zeros_like(coeffs)
     A = A / sup
@@ -574,14 +573,12 @@ def pi_dual_certificate(
     best = _product_functional_certificate(factors, coeffs, cfg.seed)
 
     if len(factors) == 2 and all(f.p == 2.0 for f in factors):
-        w1 = factors[0].weight_array()
-        w2 = factors[1].weight_array()
-        U, s, Vt = np.linalg.svd(coeffs * w1[:, None] * w2[None, :], full_matrices=False)
+        U, s, Vt = np.linalg.svd(weighted_matrix(coeffs, factors), full_matrices=False)
         polar = U @ Vt
         feas = float(np.linalg.norm(polar, 2))
         if feas > 1.0:
             polar = polar / feas
-        A = w1[:, None] * polar * w2[None, :]
+        A = factors[0].weight_array()[:, None] * polar * factors[1].weight_array()[None, :]
         cand = abs(float(np.vdot(A, coeffs))), A
     else:
         # generic fallback: the form A = z itself, made feasible by dividing
@@ -628,11 +625,9 @@ def pi_estimate(z: Tensor, cfg: PiConfig | None = None) -> NormEstimate:
 def pi_matrix_oracle(z: Tensor) -> float:
     """Exact projective norm for two Euclidean factors: the nuclear norm."""
     if z.space.order != 2:
-        raise SpaceError("matrix oracle needs exactly two factors")
+        raise UnsupportedNormError("matrix oracle needs exactly two factors")
     for f in z.space.factors:
         if f.p != 2.0:
-            raise SpaceError("matrix oracle needs both factors Euclidean")
-    w1 = z.space.factors[0].weight_array()
-    w2 = z.space.factors[1].weight_array()
-    scaled = z.coeffs * w1[:, None] * w2[None, :]
+            raise UnsupportedNormError("matrix oracle needs both factors Euclidean")
+    scaled = weighted_matrix(z.coeffs, z.space.factors)
     return float(np.linalg.svd(scaled, compute_uv=False).sum())

@@ -620,10 +620,9 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
         raise SpaceError("beta_p needs at least the codomain factor")
     cod = z.space.factors[-1]
     domain = z.space.factors[:-1]
-    normalized, scale = canonical_gauge(z.coeffs)
+    normalized, scale, sign = canonical_gauge(z.coeffs)
     if scale == 0.0:
         return BetaResult(0.0, None, True, True)
-    sign = 1.0 if z.coeffs.ravel()[np.flatnonzero(z.coeffs.ravel())[0]] > 0 else -1.0
     if not domain:
         return BetaResult(float(cod.norm(z.coeffs)), None, True, True)
 

@@ -36,6 +36,7 @@ __all__ = [
     "apply_operators",
     "random_tensor",
     "random_decomposition",
+    "weighted_matrix",
 ]
 
 
@@ -236,6 +237,11 @@ def outer(vectors: Sequence[np.ndarray]) -> np.ndarray:
     for v in vectors[1:]:
         out = np.multiply.outer(out, np.asarray(v, dtype=float))
     return out
+
+
+def weighted_matrix(coeffs: np.ndarray, factors: Sequence[NormedSpace]) -> np.ndarray:
+    """Two-factor coefficients times both factors' weights: the unweighted matrix."""
+    return coeffs * factors[0].weight_array()[:, None] * factors[1].weight_array()[None, :]
 
 
 def from_decomposition(space: TensorSpace, d: Decomposition) -> Tensor:

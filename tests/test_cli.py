@@ -95,6 +95,21 @@ def test_norm_map_kinds_run(kind, scalar_form, capsys):
     assert capsys.readouterr().out.startswith(kind)
 
 
+def test_norm_sup_honours_grid(scalar_form, tmp_path, capsys):
+    out = tmp_path / "sup.json"
+    assert main(["norm", "--kind", "sup", "--in", scalar_form, "--out", str(out)]) == 0
+    assert "upper=inf" in capsys.readouterr().out
+    assert json.loads(out.read_text())["params"] == {"norm": "sup", "restarts": 32}
+
+    assert main(["norm", "--kind", "sup", "--in", scalar_form, "--grid", "16",
+                 "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    lower = float(text.split("lower=")[1].split()[0])
+    upper = float(text.split("upper=")[1].split()[0])
+    assert lower <= 1.0 + 1e-12 and 1.0 <= upper < float("inf")  # spectral norm of the identity
+    assert json.loads(out.read_text())["params"]["grid_resolution"] == 16
+
+
 def test_norm_si_p_runs(scalar_form, capsys):
     assert main(["norm", "--kind", "si_p", "--in", scalar_form, "--p", "2"]) == 0
     assert capsys.readouterr().out.startswith("si_p")

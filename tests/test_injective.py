@@ -1,5 +1,7 @@
 """Injective norm: enumeration oracles, engine estimates, operator norms."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,10 @@ from tnl import (
     operator_norm,
     random_tensor,
 )
-from tnl.injective import sup_bracket
+from tnl.injective import _ball_grid, sup_bracket
 from tnl.tensors import eval_functionals
 
-from conftest import elementary_tensor, eps_oracle, random_factors, sigma_max
+from conftest import ball_vertices, elementary_tensor, eps_oracle, random_factors, sigma_max
 
 
 class TestPolyhedralExact:
@@ -101,6 +103,56 @@ class TestGridCertificate:
         z = random_tensor(sp, seed=31)
         with pytest.raises(UnsupportedNormError):
             epsilon_bruteforce(z, EpsilonConfig(grid_resolution=1))
+
+    def test_mixed_grid_enumerates_polyhedral_balls(self):
+        # one gridded Euclidean ball; a weighted cube and an interval keep their vertices
+        balls = (
+            NormedSpace(2, 2.0),
+            NormedSpace(3, INF, weights=(2.0, 1.0, 0.5)),
+            NormedSpace(1, 3.0, weights=(4.0,)),
+        )
+        coeffs = np.random.default_rng(32).standard_normal((2, 3, 1))
+        cube = ball_vertices(balls[1])
+        ends = [np.array([0.25]), np.array([-0.25])]
+        truth = max(
+            float(np.linalg.norm(coeffs @ s @ v)) for v, s in itertools.product(cube, ends)
+        )
+        grid, delta = _ball_grid(balls[0], 8)
+        est, slots = sup_bracket(coeffs, balls, EpsilonConfig(grid_resolution=8))
+        assert est.iterations == len(grid) * 8 * 2
+        assert any(np.array_equal(slots[1], v) for v in cube)
+        assert any(np.array_equal(slots[2], v) for v in ends)
+        assert est.upper == est.lower / (1.0 - delta)  # the slack of the one gridded ball
+        assert est.lower <= truth <= est.upper
+
+    def test_radii_summing_to_one_fall_back_to_ascent(self):
+        sp = TensorSpace((NormedSpace(2, 2.0), NormedSpace(2, 2.0)))
+        z = random_tensor(sp, seed=33)
+        balls = sp.dual_factors()
+        assert 2 * _ball_grid(balls[0], 4)[1] >= 1.0
+        est, slots = sup_bracket(z.coeffs, balls, EpsilonConfig(grid_resolution=4))
+        ref, ref_slots = sup_bracket(z.coeffs, balls, EpsilonConfig())
+        assert est == ref and est.upper == INF
+        assert all(np.array_equal(a, b) for a, b in zip(slots, ref_slots))
+        with pytest.raises(UnsupportedNormError, match="radii"):
+            epsilon_bruteforce(z, EpsilonConfig(grid_resolution=4))
+        # a Euclidean ball next to an ell_1 ball: only the Euclidean one is gridded,
+        # and eps is the largest Euclidean column norm
+        w = Tensor(TensorSpace((NormedSpace(2, 2.0), NormedSpace(2, INF))), z.coeffs)
+        est = epsilon_bruteforce(w, EpsilonConfig(grid_resolution=4))
+        assert est.lower <= float(np.linalg.norm(z.coeffs, axis=0).max()) <= est.upper < INF
+
+    def test_all_polyhedral_ignores_the_grid(self):
+        rng = np.random.default_rng(34)
+        for s in range(10):
+            factors = random_factors(rng, int(rng.integers(2, 4)), palette=(1.0, INF))
+            z = random_tensor(TensorSpace(factors), seed=500 + s)
+            balls = z.space.dual_factors()
+            ref, ref_slots = sup_bracket(z.coeffs, balls)
+            for res in (4, 16):
+                est, slots = sup_bracket(z.coeffs, balls, EpsilonConfig(grid_resolution=res))
+                assert est == ref and est.lower == est.upper
+                assert all(np.array_equal(a, b) for a, b in zip(slots, ref_slots))
 
 
 _POLY = TensorSpace(

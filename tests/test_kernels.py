@@ -28,7 +28,7 @@ from tnl import (
 from tnl import kernels
 from tnl.evaluators import make_epsilon_evaluator
 from tnl.ideals import _grid_values_spec_reverse
-from tnl.injective import _contract_specs
+from tnl.injective import _ball_grid, _contract_specs, sup_bracket
 from tnl.spaces import extreme_points
 
 from conftest import ball_vertices, map_sup_oracle
@@ -126,20 +126,31 @@ def test_vertex_matrix_cached_read_only(space):
         assert {tuple(r) for r in M} == {tuple(v) for v in ball_vertices(space)}
 
 
-def test_enumerate_sup_matches_oracle_and_checks_budget_first(counted_extreme_points):
+def test_exhaustive_route_matches_oracle_and_checks_budget_first(counted_extreme_points):
     rng = np.random.default_rng(9)
     dom = (NormedSpace(2, INF), NormedSpace(3, 1.0, weights=(1.0, 2.0, 0.5)))
     cod = NormedSpace(2, 1.0)
     A = MultilinearMap(dom, cod, rng.standard_normal((2, 3, 2)))
     balls = dom + (cod.dual(),)
-    value, slots, total = kernels.enumerate_sup(A.coeffs, balls, 1000)
-    assert total == 4 * 6 * 4
-    assert value == pytest.approx(map_sup_oracle(A), rel=1e-12)
-    assert abs(float(A.apply(slots[:2]) @ slots[2])) == pytest.approx(value, rel=1e-12)
-    counted_extreme_points.clear()
+    z = Tensor(TensorSpace(tuple(b.dual() for b in balls)), A.coeffs)
     with pytest.raises(BudgetError, match="enumeration size 96 exceeds budget 95"):
-        kernels.enumerate_sup(A.coeffs, balls, 95)
+        epsilon_bruteforce(z, EpsilonConfig(budget=95))
+    assert sup_bracket(A.coeffs, balls, EpsilonConfig(budget=95))[0].upper == INF
+    # vertices times grid points: a Euclidean ball gridded next to two of the polytopes
+    mixed = (NormedSpace(2, 2.0),) + balls[1:]
+    total = len(_ball_grid(mixed[0], 6)[0]) * 6 * 4
+    w = Tensor(TensorSpace(tuple(b.dual() for b in mixed)), A.coeffs)
+    with pytest.raises(BudgetError, match=f"enumeration size {total} exceeds"):
+        epsilon_bruteforce(w, EpsilonConfig(grid_resolution=6, budget=total - 1))
     assert counted_extreme_points == []
+
+    est, slots = sup_bracket(A.coeffs, balls, EpsilonConfig(budget=96))
+    assert est.iterations == 4 * 6 * 4
+    assert est.lower == est.upper == pytest.approx(map_sup_oracle(A), rel=1e-12)
+    assert abs(float(A.apply(slots[:2]) @ slots[2])) == pytest.approx(est.lower, rel=1e-12)
+    assert counted_extreme_points
+    est = epsilon_bruteforce(w, EpsilonConfig(grid_resolution=6, budget=total))
+    assert est.iterations == total and est.upper < INF
 
 
 def test_vertex_count_rejects_smooth_balls():
@@ -240,9 +251,17 @@ def test_hot_paths_go_through_the_kernel_layer():
 
 
 def test_one_supremum_route_rule():
-    """Only injective.sup_bracket chooses between enumeration, grid and ascent."""
-    callers = {p.name for p in _SRC.glob("*.py") if "enumerate_sup(" in p.read_text()}
-    assert callers == {"kernels.py", "injective.py"}
+    """Only injective.sup_bracket chooses between the exhaustive route and ascent."""
+    sites = set()
+    for path in _SRC.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(node, ast.Call) and getattr(node.func, "id", None) == "grid_sup"
+                for node in ast.walk(fn)
+            ):
+                sites.add(f"{path.stem}.{fn.name}")
+    # the one evaluation of point families, and the exact rescale of the LP's dual form
+    assert sites == {"injective._exhaustive_sup", "projective._pi_lower_polyhedral"}
     for name in ("evaluators.py", "ideals.py", "verify.py"):
         text = (_SRC / name).read_text()
         assert "is_polyhedral" not in text and "BudgetError" not in text, name

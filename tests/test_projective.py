@@ -11,14 +11,17 @@ from tnl import (
     PiConfig,
     Tensor,
     TensorSpace,
+    UnsupportedNormError,
     pi_dual_certificate,
     pi_estimate,
     pi_lower,
+    pi_matrix_oracle,
     pi_upper,
     random_tensor,
     sigma_p_upper,
     unflatten_scalar,
 )
+from tnl.injective import epsilon_matrix_oracle
 from tnl.tensors import from_decomposition
 from tnl.projective import strip_unit_factors
 
@@ -68,6 +71,14 @@ class TestEuclideanPairs:
         est = pi_estimate(z)
         assert est.contains(want, slack=1e-9)
         assert est.width <= 1e-6 * max(1.0, want)
+
+    def test_matrix_oracles_raise_the_same_error(self):
+        l2, l1 = NormedSpace(2, 2.0), NormedSpace(2, 1.0)
+        for factors in ((l2, l2, l2), (l2, l1)):
+            z = random_tensor(TensorSpace(factors), seed=62)
+            for oracle in (epsilon_matrix_oracle, pi_matrix_oracle):
+                with pytest.raises(UnsupportedNormError):
+                    oracle(z)
 
 
 class TestElementary:

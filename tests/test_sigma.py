@@ -23,6 +23,7 @@ from tnl import (
     sigma_p_dual,
     sigma_p_upper,
 )
+from tnl.tensors import grouped_to_tensor
 
 from conftest import elementary_tensor, modulus_oracle, random_factors
 
@@ -296,6 +297,23 @@ def test_beta_scalar_slot_changes_are_reported_not_hidden():
     b = beta_p_upper(lifted, 2.0, BetaConfig(seed=0))
     assert a.value > 0.0 and np.isfinite(a.value)
     assert b.value > 0.0 and np.isfinite(b.value)
+
+
+@pytest.mark.parametrize("p", P_GRID)
+@pytest.mark.parametrize(
+    "dims, weights",
+    [((2, 3), None), ((1, 2, 2), None), ((2, 2, 1), (1.5,)), ((3, 2), (2.0, 0.5))],
+    ids=["2x3", "unit_domain", "unit_codomain", "weighted_codomain"],
+)
+def test_beta_grouped_decomposition_reconstructs_z(dims, weights, p):
+    factors = [NormedSpace(d, [1.0, 1.5, 2.0, INF][i % 4]) for i, d in enumerate(dims[:-1])]
+    space = TensorSpace(tuple(factors) + (NormedSpace(dims[-1], 2.0, weights=weights),))
+    coeffs = random_tensor(space, seed=sum(dims)).coeffs.copy()
+    coeffs.flat[0] = -abs(coeffs.flat[0]) - 0.5  # a negative first entry flips the gauge sign
+    z = Tensor(space, 3.0 * coeffs)
+    res = beta_p_upper(z, p, BetaConfig(seed=1, restarts=2, polish_rounds=10))
+    back = grouped_to_tensor(space, res.grouped).coeffs
+    assert np.linalg.norm(back - z.coeffs) <= 1e-9 * np.linalg.norm(z.coeffs)
 
 
 def test_beta_zero_tensor():
