@@ -73,21 +73,18 @@ def make_pi_evaluator(cfg: PiConfig | None = None) -> TensorNormEvaluator:
 def make_sigma_evaluator(p: float, cfg: SigmaConfig | None = None) -> TensorNormEvaluator:
     """sigma_p evaluator: decomposition-search upper, injective lower.
 
-    The injective run uses the same stripped tensor, seed, and restart
-    budget as the seeding inside the sigma search, so the bracket can never
-    cross by construction; the min() below only absorbs float dust.
+    Both ends come from one :func:`~tnl.sigma.sigma_p_upper` call: the upper
+    end is its value, the lower end its ``lower``, the injective bracket
+    whose argmax seeds every modulus run.  That seeding keeps the value at
+    or above the lower end, so the min() below only absorbs float dust.
     """
     cfg = cfg or SigmaConfig()
-    eps_eval = make_epsilon_evaluator(
-        EpsilonConfig(restarts=max(32, cfg.restarts), seed=cfg.seed)
-    )
 
     def fn(z: Tensor) -> NormEstimate:
         sig = sigma_p_upper(z, p, cfg)
         if not np.isfinite(sig.value):
             return NormEstimate(0.0, INF, False, sig.candidates, cfg.seed)
-        eps = eps_eval(z)
-        lower = min(eps.lower, sig.value)
+        lower = min(sig.lower, sig.value)
         return NormEstimate(lower, sig.value, sig.converged, sig.candidates, cfg.seed)
 
     return TensorNormEvaluator(

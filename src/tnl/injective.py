@@ -205,6 +205,21 @@ def epsilon_estimate(z: Tensor, cfg: EpsilonConfig | None = None) -> NormEstimat
     return est
 
 
+def _grid_plan(space: NormedSpace, resolution: int) -> tuple[float, int]:
+    """Covering radius of the :func:`_ball_grid` grid and a floor on its size.
+
+    The grid keeps every mesh point of the inscribed cube |t_i| <= dim^(-1/q),
+    so it has at least m^dim points, m the ticks in that cube; no mesh is built.
+    """
+    if resolution < 2:
+        raise UnsupportedNormError("balls that are not polyhedral need grid_resolution >= 2")
+    d, q = space.dim, space.p
+    h = 2.0 / resolution
+    ticks = np.linspace(-1.0, 1.0, resolution + 1)
+    inside = int(np.count_nonzero(np.abs(ticks) <= d ** (-1.0 / q)))
+    return 2.0 * ((d ** (1.0 / q) if q < INF else 1.0) * (h / 2.0)), inside**d
+
+
 def _ball_grid(space: NormedSpace, resolution: int) -> tuple[np.ndarray, float]:
     """Cover the unit ball of ``space`` with grid points and a covering radius.
 
@@ -212,20 +227,17 @@ def _ball_grid(space: NormedSpace, resolution: int) -> tuple[np.ndarray, float]:
     returned point, measured in the ball's own norm, and every returned
     point lies inside the ball.
     """
-    if resolution < 2:
-        raise UnsupportedNormError("balls that are not polyhedral need grid_resolution >= 2")
+    delta, _ = _grid_plan(space, resolution)
     d, q = space.dim, space.p
     w = space.weight_array()
-    h = 2.0 / resolution
     ticks = np.linspace(-1.0, 1.0, resolution + 1)
     mesh = np.stack(np.meshgrid(*([ticks] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    half_cover = (d ** (1.0 / q) if q < INF else 1.0) * (h / 2.0)
     norms = NormedSpace(d, q).norm(mesh)
-    keep = norms <= 1.0 + half_cover
+    keep = norms <= 1.0 + delta / 2.0
     pts = mesh[keep]
     scale = np.maximum(1.0, norms[keep])
     pts = pts / scale[:, None]
-    return pts / w, 2.0 * half_cover
+    return pts / w, delta
 
 
 def _exhaustive_sup(
@@ -237,20 +249,32 @@ def _exhaustive_sup(
     :func:`_ball_grid` grid.  By multilinear Lipschitz slack the supremum is
     at most best/(1 - sum of radii), which is exact when no ball is
     gridded.  Raises :class:`UnsupportedNormError` when a grid is needed
-    but not configured or its radii sum to 1 or more, and
-    :class:`BudgetError`, before any vertex is built, when the product of
-    the family sizes exceeds ``cfg.budget``.
+    but not configured or its radii sum to 1 or more, and, before any mesh
+    or vertex is built, :class:`BudgetError` when a mesh of
+    (resolution + 1)^dim rows or the product of the family sizes (floors
+    from :func:`_grid_plan` for the grids) exceeds ``cfg.budget``.
     """
-    grids = [None if sp.is_polyhedral() else _ball_grid(sp, cfg.grid_resolution) for sp in balls]
-    slack = sum(grid[1] for grid in grids if grid is not None)
+    res = cfg.grid_resolution
+    plans = [None if sp.is_polyhedral() else _grid_plan(sp, res) for sp in balls]
+    slack = sum(plan[0] for plan in plans if plan is not None)
     if slack >= 1.0:
         raise UnsupportedNormError(f"grid radii sum to {slack:.3g} >= 1: raise grid_resolution")
+    rows = max(((res + 1) ** sp.dim for sp, plan in zip(balls, plans) if plan), default=0)
+    if rows > cfg.budget:
+        raise BudgetError(f"grid mesh of {rows} rows exceeds budget {cfg.budget}")
+    floor = math.prod(
+        vertex_count(sp) if plan is None else plan[1] for sp, plan in zip(balls, plans)
+    )
+    if floor > cfg.budget:
+        more = " or more" if any(plans) else ""
+        raise BudgetError(f"enumeration size {floor}{more} exceeds budget {cfg.budget}")
+    grids = [None if plan is None else _ball_grid(sp, res)[0] for sp, plan in zip(balls, plans)]
     total = math.prod(
-        vertex_count(sp) if grid is None else len(grid[0]) for sp, grid in zip(balls, grids)
+        vertex_count(sp) if pts is None else len(pts) for sp, pts in zip(balls, grids)
     )
     if total > cfg.budget:
         raise BudgetError(f"enumeration size {total} exceeds budget {cfg.budget}")
-    fams = [vertex_matrix(sp) if grid is None else grid[0] for sp, grid in zip(balls, grids)]
+    fams = [vertex_matrix(sp) if pts is None else pts for sp, pts in zip(balls, grids)]
     value, slots = grid_sup(normalized, fams)
     best = value * scale
     return NormEstimate(best, best / (1.0 - slack), True, total, cfg.seed), slots

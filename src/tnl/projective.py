@@ -381,53 +381,52 @@ def _first_unit(space: NormedSpace) -> np.ndarray:
     return e
 
 
-def mats_from_decomposition(
-    dec: Decomposition, space: TensorSpace, pivot: int
-) -> list[np.ndarray] | None:
-    """Free factor matrices whose column products match the given terms."""
-    n = space.order
-    if not dec.terms or len(dec.terms[0].vectors) != n:
-        return None
-    cols: list[list[np.ndarray]] = [[] for _ in range(n)]
-    share = 1.0 / (n - 1) if n > 1 else 1.0
-    for term in dec.terms:
-        mag = abs(term.weight) ** share
-        for l in range(n):
-            v = term.vectors[l].coords
-            cols[l].append(v * mag if l != pivot else v)
-    return [np.stack(cols[l], axis=1) for l in range(n) if l != pivot]
+def pi_search(
+    factors: Sequence[NormedSpace], coeffs: np.ndarray, cfg: PiConfig
+) -> tuple[int, list[list[np.ndarray]], float, list[np.ndarray] | None, bool]:
+    """Refine every candidate decomposition of a gauged array; keep the best.
 
-
-def exact_candidates(
-    factors: Sequence[NormedSpace],
-    coeffs: np.ndarray,
-    max_rank: int | None,
-    deflation_iters: int,
-) -> tuple[int, int, list[list[np.ndarray]]]:
-    """Free factor matrices of exact decompositions, to refit and refine.
-
-    Returns ``(pivot, max_rank, candidates)``: the pivot axis (the longest),
-    the rank cap (``max_rank`` or the slice rank), and the free factors of
-    the slice decomposition (if within the cap), the Euclidean deflation
-    and, for two factors, the weighted SVD basis, in that order.  The pivot
-    factor is refit by least squares, see :func:`repair_pivot`.
+    Returns ``(pivot, exact, value, mats, converged)``.  The pivot is the
+    longest axis, the rank cap ``cfg.max_rank`` or the slice rank.  ``exact``
+    holds the free factors of the exact candidates, before refinement: the
+    slice decomposition (if within the cap), the Euclidean deflation and, for
+    two factors, the weighted SVD basis, in that order.  ``cfg.restarts``
+    seeded random candidates follow.  Each is refined by
+    :func:`_refine_candidate`, which refits the pivot factor by least squares
+    (see :func:`repair_pivot`); ``value`` is the best objective (inf when
+    none reconstructs the array) and ``mats`` its factors, pivot included.
     """
     shape = coeffs.shape
     pivot = int(np.argmax(shape))
     rest = int(np.prod([d for i, d in enumerate(shape) if i != pivot]))
-    max_rank = max_rank if max_rank is not None else rest
-    candidates: list[list[np.ndarray]] = []
+    max_rank = cfg.max_rank if cfg.max_rank is not None else rest
+    exact: list[list[np.ndarray]] = []
     if rest <= max_rank:
-        candidates.append(_slice_candidate(shape, pivot))
-    defl = _deflation_candidate(coeffs, pivot, max_rank, deflation_iters)
+        exact.append(_slice_candidate(shape, pivot))
+    defl = _deflation_candidate(coeffs, pivot, max_rank, cfg.deflation_iters)
     if defl:
-        candidates.append(defl)
+        exact.append(defl)
     if len(factors) == 2:
         other = 1 - pivot
         u, s, vt = np.linalg.svd(weighted_matrix(coeffs, factors), full_matrices=False)
         basis = (u if other == 0 else vt.T) / factors[other].weight_array()[:, None]
-        candidates.append([basis[:, : min(len(s), max_rank)]])
-    return pivot, max_rank, candidates
+        exact.append([basis[:, : min(len(s), max_rank)]])
+    rng = np.random.default_rng([cfg.seed, 104729])
+    draws = [
+        [rng.standard_normal((d, max_rank)) for l, d in enumerate(shape) if l != pivot]
+        for _ in range(cfg.restarts)
+    ]
+
+    best = INF
+    best_mats: list[np.ndarray] | None = None
+    converged = False
+    for mats in exact + draws:
+        val, out, conv = _refine_candidate(factors, coeffs, pivot, mats, cfg)
+        if val < best:
+            best = val
+            best_mats = out
+            converged = conv
+    return pivot, exact, best, best_mats, converged
 
 
 def pi_upper(
@@ -444,31 +443,12 @@ def pi_upper(
     if hit is not None:  # one direct candidate; none for the zero tensor
         return hit[0], hit[1], True, int(g.scale > 0.0)
 
-    factors = g.reduced.space.factors
-    coeffs = g.reduced.coeffs
-    pivot, max_rank, candidates = exact_candidates(
-        factors, coeffs, cfg.max_rank, cfg.deflation_iters
-    )
-    rng = np.random.default_rng([cfg.seed, 104729])
-    for _ in range(cfg.restarts):
-        candidates.append(
-            [rng.standard_normal((d, max_rank)) for l, d in enumerate(coeffs.shape) if l != pivot]
-        )
-
-    best = INF
-    best_mats: list[np.ndarray] | None = None
-    converged = False
-    for mats in candidates:
-        val, out, conv = _refine_candidate(factors, coeffs, pivot, mats, cfg)
-        if val < best:
-            best = val
-            best_mats = out
-            converged = conv
-
-    if not np.isfinite(best):
-        return INF, None, False, len(candidates)
-    base = _decomposition_from_mats(g.reduced.space, best_mats)
-    return best * g.mult * g.scale, g.lift(base), converged, len(candidates)
+    _, exact, value, mats, converged = pi_search(g.reduced.space.factors, g.reduced.coeffs, cfg)
+    tried = len(exact) + cfg.restarts
+    if not np.isfinite(value):
+        return INF, None, False, tried
+    base = _decomposition_from_mats(g.reduced.space, mats)
+    return value * g.mult * g.scale, g.lift(base), converged, tried
 
 
 def _pi_lower_polyhedral(

@@ -23,16 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .injective import BudgetError, EpsilonConfig, canonical_gauge, multilinear_sup
+from .injective import BudgetError, EpsilonConfig, canonical_gauge, multilinear_sup, sup_bracket
 from .kernels import contract, vertex_matrix, vertex_total
-from .projective import (
-    PiConfig,
-    exact_candidates,
-    gauge,
-    mats_from_decomposition,
-    pi_upper,
-    repair_pivot,
-)
+from .projective import PiConfig, gauge, pi_search, pi_upper, repair_pivot
 from .spaces import (
     INF,
     NormedSpace,
@@ -145,10 +138,17 @@ class BetaConfig:
 
 @dataclass(frozen=True)
 class SigmaResult:
+    """A sigma_p upper end with its representation, and an injective lower end.
+
+    ``lower`` is the bracket end whose argmax seeded the search: the eps
+    evaluator's lower end at ``EpsilonConfig(restarts=max(32, restarts), seed=seed)``.
+    """
+
     value: float
     decomposition: Decomposition | None
     converged: bool
     candidates: int
+    lower: float
 
 
 @dataclass(frozen=True)
@@ -418,11 +418,12 @@ def sigma_p_upper(
 ) -> SigmaResult:
     """Best sigma_p representation value found (an upper-bound search).
 
-    Candidates come from exact slice/deflation/projective decompositions;
-    each is evaluated under ||lambda||_q * modulus with Hoelder-split
-    rebalancing.  Every modulus run is seeded with the injective argmax
-    functionals of the tensor itself, which keeps the reported value at or
-    above the injective lower bound by construction.
+    Candidates come from one projective search on the gauged tensor: its
+    exact slice/deflation/SVD decompositions and its best refined one, all
+    within ``cfg.max_rank``.  Each is evaluated under ||lambda||_q * modulus
+    with Hoelder-split rebalancing.  Every modulus run is seeded with the
+    injective argmax functionals of the tensor itself, which keeps the
+    reported value at or above the injective lower end by construction.
     """
     cfg = cfg or SigmaConfig()
     pair = ConjugatePair(p)
@@ -430,7 +431,7 @@ def sigma_p_upper(
     g = gauge(z)
     hit = g.direct()
     if hit is not None:  # one direct candidate; none for the zero tensor
-        return SigmaResult(hit[0], hit[1], True, int(g.scale > 0.0))
+        return SigmaResult(hit[0], hit[1], True, int(g.scale > 0.0), hit[0])
     reduced = g.reduced
     factors = reduced.space.factors
     coeffs = reduced.coeffs
@@ -439,17 +440,14 @@ def sigma_p_upper(
     # restart budget: the reported value then never drops below the bound an
     # injective run at default budgets can certify for the same tensor
     eps_cfg = EpsilonConfig(restarts=max(32, cfg.restarts), seed=cfg.seed)
-    sup = multilinear_sup(coeffs, reduced.space.dual_factors(), eps_cfg)
-    seeds = [sup.slots]
+    eps, slots = sup_bracket(coeffs, reduced.space.dual_factors(), eps_cfg)
+    seeds = [slots]
+    lower = eps.lower * g.mult * g.scale
 
-    pivot, _, free_lists = exact_candidates(factors, coeffs, cfg.max_rank, 40)
-    _, pi_dec, _, _ = pi_upper(
-        Tensor(reduced.space, coeffs), PiConfig(seed=cfg.seed, restarts=2)
-    )
-    if pi_dec is not None and pi_dec.terms:
-        free = mats_from_decomposition(pi_dec, reduced.space, pivot)
-        if free is not None:
-            free_lists.append(free)
+    pi_cfg = PiConfig(seed=cfg.seed, restarts=2, max_rank=cfg.max_rank)
+    pivot, free_lists, _, pi_mats, _ = pi_search(factors, coeffs, pi_cfg)
+    if pi_mats is not None:
+        free_lists.append(pi_mats[:pivot] + pi_mats[pivot + 1 :])
     unfolded = np.moveaxis(coeffs, pivot, 0).reshape(coeffs.shape[pivot], -1)
     candidates: list[list[np.ndarray]] = []
     for free in free_lists:
@@ -469,7 +467,7 @@ def sigma_p_upper(
             converged = conv
 
     if not np.isfinite(best) or best_lam is None:
-        return SigmaResult(float("inf"), None, False, len(candidates))
+        return SigmaResult(float("inf"), None, False, len(candidates), lower)
 
     terms = []
     for j in range(len(best_lam)):
@@ -478,7 +476,7 @@ def sigma_p_upper(
         )
         terms.append(DecompositionTerm(float(best_lam[j]), vecs))
     dec = g.lift(Decomposition(tuple(terms)))
-    return SigmaResult(best * g.mult * g.scale, dec, converged, len(candidates))
+    return SigmaResult(best * g.mult * g.scale, dec, converged, len(candidates), lower)
 
 
 def _eval_form_family(form: np.ndarray, fams: Sequence[np.ndarray]) -> np.ndarray:
@@ -632,7 +630,7 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
     candidate_sets: list[list[list[np.ndarray]]] = []
     candidate_sets.append([[np.eye(f.dim) for f in domain]])
 
-    pi_val, pi_dec, _, _ = pi_upper(
+    _, pi_dec, _, _ = pi_upper(
         Tensor(z.space, normalized), PiConfig(seed=cfg.seed, restarts=1)
     )
     if pi_dec is not None and pi_dec.terms:

@@ -20,7 +20,9 @@ from tnl import (
     operator_norm,
     random_tensor,
 )
-from tnl.injective import _ball_grid, sup_bracket
+from tnl import injective
+from tnl.evaluators import make_epsilon_evaluator
+from tnl.injective import _ball_grid, _grid_plan, sup_bracket
 from tnl.tensors import eval_functionals
 
 from conftest import ball_vertices, elementary_tensor, eps_oracle, random_factors, sigma_max
@@ -153,6 +155,44 @@ class TestGridCertificate:
                 est, slots = sup_bracket(z.coeffs, balls, EpsilonConfig(grid_resolution=res))
                 assert est == ref and est.lower == est.upper
                 assert all(np.array_equal(a, b) for a, b in zip(slots, ref_slots))
+
+    @pytest.mark.parametrize(
+        "dims, seed",
+        [
+            # each 17^5-row mesh fits the budget, the two inscribed cubes (7^5 points each) do not
+            ((NormedSpace(5, 2.0), NormedSpace(5, 2.0)), 36),
+            # the 8-dim Euclidean ball alone would mesh 17^8 rows
+            ((NormedSpace(8, 2.0), NormedSpace(2, 1.0)), 37),
+        ],
+        ids=["5x5_euclidean", "8dim_euclidean"],
+    )
+    def test_over_budget_grid_is_never_meshed(self, monkeypatch, dims, seed):
+        z = random_tensor(TensorSpace(dims), seed=seed)
+        balls = z.space.dual_factors()
+        ref, ref_slots = sup_bracket(z.coeffs, balls)
+
+        def no_mesh(*args):
+            raise AssertionError("a grid mesh was built")
+
+        monkeypatch.setattr(injective, "_ball_grid", no_mesh)
+        cfg = EpsilonConfig(grid_resolution=16)
+        est, slots = sup_bracket(z.coeffs, balls, cfg)
+        assert est == ref and est.upper == INF  # the ascent bracket
+        assert all(np.array_equal(a, b) for a, b in zip(slots, ref_slots))
+        assert make_epsilon_evaluator(cfg)(z) == make_epsilon_evaluator()(z)
+        with pytest.raises(BudgetError):
+            epsilon_bruteforce(z, cfg)
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, INF])
+    def test_grid_plan_floors_the_grid_size(self, q):
+        for dim in (1, 2, 3, 4):
+            for res in (2, 3, 4, 7, 8):
+                space = NormedSpace(dim, q)
+                points, delta = _ball_grid(space, res)
+                radius, floor = _grid_plan(space, res)
+                assert radius == delta and floor <= len(points)
+                if q == INF:
+                    assert floor == len(points) == (res + 1) ** dim
 
 
 _POLY = TensorSpace(

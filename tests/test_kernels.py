@@ -267,6 +267,28 @@ def test_one_supremum_route_rule():
         assert "is_polyhedral" not in text and "BudgetError" not in text, name
 
 
+def test_sigma_reuses_its_own_pi_search_and_injective_bracket():
+    """sigma_p_upper runs pi_search and sup_bracket itself, never a nested pi_upper."""
+    tree = ast.parse((_SRC / "sigma.py").read_text())
+    fn = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "sigma_p_upper"
+    )
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+    }
+    assert {"pi_search", "sup_bracket"} <= called
+    assert not called & {"pi_upper", "multilinear_sup"}
+    for path in _SRC.glob("*.py"):
+        defined = {
+            node.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)
+        }
+        assert "mats_from_decomposition" not in defined, path.name
+
+
 def _private_tnl_imports(path: Path) -> list[str]:
     """Underscore names a module imports from another tnl module, anywhere in it."""
     found = []

@@ -1,5 +1,7 @@
 """Tests for the sigma_p upper search, family moduli, and the beta_p search."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from tnl import (
     EpsilonConfig,
     ModulusResult,
     NormedSpace,
+    PiConfig,
     SigmaConfig,
     SigmaDualConfig,
     SpaceError,
@@ -19,10 +22,14 @@ from tnl import (
     epsilon_estimate,
     family_modulus_p,
     family_strong_norm,
+    pi_upper,
     random_tensor,
     sigma_p_dual,
     sigma_p_upper,
+    unflatten_scalar,
 )
+from tnl import evaluators, injective, projective, sigma
+from tnl.evaluators import make_epsilon_evaluator, make_sigma_evaluator
 from tnl.tensors import grouped_to_tensor
 
 from conftest import elementary_tensor, modulus_oracle, random_factors
@@ -96,6 +103,95 @@ def test_sigma_rejects_bad_exponent():
     z = random_tensor(space, seed=1)
     with pytest.raises(SpaceError):
         sigma_p_upper(z, 0.5)
+
+
+def test_sigma_honours_max_rank():
+    space = TensorSpace((NormedSpace(2, 2.0), NormedSpace(2, 2.0)))
+    z = random_tensor(space, seed=3)
+    assert pi_upper(z, PiConfig(max_rank=1))[0] == INF
+    capped = sigma_p_upper(z, 1.5, SigmaConfig(max_rank=1))
+    assert capped.value == INF and capped.decomposition is None
+    res = sigma_p_upper(z, 1.5, SigmaConfig(max_rank=2))
+    assert np.isfinite(res.value) and len(res.decomposition.terms) <= 2
+
+
+# ---------------------------------------------------------------------------
+# one pass per sigma_p evaluation
+# ---------------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, counts, name, *modules):
+    """Count the calls of ``name`` through every module that binds it."""
+    fn = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted, raising=False)
+
+
+def test_sigma_evaluator_runs_each_step_once(monkeypatch):
+    counts = Counter()
+    _count_calls(monkeypatch, counts, "gauge", projective, sigma, evaluators)
+    _count_calls(monkeypatch, counts, "_deflation_candidate", projective)
+    _count_calls(monkeypatch, counts, "multilinear_sup", injective, projective, sigma)
+    _count_calls(monkeypatch, counts, "pi_upper", projective, sigma)
+    # smooth factors: the injective bracket is one ascent run
+    space = TensorSpace((NormedSpace(2, 2.0), NormedSpace(3, 1.5), NormedSpace(2, 3.0)))
+    est = make_sigma_evaluator(1.5)(random_tensor(space, seed=13))
+    assert np.isfinite(est.upper)
+    assert counts["gauge"] == 1
+    assert counts["_deflation_candidate"] == 1
+    assert counts["multilinear_sup"] == 1
+    assert counts["pi_upper"] == 0
+
+
+def test_sigma_last_candidate_is_pi_best_decomposition(monkeypatch):
+    # a rank-2 tensor: the Khatri-Rao matrix of the free factors of pi's best
+    # decomposition is rank-deficient, so refitting its pivot from rescaled
+    # free factors would land on another decomposition
+    space = TensorSpace((NormedSpace(3, INF), NormedSpace(3, 1.5), NormedSpace(2, 1.5)))
+    z = random_tensor(space, seed=39, style="low_rank", rank=2)
+    refined, evaluated = [], []
+    refine, evaluate = projective._refine_candidate, sigma._sigma_candidate_value
+
+    def spy_refine(*args):
+        refined.append(refine(*args))
+        return refined[-1]
+
+    def spy_evaluate(factors, mats, *args):
+        evaluated.append(mats)
+        return evaluate(factors, mats, *args)
+
+    monkeypatch.setattr(projective, "_refine_candidate", spy_refine)
+    monkeypatch.setattr(sigma, "_sigma_candidate_value", spy_evaluate)
+    sigma_p_upper(z, 1.5)
+    best, best_mats = INF, None
+    for value, mats, _ in refined:
+        if value < best:
+            best, best_mats = value, mats
+    last = evaluated[-1]
+    assert len(last) == len(best_mats)
+    assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(last, best_mats))
+    pivot = int(np.argmax(z.coeffs.shape))
+    free = [M for l, M in enumerate(best_mats) if l != pivot]
+    kr = (free[0][:, None, :] * free[1][None, :, :]).reshape(-1, free[0].shape[1])
+    assert np.linalg.matrix_rank(kr) < kr.shape[1]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, INF])
+def test_sigma_evaluator_lower_is_eps_lower_or_value(p):
+    rng = np.random.default_rng(44)
+    for trial in range(5):
+        factors = random_factors(rng, rng.integers(2, 4))
+        z = random_tensor(TensorSpace(factors), seed=700 + trial)
+        sig_eval = make_sigma_evaluator(p, SigmaConfig(seed=trial))
+        eps_eval = make_epsilon_evaluator(EpsilonConfig(restarts=32, seed=trial))
+        for t in (z, unflatten_scalar(z)):
+            est = sig_eval(t)
+            assert est.lower == min(eps_eval(t).lower, est.upper)
 
 
 # ---------------------------------------------------------------------------
