@@ -17,6 +17,7 @@ p-norms" of each family, which is what the search evaluates.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 from typing import Sequence
@@ -189,17 +190,17 @@ def _modulus_exact(
     if total * m > budget:
         raise BudgetError(f"{total}x{m} grid exceeds modulus budget {budget}")
     points = [vertex_matrix(d) for d in duals]
-    acts = [P @ X.T for P, X in zip(points, mats)]
-    n = len(spaces)
-    up = string.ascii_uppercase
-    spec = ",".join(up[l] + "j" for l in range(n)) + "->" + up[:n] + "j"
-    prod = contract(spec, *acts)
+    if len(points) == 1:  # one factor: the term products are the actions
+        prod = points[0] @ mats[0].T
+    else:
+        up = string.ascii_uppercase[: len(points)]
+        spec = ",".join(c + "j" for c in up) + "->" + up + "j"
+        prod = contract(spec, *[P @ X.T for P, X in zip(points, mats)])
     if p == INF:
         grid = np.abs(prod).max(axis=-1)
     else:
         grid = (np.abs(prod) ** p).sum(axis=-1)
-    flat = int(np.argmax(grid))
-    idx = np.unravel_index(flat, grid.shape)
+    idx = np.unravel_index(int(np.argmax(grid)), grid.shape)
     value = float(grid[idx]) if p == INF else float(grid[idx]) ** (1.0 / p)
     funcs = tuple(P[i].copy() for P, i in zip(points, idx))
     return ModulusResult(value, funcs, True, total)
@@ -551,31 +552,35 @@ def sigma_p_dual(form: Tensor, p: float, cfg: SigmaDualConfig | None = None) -> 
 
 
 def _block_design(families: Sequence[np.ndarray]) -> np.ndarray:
-    """Design matrix mapping a block's flat coefficients to domain coefficients."""
-    out = np.ones((1, 1))
-    for X in families:
-        out = np.kron(out, X.T)
+    """Design matrix mapping a block's flat coefficients to domain coefficients.
+
+    Rows follow the domain axes in C order, columns the family rows in C
+    order: the Kronecker product of the X.T, multiplied left to right, bit
+    for bit and in its memory layout, by one broadcast product per factor.
+    """
+    out = families[0].T
+    for X in families[1:]:
+        prod = out[:, None, :, None] * X.T[None, :, None, :]
+        out = prod.reshape(out.shape[0] * X.shape[1], out.shape[1] * X.shape[0])
     return out
 
 
 def _fit_blocks(
-    domain_dim: int,
-    codim: int,
-    target: np.ndarray,
-    family_sets: Sequence[Sequence[np.ndarray]],
+    target: np.ndarray, family_sets: Sequence[Sequence[np.ndarray]]
 ) -> tuple[list[np.ndarray], float]:
-    """Joint least-squares coefficients for all blocks; returns residual too."""
-    designs = [_block_design(fams) for fams in family_sets]
-    G = np.hstack(designs)
-    sol, *_ = np.linalg.lstsq(G, target.reshape(domain_dim, codim), rcond=None)
-    resid = float(np.linalg.norm(G @ sol - target.reshape(domain_dim, codim)))
-    out = []
-    offset = 0
-    for fams, D in zip(family_sets, designs):
-        width = D.shape[1]
-        shape = tuple(X.shape[0] for X in fams) + (codim,)
-        out.append(sol[offset : offset + width].reshape(shape))
-        offset += width
+    """Joint least-squares coefficients for all blocks; returns residual too.
+
+    ``target`` is the (domain, codomain) matrix and the design [D_1 | D_2 |
+    ...], so block b's coefficients are the next prod(m_l) solution rows.
+    """
+    G = np.hstack([_block_design(fams) for fams in family_sets])
+    sol, *_ = np.linalg.lstsq(G, target, rcond=None)
+    resid = float(np.linalg.norm(G @ sol - target))
+    out, offset = [], 0
+    for fams in family_sets:
+        shape = tuple(X.shape[0] for X in fams)
+        out.append(sol[offset : offset + math.prod(shape)].reshape(shape + target.shape[1:]))
+        offset += math.prod(shape)
     return out, resid
 
 
@@ -624,21 +629,15 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
     if not domain:
         return BetaResult(float(cod.norm(z.coeffs)), None, True, True)
 
-    dom_dim = int(np.prod([f.dim for f in domain]))
-    target = normalized.reshape(dom_dim, cod.dim)
-
-    candidate_sets: list[list[list[np.ndarray]]] = []
-    candidate_sets.append([[np.eye(f.dim) for f in domain]])
+    target = normalized.reshape(-1, cod.dim)
+    candidate_sets: list[list[list[np.ndarray]]] = [[[np.eye(f.dim) for f in domain]]]
 
     _, pi_dec, _, _ = pi_upper(
         Tensor(z.space, normalized), PiConfig(seed=cfg.seed, restarts=1)
     )
-    if pi_dec is not None and pi_dec.terms:
-        blocks = []
-        for t in pi_dec.terms[: cfg.max_blocks * 3]:
-            blocks.append([t.vectors[l].coords[None, :] for l in range(len(domain))])
-        if blocks:
-            candidate_sets.append(blocks)
+    terms = pi_dec.terms[: cfg.max_blocks * 3] if pi_dec is not None else ()
+    if terms:
+        candidate_sets.append([[v.coords[None, :] for v in t.vectors[:-1]] for t in terms])
 
     rng = np.random.default_rng([cfg.seed, 32452843])
     sizes = [(min(cfg.max_family, f.dim), f.dim) for f in domain]
@@ -655,7 +654,7 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
     best_cert = False
     converged = False
     for family_sets in candidate_sets:
-        coeff_arrays, resid = _fit_blocks(dom_dim, cod.dim, target, family_sets)
+        coeff_arrays, resid = _fit_blocks(target, family_sets)
         if resid > _RESIDUAL_TOL:
             continue
         val, cert = _beta_objective(domain, cod, family_sets, coeff_arrays, p, q, cfg.modulus)
@@ -667,7 +666,7 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
                 [unit_rows(sp, X + step * rng.standard_normal(X.shape)) for sp, X in zip(domain, F)]
                 for F in state[0]
             ]
-            t_coeffs, t_resid = _fit_blocks(dom_dim, cod.dim, target, trial_sets)
+            t_coeffs, t_resid = _fit_blocks(target, trial_sets)
             if t_resid <= _RESIDUAL_TOL:
                 t_val, t_cert = _beta_objective(
                     domain, cod, trial_sets, t_coeffs, p, q, cfg.modulus

@@ -1,5 +1,6 @@
 """Tests for the sigma_p upper search, family moduli, and the beta_p search."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -28,7 +29,9 @@ from tnl import (
     sigma_p_upper,
     unflatten_scalar,
 )
-from tnl import evaluators, injective, projective, sigma
+from tnl import evaluators, evaluator_for, injective, projective, report_json, sigma
+from tnl import witness_search_nonsmooth
+from tnl.kernels import contract, vertex_matrix
 from tnl.evaluators import make_epsilon_evaluator, make_sigma_evaluator
 from tnl.tensors import grouped_to_tensor
 
@@ -294,6 +297,31 @@ def test_strong_norm_polyhedral_matches_enumeration(kind):
         assert res.value == pytest.approx(modulus_oracle([sp], [X], p), rel=1e-9)
 
 
+def _modulus_exact_by_contract(space, X, p):
+    """The generic route of ``_modulus_exact`` (one ``contract`` over all spaces), on one space."""
+    P = vertex_matrix(space.dual())
+    grid = (np.abs(contract("Aj->Aj", P @ X.T)) ** p).sum(axis=-1)
+    i = int(np.argmax(grid))
+    return float(grid[i]) ** (1.0 / p), P[i].copy()
+
+
+@pytest.mark.parametrize("kind", [1.0, INF])
+@pytest.mark.parametrize("p", P_GRID)
+def test_modulus_exact_one_space_matches_contract_route_bitwise(kind, p):
+    rng = np.random.default_rng([35, int(kind == INF), int(10 * p)])
+    for dim in (1, 2, 3):
+        for weights in (None, tuple(rng.uniform(0.5, 2.0, dim))):
+            sp = NormedSpace(dim, kind, weights)
+            for m in (2, 3, 4):
+                X = rng.standard_normal((m, dim))
+                res = sigma._modulus_exact((sp,), [X], p, 50_000)
+                value, phi = _modulus_exact_by_contract(sp, X, p)
+                assert res.exact
+                assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
+                (got,) = res.functionals
+                assert got.shape == phi.shape and got.tobytes() == phi.tobytes()
+
+
 def test_strong_norm_accepts_vector_sequence():
     sp = NormedSpace(2, 1.0)
     vecs = [Vector(sp, np.array([1.0, 0.0])), Vector(sp, np.array([0.0, -2.0]))]
@@ -425,6 +453,53 @@ def test_beta_determinism():
     a = beta_p_upper(z, 1.5, BetaConfig(seed=4))
     b = beta_p_upper(z, 1.5, BetaConfig(seed=4))
     assert a.value == b.value
+
+
+def _block_design_by_kron(families):
+    out = np.ones((1, 1))
+    for X in families:
+        out = np.kron(out, X.T)
+    return out
+
+
+def test_block_design_is_bitwise_kron():
+    # rows: domain axes in C order; columns: family rows in C order
+    for seed in range(600):
+        rng = np.random.default_rng([36, seed])
+        k = int(rng.integers(1, 4))
+        fams = [rng.standard_normal((int(rng.integers(1, 4)), int(rng.integers(1, 4))))
+                for _ in range(k)]
+        got = sigma._block_design(fams)
+        ref = _block_design_by_kron(fams)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        for flag in ("C_CONTIGUOUS", "F_CONTIGUOUS"):  # the memory layout lstsq and @ see
+            assert got.flags[flag] == ref.flags[flag]
+
+
+def test_fit_blocks_orders_coefficients_like_the_design():
+    rng = np.random.default_rng(37)
+    sets = [[rng.standard_normal((2, 2)), rng.standard_normal((1, 3))],
+            [rng.standard_normal((2, 2)), rng.standard_normal((2, 3))]]
+    coeffs = [rng.standard_normal((2, 1, 2)), rng.standard_normal((2, 2, 2))]
+    target = sum(np.einsum("ja,kb,jkc->abc", X1, X2, B) for (X1, X2), B in zip(sets, coeffs))
+    got, resid = sigma._fit_blocks(target.reshape(6, 2), sets)
+    assert [b.shape for b in got] == [(2, 1, 2), (2, 2, 2)]
+    recon = sum(np.einsum("ja,kb,jkc->abc", X1, X2, B) for (X1, X2), B in zip(sets, got))
+    assert resid <= 1e-9
+    np.testing.assert_allclose(recon, target, atol=1e-9)
+
+
+#: sha256 of the default beta_p witness report (p = 2, 2x2, budget 6, seed 0).
+#: Two runs of the same code cannot show drift; this pins the bytes across changes.
+WITNESS_BETA_SHA256 = "a85d15ad501b3f3999c97636f836dc07da521d9a30cbd727f623f6a2f210a762"
+
+
+def test_default_beta_witness_report_bytes_are_pinned():
+    beta = evaluator_for("beta_p", p=2.0, seed=0)
+    report = witness_search_nonsmooth(beta, (2, 2), budget=6, seed=0)
+    digest = hashlib.sha256(report_json(report).encode("utf-8")).hexdigest()
+    assert digest == WITNESS_BETA_SHA256
 
 
 def test_beta_rejects_bad_exponent():
