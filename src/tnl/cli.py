@@ -33,7 +33,6 @@ from .ideals import (
     MultilinearMap,
     SmConfig,
     linearization_norm,
-    property_B_check,
     si_p_norm,
     sm_pq_norm,
     sup_norm,
@@ -51,11 +50,11 @@ from .sigma import SigmaDualConfig
 from .spaces import INF, NormedSpace, SpaceError
 from .tensors import NormEstimate, TensorNormEvaluator, TensorSpace
 from .verify import (
-    SMOOTHNESS_TOLERANCES,
     Report,
     check_bidual_consistency,
     check_crossnorm,
     check_metric_mapping,
+    check_property_b,
     check_representation,
     check_smoothness,
     witness_search_nonsmooth,
@@ -275,17 +274,7 @@ def _run_suite(args: argparse.Namespace, cfg: RunConfig) -> Report:
         ideal = args.kind if args.kind in ("sup", "lin") else "sup" if norm_name == "pi" else "lin"
         return check_representation(ideal, beta, dims, samples, LinConfig(seed=cfg.seed))
     if suite == "property_b":
-        result = property_B_check(beta, dims, samples, LinConfig(seed=cfg.seed))
-        tol = SMOOTHNESS_TOLERANCES.get(beta.name, 1e-6)
-        max_dev = float(result["max_rel_deviation"])
-        return Report(
-            suite="property_b",
-            passed=max_dev <= tol,
-            max_deviation=max_dev,
-            tolerance=tol,
-            config={"norm": beta.name, "dims": list(dims), "samples": samples, "seed": cfg.seed},
-            cases=tuple(result["cases"]),
-        )
+        return check_property_b(beta, dims, samples, LinConfig(seed=cfg.seed))
     raise CLIError(f"unknown suite {args.suite!r}")
 
 

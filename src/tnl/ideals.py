@@ -11,8 +11,7 @@ axis.  This module provides:
   the tensor product of its domain, normed by a chosen tensor norm — the
   operator norm of the induced linear map on that normed tensor product;
 * the one-point adjunction that removes (or re-attaches) a trailing
-  one-dimensional scalar slot, and the check that a tensor norm gives the
-  same linearization norm on both sides of that adjunction;
+  one-dimensional scalar slot;
 * the strongly multiple (p, q)-summing constant, estimated from finite
   families with the inner supremum taken over the unit ball of multilinear
   forms (not merely product functionals);
@@ -26,7 +25,7 @@ Every maximization-based value reported here is a certified lower bound;
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +44,7 @@ from .injective import EpsilonConfig, sup_bracket
 from .kernels import contract, grid_values
 from .projective import PiConfig, norm_gradient, pi_dual_certificate
 from .sigma import (
-    SigmaConfig,
+    MODULUS_CONFIG,
     SigmaDualConfig,
     family_strong_norm,
     q_norm,
@@ -56,10 +55,8 @@ from .tensors import (
     Tensor,
     TensorNormEvaluator,
     TensorSpace,
-    flatten_scalar,
     outer,
     random_tensor,
-    unflatten_scalar,
 )
 
 __all__ = [
@@ -72,7 +69,6 @@ __all__ = [
     "linearization_norm",
     "one_adjunction",
     "one_adjunction_inverse",
-    "property_B_check",
     "sm_pq_norm",
     "si_p_norm",
     "vector_scalar_bridge",
@@ -333,9 +329,11 @@ class LinConfig:
 
     tensors: int = 8
     polish_rounds: int = 8
-    step: float = 0.25
     seed: int = 0
-    sup: EpsilonConfig = field(default_factory=EpsilonConfig)
+
+
+#: First relative step of the linearization-norm polish.
+_LIN_STEP = 0.25
 
 
 def _pairing(form: np.ndarray, z: Tensor) -> float:
@@ -369,7 +367,7 @@ def linearization_norm(
     if not np.any(form):
         return NormEstimate.exact(0.0, seed=cfg.seed)
 
-    candidates = [argmax_elementary(A, cfg.sup), *extra]
+    candidates = [argmax_elementary(A), *extra]
     if cfg.tensors > 0:
         rng_seed = np.random.default_rng([cfg.seed, 32452843])
         for _ in range(cfg.tensors):
@@ -406,7 +404,7 @@ def linearization_norm(
         rng = np.random.default_rng([cfg.seed, 86028121])
         cur = best_z.coeffs.copy()
         cur_ratio = best
-        step = cfg.step
+        step = _LIN_STEP
         for _ in range(cfg.polish_rounds):
             g = rng.standard_normal(cur.shape)
             gn = float(np.linalg.norm(g))
@@ -425,70 +423,6 @@ def linearization_norm(
     return NormEstimate(best, INF, best_converged, evals, cfg.seed)
 
 
-def property_B_check(
-    beta: TensorNormEvaluator,
-    dims: Sequence[int],
-    samples: int,
-    cfg: LinConfig | None = None,
-    polyhedral_only: bool | None = None,
-) -> dict:
-    """Does the trailing-scalar-slot adjunction preserve the linearization norm?
-
-    For sampled scalar maps A on (E_1, ..., E_n, K), compares the
-    linearization norm of A on the (n+1)-factor product with that of the
-    adjoint A1 on the n-factor product, under the same tensor norm.  Both
-    sides are evaluated on coupled candidate pools (each n-factor candidate
-    is lifted by appending the scalar slot), so the reported deviation
-    reflects the norms themselves, not sampling noise.  Returns a report
-    with the per-sample values and the maximum relative deviation.
-    """
-    cfg = cfg or LinConfig()
-    if polyhedral_only is None:
-        polyhedral_only = beta.name == "eps"
-    palette = (1.0, INF) if polyhedral_only else (1.0, 2.0, INF)
-    lincfg = LinConfig(tensors=0, polish_rounds=0, step=cfg.step, seed=cfg.seed, sup=cfg.sup)
-    rng = np.random.default_rng([cfg.seed, 27644437])
-    cases = []
-    max_dev = 0.0
-    for s in range(samples):
-        factors = tuple(
-            NormedSpace(int(d), float(palette[int(rng.integers(0, len(palette)))]))
-            for d in dims
-        )
-        domain = factors + (scalar_space(),)
-        shape = tuple(f.dim for f in domain) + (1,)
-        A = MultilinearMap(domain, scalar_space(), rng.standard_normal(shape))
-        A1 = one_adjunction(A)
-
-        base_space = TensorSpace(factors)
-        pool = [argmax_elementary(A1, cfg.sup), flatten_scalar(argmax_elementary(A, cfg.sup))]
-        for _ in range(max(cfg.tensors, 2)):
-            t = int(rng.integers(0, 2**31 - 1))
-            pool.append(random_tensor(base_space, seed=t))
-        lifted = [unflatten_scalar(t) for t in pool]
-
-        v_tall = linearization_norm(A, beta, lincfg, extra=lifted).lower
-        v_flat = linearization_norm(A1, beta, lincfg, extra=pool).lower
-        dev = abs(v_tall - v_flat) / max(abs(v_tall), abs(v_flat), 1e-12)
-        max_dev = max(max_dev, dev)
-        cases.append(
-            {
-                "sample": s,
-                "dims": [f.dim for f in factors],
-                "p_values": [f.p for f in factors],
-                "with_scalar_slot": v_tall,
-                "adjoint": v_flat,
-                "rel_deviation": dev,
-            }
-        )
-    return {
-        "norm": beta.name,
-        "samples": samples,
-        "max_rel_deviation": max_dev,
-        "cases": cases,
-    }
-
-
 # ---------------------------------------------------------------------------
 # strongly multiple (p, q)-summing constant
 # ---------------------------------------------------------------------------
@@ -496,17 +430,19 @@ def property_B_check(
 
 @dataclass(frozen=True)
 class SmConfig:
-    """Budgets for the strongly multiple (p, q)-summing family search."""
+    """Seed of the strongly multiple (p, q)-summing family search."""
 
-    restarts: int = 8
-    polish_rounds: int = 40
-    cg_iters: int = 10
-    cg_starts: int = 4
-    step: float = 0.3
     seed: int = 0
-    sup: EpsilonConfig = field(default_factory=EpsilonConfig)
-    modulus: SigmaConfig = field(default_factory=lambda: SigmaConfig(restarts=6, max_sweeps=60))
-    pi: PiConfig = field(default_factory=lambda: PiConfig(restarts=1))
+
+
+# Budgets of the strongly multiple family search and of its form-ball
+# denominator's conditional gradient.
+_SM_RESTARTS = 8
+_SM_POLISH_ROUNDS = 40
+_SM_STEP = 0.3
+_SM_CG_STARTS = 4
+_SM_CG_ITERS = 10
+_SM_PI = PiConfig(restarts=1)
 
 
 def _family_norms(spaces: Sequence[NormedSpace], fams: Sequence[np.ndarray]) -> np.ndarray:
@@ -520,10 +456,7 @@ def _norming_functional(space: NormedSpace, x: np.ndarray) -> np.ndarray:
 
 
 def _form_ball_denominator(
-    spaces: Sequence[NormedSpace],
-    fams: Sequence[np.ndarray],
-    q: float,
-    cfg: SmConfig,
+    spaces: Sequence[NormedSpace], fams: Sequence[np.ndarray], q: float
 ) -> tuple[float, bool]:
     """sup over the unit ball of multilinear forms of the grid q-sum.
 
@@ -541,14 +474,14 @@ def _form_ball_denominator(
     if q == INF:
         return float(prod_norms.max()), True
     if len(spaces) == 1:
-        res = family_strong_norm(spaces[0], fams[0], q, cfg.modulus)
+        res = family_strong_norm(spaces[0], fams[0], q, MODULUS_CONFIG)
         return res.value, res.exact
 
     # conditional gradient over the form ball, started from the product
     # functionals of the heaviest grid points (always feasible forms)
     flat_order = np.argsort(prod_norms.ravel())[::-1]
     starts = []
-    for flat in flat_order[: cfg.cg_starts]:
+    for flat in flat_order[:_SM_CG_STARTS]:
         idx = np.unravel_index(int(flat), prod_norms.shape)
         norming = [_norming_functional(sp, F[i]) for sp, F, i in zip(spaces, fams, idx)]
         starts.append(outer(norming))
@@ -560,7 +493,7 @@ def _form_ball_denominator(
     for phi in starts:
         val = q_sum(phi)
         best = max(best, val)
-        for _ in range(cfg.cg_iters):
+        for _ in range(_SM_CG_ITERS):
             v = grid_values(phi, fams)
             av = np.abs(v)
             if q == 1.0:
@@ -572,7 +505,7 @@ def _form_ball_denominator(
                 u = (av / peak) ** (q - 1.0) * np.sign(v)
             # gradient direction as a tensor on the domain product
             G = contract(_grid_values_spec_reverse(len(fams)), u, *fams)
-            _, cand = pi_dual_certificate(spaces, G, cfg.pi)
+            _, cand = pi_dual_certificate(spaces, G, _SM_PI)
             val = q_sum(cand)
             if val <= best * (1.0 + 1e-12):
                 break
@@ -593,14 +526,13 @@ def _sm_ratio(
     fams: Sequence[np.ndarray],
     p: float,
     q: float,
-    cfg: SmConfig,
 ) -> tuple[float, bool]:
     vals = grid_values(A.coeffs, fams)
     norms = np.atleast_1d(A.codomain.norm(vals.reshape(-1, A.codomain.dim)))
     num = q_norm(norms, p)
     if num <= 1e-300:
         return 0.0, True
-    den, exact = _form_ball_denominator(A.domain, fams, q, cfg)
+    den, exact = _form_ball_denominator(A.domain, fams, q)
     if den <= 1e-300:
         return 0.0, exact
     return num / den, exact
@@ -634,7 +566,7 @@ def sm_pq_norm(
     if not np.any(A.coeffs):
         return NormEstimate.exact(0.0, seed=cfg.seed)
 
-    _, slots = sup_argmax(A, cfg.sup)
+    _, slots = sup_argmax(A)
     seed_fam = [np.asarray(slots[l], dtype=float)[None, :] for l in range(n)]
 
     best = 0.0
@@ -645,7 +577,7 @@ def sm_pq_norm(
     def consider(fams: list[np.ndarray]) -> float:
         nonlocal best, best_exact, best_fams, evals
         evals += 1
-        r, exact = _sm_ratio(A, fams, p, q, cfg)
+        r, exact = _sm_ratio(A, fams, p, q)
         if r > best:
             best, best_exact, best_fams = r, exact, fams
         return r
@@ -653,14 +585,14 @@ def sm_pq_norm(
     consider(seed_fam)
     rng = np.random.default_rng([cfg.seed, 49979687])
     for m in range(1, family_budget + 1):
-        for _ in range(cfg.restarts):
+        for _ in range(_SM_RESTARTS):
             consider([unit_rows(sp, rng.standard_normal((m, sp.dim))) for sp in A.domain])
 
-    if best_fams is not None and cfg.polish_rounds > 0:
+    if best_fams is not None:
         cur = [X.copy() for X in best_fams]
         cur_ratio = best
-        step = cfg.step
-        for _ in range(cfg.polish_rounds):
+        step = _SM_STEP
+        for _ in range(_SM_POLISH_ROUNDS):
             cand = [
                 unit_rows(sp, X + step * rng.standard_normal(X.shape))
                 for sp, X in zip(A.domain, cur)

@@ -14,6 +14,7 @@ form and the bracket collapses onto the nuclear norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -88,7 +89,7 @@ def strip_unit_factors(z: Tensor) -> tuple[Tensor | None, float]:
     if len(keep) == len(z.space.factors):
         return z, 1.0
     shape = tuple(f.dim for f in keep)
-    return Tensor(TensorSpace(tuple(keep), z.space.dim_cap), z.coeffs.reshape(shape)), mult
+    return Tensor(TensorSpace(tuple(keep)), z.coeffs.reshape(shape)), mult
 
 
 @dataclass(frozen=True)
@@ -358,27 +359,15 @@ def _decomposition_from_mats(space: TensorSpace, mats: Sequence[np.ndarray]) -> 
     R = mats[0].shape[1]
     terms = []
     for j in range(R):
-        weight = 1.0
-        vectors = []
-        for l, f in enumerate(factors):
-            col = mats[l][:, j]
-            nl = float(f.norm(col))
-            if nl <= 1e-300:
-                weight = 0.0
-                vectors.append(Vector(f, _first_unit(f)))
-            else:
-                weight *= nl
-                vectors.append(Vector(f, col / nl))
-        if weight == 0.0:
+        cols = [m[:, j] for m in mats]
+        norms = [float(f.norm(col)) for f, col in zip(factors, cols)]
+        weight = math.prod(norms)
+        # a zero column carries no term; so does a product that underflows
+        if min(norms) <= 1e-300 or weight == 0.0:
             continue
-        terms.append(DecompositionTerm(weight, tuple(vectors)))
+        vectors = tuple(Vector(f, col / nl) for f, col, nl in zip(factors, cols, norms))
+        terms.append(DecompositionTerm(weight, vectors))
     return Decomposition(tuple(terms))
-
-
-def _first_unit(space: NormedSpace) -> np.ndarray:
-    e = np.zeros(space.dim)
-    e[0] = 1.0 / space.weight_array()[0]
-    return e
 
 
 def pi_search(

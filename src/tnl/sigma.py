@@ -49,6 +49,7 @@ __all__ = [
     "ModulusResult",
     "SigmaConfig",
     "SigmaDualConfig",
+    "MODULUS_CONFIG",
     "BetaConfig",
     "SigmaResult",
     "SigmaDualResult",
@@ -114,15 +115,21 @@ class SigmaConfig:
     exact_budget: int = 50_000
 
 
+#: Family-modulus budget of the searches that evaluate many small families.
+MODULUS_CONFIG = SigmaConfig(restarts=6, max_sweeps=60)
+
+
 @dataclass(frozen=True)
 class SigmaDualConfig:
-    """Budgets for the semi-integral (dual sigma_p) family search."""
+    """Seed of the semi-integral (dual sigma_p) family search."""
 
-    family_sizes: tuple[int, ...] = (1, 2, 4, 8)
-    restarts_per_size: int = 12
-    polish_rounds: int = 60
-    modulus: SigmaConfig = SigmaConfig(restarts=6, max_sweeps=60)
     seed: int = 0
+
+
+# Budgets of the semi-integral family search.
+_DUAL_FAMILY_SIZES = (1, 2, 4, 8)
+_DUAL_RESTARTS_PER_SIZE = 12
+_DUAL_POLISH_ROUNDS = 60
 
 
 @dataclass(frozen=True)
@@ -134,7 +141,7 @@ class BetaConfig:
     restarts: int = 4
     polish_rounds: int = 80
     seed: int = 0
-    modulus: SigmaConfig = SigmaConfig(restarts=6, max_sweeps=60)
+    modulus: SigmaConfig = MODULUS_CONFIG
 
 
 @dataclass(frozen=True)
@@ -522,22 +529,22 @@ def sigma_p_dual(form: Tensor, p: float, cfg: SigmaDualConfig | None = None) -> 
     eps_cfg = EpsilonConfig(restarts=8, seed=cfg.seed)
     sup = multilinear_sup(coeffs, tuple(spaces), eps_cfg)
     best_fams: list[np.ndarray] = [s[None, :] for s in sup.slots]
-    best = _si_ratio(coeffs, spaces, best_fams, p, cfg.modulus)
+    best = _si_ratio(coeffs, spaces, best_fams, p, MODULUS_CONFIG)
 
     iterations = 0
     rng_master = np.random.default_rng([cfg.seed, 15485863])
-    for m in cfg.family_sizes:
-        for r in range(cfg.restarts_per_size):
+    for m in _DUAL_FAMILY_SIZES:
+        for r in range(_DUAL_RESTARTS_PER_SIZE):
             fams = [unit_rows(sp, rng_master.standard_normal((m, sp.dim))) for sp in spaces]
-            val = _si_ratio(coeffs, spaces, fams, p, cfg.modulus)
+            val = _si_ratio(coeffs, spaces, fams, p, MODULUS_CONFIG)
             step = 0.3
-            for _ in range(cfg.polish_rounds):
+            for _ in range(_DUAL_POLISH_ROUNDS):
                 iterations += 1
                 cand = [
                     unit_rows(sp, F + step * rng_master.standard_normal(F.shape))
                     for sp, F in zip(spaces, fams)
                 ]
-                cval = _si_ratio(coeffs, spaces, cand, p, cfg.modulus)
+                cval = _si_ratio(coeffs, spaces, cand, p, MODULUS_CONFIG)
                 if cval > val:
                     fams, val = cand, cval
                     step = min(step * 1.4, 1.0)

@@ -17,7 +17,8 @@ import numpy as np
 
 from .spaces import NormedSpace, SpaceError, Vector, scalar_space, unit_vector
 
-DEFAULT_DIM_CAP = 4096
+#: Largest total dimension of a tensor space (product of factor dimensions).
+DIM_CAP = 4096
 
 __all__ = [
     "TensorSpace",
@@ -49,15 +50,14 @@ class TensorSpace:
     """
 
     factors: tuple[NormedSpace, ...]
-    dim_cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self) -> None:
         if len(self.factors) < 1:
             raise SpaceError("a tensor space needs at least one factor")
         object.__setattr__(self, "factors", tuple(self.factors))
-        if self.total_dim > self.dim_cap:
+        if self.total_dim > DIM_CAP:
             raise SpaceError(
-                f"total dimension {self.total_dim} exceeds cap {self.dim_cap}"
+                f"total dimension {self.total_dim} exceeds cap {DIM_CAP}"
             )
 
     @property
@@ -315,13 +315,13 @@ def flatten_scalar(z: Tensor) -> Tensor:
         raise SpaceError("flatten_scalar requires the trailing factor to have unit weight")
     if z.space.order == 1:
         raise SpaceError("cannot flatten the only factor of a tensor space")
-    new_space = TensorSpace(z.space.factors[:-1], z.space.dim_cap)
+    new_space = TensorSpace(z.space.factors[:-1])
     return Tensor(new_space, z.coeffs[..., 0])
 
 
 def unflatten_scalar(z: Tensor) -> Tensor:
     """Append a scalar factor; exact inverse of :func:`flatten_scalar`."""
-    new_space = TensorSpace(z.space.factors + (scalar_space(),), z.space.dim_cap)
+    new_space = TensorSpace(z.space.factors + (scalar_space(),))
     return Tensor(new_space, z.coeffs[..., None])
 
 
@@ -350,7 +350,7 @@ def apply_operators(
             )
         coeffs = np.moveaxis(np.tensordot(M, coeffs, axes=(1, l)), 0, l)
         targets.append(tgt)
-    return Tensor(TensorSpace(tuple(targets), z.space.dim_cap), coeffs)
+    return Tensor(TensorSpace(tuple(targets)), coeffs)
 
 
 def random_tensor(

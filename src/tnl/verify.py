@@ -2,11 +2,13 @@
 
 Each suite checks one defining property of a tensor norm — crossnorm
 bounds, the metric mapping property, invariance under appending a scalar
-factor, representation of an ideal norm by a tensor norm, or consistency
-of the norm with the supremum over its own certified-unit dual forms —
-against any evaluator, on seeded samples.  Suites return a
-:class:`Report` carrying per-sample records, the maximum deviation, and a
-pass flag; deviations are reported as computed, never clipped.
+factor, property B (dropping a trailing scalar domain slot preserves the
+linearization norm of a map), representation of an ideal norm by a
+tensor norm, or consistency of the norm with the supremum over its own
+certified-unit dual forms — against any evaluator, on seeded samples.
+Suites return a :class:`Report`, built by one function, carrying
+per-sample records, the maximum deviation, and a pass flag; deviations
+are reported as computed, never clipped.
 
 Comparisons are like-for-like: both sides of an identity are evaluated by
 the same estimator at the same budgets and seeds, so estimator bias
@@ -37,8 +39,10 @@ from .spaces import (
 from .injective import EpsilonConfig, operator_norm, sup_bracket
 from .ideals import (
     LinConfig,
+    MultilinearMap,
     argmax_elementary,
     linearization_norm,
+    one_adjunction,
     random_map,
     sup_norm,
     vector_scalar_bridge,
@@ -53,6 +57,7 @@ from .tensors import (
     TensorSpace,
     apply_operators,
     eval_functionals,
+    flatten_scalar,
     from_decomposition,
     random_tensor,
     unflatten_scalar,
@@ -64,6 +69,8 @@ __all__ = [
     "check_crossnorm",
     "check_metric_mapping",
     "check_smoothness",
+    "check_property_b",
+    "property_B_check",
     "check_representation",
     "check_bidual_consistency",
     "witness_search_nonsmooth",
@@ -116,6 +123,22 @@ def _rel_dev(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), abs(y), 1e-12)
 
 
+def _report(
+    suite: str, beta: TensorNormEvaluator, cases: Sequence[dict], max_dev: float,
+    tolerance: float, passed: bool, notes: tuple[str, ...] = (), **config,
+) -> Report:
+    """A suite's report; its config records the norm, its parameters and ``config``."""
+    return Report(
+        suite=suite,
+        passed=passed,
+        max_deviation=max_dev,
+        tolerance=tolerance,
+        config={"norm": beta.name, "params": beta.params, **config},
+        cases=tuple(cases),
+        notes=notes,
+    )
+
+
 def check_crossnorm(
     beta: TensorNormEvaluator, space: TensorSpace, samples: int, seed: int = 0
 ) -> Report:
@@ -166,20 +189,10 @@ def check_crossnorm(
             }
         )
     passed = max_dev <= 1e-6 and max_violation <= 1e-9
-    return Report(
-        suite="crossnorm",
-        passed=passed,
-        max_deviation=max(max_dev, max_violation),
-        tolerance=1e-6,
-        config={
-            "norm": beta.name,
-            "params": beta.params,
-            "dims": [f.dim for f in space.factors],
-            "p_values": [f.p for f in space.factors],
-            "samples": samples,
-            "seed": seed,
-        },
-        cases=tuple(cases),
+    return _report(
+        "crossnorm", beta, cases, max(max_dev, max_violation), 1e-6, passed,
+        dims=[f.dim for f in space.factors], p_values=[f.p for f in space.factors],
+        samples=samples, seed=seed,
     )
 
 
@@ -234,21 +247,10 @@ def check_metric_mapping(
                 "vacuous": vacuous,
             }
         )
-    passed = max_violation <= 0.0
-    return Report(
-        suite="metric",
-        passed=passed,
-        max_deviation=max_violation,
-        tolerance=1e-6,
-        config={
-            "norm": beta.name,
-            "params": beta.params,
-            "dims": [f.dim for f in space.factors],
-            "p_values": [f.p for f in space.factors],
-            "operator_samples": operator_samples,
-            "seed": seed,
-        },
-        cases=tuple(cases),
+    return _report(
+        "metric", beta, cases, max_violation, 1e-6, max_violation <= 0.0,
+        dims=[f.dim for f in space.factors], p_values=[f.p for f in space.factors],
+        operator_samples=operator_samples, seed=seed,
     )
 
 
@@ -296,23 +298,76 @@ def check_smoothness(
                 "rel_deviations": devs,
             }
         )
-    passed = max_dev <= tol
-    return Report(
-        suite="smoothness",
-        passed=passed,
-        max_deviation=max_dev,
-        tolerance=tol,
-        config={
-            "norm": beta.name,
-            "params": beta.params,
-            "dims": [f.dim for f in space.factors],
-            "p_values": [f.p for f in space.factors],
-            "samples": samples,
-            "seed": seed,
-        },
-        cases=tuple(cases),
-        notes=notes,
+    return _report(
+        "smoothness", beta, cases, max_dev, tol, max_dev <= tol, notes,
+        dims=[f.dim for f in space.factors], p_values=[f.p for f in space.factors],
+        samples=samples, seed=seed,
     )
+
+
+def check_property_b(
+    beta: TensorNormEvaluator, dims: Sequence[int], samples: int, cfg: LinConfig | None = None
+) -> Report:
+    """Does the trailing-scalar-slot adjunction preserve the linearization norm?
+
+    For sampled scalar maps A on (E_1, ..., E_n, K), compares the
+    linearization norm of A on the (n+1)-factor product with that of the
+    adjoint A1 on the n-factor product, under the same tensor norm.  Both
+    sides are evaluated on coupled candidate pools (each n-factor candidate
+    is lifted by appending the scalar slot), so the reported deviation
+    reflects the norms themselves, not sampling noise.
+    """
+    cfg = cfg or LinConfig()
+    palette = (1.0, INF) if beta.name == "eps" else (1.0, 2.0, INF)
+    frozen = LinConfig(tensors=0, polish_rounds=0, seed=cfg.seed)
+    rng = np.random.default_rng([cfg.seed, 27644437])
+    cases = []
+    max_dev = 0.0
+    for s in range(samples):
+        factors = tuple(
+            NormedSpace(int(d), float(palette[int(rng.integers(0, len(palette)))]))
+            for d in dims
+        )
+        domain = factors + (scalar_space(),)
+        shape = tuple(f.dim for f in domain) + (1,)
+        A = MultilinearMap(domain, scalar_space(), rng.standard_normal(shape))
+        A1 = one_adjunction(A)
+
+        base_space = TensorSpace(factors)
+        pool = [argmax_elementary(A1), flatten_scalar(argmax_elementary(A))]
+        for _ in range(max(cfg.tensors, 2)):
+            t = int(rng.integers(0, 2**31 - 1))
+            pool.append(random_tensor(base_space, seed=t))
+        lifted = [unflatten_scalar(t) for t in pool]
+
+        v_tall = linearization_norm(A, beta, frozen, extra=lifted).lower
+        v_flat = linearization_norm(A1, beta, frozen, extra=pool).lower
+        dev = abs(v_tall - v_flat) / max(abs(v_tall), abs(v_flat), 1e-12)
+        max_dev = max(max_dev, dev)
+        cases.append(
+            {
+                "sample": s,
+                "dims": [f.dim for f in factors],
+                "p_values": [f.p for f in factors],
+                "with_scalar_slot": v_tall,
+                "adjoint": v_flat,
+                "rel_deviation": dev,
+            }
+        )
+    tol = SMOOTHNESS_TOLERANCES.get(beta.name, 1e-6)
+    return _report(
+        "property_b", beta, cases, max_dev, tol, max_dev <= tol,
+        dims=list(dims), samples=samples, seed=cfg.seed,
+    )
+
+
+def property_B_check(
+    beta: TensorNormEvaluator, dims: Sequence[int], samples: int, cfg: LinConfig | None = None
+) -> dict:
+    """:func:`check_property_b` as a dict: norm, samples, max_rel_deviation, cases."""
+    report = check_property_b(beta, dims, samples, cfg)
+    return {"norm": beta.name, "samples": samples,
+            "max_rel_deviation": report.max_deviation, "cases": list(report.cases)}
 
 
 def check_representation(
@@ -326,9 +381,11 @@ def check_representation(
 
     ``ideal_norm="sup"`` with the projective evaluator: the supremum norm of
     a sampled map into a dual space must match the linearization norm of the
-    associated (n+1)-form.  ``ideal_norm="lin"``: for scalar-valued maps the
-    linearization norm on the n-factor product must match the linearization
-    norm of the bridged (n+1)-form, candidate pools coupled across the slot.
+    associated (n+1)-form.  ``ideal_norm="lin"`` is the scalar-slot
+    adjunction: the linearization norm of a scalar form with a trailing
+    scalar slot must match that of the form with the slot dropped.  Its
+    cases are those of :func:`check_property_b`, judged at this suite's
+    tolerance.
     """
     cfg = cfg or LinConfig()
     if ideal_norm == "sup" and beta.name != "pi":
@@ -337,68 +394,46 @@ def check_representation(
         )
     if ideal_norm not in ("sup", "lin"):
         raise UnsupportedNormError(f"unsupported ideal norm: {ideal_norm!r}")
-    rng = np.random.default_rng([cfg.seed, 15487469])
-    palette = (1.0, INF) if (ideal_norm == "lin" and beta.name == "eps") else (1.0, 2.0, INF)
     notes = ()
     if beta.name == "eps":
         notes = (
             "vector-valued injective representation is not falsifiable at desk "
             "scale (every finite-dimensional form is integral); the scalar case is checked",
         )
-    cases = []
-    max_dev = 0.0
-    for s in range(samples):
-        factors = tuple(
-            NormedSpace(int(d), float(palette[int(rng.integers(0, len(palette)))]))
-            for d in dims
-        )
-        mseed = int(rng.integers(0, 2**31 - 1))
-        if ideal_norm == "sup":
+    if ideal_norm == "lin":
+        adjunction = check_property_b(beta, dims, samples, cfg)
+        cases, max_dev = adjunction.cases, adjunction.max_deviation
+    else:
+        rng = np.random.default_rng([cfg.seed, 15487469])
+        palette = (1.0, 2.0, INF)
+        cases = []
+        max_dev = 0.0
+        for s in range(samples):
+            factors = tuple(
+                NormedSpace(int(d), float(palette[int(rng.integers(0, len(palette)))]))
+                for d in dims
+            )
+            mseed = int(rng.integers(0, 2**31 - 1))
             Fd = int(rng.integers(2, 4))
             F = NormedSpace(Fd, float(palette[int(rng.integers(0, len(palette)))]))
             T = random_map(factors, F.dual(), mseed)
-            direct = sup_norm(T, cfg.sup).lower
-            B = vector_scalar_bridge(T)
-            lin = linearization_norm(B, beta, cfg).lower
-        else:
-            A = random_map(factors, scalar_space(), mseed)
-            B = vector_scalar_bridge(A)
-            base_space = TensorSpace(factors)
-            pool = [argmax_elementary(A, cfg.sup)]
-            for _ in range(max(cfg.tensors, 2)):
-                pool.append(random_tensor(base_space, seed=int(rng.integers(0, 2**31 - 1))))
-            lifted = [unflatten_scalar(t) for t in pool]
-            frozen = LinConfig(tensors=0, polish_rounds=0, seed=cfg.seed, sup=cfg.sup)
-            direct = linearization_norm(A, beta, frozen, extra=pool).lower
-            lin = linearization_norm(B, beta, frozen, extra=lifted).lower
-        dev = abs(direct - lin) / max(1.0, abs(direct), abs(lin))
-        max_dev = max(max_dev, dev)
-        cases.append(
-            {
-                "sample": s,
-                "dims": [f.dim for f in factors],
-                "p_values": [f.p for f in factors],
-                "ideal_value": direct,
-                "dual_tensor_value": lin,
-                "rel_deviation": dev,
-            }
-        )
-    passed = max_dev <= 1e-4
-    return Report(
-        suite="representation",
-        passed=passed,
-        max_deviation=max_dev,
-        tolerance=1e-4,
-        config={
-            "ideal_norm": ideal_norm,
-            "norm": beta.name,
-            "params": beta.params,
-            "dims": list(dims),
-            "samples": samples,
-            "seed": cfg.seed,
-        },
-        cases=tuple(cases),
-        notes=notes,
+            direct = sup_norm(T).lower
+            lin = linearization_norm(vector_scalar_bridge(T), beta, cfg).lower
+            dev = abs(direct - lin) / max(1.0, abs(direct), abs(lin))
+            max_dev = max(max_dev, dev)
+            cases.append(
+                {
+                    "sample": s,
+                    "dims": [f.dim for f in factors],
+                    "p_values": [f.p for f in factors],
+                    "ideal_value": direct,
+                    "dual_tensor_value": lin,
+                    "rel_deviation": dev,
+                }
+            )
+    return _report(
+        "representation", beta, cases, max_dev, 1e-4, max_dev <= 1e-4, notes,
+        ideal_norm=ideal_norm, dims=list(dims), samples=samples, seed=cfg.seed,
     )
 
 
@@ -478,19 +513,7 @@ def check_bidual_consistency(
                 "ok": ok,
             }
         )
-    return Report(
-        suite="bidual",
-        passed=all_ok,
-        max_deviation=max_dev,
-        tolerance=1e-6,
-        config={
-            "norm": beta.name,
-            "params": beta.params,
-            "samples": samples,
-            "seed": cfg.seed,
-        },
-        cases=tuple(cases),
-    )
+    return _report("bidual", beta, cases, max_dev, 1e-6, all_ok, samples=samples, seed=cfg.seed)
 
 
 def witness_search_nonsmooth(
@@ -585,22 +608,10 @@ def witness_search_nonsmooth(
             "exploratory search: the best candidate is recorded; "
             "a null result is a valid outcome",
         )
-    return Report(
-        suite="witness_nonsmooth",
-        passed=passed,
-        max_deviation=max(best_gap, 0.0),
-        tolerance=tol,
-        config={
-            "norm": beta.name,
-            "params": beta.params,
-            "dims": list(dims),
-            "p_values": [f.p for f in factors],
-            "budget": budget,
-            "evaluations": evals,
-            "seed": seed,
-        },
-        cases=tuple(cases),
-        notes=notes,
+    return _report(
+        "witness_nonsmooth", beta, cases, max(best_gap, 0.0), tol, passed, notes,
+        dims=list(dims), p_values=[f.p for f in factors], budget=budget,
+        evaluations=evals, seed=seed,
     )
 
 

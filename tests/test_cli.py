@@ -4,6 +4,7 @@ All tests call ``main`` in-process, except the console-script test, which
 runs ``python -m tnl.cli`` in a subprocess with its own environment.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -196,24 +197,40 @@ def test_exit_4_on_failed_suite_still_writes_report(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+# Report sha256s.  The property_b and representation --kind lin hashes are
+# those of the shared scalar-slot adjunction check, whose report records the
+# norm parameters; every other hash is unchanged since before that check
+# was shared.
+_SUITE_RUNS = [
+    ("crossnorm", ["--samples", "3"],
+     "2b9ed0fabaa0b56c02fc30bbb1fde1048f0bb4a84baa3f9c132e01cb776ed75a"),
+    ("metric", ["--samples", "3"],
+     "430c07bfddeb66587db7680c532d9494cfc693ee5c2bd3178911ff890927f561"),
+    ("smoothness", ["--samples", "3"],
+     "b0f0c306a9d12350572155cd469e80d96ec564e75a00ffb477e2e932b302e5a4"),
+    ("property_b", ["--samples", "2"],
+     "53eed8e0d34a40ab56330a19f7118bba617ff3f453cd0ad1fc589db3e217355e"),
+    ("representation", ["--samples", "2"],
+     "7c02eeee864b44c1b64961fa69dd2efc580f40cdadb6410a4ade24cbd7ea5a77"),
+    ("bidual", ["--samples", "2"],
+     "4da3cbb649f5242bc345a9e20a618a6b6458b6e7cf3e31c3b7603661bc473974"),
+    ("representation", ["--samples", "2", "--kind", "lin", "--norm", "eps"],
+     "e9660e54cb9953511938e4c70d53f0ab31590995ae60cd378fb4971b73d90d5f"),
+]
+
+
 @pytest.mark.parametrize(
-    "suite,extra",
-    [
-        ("crossnorm", ["--samples", "3"]),
-        ("metric", ["--samples", "3"]),
-        ("smoothness", ["--samples", "3"]),
-        ("property_b", ["--samples", "2"]),
-        ("representation", ["--samples", "2"]),
-        ("bidual", ["--samples", "2"]),
-    ],
+    "suite,extra,sha256", _SUITE_RUNS,
+    ids=[f"{suite}-extra{i}" for i, (suite, _, _) in enumerate(_SUITE_RUNS)],
 )
-def test_verify_suites_pass(suite, extra, tmp_path, capsys):
+def test_verify_suites_pass(suite, extra, sha256, tmp_path, capsys):
     out = tmp_path / f"{suite}.json"
     assert main(["verify", "--suite", suite, "--out", str(out)] + extra) == 0
     report = json.loads(out.read_text())
-    assert report["suite"] in (suite, {"metric": "metric"}.get(suite, suite))
+    assert report["suite"] == suite
     assert report["passed"] is True
     assert "pass" in capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_verify_default_report_path(capsys):

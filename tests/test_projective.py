@@ -23,7 +23,7 @@ from tnl import (
 )
 from tnl.injective import epsilon_matrix_oracle
 from tnl.tensors import from_decomposition
-from tnl.projective import strip_unit_factors
+from tnl.projective import _decomposition_from_mats, strip_unit_factors
 
 from conftest import elementary_tensor, nuclear, random_factors
 
@@ -199,6 +199,18 @@ def test_decompositions_reconstruct_z(n, units):
         res = sigma_p_upper(z, p)
         back = from_decomposition(z.space, res.decomposition).coeffs
         assert float(np.linalg.norm(back - z.coeffs)) <= 1e-9 * size
+
+
+def test_decomposition_skips_a_zero_column():
+    space = TensorSpace((NormedSpace(2, 1.0), NormedSpace(3, INF)))
+    A = np.array([[1.0, 0.0, -2.0], [3.0, 0.0, 0.5]])
+    B = np.array([[0.5, 1.0, 0.0], [0.0, 2.0, 1.0], [-1.0, 3.0, 0.0]])
+    dec = _decomposition_from_mats(space, [A, B])
+    assert [t.weight for t in dec.terms] == [4.0 * 1.0, 2.5 * 1.0]
+    for term, j in zip(dec.terms, (0, 2)):
+        for v, f, M in zip(term.vectors, space.factors, (A, B)):
+            np.testing.assert_array_equal(v.coords, M[:, j] / f.norm(M[:, j]))
+    np.testing.assert_allclose(from_decomposition(space, dec).coeffs, A @ B.T, rtol=0, atol=1e-15)
 
 
 class TestDeterminism:

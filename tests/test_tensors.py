@@ -41,6 +41,11 @@ class TestTensorSpace:
         with pytest.raises(SpaceError):
             TensorSpace(())
 
+    def test_total_dimension_cap(self):
+        assert TensorSpace((NormedSpace(64, 2.0), NormedSpace(64, 1.0))).total_dim == 4096
+        with pytest.raises(SpaceError, match="exceeds cap 4096"):
+            TensorSpace((NormedSpace(64, 2.0), NormedSpace(65, 1.0)))
+
 
 class TestTensor:
     def test_shape_validation(self):

@@ -1,7 +1,9 @@
 """Tests for the verification suites and the non-smoothness witness search."""
 
+import ast
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +23,11 @@ from tnl import (
     check_bidual_consistency,
     check_crossnorm,
     check_metric_mapping,
+    check_property_b,
     check_representation,
     check_smoothness,
     evaluator_for,
+    property_B_check,
     witness_search_nonsmooth,
 )
 
@@ -85,6 +89,50 @@ def test_representation_suite_passes(ideal):
     report = check_representation(ideal, beta, (2, 2), samples=3, cfg=LinConfig(seed=0))
     assert report.suite == "representation"
     assert report.passed, report.max_deviation
+
+
+@pytest.mark.parametrize("norm", ["eps", "pi"])
+def test_property_b_is_the_lin_representation_and_the_dict(norm):
+    beta = evaluator_for(norm)
+    report = check_property_b(beta, (2, 2), samples=2, cfg=LinConfig(seed=1))
+    lin = check_representation("lin", beta, (2, 2), samples=2, cfg=LinConfig(seed=1))
+    legacy = property_B_check(beta, (2, 2), samples=2, cfg=LinConfig(seed=1))
+    assert report.suite == "property_b" and report.passed
+    assert report.config == {"norm": norm, "params": beta.params, "dims": [2, 2],
+                             "samples": 2, "seed": 1}
+    assert lin.cases == report.cases
+    assert lin.max_deviation == report.max_deviation
+    assert (lin.tolerance, lin.config["ideal_norm"]) == (1e-4, "lin")
+    assert legacy == {"norm": norm, "samples": 2,
+                      "max_rel_deviation": report.max_deviation, "cases": list(report.cases)}
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src" / "tnl"
+
+
+def _functions(tree: ast.AST):
+    return [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_one_report_builder_and_no_suite_in_ideals():
+    builders = []
+    for path in sorted(_SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for fn in _functions(tree):
+            for node in ast.walk(fn):
+                owner.setdefault(id(node), fn.name)  # outer functions are walked first
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if "Report" in (getattr(func, "id", None), getattr(func, "attr", None)):
+                builders.append(f"{path.name}:{owner.get(id(node), '<module>')}")
+    assert builders == ["verify.py:_report"]
+
+    ideals = ast.parse((_SRC / "ideals.py").read_text(encoding="utf-8"))
+    suites = [fn.name for fn in _functions(ideals)
+              if fn.name.startswith("check_") or fn.name == "property_B_check"]
+    names = {n.id for n in ast.walk(ideals) if isinstance(n, ast.Name)}
+    assert suites == [] and "Report" not in names
 
 
 def test_representation_sup_requires_projective():
