@@ -271,8 +271,7 @@ def _run_suite(args: argparse.Namespace, cfg: RunConfig) -> Report:
         return check_bidual_consistency(beta, samples, LinConfig(seed=cfg.seed))
     dims = args.dims or (2, 2)
     if suite == "representation":
-        ideal = args.kind if args.kind in ("sup", "lin") else "sup" if norm_name == "pi" else "lin"
-        return check_representation(ideal, beta, dims, samples, LinConfig(seed=cfg.seed))
+        return check_representation(beta, dims, samples, LinConfig(seed=cfg.seed))
     if suite == "property_b":
         return check_property_b(beta, dims, samples, LinConfig(seed=cfg.seed))
     raise CLIError(f"unknown suite {args.suite!r}")
@@ -356,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run one verification suite and write its report")
     verify.add_argument("--suite", choices=SUITES, required=True, help="which suite to run")
-    verify.add_argument("--kind", choices=("sup", "lin"), default=None,
-                        help="ideal-norm side for the representation suite")
     verify.add_argument("--samples", type=int, default=None, help="sample count for the suite")
     _add_common_flags(verify)
     verify.set_defaults(func=cmd_verify)

@@ -185,9 +185,9 @@ def sup_norm(A: MultilinearMap, cfg: EpsilonConfig | None = None) -> NormEstimat
     return est
 
 
-def argmax_elementary(A: MultilinearMap, cfg: EpsilonConfig | None = None) -> Tensor:
+def argmax_elementary(A: MultilinearMap) -> Tensor:
     """The elementary tensor x_1 (x) ... (x) x_n of the supremum-norm argmax slots."""
-    _, slots = sup_argmax(A, cfg)
+    _, slots = sup_argmax(A)
     return Tensor(A.domain_space(), outer(slots[: A.arity]))
 
 

@@ -14,8 +14,6 @@ in :func:`sup_bracket`, in this order:
   closed-form maximum over a unit ball, so the sweeps are exact and
   monotone.
 
-:func:`epsilon_bruteforce` runs the exhaustive route and raises instead of
-falling back, :func:`epsilon_estimate` runs ascent, and
 :func:`epsilon_matrix_oracle` is the top singular value for two Euclidean
 factors.
 """
@@ -43,9 +41,6 @@ __all__ = [
     "EpsilonConfig",
     "SupResult",
     "multilinear_sup",
-    "epsilon_estimate",
-    "epsilon_argmax",
-    "epsilon_bruteforce",
     "epsilon_matrix_oracle",
     "operator_norm",
     "sup_bracket",
@@ -194,17 +189,6 @@ def multilinear_sup(
     )
 
 
-def epsilon_argmax(z: Tensor, cfg: EpsilonConfig | None = None) -> _Bracket:
-    """Injective norm lower bound plus the maximizing dual functionals."""
-    return _gauged_sup(z.coeffs, z.space.dual_factors(), cfg or EpsilonConfig(), _ascent_sup)
-
-
-def epsilon_estimate(z: Tensor, cfg: EpsilonConfig | None = None) -> NormEstimate:
-    """Alternating-maximization estimate of the injective norm (lower bound)."""
-    est, _ = epsilon_argmax(z, cfg)
-    return est
-
-
 def _grid_plan(space: NormedSpace, resolution: int) -> tuple[float, int]:
     """Covering radius of the :func:`_ball_grid` grid and a floor on its size.
 
@@ -288,45 +272,25 @@ def _ascent_sup(
     return NormEstimate(res.value * scale, INF, res.converged, res.iterations, cfg.seed), res.slots
 
 
-def _gauged_sup(
-    coeffs: np.ndarray, balls: tuple[NormedSpace, ...], cfg: EpsilonConfig, *routes
-) -> _Bracket:
-    """Gauge ``coeffs`` once, then take the first of ``routes`` that does not raise.
-
-    The zero array is exactly 0, with zero slots.  The last route's
-    :class:`BudgetError` or :class:`UnsupportedNormError` propagates.
-    """
-    normalized, scale, _ = canonical_gauge(coeffs)
-    if scale == 0.0:
-        return NormEstimate.exact(0.0, seed=cfg.seed), tuple(np.zeros(sp.dim) for sp in balls)
-    for route in routes[:-1]:
-        try:
-            return route(normalized, scale, balls, cfg)
-        except (BudgetError, UnsupportedNormError):
-            pass
-    return routes[-1](normalized, scale, balls, cfg)
-
-
 def sup_bracket(
     coeffs: np.ndarray, balls: tuple[NormedSpace, ...], cfg: EpsilonConfig | None = None
 ) -> _Bracket:
     """Bracket sup |sum coeffs * x_1 ... x_n| over unit balls, with maximizing slots.
 
-    The one route rule for such suprema: exhaustive evaluation (vertices,
-    and a grid when ``cfg.grid_resolution >= 2``) while it fits
-    ``cfg.budget`` and certifies, else seeded ascent with upper = inf.
-    The zero array is exactly 0, with zero slots.
+    The one entry for such suprema.  It gauges ``coeffs`` once; the zero
+    array is exactly 0, with zero slots.  Otherwise it takes the exhaustive
+    route (vertices, and a grid when ``cfg.grid_resolution >= 2``) and, when
+    that raises :class:`BudgetError` or :class:`UnsupportedNormError`,
+    seeded ascent with upper = inf.
     """
-    return _gauged_sup(coeffs, balls, cfg or EpsilonConfig(), _exhaustive_sup, _ascent_sup)
-
-
-def epsilon_bruteforce(z: Tensor, cfg: EpsilonConfig | None = None) -> NormEstimate:
-    """Certified injective norm bracket by exhaustive evaluation of the dual balls.
-
-    Exact on polyhedral dual balls, else a grid bracket; raises as
-    :func:`_exhaustive_sup` does instead of falling back to ascent.
-    """
-    return _gauged_sup(z.coeffs, z.space.dual_factors(), cfg or EpsilonConfig(), _exhaustive_sup)[0]
+    cfg = cfg or EpsilonConfig()
+    normalized, scale, _ = canonical_gauge(coeffs)
+    if scale == 0.0:
+        return NormEstimate.exact(0.0, seed=cfg.seed), tuple(np.zeros(sp.dim) for sp in balls)
+    try:
+        return _exhaustive_sup(normalized, scale, balls, cfg)
+    except (BudgetError, UnsupportedNormError):
+        return _ascent_sup(normalized, scale, balls, cfg)
 
 
 def epsilon_matrix_oracle(z: Tensor) -> float:
@@ -351,7 +315,7 @@ def operator_norm(
     Computed as the bilinear supremum sup { <g, M x> : x in B_source,
     g in the dual ball of the target }, which is the injective norm of the
     matrix viewed as a 2-tensor.  Euclidean-to-Euclidean pairs short-circuit
-    to the singular value oracle.
+    to the singular value oracle; other pairs take ascent alone, a lower end.
     """
     M = np.asarray(matrix, dtype=float)
     if M.shape != (target.dim, source.dim):
@@ -360,6 +324,8 @@ def operator_norm(
         ws = source.weight_array()
         wt = target.weight_array()
         return float(np.linalg.svd(wt[:, None] * M / ws[None, :], compute_uv=False)[0])
+    normalized, scale, _ = canonical_gauge(M)
+    if scale == 0.0:
+        return 0.0
     cfg = cfg or EpsilonConfig(restarts=16, max_iters=300)
-    est, _ = _gauged_sup(M, (target.dual(), source), cfg, _ascent_sup)
-    return est.lower
+    return multilinear_sup(normalized, (target.dual(), source), cfg).value * scale

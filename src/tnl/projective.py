@@ -49,7 +49,8 @@ __all__ = [
     "strip_unit_factors",
 ]
 
-_RESIDUAL_TOL = 1e-9
+#: Largest reconstruction residual accepted behind a pi, sigma_p or beta_p upper end.
+RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -303,7 +304,7 @@ def _refine_candidate(
 
     free = [_normalize_columns(s, M) for s, M in zip(free_spaces, free_mats)]
     pivot_mat, resid = repair_pivot(unfolded, free)
-    if resid > _RESIDUAL_TOL:
+    if resid > RESIDUAL_TOL:
         return INF, None, False
     mats = _assemble(free, pivot_mat, pivot)
     best = _pi_objective(factors, mats)
@@ -330,7 +331,7 @@ def _refine_candidate(
                 for s, M, g in zip(free_spaces, best_free, grads)
             ]
             piv, resid = repair_pivot(unfolded, cand)
-            if resid <= _RESIDUAL_TOL:
+            if resid <= RESIDUAL_TOL:
                 val = _pi_objective(factors, _assemble(cand, piv, pivot))
                 if val < best - 1e-15:
                     best = val

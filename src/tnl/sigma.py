@@ -26,7 +26,7 @@ import numpy as np
 
 from .injective import BudgetError, EpsilonConfig, canonical_gauge, multilinear_sup, sup_bracket
 from .kernels import contract, vertex_matrix, vertex_total
-from .projective import PiConfig, gauge, pi_search, pi_upper, repair_pivot
+from .projective import RESIDUAL_TOL, PiConfig, gauge, pi_search, pi_upper, repair_pivot
 from .spaces import (
     INF,
     NormedSpace,
@@ -60,8 +60,6 @@ __all__ = [
     "sigma_p_dual",
     "beta_p_upper",
 ]
-
-_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -460,7 +458,7 @@ def sigma_p_upper(
     candidates: list[list[np.ndarray]] = []
     for free in free_lists:
         piv, resid = repair_pivot(unfolded, free)
-        if resid <= _RESIDUAL_TOL:
+        if resid <= RESIDUAL_TOL:
             candidates.append(free[:pivot] + [piv] + free[pivot:])
 
     best = np.inf
@@ -662,7 +660,7 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
     converged = False
     for family_sets in candidate_sets:
         coeff_arrays, resid = _fit_blocks(target, family_sets)
-        if resid > _RESIDUAL_TOL:
+        if resid > RESIDUAL_TOL:
             continue
         val, cert = _beta_objective(domain, cod, family_sets, coeff_arrays, p, q, cfg.modulus)
         state = (family_sets, coeff_arrays)
@@ -674,7 +672,7 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
                 for F in state[0]
             ]
             t_coeffs, t_resid = _fit_blocks(target, trial_sets)
-            if t_resid <= _RESIDUAL_TOL:
+            if t_resid <= RESIDUAL_TOL:
                 t_val, t_cert = _beta_objective(
                     domain, cod, trial_sets, t_coeffs, p, q, cfg.modulus
                 )

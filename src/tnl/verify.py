@@ -371,69 +371,53 @@ def property_B_check(
 
 
 def check_representation(
-    ideal_norm: str,
     beta: TensorNormEvaluator,
     dims: Sequence[int],
     samples: int,
     cfg: LinConfig | None = None,
 ) -> Report:
-    """An ideal norm of a map equals a dual tensor norm of its associated form.
+    """The supremum norm of a map equals the dual projective norm of its form.
 
-    ``ideal_norm="sup"`` with the projective evaluator: the supremum norm of
-    a sampled map into a dual space must match the linearization norm of the
-    associated (n+1)-form.  ``ideal_norm="lin"`` is the scalar-slot
-    adjunction: the linearization norm of a scalar form with a trailing
-    scalar slot must match that of the form with the slot dropped.  Its
-    cases are those of :func:`check_property_b`, judged at this suite's
-    tolerance.
+    For sampled maps into a dual space, the supremum norm must match the
+    linearization norm of the associated (n+1)-form under ``beta``, which
+    must be the projective evaluator.  The scalar-slot adjunction is
+    :func:`check_property_b`.
     """
     cfg = cfg or LinConfig()
-    if ideal_norm == "sup" and beta.name != "pi":
+    if beta.name != "pi":
         raise UnsupportedNormError(
             "the supremum-norm ideal is represented by the projective norm only"
         )
-    if ideal_norm not in ("sup", "lin"):
-        raise UnsupportedNormError(f"unsupported ideal norm: {ideal_norm!r}")
-    notes = ()
-    if beta.name == "eps":
-        notes = (
-            "vector-valued injective representation is not falsifiable at desk "
-            "scale (every finite-dimensional form is integral); the scalar case is checked",
+    rng = np.random.default_rng([cfg.seed, 15487469])
+    palette = (1.0, 2.0, INF)
+    cases = []
+    max_dev = 0.0
+    for s in range(samples):
+        factors = tuple(
+            NormedSpace(int(d), float(palette[int(rng.integers(0, len(palette)))]))
+            for d in dims
         )
-    if ideal_norm == "lin":
-        adjunction = check_property_b(beta, dims, samples, cfg)
-        cases, max_dev = adjunction.cases, adjunction.max_deviation
-    else:
-        rng = np.random.default_rng([cfg.seed, 15487469])
-        palette = (1.0, 2.0, INF)
-        cases = []
-        max_dev = 0.0
-        for s in range(samples):
-            factors = tuple(
-                NormedSpace(int(d), float(palette[int(rng.integers(0, len(palette)))]))
-                for d in dims
-            )
-            mseed = int(rng.integers(0, 2**31 - 1))
-            Fd = int(rng.integers(2, 4))
-            F = NormedSpace(Fd, float(palette[int(rng.integers(0, len(palette)))]))
-            T = random_map(factors, F.dual(), mseed)
-            direct = sup_norm(T).lower
-            lin = linearization_norm(vector_scalar_bridge(T), beta, cfg).lower
-            dev = abs(direct - lin) / max(1.0, abs(direct), abs(lin))
-            max_dev = max(max_dev, dev)
-            cases.append(
-                {
-                    "sample": s,
-                    "dims": [f.dim for f in factors],
-                    "p_values": [f.p for f in factors],
-                    "ideal_value": direct,
-                    "dual_tensor_value": lin,
-                    "rel_deviation": dev,
-                }
-            )
+        mseed = int(rng.integers(0, 2**31 - 1))
+        Fd = int(rng.integers(2, 4))
+        F = NormedSpace(Fd, float(palette[int(rng.integers(0, len(palette)))]))
+        T = random_map(factors, F.dual(), mseed)
+        direct = sup_norm(T).lower
+        lin = linearization_norm(vector_scalar_bridge(T), beta, cfg).lower
+        dev = abs(direct - lin) / max(1.0, abs(direct), abs(lin))
+        max_dev = max(max_dev, dev)
+        cases.append(
+            {
+                "sample": s,
+                "dims": [f.dim for f in factors],
+                "p_values": [f.p for f in factors],
+                "ideal_value": direct,
+                "dual_tensor_value": lin,
+                "rel_deviation": dev,
+            }
+        )
     return _report(
-        "representation", beta, cases, max_dev, 1e-4, max_dev <= 1e-4, notes,
-        ideal_norm=ideal_norm, dims=list(dims), samples=samples, seed=cfg.seed,
+        "representation", beta, cases, max_dev, 1e-4, max_dev <= 1e-4,
+        ideal_norm="sup", dims=list(dims), samples=samples, seed=cfg.seed,
     )
 
 

@@ -170,6 +170,13 @@ def test_exit_3_on_kind_input_mismatch(identity_tensor, scalar_form, capsys):
     assert "unsupported" in err
 
 
+def test_exit_3_on_representation_without_pi(capsys):
+    assert main(["verify", "--suite", "representation", "--norm", "eps"]) == 3
+    assert "projective norm only" in capsys.readouterr().err
+    assert main(["verify", "--suite", "representation", "--kind", "lin"]) == 2  # no such flag
+    capsys.readouterr()
+
+
 def test_exit_3_on_vector_valued_si_p(identity_map, capsys):
     assert main(["norm", "--kind", "si_p", "--in", identity_map, "--p", "2"]) == 3
     capsys.readouterr()
@@ -197,10 +204,9 @@ def test_exit_4_on_failed_suite_still_writes_report(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-# Report sha256s.  The property_b and representation --kind lin hashes are
-# those of the shared scalar-slot adjunction check, whose report records the
-# norm parameters; every other hash is unchanged since before that check
-# was shared.
+# Report sha256s, one run per suite, so that any change to a report's bytes
+# shows.  property_b is the one scalar-slot adjunction run; representation is
+# the supremum-norm ideal under pi.
 _SUITE_RUNS = [
     ("crossnorm", ["--samples", "3"],
      "2b9ed0fabaa0b56c02fc30bbb1fde1048f0bb4a84baa3f9c132e01cb776ed75a"),
@@ -214,8 +220,6 @@ _SUITE_RUNS = [
      "7c02eeee864b44c1b64961fa69dd2efc580f40cdadb6410a4ade24cbd7ea5a77"),
     ("bidual", ["--samples", "2"],
      "4da3cbb649f5242bc345a9e20a618a6b6458b6e7cf3e31c3b7603661bc473974"),
-    ("representation", ["--samples", "2", "--kind", "lin", "--norm", "eps"],
-     "e9660e54cb9953511938e4c70d53f0ab31590995ae60cd378fb4971b73d90d5f"),
 ]
 
 

@@ -1,4 +1,10 @@
-"""Injective norm: enumeration oracles, engine estimates, operator norms."""
+"""Injective norm: enumeration oracles, engine estimates, operator norms.
+
+Brackets come from ``sup_bracket`` on the dual balls.  ``EpsilonConfig(budget=1)``
+forces its ascent route on any input, and the exhaustive route's errors are
+checked on ``_exhaustive_sup`` itself, which raises where ``sup_bracket``
+falls back.
+"""
 
 import itertools
 
@@ -13,19 +19,23 @@ from tnl import (
     Tensor,
     TensorSpace,
     UnsupportedNormError,
-    epsilon_argmax,
-    epsilon_bruteforce,
-    epsilon_estimate,
     multilinear_sup,
     operator_norm,
     random_tensor,
 )
 from tnl import injective
 from tnl.evaluators import make_epsilon_evaluator
-from tnl.injective import _ball_grid, _grid_plan, sup_bracket
+from tnl.injective import _ball_grid, _exhaustive_sup, _grid_plan, sup_bracket
 from tnl.tensors import eval_functionals
 
 from conftest import ball_vertices, elementary_tensor, eps_oracle, random_factors, sigma_max
+
+ASCENT = EpsilonConfig(budget=1)  # no exhaustive route fits: every bracket is ascent
+
+
+def eps_bracket(z, cfg=None):
+    """The injective norm bracket of z and its maximizing dual functionals."""
+    return sup_bracket(z.coeffs, z.space.dual_factors(), cfg)
 
 
 class TestPolyhedralExact:
@@ -36,9 +46,8 @@ class TestPolyhedralExact:
             factors = random_factors(rng, n, palette=(1.0, INF))
             z = random_tensor(TensorSpace(factors), seed=100 + s)
             want = eps_oracle(z)
-            got = epsilon_bruteforce(z)
-            assert got.lower == pytest.approx(want, abs=1e-12)
-            assert got.upper == pytest.approx(want, abs=1e-12)
+            got, _ = eps_bracket(z)
+            assert got.lower == got.upper == pytest.approx(want, abs=1e-12)
 
     def test_engine_matches_enumeration(self):
         rng = np.random.default_rng(22)
@@ -47,20 +56,21 @@ class TestPolyhedralExact:
             factors = random_factors(rng, n, palette=(1.0, INF))
             z = random_tensor(TensorSpace(factors), seed=200 + s)
             want = eps_oracle(z)
-            got = epsilon_estimate(z)
+            got, _ = eps_bracket(z, ASCENT)
+            assert got.upper == INF
             assert got.lower == pytest.approx(want, abs=1e-9)
 
     def test_identity_on_ell1_pair_is_two(self):
         sp = TensorSpace((NormedSpace(2, 1.0), NormedSpace(2, 1.0)))
-        est = epsilon_bruteforce(Tensor(sp, np.eye(2)))
+        est, _ = eps_bracket(Tensor(sp, np.eye(2)))
         assert est.lower == 2.0
         assert est.upper == 2.0
 
     def test_budget_error(self):
         factors = tuple(NormedSpace(3, 1.0) for _ in range(3))
         z = random_tensor(TensorSpace(factors), seed=1)
-        with pytest.raises(BudgetError):
-            epsilon_bruteforce(z, EpsilonConfig(budget=10))
+        with pytest.raises(BudgetError, match="enumeration size 512 exceeds budget 10"):
+            _exhaustive_sup(z.coeffs, 1.0, z.space.dual_factors(), EpsilonConfig(budget=10))
 
 
 class TestEuclidean:
@@ -69,12 +79,13 @@ class TestEuclidean:
         for s in range(20):
             z = random_tensor(sp, seed=300 + s)
             want = sigma_max(z.coeffs)
-            got = epsilon_estimate(z)
+            got, _ = eps_bracket(z)
+            assert got.upper == INF
             assert got.lower == pytest.approx(want, rel=1e-9)
 
     def test_identity_is_one(self):
         sp = TensorSpace((NormedSpace(2, 2.0), NormedSpace(2, 2.0)))
-        est = epsilon_estimate(Tensor(sp, np.eye(2)))
+        est, _ = eps_bracket(Tensor(sp, np.eye(2)))
         assert est.lower == pytest.approx(1.0, rel=1e-9)
 
 
@@ -86,7 +97,7 @@ class TestElementary:
             factors = random_factors(rng, n)
             vecs = [rng.standard_normal(f.dim) for f in factors]
             z, target = elementary_tensor(factors, vecs)
-            got = epsilon_estimate(z)
+            got, _ = eps_bracket(z, ASCENT)
             assert got.lower == pytest.approx(target, rel=1e-9, abs=1e-12)
 
 
@@ -95,7 +106,7 @@ class TestGridCertificate:
         sp = TensorSpace((NormedSpace(2, 2.0), NormedSpace(2, 2.0)))
         z = random_tensor(sp, seed=31)
         want = sigma_max(z.coeffs)
-        est = epsilon_bruteforce(z, EpsilonConfig(grid_resolution=6))
+        est, _ = eps_bracket(z, EpsilonConfig(grid_resolution=6))
         assert np.isfinite(est.upper)
         assert est.lower <= want + 1e-9
         assert est.upper >= want - 1e-9
@@ -103,8 +114,10 @@ class TestGridCertificate:
     def test_low_resolution_raises(self):
         sp = TensorSpace((NormedSpace(2, 2.0), NormedSpace(2, 2.0)))
         z = random_tensor(sp, seed=31)
-        with pytest.raises(UnsupportedNormError):
-            epsilon_bruteforce(z, EpsilonConfig(grid_resolution=1))
+        balls = sp.dual_factors()
+        with pytest.raises(UnsupportedNormError, match="grid_resolution >= 2"):
+            _exhaustive_sup(z.coeffs, 1.0, balls, EpsilonConfig(grid_resolution=1))
+        assert eps_bracket(z, EpsilonConfig(grid_resolution=1))[0].upper == INF
 
     def test_mixed_grid_enumerates_polyhedral_balls(self):
         # one gridded Euclidean ball; a weighted cube and an interval keep their vertices
@@ -137,11 +150,11 @@ class TestGridCertificate:
         assert est == ref and est.upper == INF
         assert all(np.array_equal(a, b) for a, b in zip(slots, ref_slots))
         with pytest.raises(UnsupportedNormError, match="radii"):
-            epsilon_bruteforce(z, EpsilonConfig(grid_resolution=4))
+            _exhaustive_sup(z.coeffs, 1.0, balls, EpsilonConfig(grid_resolution=4))
         # a Euclidean ball next to an ell_1 ball: only the Euclidean one is gridded,
         # and eps is the largest Euclidean column norm
         w = Tensor(TensorSpace((NormedSpace(2, 2.0), NormedSpace(2, INF))), z.coeffs)
-        est = epsilon_bruteforce(w, EpsilonConfig(grid_resolution=4))
+        est, _ = eps_bracket(w, EpsilonConfig(grid_resolution=4))
         assert est.lower <= float(np.linalg.norm(z.coeffs, axis=0).max()) <= est.upper < INF
 
     def test_all_polyhedral_ignores_the_grid(self):
@@ -181,7 +194,7 @@ class TestGridCertificate:
         assert all(np.array_equal(a, b) for a, b in zip(slots, ref_slots))
         assert make_epsilon_evaluator(cfg)(z) == make_epsilon_evaluator()(z)
         with pytest.raises(BudgetError):
-            epsilon_bruteforce(z, cfg)
+            _exhaustive_sup(z.coeffs, 1.0, balls, cfg)
 
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, INF])
     def test_grid_plan_floors_the_grid_size(self, q):
@@ -240,7 +253,7 @@ class TestArgmax:
         for s in range(10):
             factors = random_factors(rng, 2)
             z = random_tensor(TensorSpace(factors), seed=400 + s)
-            est, slots = epsilon_argmax(z)
+            est, slots = eps_bracket(z, ASCENT)
             pairing = abs(eval_functionals(z, slots))
             assert pairing == pytest.approx(est.lower, rel=1e-9, abs=1e-12)
             for f, phi in zip(factors, slots):
@@ -285,19 +298,20 @@ class TestInvariances:
     def test_scaling_equivariance(self):
         sp = TensorSpace((NormedSpace(2, 1.0), NormedSpace(3, 2.0)))
         z = random_tensor(sp, seed=61)
-        base = epsilon_estimate(z)
-        scaled = epsilon_estimate(Tensor(sp, 3.5 * z.coeffs))
+        base, _ = eps_bracket(z, ASCENT)
+        scaled, _ = eps_bracket(Tensor(sp, 3.5 * z.coeffs), ASCENT)
         assert scaled.lower == pytest.approx(3.5 * base.lower, rel=1e-12)
 
     def test_determinism(self):
         sp = TensorSpace((NormedSpace(3, 1.5), NormedSpace(3, 2.0)))
         z = random_tensor(sp, seed=62)
-        a = epsilon_estimate(z)
-        b = epsilon_estimate(z)
+        a, _ = eps_bracket(z, ASCENT)
+        b, _ = eps_bracket(z, ASCENT)
         assert (a.lower, a.upper, a.iterations) == (b.lower, b.upper, b.iterations)
 
     def test_zero_tensor(self):
         sp = TensorSpace((NormedSpace(2, 1.0), NormedSpace(2, 2.0)))
-        est = epsilon_estimate(Tensor(sp, np.zeros((2, 2))))
+        est, slots = eps_bracket(Tensor(sp, np.zeros((2, 2))), ASCENT)
         assert est.lower == 0.0
         assert est.upper == 0.0
+        assert not any(s.any() for s in slots)

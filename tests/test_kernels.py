@@ -18,7 +18,6 @@ from tnl import (
     Tensor,
     TensorSpace,
     UnsupportedNormError,
-    epsilon_bruteforce,
     family_strong_norm,
     pi_dual_certificate,
     pi_lower,
@@ -28,7 +27,7 @@ from tnl import (
 from tnl import kernels
 from tnl.evaluators import make_epsilon_evaluator
 from tnl.ideals import _grid_values_spec_reverse
-from tnl.injective import _ball_grid, _contract_specs, sup_bracket
+from tnl.injective import _ball_grid, _contract_specs, _exhaustive_sup, sup_bracket
 from tnl.spaces import extreme_points
 
 from conftest import ball_vertices, map_sup_oracle
@@ -132,16 +131,14 @@ def test_exhaustive_route_matches_oracle_and_checks_budget_first(counted_extreme
     cod = NormedSpace(2, 1.0)
     A = MultilinearMap(dom, cod, rng.standard_normal((2, 3, 2)))
     balls = dom + (cod.dual(),)
-    z = Tensor(TensorSpace(tuple(b.dual() for b in balls)), A.coeffs)
     with pytest.raises(BudgetError, match="enumeration size 96 exceeds budget 95"):
-        epsilon_bruteforce(z, EpsilonConfig(budget=95))
+        _exhaustive_sup(A.coeffs, 1.0, balls, EpsilonConfig(budget=95))
     assert sup_bracket(A.coeffs, balls, EpsilonConfig(budget=95))[0].upper == INF
     # vertices times grid points: a Euclidean ball gridded next to two of the polytopes
     mixed = (NormedSpace(2, 2.0),) + balls[1:]
     total = len(_ball_grid(mixed[0], 6)[0]) * 6 * 4
-    w = Tensor(TensorSpace(tuple(b.dual() for b in mixed)), A.coeffs)
     with pytest.raises(BudgetError, match=f"enumeration size {total} exceeds"):
-        epsilon_bruteforce(w, EpsilonConfig(grid_resolution=6, budget=total - 1))
+        _exhaustive_sup(A.coeffs, 1.0, mixed, EpsilonConfig(grid_resolution=6, budget=total - 1))
     assert counted_extreme_points == []
 
     est, slots = sup_bracket(A.coeffs, balls, EpsilonConfig(budget=96))
@@ -149,7 +146,7 @@ def test_exhaustive_route_matches_oracle_and_checks_budget_first(counted_extreme
     assert est.lower == est.upper == pytest.approx(map_sup_oracle(A), rel=1e-12)
     assert abs(float(A.apply(slots[:2]) @ slots[2])) == pytest.approx(est.lower, rel=1e-12)
     assert counted_extreme_points
-    est = epsilon_bruteforce(w, EpsilonConfig(grid_resolution=6, budget=total))
+    est, _ = sup_bracket(A.coeffs, mixed, EpsilonConfig(grid_resolution=6, budget=total))
     assert est.iterations == total and est.upper < INF
 
 
@@ -184,7 +181,7 @@ def test_budget_checked_before_vertices_are_built(counted_extreme_points):
 
     z = Tensor(TensorSpace((NormedSpace(10, 1.0), NormedSpace(10, 1.0))), rng.standard_normal((10, 10)))
     with pytest.raises(BudgetError):
-        epsilon_bruteforce(z, cfg)
+        _exhaustive_sup(z.coeffs, 1.0, z.space.dual_factors(), cfg)
     eps = make_epsilon_evaluator(cfg)(z)
     assert eps.upper == INF and eps.lower > 0.0
 
@@ -250,18 +247,37 @@ def test_hot_paths_go_through_the_kernel_layer():
     assert offenders == []
 
 
-def test_one_supremum_route_rule():
-    """Only injective.sup_bracket chooses between the exhaustive route and ascent."""
+def _sites(match) -> set[str]:
+    """module.function for every function of the package with a node that matches."""
     sites = set()
     for path in _SRC.glob("*.py"):
         for fn in ast.walk(ast.parse(path.read_text())):
-            if isinstance(fn, ast.FunctionDef) and any(
-                isinstance(node, ast.Call) and getattr(node.func, "id", None) == "grid_sup"
-                for node in ast.walk(fn)
-            ):
+            if isinstance(fn, ast.FunctionDef) and any(map(match, ast.walk(fn))):
                 sites.add(f"{path.stem}.{fn.name}")
+    return sites
+
+
+def _calls(name: str):
+    return lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )
+
+
+def test_one_supremum_route_rule():
+    """Only injective.sup_bracket chooses between the exhaustive route and ascent."""
     # the one evaluation of point families, and the exact rescale of the LP's dual form
-    assert sites == {"injective._exhaustive_sup", "projective._pi_lower_polyhedral"}
+    assert _sites(_calls("grid_sup")) == {"injective._exhaustive_sup", "projective._pi_lower_polyhedral"}
+    routes = {"_exhaustive_sup", "_ascent_sup"}
+    assert _sites(lambda node: isinstance(node, ast.Name) and node.id in routes) == {
+        "injective.sup_bracket"
+    }
+    # bare ascent: the ascent route, operator norms, and two searches that only need seeds
+    assert _sites(_calls("multilinear_sup")) == {
+        "injective._ascent_sup",
+        "injective.operator_norm",
+        "projective._product_functional_certificate",
+        "sigma.sigma_p_dual",
+    }
     for name in ("evaluators.py", "ideals.py", "verify.py"):
         text = (_SRC / name).read_text()
         assert "is_polyhedral" not in text and "BudgetError" not in text, name

@@ -20,7 +20,6 @@ from tnl import (
     TensorSpace,
     Vector,
     beta_p_upper,
-    epsilon_estimate,
     family_modulus_p,
     family_strong_norm,
     pi_upper,
@@ -31,6 +30,7 @@ from tnl import (
 )
 from tnl import evaluators, evaluator_for, injective, projective, report_json, sigma
 from tnl import witness_search_nonsmooth
+from tnl.injective import sup_bracket
 from tnl.kernels import contract, vertex_matrix
 from tnl.evaluators import make_epsilon_evaluator, make_sigma_evaluator
 from tnl.tensors import grouped_to_tensor
@@ -73,7 +73,7 @@ def test_sigma_upper_dominates_injective_lower(p):
         factors = random_factors(rng, rng.integers(2, 4))
         space = TensorSpace(factors)
         z = random_tensor(space, seed=500 + trial)
-        eps = epsilon_estimate(z, EpsilonConfig(seed=trial))
+        eps, _ = sup_bracket(z.coeffs, z.space.dual_factors(), EpsilonConfig(budget=1, seed=trial))
         sig = sigma_p_upper(z, p, SigmaConfig(seed=trial))
         assert eps.lower <= sig.value + 1e-9
 

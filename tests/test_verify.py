@@ -83,11 +83,11 @@ def test_smoothness_beta_p_is_recorded_not_judged():
     assert report.passed  # never judged against a tolerance it does not claim
 
 
-@pytest.mark.parametrize("ideal", ["sup", "lin"])
-def test_representation_suite_passes(ideal):
+def test_representation_suite_passes():
     beta = evaluator_for("pi")
-    report = check_representation(ideal, beta, (2, 2), samples=3, cfg=LinConfig(seed=0))
+    report = check_representation(beta, (2, 2), samples=3, cfg=LinConfig(seed=0))
     assert report.suite == "representation"
+    assert report.config["ideal_norm"] == "sup" and report.notes == ()
     assert report.passed, report.max_deviation
 
 
@@ -95,14 +95,11 @@ def test_representation_suite_passes(ideal):
 def test_property_b_is_the_lin_representation_and_the_dict(norm):
     beta = evaluator_for(norm)
     report = check_property_b(beta, (2, 2), samples=2, cfg=LinConfig(seed=1))
-    lin = check_representation("lin", beta, (2, 2), samples=2, cfg=LinConfig(seed=1))
     legacy = property_B_check(beta, (2, 2), samples=2, cfg=LinConfig(seed=1))
     assert report.suite == "property_b" and report.passed
     assert report.config == {"norm": norm, "params": beta.params, "dims": [2, 2],
                              "samples": 2, "seed": 1}
-    assert lin.cases == report.cases
-    assert lin.max_deviation == report.max_deviation
-    assert (lin.tolerance, lin.config["ideal_norm"]) == (1e-4, "lin")
+    assert report.tolerance == SMOOTHNESS_TOLERANCES[norm]
     assert legacy == {"norm": norm, "samples": 2,
                       "max_rel_deviation": report.max_deviation, "cases": list(report.cases)}
 
@@ -136,10 +133,9 @@ def test_one_report_builder_and_no_suite_in_ideals():
 
 
 def test_representation_sup_requires_projective():
-    with pytest.raises(UnsupportedNormError):
-        check_representation("sup", evaluator_for("eps"), (2, 2), samples=1)
-    with pytest.raises(UnsupportedNormError):
-        check_representation("nope", evaluator_for("pi"), (2, 2), samples=1)
+    for norm in ("eps", "sigma_p"):
+        with pytest.raises(UnsupportedNormError, match="projective norm only"):
+            check_representation(evaluator_for(norm), (2, 2), samples=1)
 
 
 @pytest.mark.parametrize("norm", ["eps", "pi", "sigma_p"])
