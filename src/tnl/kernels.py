@@ -3,10 +3,10 @@
 The estimators evaluate the same tiny contractions and polytope vertex
 lists thousands of times per call.  Two things are computed once here:
 
-* :func:`contract` plans an einsum once per (spec, operand shapes), with
-  the greedy path numpy picks for ``optimize=True``, and replays the plan;
-  the arithmetic, hence every bit of the result, is that of
-  ``np.einsum(spec, *operands, optimize=True)``;
+* :func:`contract` plans an einsum once per (spec, operand shapes), as
+  the steps numpy runs for ``optimize=True``, and replays them with no path
+  search or validation; every bit of the result (strides included) is that
+  of ``np.einsum(spec, *operands, optimize=True)``;
 * :func:`vertex_matrix` stacks the extreme points of a polyhedral unit
   ball into one read-only array, cached per (frozen, hashable) space.
   Callers that hand rows to outside code copy them first.
@@ -31,7 +31,7 @@ from .spaces import INF, NormedSpace, UnsupportedNormError, extreme_points
 
 __all__ = ["contract", "grid_sup", "grid_values", "vertex_count", "vertex_total", "vertex_matrix"]
 
-#: Distinct (spec, shapes) plans kept; an entry is a short string and a path.
+#: Distinct (spec, shapes) plans kept; an entry is a few short steps.
 _PLAN_CACHE_SIZE = 1024
 #: Distinct spaces whose vertex matrices are kept.
 _VERTEX_CACHE_SIZE = 64
@@ -41,34 +41,56 @@ _VERTEX_CACHE_MAX_ENTRIES = 1 << 14
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _plan(spec: str, shapes: tuple[tuple[int, ...], ...]) -> tuple[str, tuple | None]:
-    """The greedy plan for ``spec`` on operands of these shapes.
+def _plan(spec: str, shapes: tuple[tuple[int, ...], ...]) -> tuple[tuple, ...]:
+    """The steps ``np.einsum(spec, *operands, optimize=True)`` runs on these shapes.
 
-    Returns ``(spec, path)`` for ``optimize=path``, or ``(reversed_spec,
-    None)`` when the plan is one contraction over every operand and is not a
-    pairwise (matmul) step: numpy then runs exactly ``einsum(reversed_spec,
-    *reversed(operands))``, which :func:`contract` calls directly.
+    A step is ``(positions, eq, bmm)``: pop the operands at ``positions``, in
+    that order, and contract them with ``np.einsum(eq, ...)``, or, for a pair,
+    by numpy's batch-matmul recipe ``bmm = (eq_a, eq_b, shape_a, shape_b,
+    shape_ab, perm_ab, pure)``.  Only shapes are read, never values.
     """
+    from numpy._core.einsumfunc import _parse_eq_to_batch_matmul
+
     if "->" not in spec or "." in spec:
         raise ValueError(f"contract needs an explicit output and no ellipsis: {spec!r}")
-    path, _ = np.einsum_path(spec, *(np.empty(s) for s in shapes), optimize="greedy")
-    if len(path) == 2 and len(shapes) != 2:
-        inputs, output = spec.split("->")
-        return ",".join(reversed(inputs.split(","))) + "->" + output, None
-    return spec, tuple(path)
+    zeros = [np.broadcast_to(0.0, s) for s in shapes]
+    _, steps = np.einsum_path(spec, *zeros, optimize=True, einsum_call=True)
+    shapes, plan = list(shapes), []
+    for positions, eq, _ in steps:
+        terms, out = eq.split("->")
+        args = [shapes.pop(i) for i in positions]
+        sizes: dict[str, int] = {}
+        for term, shape in zip(terms.split(","), args):
+            sizes.update((ix, d) for ix, d in zip(term, shape) if d != 1)
+        shapes.append(tuple(sizes.get(ix, 1) for ix in out))
+        bmm = _parse_eq_to_batch_matmul(eq, *args) if len(args) == 2 else None
+        plan.append((tuple(positions), eq, bmm))
+    return tuple(plan)
 
 
 def contract(spec: str, *operands: np.ndarray) -> np.ndarray:
     """``np.einsum(spec, *operands, optimize=True)``, with the plan cached.
 
-    The result is bitwise equal to that call: the same contractions run on
-    the operands in the order numpy's own replay uses; only the path search
-    is skipped.
+    The result is bitwise equal to that call, strides included: each step of
+    the cached plan makes the calls numpy's own replay makes (one-step
+    ``np.einsum``, ``np.matmul`` or ``np.multiply``, reshapes, transposes).
+    No path is searched or validated at call time.
     """
-    plan_spec, path = _plan(spec, tuple(op.shape for op in operands))
-    if path is None:
-        return np.einsum(plan_spec, *operands[::-1])
-    return np.einsum(plan_spec, *operands, optimize=path)
+    ops = list(operands)
+    for positions, eq, bmm in _plan(spec, tuple(op.shape for op in operands)):
+        args = [ops.pop(i) for i in positions]
+        if bmm is None:
+            ops.append(np.einsum(eq, *args))
+            continue
+        (a, b), (eq_a, eq_b, shape_a, shape_b, shape_ab, perm_ab, pure) = args, bmm
+        a = a if eq_a is None else np.einsum(eq_a, a)
+        a = a if shape_a is None else a.reshape(shape_a)
+        b = b if eq_b is None else np.einsum(eq_b, b)
+        b = b if shape_b is None else b.reshape(shape_b)
+        ab = np.multiply(a, b) if pure else np.matmul(a, b)  # a pure step has no shape_ab, perm_ab
+        ab = ab if shape_ab is None else ab.reshape(shape_ab)
+        ops.append(ab if perm_ab is None else ab.transpose(perm_ab))
+    return ops[0]
 
 
 def grid_values(coeffs: np.ndarray, fams: Sequence[np.ndarray]) -> np.ndarray:

@@ -244,12 +244,13 @@ def _deflation_candidate(
         for _ in range(iters):
             for l in range(n):
                 vecs[l] = _contract_all_but(residual, vecs, l)
-                nl = float(np.linalg.norm(vecs[l]))
+                # what np.linalg.norm returns for a contiguous 1-d float vector
+                nl = math.sqrt(float(vecs[l].dot(vecs[l])))
                 if nl <= 1e-300:
                     vecs[l] = np.ones_like(vecs[l]) / np.sqrt(len(vecs[l]))
                 else:
                     vecs[l] = vecs[l] / nl
-        weight = _contract_all(residual, vecs)
+        weight = float(_contract_all_but(residual, vecs, None))
         rank1 = vecs[0] * weight
         for v in vecs[1:]:
             rank1 = np.multiply.outer(rank1, v)
@@ -263,19 +264,24 @@ def _deflation_candidate(
     return [mats[l] for l in range(n) if l != pivot]
 
 
-def _contract_all_but(coeffs: np.ndarray, vecs: Sequence[np.ndarray], skip: int) -> np.ndarray:
+def _contract_all_but(
+    coeffs: np.ndarray, vecs: Sequence[np.ndarray], skip: int | None
+) -> np.ndarray:
+    """Contract every axis m != skip of coeffs with vecs[m] (skip None: a 0-d result).
+
+    Per axis, the calls tensordot makes, without its argument handling: move
+    axis m last, reshape to (-1, d), dot with the (d, 1) column, reshape back.
+    """
     out = coeffs
     # contract from the highest axis down so earlier axis indices stay valid
-    for m in sorted((m for m in range(coeffs.ndim) if m != skip), reverse=True):
-        out = np.tensordot(out, vecs[m], axes=(m, 0))
+    for m in range(coeffs.ndim - 1, -1, -1):
+        if m == skip:
+            continue
+        d, rest = len(vecs[m]), out.shape[:m] + out.shape[m + 1 :]
+        if m != out.ndim - 1:
+            out = out.transpose(*range(m), *range(m + 1, out.ndim), m)
+        out = np.dot(out.reshape(-1, d), vecs[m].reshape(d, 1)).reshape(rest)
     return out
-
-
-def _contract_all(coeffs: np.ndarray, vecs: Sequence[np.ndarray]) -> float:
-    out = coeffs
-    for v in reversed(vecs):
-        out = np.tensordot(out, v, axes=(out.ndim - 1, 0))
-    return float(out)
 
 
 def _normalize_columns(space: NormedSpace, M: np.ndarray) -> np.ndarray:

@@ -61,28 +61,74 @@ def test_contract_is_bitwise_einsum_optimize_true(n):
         for _ in range(12):
             ops = _random_operands(spec, rng)
             ref = np.einsum(spec, *ops, optimize=True)
-            got = kernels.contract(spec, *ops)
-            assert got.shape == ref.shape and got.dtype == ref.dtype, spec
-            assert np.array_equal(got, ref), spec
+            _assert_same_array(kernels.contract(spec, *ops), ref, spec)
             # a cached plan replays to the same bits
-            assert np.array_equal(kernels.contract(spec, *ops), ref), spec
+            _assert_same_array(kernels.contract(spec, *ops), ref, spec)
+
+
+def _assert_same_array(got, ref, spec):
+    """Same shape, dtype, strides and bits: later reductions sum along the same layout."""
+    assert got.shape == ref.shape and got.dtype == ref.dtype, spec
+    assert got.strides == ref.strides, spec
+    assert np.array_equal(got, ref), spec
+
+
+def _step_kinds(plan) -> set[str]:
+    kinds = {f"{len(plan)}-step plan"}
+    for positions, _, bmm in plan:
+        if bmm is None:
+            kinds.add("einsum over 1" if len(positions) == 1 else f"einsum over {len(positions)}")
+            continue
+        *_, perm_ab, pure = bmm
+        kinds.add("multiply" if pure else "matmul")
+        if perm_ab is not None:
+            kinds.add("transposed output")
+    return kinds
 
 
 def test_contract_covers_each_plan_kind():
     rng = np.random.default_rng(7)
     cases = {
-        "abc,ja,jb,jc->j": ((3, 3, 3), (5, 3), (5, 3), (5, 3)),  # one step, 4 operands
-        "abc,Aa,Bb,Cc->ABC": ((3, 4, 2), (6, 3), (16, 4), (4, 2)),  # greedy multi-step path
-        "ab,zb->za": ((3, 4), (8, 4)),  # two operands: a matmul step
         "Aj->Aj": ((4, 5),),  # one operand
+        "abc,ja,jb,jc->j": ((3, 3, 3), (5, 3), (5, 3), (5, 3)),  # one einsum step, 4 operands
+        "ab,zb->za": ((3, 4), (8, 4)),  # a matmul step
+        "Aj,Bj->ABj": ((4, 5), (3, 5)),  # no contracted index: a multiply step
+        "abc,Aa,Bb,Cc->ABC": ((3, 4, 2), (6, 3), (16, 4), (4, 2)),  # greedy 3-step path, transposes
     }
     kinds = set()
     for spec, shapes in cases.items():
         ops = [rng.standard_normal(s) for s in shapes]
-        assert np.array_equal(kernels.contract(spec, *ops), np.einsum(spec, *ops, optimize=True))
-        _, path = kernels._plan(spec, shapes)
-        kinds.add("direct" if path is None else f"{len(path) - 1}-step path")
-    assert {"direct", "1-step path", "3-step path"} <= kinds
+        _assert_same_array(kernels.contract(spec, *ops), np.einsum(spec, *ops, optimize=True), spec)
+        kinds |= _step_kinds(kernels._plan(spec, shapes))
+    assert {
+        "einsum over 1", "einsum over 4", "matmul", "multiply", "transposed output", "3-step plan"
+    } <= kinds
+
+
+def test_cached_plan_replays_without_path_search(monkeypatch):
+    """After the first call for a plan, contract never runs einsum_path."""
+    import numpy._core.einsumfunc as einsumfunc
+
+    calls = []
+    search = np.einsum_path
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum_path", counting)
+    monkeypatch.setattr(einsumfunc, "einsum_path", counting)
+    rng = np.random.default_rng(8)
+    spec = "abc,Aa,Bb,Cc->ABC"
+    ops = [rng.standard_normal(s) for s in ((3, 4, 2), (7, 3), (5, 4), (6, 2))]
+    kernels._plan.cache_clear()
+    first = kernels.contract(spec, *ops)
+    assert len(calls) == 1
+    ops = [op + 1.0 for op in ops]
+    second = kernels.contract(spec, *ops)
+    assert len(calls) == 1
+    assert not np.array_equal(first, second)
+    _assert_same_array(second, np.einsum(spec, *ops, optimize=True), spec)
 
 
 def test_contract_needs_explicit_output():

@@ -1,6 +1,7 @@
 """Projective norm: exact oracles, brackets, and the dual certificate."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from tnl import (
 )
 from tnl.injective import epsilon_matrix_oracle
 from tnl.tensors import from_decomposition
-from tnl.projective import _decomposition_from_mats, strip_unit_factors
+from tnl import projective
+from tnl.projective import _decomposition_from_mats, _deflation_candidate, strip_unit_factors
 
 from conftest import elementary_tensor, nuclear, random_factors
 
@@ -228,3 +230,89 @@ class TestDeterminism:
         b = pi_estimate(Tensor(sp, -2.0 * z.coeffs))
         assert b.upper == pytest.approx(2.0 * a.upper, rel=1e-12)
         assert b.lower == pytest.approx(2.0 * a.lower, rel=1e-12)
+
+
+def _reference_deflation(coeffs, pivot, max_terms, iters):
+    """The deflation as first written, on np.tensordot and np.linalg.norm."""
+
+    def all_but(res, vecs, skip):
+        out = res
+        for m in sorted((m for m in range(res.ndim) if m != skip), reverse=True):
+            out = np.tensordot(out, vecs[m], axes=(m, 0))
+        return out
+
+    n = coeffs.ndim
+    residual = coeffs.copy()
+    cols = [[] for _ in range(n)]
+    total = float(np.linalg.norm(coeffs))
+    for _ in range(max_terms):
+        if float(np.linalg.norm(residual)) <= 1e-14 * max(total, 1.0):
+            break
+        vecs = []
+        for l in range(n):
+            d = residual.shape[l]
+            if d == 1:
+                vecs.append(np.ones(1))
+                continue
+            u, _, _ = np.linalg.svd(np.moveaxis(residual, l, 0).reshape(d, -1), full_matrices=False)
+            vecs.append(u[:, 0])
+        for _ in range(iters):
+            for l in range(n):
+                vecs[l] = all_but(residual, vecs, l)
+                nl = float(np.linalg.norm(vecs[l]))
+                if nl <= 1e-300:
+                    vecs[l] = np.ones_like(vecs[l]) / np.sqrt(len(vecs[l]))
+                else:
+                    vecs[l] = vecs[l] / nl
+        out = residual
+        for v in reversed(vecs):
+            out = np.tensordot(out, v, axes=(out.ndim - 1, 0))
+        weight = float(out)
+        rank1 = vecs[0] * weight
+        for v in vecs[1:]:
+            rank1 = np.multiply.outer(rank1, v)
+        residual = residual - rank1
+        scale = abs(weight) ** (1.0 / n) if weight != 0.0 else 1.0
+        for l in range(n):
+            cols[l].append(vecs[l] * scale)
+    if not cols[0]:
+        return []
+    mats = [np.stack(c, axis=1) for c in cols]
+    return [mats[l] for l in range(n) if l != pivot]
+
+
+def _deflation_inputs():
+    """Seeded arrays of 1-4 axes of sizes 1-4: generic, zero and rank-deficient."""
+    rng = np.random.default_rng(2024)
+    for k in range(240):
+        shape = tuple(int(d) for d in rng.integers(1, 5, size=int(rng.integers(1, 5))))
+        kind = k % 4
+        if kind == 0:
+            coeffs = np.zeros(shape)
+        elif kind == 1:  # rank one or two
+            coeffs = np.zeros(shape)
+            for _ in range(1 + k // 4 % 2):
+                term = rng.standard_normal(shape[0])
+                for d in shape[1:]:
+                    term = np.multiply.outer(term, rng.standard_normal(d))
+                coeffs += term
+        else:
+            coeffs = rng.standard_normal(shape)
+        yield coeffs, int(rng.integers(0, 3)) + 1, int(rng.integers(0, 5))
+
+
+def test_deflation_is_bitwise_the_tensordot_reference():
+    count = 0
+    for coeffs, max_terms, iters in _deflation_inputs():
+        for pivot in range(coeffs.ndim):
+            got = _deflation_candidate(coeffs, pivot, max_terms, iters)
+            ref = _reference_deflation(coeffs, pivot, max_terms, iters)
+            assert len(got) == len(ref), coeffs.shape
+            for a, b in zip(got, ref):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (coeffs.shape, pivot)
+            count += 1
+    assert count >= 200
+
+
+def test_projective_makes_no_tensordot_call():
+    assert "np.tensordot" not in Path(projective.__file__).read_text()
