@@ -24,7 +24,6 @@ Every maximization-based value reported here is a certified lower bound;
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,7 +40,7 @@ from .spaces import (
     unit_rows,
 )
 from .injective import EpsilonConfig, sup_bracket
-from .kernels import contract, grid_values
+from .kernels import apply_axis, contract_leading, grid_tensor, grid_values, outer
 from .projective import PiConfig, norm_gradient, pi_dual_certificate
 from .sigma import (
     MODULUS_CONFIG,
@@ -55,7 +54,6 @@ from .tensors import (
     Tensor,
     TensorNormEvaluator,
     TensorSpace,
-    outer,
     random_tensor,
 )
 
@@ -117,15 +115,15 @@ class MultilinearMap:
         """Evaluate on one vector per domain factor; returns codomain coordinates."""
         if len(vectors) != self.arity:
             raise SpaceError("need exactly one vector per domain factor")
-        out = self.coeffs
+        args = []
         for l, v in enumerate(vectors):
             coords = v.coords if isinstance(v, Vector) else np.asarray(v, dtype=float)
             if isinstance(v, Vector) and v.space != self.domain[l]:
                 raise SpaceError(f"argument {l} lives on the wrong factor space")
             if coords.shape != (self.domain[l].dim,):
                 raise SpaceError(f"argument {l} has the wrong length")
-            out = np.tensordot(out, coords, axes=(0, 0))
-        return out
+            args.append(coords)
+        return contract_leading(self.coeffs, args)
 
     def form_coeffs(self) -> np.ndarray:
         """Scalar maps only: the coefficients as a form on the domain product."""
@@ -274,7 +272,7 @@ def compose(
             raise SpaceError(
                 f"pre-operator {l} has shape {M.shape}, expected ({A.domain[l].dim}, {src.dim})"
             )
-        coeffs = np.moveaxis(np.tensordot(M.T, coeffs, axes=(1, l)), 0, l)
+        coeffs = apply_axis(M.T, coeffs, l)
         domain.append(src)
     codomain = A.codomain
     if post is not None:
@@ -284,7 +282,7 @@ def compose(
             raise SpaceError(
                 f"post-operator has shape {T.shape}, expected ({tgt.dim}, {A.codomain.dim})"
             )
-        coeffs = np.tensordot(coeffs, T.T, axes=(coeffs.ndim - 1, 0))
+        coeffs = apply_axis(T, coeffs, coeffs.ndim - 1)
         codomain = tgt
     return MultilinearMap(tuple(domain), codomain, coeffs)
 
@@ -445,11 +443,6 @@ _SM_CG_ITERS = 10
 _SM_PI = PiConfig(restarts=1)
 
 
-def _family_norms(spaces: Sequence[NormedSpace], fams: Sequence[np.ndarray]) -> np.ndarray:
-    """Outer product of member norms: entry J is prod_l ||x_{l, j_l}||."""
-    return outer([np.atleast_1d(sp.norm(X)) for sp, X in zip(spaces, fams)])
-
-
 def _norming_functional(space: NormedSpace, x: np.ndarray) -> np.ndarray:
     """A functional of dual norm at most 1 with <g, x> = ||x||."""
     return norm_gradient(space, np.asarray(x, dtype=float)[:, None])[:, 0]
@@ -468,7 +461,8 @@ def _form_ball_denominator(
     the same rescaling used for projective lower bounds), reported as a
     lower estimate of the supremum.
     """
-    prod_norms = _family_norms(spaces, fams)
+    # outer product of member norms: entry J is prod_l ||x_{l, J_l}||
+    prod_norms = outer([np.atleast_1d(sp.norm(X)) for sp, X in zip(spaces, fams)])
     if prod_norms.size == 1:
         return float(prod_norms.ravel()[0]), True
     if q == INF:
@@ -504,7 +498,7 @@ def _form_ball_denominator(
                     break
                 u = (av / peak) ** (q - 1.0) * np.sign(v)
             # gradient direction as a tensor on the domain product
-            G = contract(_grid_values_spec_reverse(len(fams)), u, *fams)
+            G = grid_tensor(u, fams)
             _, cand = pi_dual_certificate(spaces, G, _SM_PI)
             val = q_sum(cand)
             if val <= best * (1.0 + 1e-12):
@@ -512,13 +506,6 @@ def _form_ball_denominator(
             best = val
             phi = cand
     return best, False
-
-
-def _grid_values_spec_reverse(n: int) -> str:
-    """einsum spec assembling a domain tensor from grid weights and families."""
-    letters = string.ascii_lowercase[:n]
-    out = string.ascii_uppercase[:n]
-    return out + "," + ",".join(out[l] + letters[l] for l in range(n)) + "->" + letters
 
 
 def _sm_ratio(

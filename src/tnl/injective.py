@@ -21,7 +21,6 @@ factors.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,8 @@ from .spaces import (
     ball_linear_maximizer_batch,
     unit_rows,
 )
-from .kernels import BudgetError, contract, grid_sup, vertex_count, vertex_matrix
+from .kernels import BudgetError, contract, grid_sup, leading_direction, sweep_specs
+from .kernels import vertex_count, vertex_matrix
 from .tensors import NormEstimate, Tensor, weighted_matrix
 
 __all__ = [
@@ -109,29 +109,6 @@ def canonical_gauge(coeffs: np.ndarray) -> tuple[np.ndarray, float, float]:
     return coeffs * (sign / scale), scale, sign
 
 
-def _leading_direction(coeffs: np.ndarray, axis: int) -> np.ndarray:
-    """Leading left singular vector of the mode unfolding; a strong start."""
-    d = coeffs.shape[axis]
-    if d == 1:
-        return np.ones(1)
-    unfold = np.moveaxis(coeffs, axis, 0).reshape(d, -1)
-    u, _, _ = np.linalg.svd(unfold, full_matrices=False)
-    return u[:, 0]
-
-
-def _contract_specs(n: int) -> list[str]:
-    """einsum spec contracting all slots except l, batched over restarts."""
-    letters = string.ascii_lowercase[:n]
-    specs = []
-    for l in range(n):
-        operands = [letters]
-        for m in range(n):
-            if m != l:
-                operands.append("z" + letters[m])
-        specs.append(",".join(operands) + "->z" + letters[l])
-    return specs
-
-
 def multilinear_sup(
     coeffs: np.ndarray,
     ball_spaces: tuple[NormedSpace, ...],
@@ -150,7 +127,7 @@ def multilinear_sup(
     slots: list[np.ndarray] = []
     for l, sp in enumerate(ball_spaces):
         mats = np.empty((R, sp.dim))
-        lead = _leading_direction(coeffs, l)
+        lead = leading_direction(coeffs, l)  # a strong start
         nl = float(sp.norm(lead))
         mats[0] = lead / (nl if nl > 1e-300 else 1.0)
         if R > 1:
@@ -163,7 +140,7 @@ def multilinear_sup(
         best = int(np.argmax(vals))
         return SupResult(float(vals[best]), (X[best],), 1, True)
 
-    specs = _contract_specs(n)
+    specs = sweep_specs(n)
     vals = np.zeros(R)
     stall = np.zeros(R, dtype=int)
     iterations = 0

@@ -1,21 +1,23 @@
-"""Cached numeric kernels shared by the norm modules.
+"""The one contraction layer under the norm modules, and their cached kernels.
 
-The estimators evaluate the same tiny contractions and polytope vertex
-lists thousands of times per call.  Two things are computed once here:
+Every contraction the norm modules make is spelled here, so the numpy
+routine, spec and operand order behind each value are decided in one place:
 
-* :func:`contract` plans an einsum once per (spec, operand shapes), as
-  the steps numpy runs for ``optimize=True``, and replays them with no path
-  search or validation; every bit of the result (strides included) is that
-  of ``np.einsum(spec, *operands, optimize=True)``;
-* :func:`vertex_matrix` stacks the extreme points of a polyhedral unit
-  ball into one read-only array, cached per (frozen, hashable) space.
-  Callers that hand rows to outside code copy them first.
+* :func:`contract` plans an einsum once per (spec, operand shapes) and
+  replays numpy's ``optimize=True`` steps bit for bit, strides included;
+* :func:`sweep_specs`, the per-slot specs of the alternating ascent;
+* :func:`grid_values` evaluates an array on the grid of one family per axis,
+  :func:`grid_tensor` is its mirror, :func:`grid_sup` the maximum over a
+  product of point families; :func:`aligned_values` and
+  :func:`aligned_outer` do the same for aligned families (one index j);
+* :func:`kron`, :func:`outer`, :func:`contract_leading`,
+  :func:`apply_axis` and :func:`leading_direction`;
+* :func:`vertex_matrix` caches a polyhedral ball's extreme points as one
+  read-only array per space (callers copy rows they hand out);
+  :func:`vertex_count` and :func:`vertex_total` count them first.
 
-:func:`vertex_count` and :func:`vertex_total` count vertices without
-building them, so a budget is checked first; :func:`grid_values` is the one
-enumeration contraction, and :func:`grid_sup` its maximum over a product of
-point families (vertex matrices, grid points), which the exhaustive route
-of :func:`~tnl.injective.sup_bracket` evaluates in one call.
+Only the π deflation's per-axis dot (``projective._contract_all_but``)
+stays inline in its hot loop.
 """
 
 from __future__ import annotations
@@ -23,13 +25,18 @@ from __future__ import annotations
 import functools
 import math
 import string
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .spaces import INF, NormedSpace, UnsupportedNormError, extreme_points
 
-__all__ = ["contract", "grid_sup", "grid_values", "vertex_count", "vertex_total", "vertex_matrix"]
+__all__ = [
+    "aligned_outer", "aligned_values", "apply_axis", "contract", "contract_leading", "grid_sup",
+    "grid_tensor", "grid_values", "kron", "leading_direction", "outer", "sweep_specs",
+    "vertex_count", "vertex_total", "vertex_matrix",
+]
 
 #: Distinct (spec, shapes) plans kept; an entry is a few short steps.
 _PLAN_CACHE_SIZE = 1024
@@ -93,6 +100,27 @@ def contract(spec: str, *operands: np.ndarray) -> np.ndarray:
     return ops[0]
 
 
+@functools.cache  # keyed by small arities only
+def sweep_specs(n: int) -> tuple[str, ...]:
+    """Per slot, the spec contracting all other slots, batched over restarts: ``abc,zb,zc->za``."""
+    lo = string.ascii_lowercase[:n]
+    return tuple(",".join([lo] + ["z" + c for c in lo if c != k]) + "->z" + k for k in lo)
+
+
+@functools.cache  # keyed by small arities only
+def _specs(n: int, tail: int) -> Mapping[str, str]:
+    """The spec of each grid and aligned kernel, for n families and ``tail`` trailing axes."""
+    lo, up = string.ascii_lowercase[:n], string.ascii_uppercase[:n]
+    rest = string.ascii_lowercase[n : n + tail]
+    rows = ",".join(u + c for u, c in zip(up, lo))
+    return MappingProxyType({
+        "grid_values": f"{lo}{rest},{rows}->{up}{rest}",
+        "grid_tensor": f"{up}{rest},{rows}->{lo}{rest}",
+        "aligned_values": lo + "," + ",".join("j" + c for c in lo) + "->j",
+        "aligned_outer": ",".join(u + "j" for u in up) + "->" + up + "j",
+    })
+
+
 def grid_values(coeffs: np.ndarray, fams: Sequence[np.ndarray]) -> np.ndarray:
     """Evaluate a coefficient array on the full grid of one family per axis.
 
@@ -100,12 +128,65 @@ def grid_values(coeffs: np.ndarray, fams: Sequence[np.ndarray]) -> np.ndarray:
     result has one grid axis per family (row J_l of family l), followed by
     the trailing axes: spec ``abc..,Aa,Bb,..->AB..`` plus the tail.
     """
-    n = len(fams)
-    letters = string.ascii_lowercase[:n]
-    out = string.ascii_uppercase[:n]
-    tail = string.ascii_lowercase[n : coeffs.ndim]
-    rows = ",".join(out[l] + letters[l] for l in range(n))
-    return contract(f"{letters}{tail},{rows}->{out}{tail}", coeffs, *fams)
+    return contract(_specs(len(fams), coeffs.ndim - len(fams))["grid_values"], coeffs, *fams)
+
+
+def grid_tensor(weights: np.ndarray, fams: Sequence[np.ndarray]) -> np.ndarray:
+    """The mirror of :func:`grid_values`: sum_J weights[J] x_{1,J_1} (x) ... (x) x_{n,J_n}.
+
+    Spec ``AB..,Aa,Bb,..->ab..``, plus the trailing axes of ``weights``.
+    """
+    return contract(_specs(len(fams), weights.ndim - len(fams))["grid_tensor"], weights, *fams)
+
+
+def aligned_values(coeffs: np.ndarray, fams: Sequence[np.ndarray]) -> np.ndarray:
+    """A(x_{1,j}, ..., x_{n,j}) for every aligned row index j of the families."""
+    return contract(_specs(len(fams), 0)["aligned_values"], coeffs, *fams)
+
+
+def aligned_outer(cols: Sequence[np.ndarray]) -> np.ndarray:
+    """Entry (i_1, ..., i_n, j) is prod_l cols[l][i_l, j]: outer products of aligned columns."""
+    return contract(_specs(len(cols), 0)["aligned_outer"], *cols)
+
+
+def kron(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product, left to right; bit for bit and in memory layout the ``np.kron`` chain."""
+    out = mats[0]
+    for M in mats[1:]:
+        prod = out[:, None, :, None] * M[None, :, None, :]
+        out = prod.reshape(out.shape[0] * M.shape[0], out.shape[1] * M.shape[1])
+    return out
+
+
+def outer(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """The outer product v_1 (x) ... (x) v_n as a float array, built left to right."""
+    out = np.asarray(vectors[0], dtype=float)
+    for v in vectors[1:]:
+        out = np.multiply.outer(out, np.asarray(v, dtype=float))
+    return out
+
+
+def contract_leading(coeffs: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Contract the leading axes of ``coeffs`` with the vectors, first axis first."""
+    out = coeffs
+    for v in vectors:
+        out = np.tensordot(out, v, axes=(0, 0))
+    return out
+
+
+def apply_axis(M: np.ndarray, coeffs: np.ndarray, axis: int) -> np.ndarray:
+    """Apply the matrix M (new_dim, old_dim) along one axis; the new axis keeps its position."""
+    return np.moveaxis(np.tensordot(M, coeffs, axes=(1, axis)), 0, axis)
+
+
+def leading_direction(coeffs: np.ndarray, axis: int) -> np.ndarray:
+    """Leading left singular vector of the mode unfolding along ``axis``."""
+    d = coeffs.shape[axis]
+    if d == 1:
+        return np.ones(1)
+    unfold = np.moveaxis(coeffs, axis, 0).reshape(d, -1)
+    u, _, _ = np.linalg.svd(unfold, full_matrices=False)
+    return u[:, 0]
 
 
 def vertex_count(space: NormedSpace) -> int:

@@ -28,14 +28,13 @@ from .spaces import (
     Vector,
 )
 from .injective import BudgetError, EpsilonConfig, canonical_gauge, multilinear_sup
-from .kernels import grid_sup, vertex_matrix, vertex_total
+from .kernels import grid_sup, kron, leading_direction, outer, vertex_matrix, vertex_total
 from .tensors import (
     Decomposition,
     DecompositionTerm,
     NormEstimate,
     Tensor,
     TensorSpace,
-    outer,
     weighted_matrix,
 )
 
@@ -232,15 +231,7 @@ def _deflation_candidate(
     for _ in range(max_terms):
         if float(np.linalg.norm(residual)) <= 1e-14 * max(total, 1.0):
             break
-        vecs = []
-        for l in range(n):
-            d = residual.shape[l]
-            if d == 1:
-                vecs.append(np.ones(1))
-                continue
-            unfold = np.moveaxis(residual, l, 0).reshape(d, -1)
-            u, _, _ = np.linalg.svd(unfold, full_matrices=False)
-            vecs.append(u[:, 0])
+        vecs = [leading_direction(residual, l) for l in range(n)]
         for _ in range(iters):
             for l in range(n):
                 vecs[l] = _contract_all_but(residual, vecs, l)
@@ -251,10 +242,7 @@ def _deflation_candidate(
                 else:
                     vecs[l] = vecs[l] / nl
         weight = float(_contract_all_but(residual, vecs, None))
-        rank1 = vecs[0] * weight
-        for v in vecs[1:]:
-            rank1 = np.multiply.outer(rank1, v)
-        residual = residual - rank1
+        residual = residual - outer([vecs[0] * weight, *vecs[1:]])
         scale = abs(weight) ** (1.0 / n) if weight != 0.0 else 1.0
         for l in range(n):
             cols[l].append(vecs[l] * scale)
@@ -455,12 +443,7 @@ def _pi_lower_polyhedral(
     if count > budget:
         raise BudgetError(f"{count} dual constraints exceed budget {budget}")
     pts = [vertex_matrix(f) for f in factors]
-    rows = pts[0]
-    for P in pts[1:]:
-        rows = (rows[:, None, :, None] * P[None, :, None, :]).reshape(
-            rows.shape[0] * P.shape[0], -1
-        )
-    T = rows.reshape(count, -1)
+    T = kron(pts).reshape(count, -1)  # one row per vertex tuple
     c = -coeffs.ravel()
     res = linprog(
         c,

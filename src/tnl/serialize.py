@@ -103,6 +103,19 @@ def space_from_json(data: Any) -> NormedSpace:
     raise SerializationError(f"unknown norm kind: {kind!r}")
 
 
+def _coeff_array(values: Any, shape: tuple[int, ...]) -> np.ndarray:
+    """A row-major coefficient list as an array of ``shape``, every entry a finite number."""
+    flat = np.asarray(values, dtype=float)
+    expected = int(np.prod(shape))
+    if flat.ndim != 1 or flat.size != expected:
+        raise SerializationError(
+            f"coefficient list has {flat.size} entries, expected {expected}"
+        )
+    if not np.isfinite(flat).all():
+        raise SerializationError("coefficients must be finite (no NaN or Infinity)")
+    return flat.reshape(shape)
+
+
 def tensor_to_json(z: Tensor) -> dict:
     return {
         "factors": [space_to_json(f) for f in z.space.factors],
@@ -115,13 +128,7 @@ def tensor_from_json(data: Any) -> Tensor:
         raise SerializationError('a tensor needs "factors" and "coeffs"')
     factors = tuple(space_from_json(f) for f in data["factors"])
     space = _build(TensorSpace, factors)
-    flat = np.asarray(data["coeffs"], dtype=float)
-    expected = int(np.prod(space.shape))
-    if flat.ndim != 1 or flat.size != expected:
-        raise SerializationError(
-            f"coefficient list has {flat.size} entries, expected {expected}"
-        )
-    return _build(Tensor, space, flat.reshape(space.shape))
+    return _build(Tensor, space, _coeff_array(data["coeffs"], space.shape))
 
 
 def map_to_json(A: MultilinearMap) -> dict:
@@ -140,13 +147,7 @@ def map_from_json(data: Any) -> MultilinearMap:
     domain = tuple(space_from_json(f) for f in data["factors"])
     codomain = space_from_json(data["codomain"])
     shape = tuple(f.dim for f in domain) + (codomain.dim,)
-    flat = np.asarray(data["coeffs"], dtype=float)
-    expected = int(np.prod(shape))
-    if flat.ndim != 1 or flat.size != expected:
-        raise SerializationError(
-            f"coefficient list has {flat.size} entries, expected {expected}"
-        )
-    return _build(MultilinearMap, domain, codomain, flat.reshape(shape))
+    return _build(MultilinearMap, domain, codomain, _coeff_array(data["coeffs"], shape))
 
 
 def decomposition_to_json(dec: Decomposition) -> dict:

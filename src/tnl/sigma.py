@@ -18,14 +18,13 @@ p-norms" of each family, which is what the search evaluates.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .injective import BudgetError, EpsilonConfig, canonical_gauge, multilinear_sup, sup_bracket
-from .kernels import contract, vertex_matrix, vertex_total
+from .kernels import aligned_outer, aligned_values, kron, vertex_matrix, vertex_total
 from .projective import RESIDUAL_TOL, PiConfig, gauge, pi_search, pi_upper, repair_pivot
 from .spaces import (
     INF,
@@ -198,9 +197,7 @@ def _modulus_exact(
     if len(points) == 1:  # one factor: the term products are the actions
         prod = points[0] @ mats[0].T
     else:
-        up = string.ascii_uppercase[: len(points)]
-        spec = ",".join(c + "j" for c in up) + "->" + up + "j"
-        prod = contract(spec, *[P @ X.T for P, X in zip(points, mats)])
+        prod = aligned_outer([P @ X.T for P, X in zip(points, mats)])
     if p == INF:
         grid = np.abs(prod).max(axis=-1)
     else:
@@ -485,14 +482,6 @@ def sigma_p_upper(
     return SigmaResult(best * g.mult * g.scale, dec, converged, len(candidates), lower)
 
 
-def _eval_form_family(form: np.ndarray, fams: Sequence[np.ndarray]) -> np.ndarray:
-    """A(x_{1,j},...,x_{n,j}) for every aligned index j."""
-    n = len(fams)
-    letters = string.ascii_lowercase[:n]
-    spec = letters + "," + ",".join("j" + letters[l] for l in range(n)) + "->j"
-    return contract(spec, form, *fams)
-
-
 def _si_ratio(
     form: np.ndarray,
     spaces: Sequence[NormedSpace],
@@ -500,7 +489,7 @@ def _si_ratio(
     p: float,
     cfg: SigmaConfig,
 ) -> float:
-    num = q_norm(_eval_form_family(form, fams), p)
+    num = q_norm(aligned_values(form, fams), p)
     den = _modulus_arrays(spaces, fams, p, cfg).value
     if den <= 1e-300:
         return 0.0
@@ -556,29 +545,17 @@ def sigma_p_dual(form: Tensor, p: float, cfg: SigmaDualConfig | None = None) -> 
     return SigmaDualResult(float(best), tuple(best_fams), True, iterations)
 
 
-def _block_design(families: Sequence[np.ndarray]) -> np.ndarray:
-    """Design matrix mapping a block's flat coefficients to domain coefficients.
-
-    Rows follow the domain axes in C order, columns the family rows in C
-    order: the Kronecker product of the X.T, multiplied left to right, bit
-    for bit and in its memory layout, by one broadcast product per factor.
-    """
-    out = families[0].T
-    for X in families[1:]:
-        prod = out[:, None, :, None] * X.T[None, :, None, :]
-        out = prod.reshape(out.shape[0] * X.shape[1], out.shape[1] * X.shape[0])
-    return out
-
-
 def _fit_blocks(
     target: np.ndarray, family_sets: Sequence[Sequence[np.ndarray]]
 ) -> tuple[list[np.ndarray], float]:
     """Joint least-squares coefficients for all blocks; returns residual too.
 
     ``target`` is the (domain, codomain) matrix and the design [D_1 | D_2 |
-    ...], so block b's coefficients are the next prod(m_l) solution rows.
+    ...], D_b the Kronecker product of block b's X.T (rows follow the domain
+    axes in C order, columns the family rows in C order), so block b's
+    coefficients are the next prod(m_l) solution rows.
     """
-    G = np.hstack([_block_design(fams) for fams in family_sets])
+    G = np.hstack([kron([X.T for X in fams]) for fams in family_sets])
     sol, *_ = np.linalg.lstsq(G, target, rcond=None)
     resid = float(np.linalg.norm(G @ sol - target))
     out, offset = [], 0

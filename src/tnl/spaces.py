@@ -79,8 +79,8 @@ class NormedSpace:
                 raise SpaceError(
                     f"got {len(self.weights)} weights for dimension {self.dim}"
                 )
-            if any(not (w > 0.0) for w in self.weights):
-                raise SpaceError("weights must be strictly positive")
+            if any(not (0.0 < w < INF) for w in self.weights):
+                raise SpaceError("weights must be finite and strictly positive")
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
     def weight_array(self) -> np.ndarray:
@@ -201,20 +201,26 @@ def sample_unit_sphere(space: NormedSpace, seed: int, count: int) -> list[Vector
     return [Vector(space, unit_vector(space, rng)) for _ in range(count)]
 
 
+def _tiny_norm(space: NormedSpace) -> float:
+    """A draw of smaller norm counts as zero: 1e-12 times the largest weight, so scale-free."""
+    return 1e-12 if space.weights is None else 1e-12 * max(space.weights)
+
+
 def unit_vector(space: NormedSpace, rng: np.random.Generator) -> np.ndarray:
-    """One Gaussian draw scaled to norm 1; a draw of norm below 1e-12 is redrawn."""
+    """One Gaussian draw scaled to norm 1; a draw of norm below the tiny cut is redrawn."""
+    tiny = _tiny_norm(space)
     g = rng.standard_normal(space.dim)
     n = float(space.norm(g))
-    while n < 1e-12:
+    while n < tiny:
         g = rng.standard_normal(space.dim)
         n = float(space.norm(g))
     return g / n
 
 
 def unit_rows(space: NormedSpace, X: np.ndarray) -> np.ndarray:
-    """The rows of X scaled to unit norm; rows of norm <= 1e-12 stay as they are."""
+    """The rows of X scaled to unit norm; rows of norm at most the tiny cut stay as they are."""
     norms = np.atleast_1d(space.norm(X))
-    return X / np.where(norms > 1e-12, norms, 1.0)[:, None]
+    return X / np.where(norms > _tiny_norm(space), norms, 1.0)[:, None]
 
 
 def extreme_points(space: NormedSpace) -> list[Vector]:

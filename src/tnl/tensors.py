@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .kernels import apply_axis, contract_leading, grid_tensor, outer
 from .spaces import NormedSpace, SpaceError, Vector, scalar_space, unit_vector
 
 #: Largest total dimension of a tensor space (product of factor dimensions).
@@ -231,14 +232,6 @@ class TensorNormEvaluator:
         return 0.5 * (est.lower + est.upper)
 
 
-def outer(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """The outer product v_1 (x) ... (x) v_n as a float array, built left to right."""
-    out = np.asarray(vectors[0], dtype=float)
-    for v in vectors[1:]:
-        out = np.multiply.outer(out, np.asarray(v, dtype=float))
-    return out
-
-
 def weighted_matrix(coeffs: np.ndarray, factors: Sequence[NormedSpace]) -> np.ndarray:
     """Two-factor coefficients times both factors' weights: the unweighted matrix."""
     return coeffs * factors[0].weight_array()[:, None] * factors[1].weight_array()[None, :]
@@ -263,16 +256,9 @@ def grouped_to_tensor(space: TensorSpace, g: GroupedDecomposition) -> Tensor:
     The last factor of ``space`` receives the coeff_array vectors; the other
     factors receive the block families.
     """
-    import string
-
     n = space.order - 1
     if n < 1:
         raise SpaceError("grouped decompositions need at least two factors")
-    letters = string.ascii_lowercase
-    # families: (j_l, a_l); coeff array: (j_1 ... j_n, c); output: (a_1 ... a_n, c)
-    spec = ",".join(letters[l] + letters[n + l] for l in range(n))
-    spec += "," + letters[:n] + letters[2 * n]
-    spec += "->" + letters[n : 2 * n] + letters[2 * n]
     coeffs = np.zeros(space.shape)
     for block in g.blocks:
         if len(block.families) != n:
@@ -282,7 +268,7 @@ def grouped_to_tensor(space: TensorSpace, g: GroupedDecomposition) -> Tensor:
                 raise SpaceError("family vector length does not match factor dimension")
         if block.coeff_array.shape[-1] != space.factors[-1].dim:
             raise SpaceError("coeff_array final axis does not match last factor")
-        coeffs += np.einsum(spec, *block.families, block.coeff_array)
+        coeffs += grid_tensor(block.coeff_array, block.families)
     return Tensor(space, coeffs)
 
 
@@ -290,15 +276,15 @@ def eval_functionals(z: Tensor, functionals: Sequence) -> float:
     """Pair the tensor with one functional per factor (full contraction)."""
     if len(functionals) != z.space.order:
         raise SpaceError("need exactly one functional per factor")
-    out = z.coeffs
+    args = []
     for l, f in enumerate(functionals):
         coords = f.coords if hasattr(f, "coords") else np.asarray(f, dtype=float)
         if hasattr(f, "space") and f.space != z.space.factors[l]:
             raise SpaceError(f"functional {l} acts on the wrong factor space")
         if coords.shape != (z.space.factors[l].dim,):
             raise SpaceError(f"functional {l} has the wrong length")
-        out = np.tensordot(out, coords, axes=(0, 0))
-    return float(out)
+        args.append(coords)
+    return float(contract_leading(z.coeffs, args))
 
 
 def flatten_scalar(z: Tensor) -> Tensor:
@@ -348,7 +334,7 @@ def apply_operators(
             raise SpaceError(
                 f"operator {l} has shape {M.shape}, expected ({tgt.dim}, {z.space.factors[l].dim})"
             )
-        coeffs = np.moveaxis(np.tensordot(M, coeffs, axes=(1, l)), 0, l)
+        coeffs = apply_axis(M, coeffs, l)
         targets.append(tgt)
     return Tensor(TensorSpace(tuple(targets)), coeffs)
 

@@ -47,7 +47,24 @@ def eps_oracle(z: Tensor) -> float:
 
 
 def modulus_oracle(spaces, fams, p: float) -> float:
-    """Family modulus by enumeration: sup over dual vertices of the p-sum."""
+    """Family modulus by enumeration, as arrays: sup over dual vertices of the p-sum.
+
+    Axis 0 of ``prods`` is the family index j, axis l + 1 the vertex of
+    dual ball l; ``modulus_oracle_loop`` is the same sum, one tuple at a time.
+    """
+    m = fams[0].shape[0]
+    prods = np.ones(m)
+    for l, (s, F) in enumerate(zip(spaces, fams)):
+        acts = F @ np.array(ball_vertices(s.dual())).T  # (m, vertices of ball l)
+        prods = prods[..., None] * acts.reshape((m,) + (1,) * l + (acts.shape[1],))
+    a = np.abs(prods).reshape(m, -1)
+    if p == INF:
+        return float(a.max())
+    return float(((a**p).sum(axis=0) ** (1.0 / p)).max())
+
+
+def modulus_oracle_loop(spaces, fams, p: float) -> float:
+    """The reference for :func:`modulus_oracle`: one dual-vertex tuple at a time."""
     grids = [ball_vertices(s.dual()) for s in spaces]
     best = 0.0
     for tup in itertools.product(*grids):

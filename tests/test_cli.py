@@ -152,6 +152,35 @@ def test_exit_2_on_broken_json(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["eps", "pi", "sigma_p", "beta_p"])
+def test_exit_2_on_nan_tensor_coeffs(kind, tmp_path, capsys):
+    data = tensor_to_json(Tensor(TensorSpace((L2, L2)), np.eye(2)))
+    data["coeffs"][1] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))  # written as the JSON extension NaN
+    assert main(["norm", "--kind", kind, "--in", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_exit_2_on_infinite_map_coeffs(tmp_path, capsys):
+    data = map_to_json(MultilinearMap((L2,), L2, np.eye(2)))
+    data["coeffs"][0] = float("inf")
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(data))
+    assert main(["norm", "--kind", "sup", "--in", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_exit_2_on_infinite_weight(tmp_path, capsys):
+    data = tensor_to_json(Tensor(TensorSpace((L2, L2)), np.eye(2)))
+    data["factors"][0] = {"dim": 2, "norm": "weighted_ellp", "p": 2.0,
+                          "weights": [float("inf"), 1.0]}
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(data))
+    assert main(["norm", "--kind", "pi", "--in", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_exit_2_on_unknown_choice(identity_tensor, capsys):
     assert main(["norm", "--kind", "nuclear", "--in", identity_tensor]) == 2
     assert main(["verify", "--suite", "nope"]) == 2

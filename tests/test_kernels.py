@@ -1,6 +1,7 @@
 """Tests for the cached kernel layer: einsum plans and ball vertex matrices."""
 
 import ast
+import itertools
 import re
 from pathlib import Path
 
@@ -26,8 +27,7 @@ from tnl import (
 )
 from tnl import kernels
 from tnl.evaluators import make_epsilon_evaluator
-from tnl.ideals import _grid_values_spec_reverse
-from tnl.injective import _ball_grid, _contract_specs, _exhaustive_sup, sup_bracket
+from tnl.injective import _ball_grid, _exhaustive_sup, sup_bracket
 from tnl.spaces import extreme_points
 
 from conftest import ball_vertices, map_sup_oracle
@@ -35,17 +35,9 @@ from conftest import ball_vertices, map_sup_oracle
 
 def _spec_families(n: int) -> list[str]:
     """Every einsum spec family the library contracts, for n factors."""
-    lo = "abcd"[:n]
-    up = "ABCD"[:n]
-    grid = lo + "," + ",".join(up[l] + lo[l] for l in range(n)) + "->" + up
-    sweeps = _contract_specs(n) if n > 1 else []  # one factor needs no sweep
-    return sweeps + [
-        grid,  # enumeration / family grid (kernels.grid_values)
-        lo + "e," + ",".join(up[l] + lo[l] for l in range(n)) + "->" + up + "e",  # grid with an output axis
-        _grid_values_spec_reverse(n),  # domain tensor from grid weights
-        ",".join(u + "j" for u in up) + "->" + up + "j",  # modulus products
-        lo + "," + ",".join("j" + c for c in lo) + "->j",  # form on aligned families
-    ]
+    sweeps = list(kernels.sweep_specs(n)) if n > 1 else []  # one factor needs no sweep
+    # grids, their mirrors and aligned families; tail 1: an output axis (maps, grouped blocks)
+    return sweeps + [*kernels._specs(n, 0).values(), *kernels._specs(n, 1).values()]
 
 
 def _random_operands(spec: str, rng: np.random.Generator) -> list[np.ndarray]:
@@ -146,6 +138,74 @@ def test_grid_values_matches_loop():
         for j in range(3):
             ref = np.tensordot(fams[1][j], np.tensordot(fams[0][i], coeffs, axes=(0, 0)), axes=(0, 0))
             assert np.allclose(vals[i, j], ref, rtol=1e-13, atol=1e-14)
+
+
+def test_spec_strings_are_pinned():
+    """The spec strings decide numpy's plan, so a respelling would move bits."""
+    assert kernels.sweep_specs(3) == ("abc,zb,zc->za", "abc,za,zc->zb", "abc,za,zb->zc")
+    assert kernels.sweep_specs(3) is kernels.sweep_specs(3)  # built once per arity
+    assert dict(kernels._specs(2, 0)) == {
+        "grid_values": "ab,Aa,Bb->AB", "grid_tensor": "AB,Aa,Bb->ab",
+        "aligned_values": "ab,ja,jb->j", "aligned_outer": "Aj,Bj->ABj",
+    }
+    assert kernels._specs(3, 1)["grid_values"] == "abcd,Aa,Bb,Cc->ABCd"
+    assert kernels._specs(3, 1)["grid_tensor"] == "ABCd,Aa,Bb,Cc->abcd"
+    assert kernels._specs(3, 0)["aligned_values"] == "abc,ja,jb,jc->j"
+
+
+def test_grid_tensor_mirrors_grid_values():
+    """<grid_tensor(u, fams), A> = <u, grid_values(A, fams)>, with and without a tail axis."""
+    rng = np.random.default_rng(4)
+    fams = [rng.standard_normal((4, 2)), rng.standard_normal((3, 3))]
+    for tail in ((), (2,)):
+        u = rng.standard_normal((4, 3) + tail)
+        A = rng.standard_normal((2, 3) + tail)
+        G = kernels.grid_tensor(u, fams)
+        assert G.shape == A.shape
+        assert np.vdot(G, A) == pytest.approx(np.vdot(u, kernels.grid_values(A, fams)), rel=1e-12)
+
+
+def _kron_chain(mats):
+    out = np.ones((1, 1))
+    for M in mats:
+        out = np.kron(out, M)
+    return out
+
+
+def _assert_same_kron(got, ref):
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+    for flag in ("C_CONTIGUOUS", "F_CONTIGUOUS"):  # the memory layout lstsq, @ and linprog see
+        assert got.flags[flag] == ref.flags[flag]
+
+
+def test_kron_is_bitwise_np_kron():
+    # beta_p block designs: the X.T of each family; rows follow the domain axes
+    # in C order, columns the family rows in C order
+    for seed in range(600):
+        rng = np.random.default_rng([36, seed])
+        k = int(rng.integers(1, 4))
+        fams = [rng.standard_normal((int(rng.integers(1, 4)), int(rng.integers(1, 4))))
+                for _ in range(k)]
+        _assert_same_kron(kernels.kron([X.T for X in fams]), _kron_chain([X.T for X in fams]))
+    # the pi LP constraint rows: one row per tuple of vertices, the tuples in C order
+    for seed in range(60):
+        rng = np.random.default_rng([38, seed])
+        spaces = []
+        for _ in range(int(rng.integers(1, 4))):
+            d = int(rng.integers(1, 4))
+            w = tuple(rng.uniform(0.5, 2.0, d)) if rng.random() < 0.5 else None
+            spaces.append(NormedSpace(d, float(rng.choice((1.0, INF))), weights=w))
+        pts = [kernels.vertex_matrix(sp) for sp in spaces]
+        rows = kernels.kron(pts)
+        _assert_same_kron(rows, _kron_chain(pts))
+        tuples = list(itertools.product(*pts))
+        assert len(rows) == kernels.vertex_total(spaces) == len(tuples)
+        for row, tup in zip(rows, tuples):
+            ref = tup[0]
+            for v in tup[1:]:
+                ref = np.multiply.outer(ref, v)
+            assert np.array_equal(row, ref.ravel())
 
 
 @pytest.mark.parametrize(
@@ -278,6 +338,23 @@ def test_returned_rows_are_copies():
 
 _SRC = Path(tnl.__file__).resolve().parent
 _STACKED_VERTICES = re.compile(r"stack\(\s*\[[^\]]*extreme_points\(", re.S)
+_KRON_BROADCAST = re.compile(r"\[\s*:\s*,\s*None\s*,\s*:\s*,\s*None\s*\]")
+_CONTRACTIONS = {"np.einsum", "np.tensordot", "np.multiply.outer"}
+
+
+def _contraction_offenders(text: str) -> list[str]:
+    """Contraction decisions made in a module's own source, not through kernels."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            if "string" in names:
+                found.append(f"line {node.lineno}: imports string (builds its own einsum specs)")
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in _CONTRACTIONS:
+            found.append(f"line {node.lineno}: calls {ast.unparse(node.func)}")
+    if _KRON_BROADCAST.search(text):
+        found.append("builds the [:, None, :, None] Kronecker broadcast")
+    return found
 
 
 def test_hot_paths_go_through_the_kernel_layer():
@@ -290,7 +367,30 @@ def test_hot_paths_go_through_the_kernel_layer():
             offenders.append(f"{path.name}: einsum planned per call (optimize=True)")
         if _STACKED_VERTICES.search(text):
             offenders.append(f"{path.name}: extreme_points stacked outside vertex_matrix")
+        offenders += [f"{path.name}: {hit}" for hit in _contraction_offenders(text)]
     assert offenders == []
+
+
+def test_contraction_scan_sees_each_kind():
+    probe = (
+        "import string\n"
+        "from string import ascii_lowercase\n"
+        "import numpy as np\n"
+        "def f(a, b):\n"
+        "    np.einsum('ab,b->a', a, b)\n"
+        "    np.tensordot(a, b, axes=(0, 0))\n"
+        "    np.multiply.outer(a, b)\n"
+        "    return a[:, None, :, None] * b[None, :, None, :]\n"
+        "# a comment naming np.tensordot is not a call\n"
+    )
+    assert _contraction_offenders(probe) == [
+        "line 1: imports string (builds its own einsum specs)",
+        "line 2: imports string (builds its own einsum specs)",
+        "line 5: calls np.einsum",
+        "line 6: calls np.tensordot",
+        "line 7: calls np.multiply.outer",
+        "builds the [:, None, :, None] Kronecker broadcast",
+    ]
 
 
 def _sites(match) -> set[str]:

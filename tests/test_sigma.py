@@ -35,7 +35,7 @@ from tnl.kernels import contract, vertex_matrix
 from tnl.evaluators import make_epsilon_evaluator, make_sigma_evaluator
 from tnl.tensors import grouped_to_tensor
 
-from conftest import elementary_tensor, modulus_oracle, random_factors
+from conftest import elementary_tensor, modulus_oracle, modulus_oracle_loop, random_factors
 
 P_GRID = (1.0, 1.5, 2.0)
 
@@ -455,26 +455,17 @@ def test_beta_determinism():
     assert a.value == b.value
 
 
-def _block_design_by_kron(families):
-    out = np.ones((1, 1))
-    for X in families:
-        out = np.kron(out, X.T)
-    return out
-
-
-def test_block_design_is_bitwise_kron():
-    # rows: domain axes in C order; columns: family rows in C order
-    for seed in range(600):
-        rng = np.random.default_rng([36, seed])
-        k = int(rng.integers(1, 4))
-        fams = [rng.standard_normal((int(rng.integers(1, 4)), int(rng.integers(1, 4))))
-                for _ in range(k)]
-        got = sigma._block_design(fams)
-        ref = _block_design_by_kron(fams)
-        assert got.shape == ref.shape
-        assert got.tobytes() == ref.tobytes()
-        for flag in ("C_CONTIGUOUS", "F_CONTIGUOUS"):  # the memory layout lstsq and @ see
-            assert got.flags[flag] == ref.flags[flag]
+def test_modulus_oracle_matches_its_loop():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n = int(rng.integers(1, 4))
+        spaces = random_factors(rng, n, max_dim=3, palette=(1.0, INF))
+        m = int(rng.integers(1, 5))  # aligned families share one length
+        fams = [rng.standard_normal((m, sp.dim)) for sp in spaces]
+        p = float(rng.choice((1.0, 1.5, 2.0, 3.0, INF)))
+        assert modulus_oracle(spaces, fams, p) == pytest.approx(
+            modulus_oracle_loop(spaces, fams, p), rel=1e-12
+        )
 
 
 def test_fit_blocks_orders_coefficients_like_the_design():

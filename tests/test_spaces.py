@@ -34,6 +34,16 @@ def finite_vec(dim):
     ).map(lambda xs: np.array(xs))
 
 
+class _Draws:
+    """A stand-in generator that hands out the given rows, then raises IndexError."""
+
+    def __init__(self, rows):
+        self.rows = list(rows)
+
+    def standard_normal(self, dim):
+        return np.array(self.rows.pop(0), dtype=float)
+
+
 class TestNormValues:
     def test_frozen_scalars(self):
         x = np.array([3.0, 4.0])
@@ -166,17 +176,26 @@ class TestBallMachinery:
             np.testing.assert_array_equal(u.coords, v.coords)
 
     def test_unit_vector_redraws_tiny_draws(self):
-        class Draws:
-            def __init__(self, rows):
-                self.rows = list(rows)
-
-            def standard_normal(self, dim):
-                return np.array(self.rows.pop(0), dtype=float)
-
         sp = NormedSpace(2, 1.0, weights=(2.0, 1.0))
-        rng = Draws([[0.0, 0.0], [1e-13, 0.0], [1.0, -1.0], [5.0, 5.0]])
+        rng = _Draws([[0.0, 0.0], [1e-13, 0.0], [1.0, -1.0], [5.0, 5.0]])
         np.testing.assert_array_equal(unit_vector(sp, rng), [1.0 / 3.0, -1.0 / 3.0])
         assert rng.rows == [[5.0, 5.0]]  # the draw after the accepted one is untouched
+
+    @pytest.mark.parametrize("scale", [1e-14, 1e14])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, INF])
+    def test_unit_draws_ignore_the_scale_of_the_weights(self, scale, p):
+        # _Draws runs out after three draws, so a redraw loop cannot hang the test
+        rows = np.random.default_rng(12).standard_normal((3, 2))
+        sp = NormedSpace(2, p, weights=(scale, 2.0 * scale))
+        plain = NormedSpace(2, p, weights=(1.0, 2.0))
+        x = unit_vector(sp, _Draws(rows))
+        assert sp.norm(x) == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_allclose(x * scale, unit_vector(plain, _Draws(rows)), rtol=1e-12)
+        U = unit_rows(sp, rows)
+        np.testing.assert_allclose(sp.norm(U), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(U * scale, unit_rows(plain, rows), rtol=1e-12)
+        tiny = np.array([[1e-13, 0.0], [0.0, 0.0]])  # zero at every scale of the weights
+        np.testing.assert_array_equal(unit_rows(sp, tiny), tiny)
 
 
 class TestWrappers:
@@ -212,6 +231,8 @@ class TestValidation:
             {"dim": 2, "p": 2.0, "weights": (1.0,)},
             {"dim": 2, "p": 2.0, "weights": (1.0, 0.0)},
             {"dim": 2, "p": 2.0, "weights": (1.0, -1.0)},
+            {"dim": 2, "p": 2.0, "weights": (INF, 1.0)},
+            {"dim": 2, "p": 2.0, "weights": (float("nan"), 1.0)},
         ],
     )
     def test_bad_spaces(self, kwargs):
