@@ -100,6 +100,8 @@ class MultilinearMap:
             raise SpaceError(
                 f"coefficient shape {arr.shape} does not match domain/codomain {expected}"
             )
+        if not np.isfinite(arr).all():
+            raise SpaceError("coefficients must be finite (no NaN or Infinity)")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 

@@ -14,7 +14,12 @@ routine, spec and operand order behind each value are decided in one place:
   :func:`apply_axis` and :func:`leading_direction`;
 * :func:`vertex_matrix` caches a polyhedral ball's extreme points as one
   read-only array per space (callers copy rows they hand out);
-  :func:`vertex_count` and :func:`vertex_total` count them first.
+  :func:`vertex_count` and :func:`vertex_total` count them first;
+* :func:`lstsq` and :func:`top_singular_value`, numpy's own LAPACK gufuncs
+  behind ``np.linalg.lstsq(a, b, rcond=None)`` and the reduced
+  ``np.linalg.svd``, under numpy's own error state, without the argument
+  handling: the beta_p polish loop calls them on tiny arrays hundreds of
+  times per call.  Numpy's private linalg names appear in this module only.
 
 Only the π deflation's per-axis dot (``projective._contract_all_but``)
 stays inline in its hot loop.
@@ -29,13 +34,15 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
+from numpy.linalg._linalg import _raise_linalgerror_lstsq, _raise_linalgerror_svd_nonconvergence
 
 from .spaces import INF, NormedSpace, UnsupportedNormError, extreme_points
 
 __all__ = [
     "aligned_outer", "aligned_values", "apply_axis", "contract", "contract_leading", "grid_sup",
-    "grid_tensor", "grid_values", "kron", "leading_direction", "outer", "sweep_specs",
-    "vertex_count", "vertex_total", "vertex_matrix",
+    "grid_tensor", "grid_values", "kron", "leading_direction", "lstsq", "outer", "sweep_specs",
+    "top_singular_value", "vertex_count", "vertex_total", "vertex_matrix",
 ]
 
 #: Distinct (spec, shapes) plans kept; an entry is a few short steps.
@@ -45,6 +52,8 @@ _VERTEX_CACHE_SIZE = 64
 #: Larger vertex matrices (in entries) are built per call and not kept, so
 #: the cache holds at most _VERTEX_CACHE_SIZE * 128 KiB.
 _VERTEX_CACHE_MAX_ENTRIES = 1 << 14
+#: Machine epsilon as numpy's lstsq takes it for its default rcond.
+_EPS = np.finfo(np.float64).eps
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -187,6 +196,31 @@ def leading_direction(coeffs: np.ndarray, axis: int) -> np.ndarray:
     unfold = np.moveaxis(coeffs, axis, 0).reshape(d, -1)
     u, _, _ = np.linalg.svd(unfold, full_matrices=False)
     return u[:, 0]
+
+
+@np.errstate(call=_raise_linalgerror_lstsq, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution of ``np.linalg.lstsq(a, b, rcond=None)``, bit for bit.
+
+    ``a`` is an (m, n) and ``b`` an (m, k) float array, m and k at least
+    one.  Numpy's own gufunc runs under numpy's own error state and rcond
+    rule, so a non-converging SVD raises the same ``LinAlgError``; the
+    argument handling and the residual, rank and singular-value outputs
+    are skipped.
+    """
+    return _umath_linalg.lstsq(a, b, _EPS * max(a.shape), signature="ddd->ddid")[0]
+
+
+@np.errstate(call=_raise_linalgerror_svd_nonconvergence, invalid="call", over="ignore",
+             divide="ignore", under="ignore")
+def top_singular_value(a: np.ndarray) -> float:
+    """``np.linalg.svd(a, full_matrices=False)[1][0]`` of an (m, n) float array, bit for bit.
+
+    The reduced SVD's own gufunc under numpy's own error state; the
+    singular-value-only gufunc may differ in the last bits, so it is not used.
+    """
+    return float(_umath_linalg.svd_s(a, signature="d->ddd")[1][0])
 
 
 def vertex_count(space: NormedSpace) -> int:

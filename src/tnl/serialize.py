@@ -104,15 +104,16 @@ def space_from_json(data: Any) -> NormedSpace:
 
 
 def _coeff_array(values: Any, shape: tuple[int, ...]) -> np.ndarray:
-    """A row-major coefficient list as an array of ``shape``, every entry a finite number."""
-    flat = np.asarray(values, dtype=float)
+    """A row-major list of numbers as an array of ``shape``; the constructors reject NaN and inf."""
+    try:
+        flat = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(f"coefficients must be numbers: {exc}") from None
     expected = int(np.prod(shape))
     if flat.ndim != 1 or flat.size != expected:
         raise SerializationError(
             f"coefficient list has {flat.size} entries, expected {expected}"
         )
-    if not np.isfinite(flat).all():
-        raise SerializationError("coefficients must be finite (no NaN or Infinity)")
     return flat.reshape(shape)
 
 

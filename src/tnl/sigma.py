@@ -17,14 +17,16 @@ p-norms" of each family, which is what the search evaluates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .injective import BudgetError, EpsilonConfig, canonical_gauge, multilinear_sup, sup_bracket
-from .kernels import aligned_outer, aligned_values, kron, vertex_matrix, vertex_total
+from .kernels import aligned_outer, aligned_values, kron, lstsq, top_singular_value
+from .kernels import vertex_count, vertex_matrix, vertex_total
 from .projective import RESIDUAL_TOL, PiConfig, gauge, pi_search, pi_upper, repair_pivot
 from .spaces import (
     INF,
@@ -99,6 +101,10 @@ class ModulusResult:
     iterations: int
 
 
+#: A strong-norm route: family -> (value, exact, the ModulusResult on demand).
+_Route = Callable[[np.ndarray], tuple[float, bool, Callable[[], ModulusResult]]]
+
+
 @dataclass(frozen=True)
 class SigmaConfig:
     """Budgets for the sigma_p decomposition search."""
@@ -127,6 +133,8 @@ class SigmaDualConfig:
 _DUAL_FAMILY_SIZES = (1, 2, 4, 8)
 _DUAL_RESTARTS_PER_SIZE = 12
 _DUAL_POLISH_ROUNDS = 60
+#: Distinct (space, p, modulus config) strong-norm routes kept.
+_ROUTE_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -330,17 +338,61 @@ def family_strong_norm(
         X = np.atleast_2d(np.asarray(vectors, dtype=float))
     else:
         X = np.stack([v.coords for v in vectors])
-    if p == INF:
-        norms = np.atleast_1d(space.norm(X))
-        j = int(np.argmax(norms))
-        y, _ = ball_linear_maximizer_batch(space.dual(), X[j])
-        return ModulusResult(float(norms[j]), (y[0],), True, 1)
-    if space.p == 2.0 and p == 2.0:
+    _, _, result = _strong_route(space, p, cfg)(X)
+    return result()
+
+
+@functools.lru_cache(maxsize=_ROUTE_CACHE_SIZE)
+def _strong_route(space: NormedSpace, p: float, cfg: SigmaConfig) -> _Route:
+    """One factor's strong-norm route, picked once per (space, p, cfg).
+
+    A route maps a 2-D float family to ``(value, exact, result)``, where
+    ``result()`` builds :func:`family_strong_norm`'s :class:`ModulusResult`,
+    functionals included; beta_p's polish loop never calls it.  Only the
+    polyhedral route's budget check is made per call.
+    """
+    dual = space.dual()
+
+    def modulus(X: np.ndarray) -> tuple[float, bool, Callable[[], ModulusResult]]:
+        res = _modulus_arrays((space,), [X], p, cfg)
+        return res.value, res.exact, lambda: res
+
+    if p == INF:  # the largest member norm
+
+        def largest(X: np.ndarray) -> tuple[float, bool, Callable[[], ModulusResult]]:
+            norms = space.norm(X)
+            value = float(norms.max())
+            return value, True, lambda: ModulusResult(
+                value, (ball_linear_maximizer_batch(dual, X[int(np.argmax(norms))])[0][0],), True, 1
+            )
+
+        return largest
+    if space.p == 2.0 and p == 2.0:  # the top singular value of the weighted family
         w = space.weight_array()
-        M = X * w[None, :]
-        u, s, vt = np.linalg.svd(M, full_matrices=False)
-        return ModulusResult(float(s[0]), (w * vt[0],), True, 1)
-    return _modulus_arrays((space,), [X], p, cfg)
+
+        def singular(X: np.ndarray) -> tuple[float, bool, Callable[[], ModulusResult]]:
+            M = X * w[None, :]
+            value = top_singular_value(M)
+            return value, True, lambda: ModulusResult(
+                value, (w * np.linalg.svd(M, full_matrices=False)[2][0],), True, 1
+            )
+
+        return singular
+    if not space.is_polyhedral():
+        return modulus
+    count, inv_p = vertex_count(dual), 1.0 / p
+
+    def vertices(X: np.ndarray) -> tuple[float, bool, Callable[[], ModulusResult]]:
+        if len(X) == 1 or count * len(X) > cfg.exact_budget:
+            return modulus(X)
+        P = vertex_matrix(dual)  # the grid of _modulus_exact on one space
+        grid = (np.abs(P @ X.T) ** p).sum(axis=-1)
+        value = float(grid.max()) ** inv_p
+        return value, True, lambda: ModulusResult(
+            value, (P[int(np.argmax(grid))].copy(),), True, count
+        )
+
+    return vertices
 
 
 def _split_scales(lam: np.ndarray, m: np.ndarray, p: float, q: float) -> np.ndarray:
@@ -553,11 +605,13 @@ def _fit_blocks(
     ``target`` is the (domain, codomain) matrix and the design [D_1 | D_2 |
     ...], D_b the Kronecker product of block b's X.T (rows follow the domain
     axes in C order, columns the family rows in C order), so block b's
-    coefficients are the next prod(m_l) solution rows.
+    coefficients are the next prod(m_l) solution rows.  The residual is the
+    Frobenius norm as ``np.linalg.norm`` computes it.
     """
     G = np.hstack([kron([X.T for X in fams]) for fams in family_sets])
-    sol, *_ = np.linalg.lstsq(G, target, rcond=None)
-    resid = float(np.linalg.norm(G @ sol - target))
+    sol = lstsq(G, target)
+    r = (G @ sol - target).ravel(order="K")
+    resid = math.sqrt(r.dot(r))
     out, offset = [], 0
     for fams in family_sets:
         shape = tuple(X.shape[0] for X in fams)
@@ -567,24 +621,22 @@ def _fit_blocks(
 
 
 def _beta_objective(
-    domain: Sequence[NormedSpace],
+    routes: Sequence[_Route],
     cod: NormedSpace,
     family_sets: Sequence[Sequence[np.ndarray]],
     coeff_arrays: Sequence[np.ndarray],
-    p: float,
     q: float,
-    cfg: SigmaConfig,
 ) -> tuple[float, bool]:
+    """Sum over blocks of the q-norm of the codomain rows times the factors' strong norms."""
     total = 0.0
     certified = True
     for fams, b in zip(family_sets, coeff_arrays):
-        flat = b.reshape(-1, b.shape[-1])
-        coef = q_norm(np.atleast_1d(cod.norm(flat)), q)
+        coef = q_norm(cod.norm(b.reshape(-1, b.shape[-1])), q)
         strong = 1.0
-        for sp, X in zip(domain, fams):
-            res = family_strong_norm(sp, X, p, cfg)
-            strong *= res.value
-            certified = certified and res.exact
+        for route, X in zip(routes, fams):
+            value, exact, _ = route(X)
+            strong *= value
+            certified = certified and exact
         total += coef * strong
     return total, certified
 
@@ -612,6 +664,7 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
         return BetaResult(float(cod.norm(z.coeffs)), None, True, True)
 
     target = normalized.reshape(-1, cod.dim)
+    routes = [_strong_route(f, p, cfg.modulus) for f in domain]
     candidate_sets: list[list[list[np.ndarray]]] = [[[np.eye(f.dim) for f in domain]]]
 
     _, pi_dec, _, _ = pi_upper(
@@ -639,7 +692,7 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
         coeff_arrays, resid = _fit_blocks(target, family_sets)
         if resid > RESIDUAL_TOL:
             continue
-        val, cert = _beta_objective(domain, cod, family_sets, coeff_arrays, p, q, cfg.modulus)
+        val, cert = _beta_objective(routes, cod, family_sets, coeff_arrays, q)
         state = (family_sets, coeff_arrays)
         step = 0.2
         stalled = 0
@@ -650,9 +703,7 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
             ]
             t_coeffs, t_resid = _fit_blocks(target, trial_sets)
             if t_resid <= RESIDUAL_TOL:
-                t_val, t_cert = _beta_objective(
-                    domain, cod, trial_sets, t_coeffs, p, q, cfg.modulus
-                )
+                t_val, t_cert = _beta_objective(routes, cod, trial_sets, t_coeffs, q)
                 if t_val < val:
                     val, cert = t_val, t_cert
                     state = (trial_sets, t_coeffs)

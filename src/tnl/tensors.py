@@ -93,6 +93,8 @@ class Tensor:
             raise SpaceError(
                 f"coefficient shape {arr.shape} does not match space shape {self.space.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise SpaceError("coefficients must be finite (no NaN or Infinity)")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 

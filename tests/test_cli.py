@@ -162,6 +162,16 @@ def test_exit_2_on_nan_tensor_coeffs(kind, tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["a", [1.0], {"x": 1}])
+def test_exit_2_on_non_number_coeffs(bad, tmp_path, capsys):
+    data = tensor_to_json(Tensor(TensorSpace((L2, L2)), np.eye(2)))
+    data["coeffs"][0] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["norm", "--kind", "eps", "--in", str(path)]) == 2
+    assert "numbers" in capsys.readouterr().err
+
+
 def test_exit_2_on_infinite_map_coeffs(tmp_path, capsys):
     data = map_to_json(MultilinearMap((L2,), L2, np.eye(2)))
     data["coeffs"][0] = float("inf")

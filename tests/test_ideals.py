@@ -71,6 +71,13 @@ def test_map_validation():
         MultilinearMap((sp,), sp, np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_map_rejects_non_finite_coeffs(bad):
+    sp = NormedSpace(2, 2.0)
+    with pytest.raises(SpaceError, match="finite"):
+        MultilinearMap((sp,), sp, [[1.0, 0.0], [0.0, bad]])
+
+
 def test_map_apply_matches_einsum():
     rng = np.random.default_rng(3)
     domain = (NormedSpace(2, 1.0), NormedSpace(3, INF))

@@ -208,6 +208,49 @@ def test_kron_is_bitwise_np_kron():
             assert np.array_equal(row, ref.ravel())
 
 
+def _linalg_inputs():
+    """Over- and under-determined, square, rank-deficient, zero and F-ordered matrices."""
+    rng = np.random.default_rng(39)
+    for m, n in [(1, 1), (4, 2), (2, 4), (3, 3), (6, 4), (4, 9), (8, 1), (1, 5)]:
+        yield rng.standard_normal((m, n)), rng
+        yield rng.standard_normal((m, 1)) @ rng.standard_normal((1, n)), rng  # rank one
+        yield np.zeros((m, n)), rng
+        yield rng.standard_normal((n, m)).T, rng
+
+
+def test_lstsq_is_bitwise_numpy():
+    count = 0
+    for a, rng in _linalg_inputs():
+        for k in (1, 3):
+            b = rng.standard_normal((a.shape[0], k))
+            got, ref = kernels.lstsq(a, b), np.linalg.lstsq(a, b, rcond=None)[0]
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), a.shape
+            assert got.strides == ref.strides
+            count += 1
+    assert count == 64
+
+
+def test_top_singular_value_is_bitwise_numpy():
+    for a, _ in _linalg_inputs():
+        got = kernels.top_singular_value(a)
+        ref = np.linalg.svd(a, full_matrices=False)[1][0]
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(ref).tobytes(), a.shape
+
+
+def test_linalg_kernels_raise_where_numpy_raises():
+    a = np.array([[np.nan, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    b = np.ones((3, 1))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.lstsq(a, b, rcond=None)
+    with pytest.raises(np.linalg.LinAlgError, match="Least Squares"):
+        kernels.lstsq(a, b)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.svd(a, full_matrices=False)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        kernels.top_singular_value(a)
+
+
 @pytest.mark.parametrize(
     "space",
     [
@@ -367,6 +410,8 @@ def test_hot_paths_go_through_the_kernel_layer():
             offenders.append(f"{path.name}: einsum planned per call (optimize=True)")
         if _STACKED_VERTICES.search(text):
             offenders.append(f"{path.name}: extreme_points stacked outside vertex_matrix")
+        if "_umath_linalg" in text:
+            offenders.append(f"{path.name}: names numpy's private _umath_linalg gufuncs")
         offenders += [f"{path.name}: {hit}" for hit in _contraction_offenders(text)]
     assert offenders == []
 

@@ -33,7 +33,12 @@ from tnl import witness_search_nonsmooth
 from tnl.injective import sup_bracket
 from tnl.kernels import contract, vertex_matrix
 from tnl.evaluators import make_epsilon_evaluator, make_sigma_evaluator
-from tnl.tensors import grouped_to_tensor
+from tnl.injective import canonical_gauge
+from tnl.kernels import kron
+from tnl.projective import RESIDUAL_TOL
+from tnl.sigma import MODULUS_CONFIG, BetaResult, ConjugatePair, q_norm
+from tnl.spaces import ball_linear_maximizer_batch, unit_rows
+from tnl.tensors import GroupedBlock, GroupedDecomposition, grouped_to_tensor
 
 from conftest import elementary_tensor, modulus_oracle, modulus_oracle_loop, random_factors
 
@@ -479,6 +484,206 @@ def test_fit_blocks_orders_coefficients_like_the_design():
     recon = sum(np.einsum("ja,kb,jkc->abc", X1, X2, B) for (X1, X2), B in zip(sets, got))
     assert resid <= 1e-9
     np.testing.assert_allclose(recon, target, atol=1e-9)
+
+
+def _reference_strong_norm(space, X, p, cfg):
+    """family_strong_norm as first written: its branch picked on every call."""
+    if p == INF:
+        norms = np.atleast_1d(space.norm(X))
+        j = int(np.argmax(norms))
+        y, _ = ball_linear_maximizer_batch(space.dual(), X[j])
+        return ModulusResult(float(norms[j]), (y[0],), True, 1)
+    if space.p == 2.0 and p == 2.0:
+        w = space.weight_array()
+        _, s, vt = np.linalg.svd(X * w[None, :], full_matrices=False)
+        return ModulusResult(float(s[0]), (w * vt[0],), True, 1)
+    return sigma._modulus_arrays((space,), [X], p, cfg)
+
+
+def _reference_fit_blocks(target, family_sets):
+    """_fit_blocks on np.linalg.lstsq and np.linalg.norm."""
+    G = np.hstack([kron([X.T for X in fams]) for fams in family_sets])
+    sol, *_ = np.linalg.lstsq(G, target, rcond=None)
+    resid = float(np.linalg.norm(G @ sol - target))
+    out, offset = [], 0
+    for fams in family_sets:
+        shape = tuple(X.shape[0] for X in fams)
+        size = int(np.prod(shape))
+        out.append(sol[offset : offset + size].reshape(shape + target.shape[1:]))
+        offset += size
+    return out, resid
+
+
+def _reference_beta_objective(domain, cod, family_sets, coeff_arrays, p, q, cfg):
+    total, certified = 0.0, True
+    for fams, b in zip(family_sets, coeff_arrays):
+        coef = q_norm(np.atleast_1d(cod.norm(b.reshape(-1, b.shape[-1]))), q)
+        strong = 1.0
+        for sp, X in zip(domain, fams):
+            res = _reference_strong_norm(sp, X, p, cfg)
+            strong *= res.value
+            certified = certified and res.exact
+        total += coef * strong
+    return total, certified
+
+
+def _reference_beta(z, p, cfg):
+    """beta_p_upper as first written: every strong norm, norm and unit draw routed per call."""
+    q = ConjugatePair(p).q
+    cod, domain = z.space.factors[-1], z.space.factors[:-1]
+    normalized, scale, sign = canonical_gauge(z.coeffs)
+    if scale == 0.0:
+        return BetaResult(0.0, None, True, True)
+    if not domain:
+        return BetaResult(float(cod.norm(z.coeffs)), None, True, True)
+    target = normalized.reshape(-1, cod.dim)
+    candidate_sets = [[[np.eye(f.dim) for f in domain]]]
+    _, pi_dec, _, _ = pi_upper(Tensor(z.space, normalized), PiConfig(seed=cfg.seed, restarts=1))
+    terms = pi_dec.terms[: cfg.max_blocks * 3] if pi_dec is not None else ()
+    if terms:
+        candidate_sets.append([[v.coords[None, :] for v in t.vectors[:-1]] for t in terms])
+    rng = np.random.default_rng([cfg.seed, 32452843])
+    sizes = [(min(cfg.max_family, f.dim), f.dim) for f in domain]
+    for r in range(cfg.restarts):
+        candidate_sets.append(
+            [[unit_rows(f, rng.standard_normal(size)) for f, size in zip(domain, sizes)]
+             for _ in range(1 + r % cfg.max_blocks)]
+        )
+    best, best_state, best_cert, converged = np.inf, None, False, False
+    for family_sets in candidate_sets:
+        coeff_arrays, resid = _reference_fit_blocks(target, family_sets)
+        if resid > RESIDUAL_TOL:
+            continue
+        val, cert = _reference_beta_objective(
+            domain, cod, family_sets, coeff_arrays, p, q, cfg.modulus
+        )
+        state, step, stalled = (family_sets, coeff_arrays), 0.2, 0
+        for _ in range(cfg.polish_rounds):
+            trial_sets = [
+                [unit_rows(sp, X + step * rng.standard_normal(X.shape)) for sp, X in zip(domain, F)]
+                for F in state[0]
+            ]
+            t_coeffs, t_resid = _reference_fit_blocks(target, trial_sets)
+            if t_resid <= RESIDUAL_TOL:
+                t_val, t_cert = _reference_beta_objective(
+                    domain, cod, trial_sets, t_coeffs, p, q, cfg.modulus
+                )
+                if t_val < val:
+                    val, cert, state = t_val, t_cert, (trial_sets, t_coeffs)
+                    step, stalled = min(step * 1.3, 0.8), 0
+                    continue
+            step *= 0.7
+            stalled += 1
+            if stalled >= 12:
+                break
+        if val < best:
+            best, best_state, best_cert = val, state, cert
+            converged = stalled >= 12 or cfg.polish_rounds == 0
+    if best_state is None:
+        return BetaResult(float("inf"), None, False, False)
+    blocks = [
+        GroupedBlock(tuple(fams), b * sign * scale) for fams, b in zip(best_state[0], best_state[1])
+    ]
+    return BetaResult(best * scale, GroupedDecomposition(tuple(blocks)), converged, best_cert)
+
+
+def _same_modulus(got, ref):
+    assert np.float64(got.value).tobytes() == np.float64(ref.value).tobytes()
+    assert (got.exact, got.iterations) == (ref.exact, ref.iterations)
+    for a, b in zip(got.functionals, ref.functionals, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_strong_norm_routes_are_bitwise_the_reference():
+    """Every route, with single-member families and a budget that sends the grid to ascent."""
+    rng = np.random.default_rng(4343)
+    tight = SigmaConfig(exact_budget=8)
+    for k in range(400):
+        dim = int(rng.integers(1, 4))
+        w = tuple(rng.uniform(0.5, 2.0, dim)) if k % 3 == 0 else None
+        space = NormedSpace(dim, float(rng.choice((1.0, 1.5, 2.0, 3.0, INF))), w)
+        p = float(rng.choice((1.0, 1.5, 2.0, 3.0, INF)))
+        X = rng.standard_normal((1 + k % 4, dim))
+        cfg = tight if k % 5 == 0 else MODULUS_CONFIG
+        ref = _reference_strong_norm(space, X, p, cfg)
+        _same_modulus(family_strong_norm(space, X, p, cfg), ref)
+        value, exact, result = sigma._strong_route(space, p, cfg)(X)
+        assert (np.float64(value).tobytes(), exact) == (np.float64(ref.value).tobytes(), ref.exact)
+        _same_modulus(result(), ref)
+
+
+def test_fit_blocks_is_bitwise_the_reference():
+    rng = np.random.default_rng(4444)
+    for k in range(300):
+        dims = [int(d) for d in rng.integers(1, 4, size=1 + k % 3)]
+        cod = int(rng.integers(1, 4))
+        target = rng.standard_normal((int(np.prod(dims)), cod))
+        sets = []
+        for _ in range(1 + k % 3):
+            fams = [rng.standard_normal((int(rng.integers(1, 4)), d)) for d in dims]
+            if k % 4 == 0:  # a repeated row: a rank-deficient design
+                fams[0] = np.vstack([fams[0], fams[0][:1]])
+            sets.append(fams)
+        got, resid = sigma._fit_blocks(target, sets)
+        ref, ref_resid = _reference_fit_blocks(target, sets)
+        assert np.float64(resid).tobytes() == np.float64(ref_resid).tobytes()
+        for a, b in zip(got, ref, strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_W = (0.5, 2.0)
+#: Domain factors (the codomain comes last): the witness pair, l1, l1.5 (the
+#: ascent route), weighted and three-factor products.
+_BETA_SPACES = (
+    (NormedSpace(2, INF), NormedSpace(2, 2.0)),
+    (NormedSpace(2, 1.0), NormedSpace(2, 2.0)),
+    (NormedSpace(2, 2.0), NormedSpace(2, INF)),
+    (NormedSpace(2, 1.5), NormedSpace(2, 2.0)),
+    (NormedSpace(2, 1.0, _W), NormedSpace(2, 2.0, _W)),
+    (NormedSpace(2, 2.0, _W), NormedSpace(3, 1.0)),
+    (NormedSpace(2, INF), NormedSpace(2, 1.0), NormedSpace(2, 2.0)),
+    (NormedSpace(2, 1.5, _W), NormedSpace(2, INF), NormedSpace(2, 2.0)),
+)
+
+
+def _beta_cases():
+    """240 seeded (tensor, p, config) triples over the spaces above and their lifted twins."""
+    rng = np.random.default_rng(4242)
+    for k in range(240):
+        factors = _BETA_SPACES[k % len(_BETA_SPACES)]
+        space = TensorSpace(factors)
+        style = ("dense", "low_rank")[k // len(_BETA_SPACES) % 2]
+        z = random_tensor(space, seed=int(rng.integers(0, 2**31 - 1)), style=style,
+                          rank=2 if style == "low_rank" else None)
+        if k // (2 * len(_BETA_SPACES)) % 2:
+            z = unflatten_scalar(z)
+        p = (2.0, 2.0, 1.0, 1.5, INF)[k % 5]
+        if k % 48 == 0:  # the witness budgets
+            cfg = BetaConfig(seed=k)
+        else:
+            cfg = BetaConfig(max_blocks=1 + k % 3, restarts=1 + k % 2, polish_rounds=15, seed=k)
+        yield z, p, cfg
+
+
+def test_beta_is_bitwise_the_reference():
+    count, routes = 0, Counter()
+    for z, p, cfg in _beta_cases():
+        got, ref = beta_p_upper(z, p, cfg), _reference_beta(z, p, cfg)
+        where = (z.space.factors, p, cfg)
+        assert np.float64(got.value).tobytes() == np.float64(ref.value).tobytes(), where
+        assert (got.converged, got.certified) == (ref.converged, ref.certified), where
+        assert (got.grouped is None) == (ref.grouped is None), where
+        if got.grouped is not None:
+            assert len(got.grouped.blocks) == len(ref.grouped.blocks), where
+            for a, b in zip(got.grouped.blocks, ref.grouped.blocks):
+                assert a.coeff_array.tobytes() == b.coeff_array.tobytes(), where
+                assert a.coeff_array.shape == b.coeff_array.shape, where
+                for x, y in zip(a.families, b.families, strict=True):
+                    assert x.shape == y.shape and x.tobytes() == y.tobytes(), where
+        routes[got.certified] += 1
+        count += 1
+    assert count >= 200
+    assert routes[True] and routes[False]  # exact routes and the ascent both ran
 
 
 #: sha256 of the default beta_p witness report (p = 2, 2x2, budget 6, seed 0).

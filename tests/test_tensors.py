@@ -52,6 +52,11 @@ class TestTensor:
         with pytest.raises(SpaceError):
             Tensor(space22(), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coeffs(self, bad):
+        with pytest.raises(SpaceError, match="finite"):
+            Tensor(space22(), [[bad, 0.0], [0.0, 1.0]])
+
     def test_coeffs_read_only(self):
         z = Tensor(space22(), np.eye(2))
         with pytest.raises(ValueError):
