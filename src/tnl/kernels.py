@@ -19,7 +19,9 @@ routine, spec and operand order behind each value are decided in one place:
   behind ``np.linalg.lstsq(a, b, rcond=None)`` and the reduced
   ``np.linalg.svd``, under numpy's own error state, without the argument
   handling: the beta_p polish loop calls them on tiny arrays hundreds of
-  times per call.  Numpy's private linalg names appear in this module only.
+  times per call.  Numpy's private linalg names appear in this module only,
+  imported on first use, so a numpy that moves them breaks these two
+  kernels and not ``import tnl``.
 
 Only the π deflation's per-axis dot (``projective._contract_all_but``)
 stays inline in its hot loop.
@@ -34,8 +36,6 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from numpy.linalg import _umath_linalg
-from numpy.linalg._linalg import _raise_linalgerror_lstsq, _raise_linalgerror_svd_nonconvergence
 
 from .spaces import INF, NormedSpace, UnsupportedNormError, extreme_points
 
@@ -198,8 +198,22 @@ def leading_direction(coeffs: np.ndarray, axis: int) -> np.ndarray:
     return u[:, 0]
 
 
-@np.errstate(call=_raise_linalgerror_lstsq, invalid="call", over="ignore", divide="ignore",
-             under="ignore")
+@functools.cache
+def _linalg_gufuncs() -> tuple:
+    """Numpy's private lstsq and reduced-SVD gufuncs, each under numpy's own error state.
+
+    Imported on first use, as :func:`_plan` imports its private name.
+    """
+    from numpy.linalg import _umath_linalg
+    from numpy.linalg._linalg import _raise_linalgerror_lstsq, _raise_linalgerror_svd_nonconvergence
+
+    ignore = {"invalid": "call", "over": "ignore", "divide": "ignore", "under": "ignore"}
+    return (
+        np.errstate(call=_raise_linalgerror_lstsq, **ignore)(_umath_linalg.lstsq),
+        np.errstate(call=_raise_linalgerror_svd_nonconvergence, **ignore)(_umath_linalg.svd_s),
+    )
+
+
 def lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The solution of ``np.linalg.lstsq(a, b, rcond=None)``, bit for bit.
 
@@ -209,18 +223,16 @@ def lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     argument handling and the residual, rank and singular-value outputs
     are skipped.
     """
-    return _umath_linalg.lstsq(a, b, _EPS * max(a.shape), signature="ddd->ddid")[0]
+    return _linalg_gufuncs()[0](a, b, _EPS * max(a.shape), signature="ddd->ddid")[0]
 
 
-@np.errstate(call=_raise_linalgerror_svd_nonconvergence, invalid="call", over="ignore",
-             divide="ignore", under="ignore")
 def top_singular_value(a: np.ndarray) -> float:
     """``np.linalg.svd(a, full_matrices=False)[1][0]`` of an (m, n) float array, bit for bit.
 
     The reduced SVD's own gufunc under numpy's own error state; the
     singular-value-only gufunc may differ in the last bits, so it is not used.
     """
-    return float(_umath_linalg.svd_s(a, signature="d->ddd")[1][0])
+    return float(_linalg_gufuncs()[1](a, signature="d->ddd")[1][0])
 
 
 def vertex_count(space: NormedSpace) -> int:

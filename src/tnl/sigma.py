@@ -17,7 +17,6 @@ p-norms" of each family, which is what the search evaluates.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -26,7 +25,7 @@ import numpy as np
 
 from .injective import BudgetError, EpsilonConfig, canonical_gauge, multilinear_sup, sup_bracket
 from .kernels import aligned_outer, aligned_values, kron, lstsq, top_singular_value
-from .kernels import vertex_count, vertex_matrix, vertex_total
+from .kernels import vertex_matrix, vertex_total
 from .projective import RESIDUAL_TOL, PiConfig, gauge, pi_search, pi_upper, repair_pivot
 from .spaces import (
     INF,
@@ -101,10 +100,6 @@ class ModulusResult:
     iterations: int
 
 
-#: A strong-norm route: family -> (value, exact, the ModulusResult on demand).
-_Route = Callable[[np.ndarray], tuple[float, bool, Callable[[], ModulusResult]]]
-
-
 @dataclass(frozen=True)
 class SigmaConfig:
     """Budgets for the sigma_p decomposition search."""
@@ -133,8 +128,6 @@ class SigmaDualConfig:
 _DUAL_FAMILY_SIZES = (1, 2, 4, 8)
 _DUAL_RESTARTS_PER_SIZE = 12
 _DUAL_POLISH_ROUNDS = 60
-#: Distinct (space, p, modulus config) strong-norm routes kept.
-_ROUTE_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -195,7 +188,7 @@ def _family_arrays(
 
 def _modulus_exact(
     spaces: Sequence[NormedSpace], mats: Sequence[np.ndarray], p: float, budget: int
-) -> ModulusResult:
+) -> tuple[float, bool, Callable[[], ModulusResult]]:
     duals = [s.dual() for s in spaces]
     total = vertex_total(duals)
     m = mats[0].shape[0]
@@ -210,10 +203,14 @@ def _modulus_exact(
         grid = np.abs(prod).max(axis=-1)
     else:
         grid = (np.abs(prod) ** p).sum(axis=-1)
-    idx = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    value = float(grid[idx]) if p == INF else float(grid[idx]) ** (1.0 / p)
-    funcs = tuple(P[i].copy() for P, i in zip(points, idx))
-    return ModulusResult(value, funcs, True, total)
+    flat = int(np.argmax(grid))
+    value = float(grid.flat[flat]) if p == INF else float(grid.flat[flat]) ** (1.0 / p)
+
+    def result() -> ModulusResult:
+        idx = np.unravel_index(flat, grid.shape)
+        return ModulusResult(value, tuple(P[i].copy() for P, i in zip(points, idx)), True, total)
+
+    return value, True, result
 
 
 def _modulus_engine(
@@ -292,7 +289,7 @@ def family_modulus_p(
     cfg = cfg or SigmaConfig()
     pair = ConjugatePair(p)
     spaces, mats = _family_arrays(families)
-    return _modulus_arrays(spaces, mats, pair.p, cfg, seeds)
+    return _modulus_arrays(spaces, mats, pair.p, cfg, seeds)[2]()
 
 
 def _modulus_arrays(
@@ -301,7 +298,8 @@ def _modulus_arrays(
     p: float,
     cfg: SigmaConfig,
     seeds: Sequence[tuple[np.ndarray, ...]] = (),
-) -> ModulusResult:
+) -> tuple[float, bool, Callable[[], ModulusResult]]:
+    """The modulus as ``(value, exact, result)``; ``result()`` builds its ModulusResult."""
     m = mats[0].shape[0]
     if m == 1:
         value = 1.0
@@ -310,13 +308,14 @@ def _modulus_arrays(
             y, val = ball_linear_maximizer_batch(sp.dual(), X[0])
             value *= float(val[0])
             funcs.append(y[0])
-        return ModulusResult(value, tuple(funcs), True, 1)
+        return value, True, lambda: ModulusResult(value, tuple(funcs), True, 1)
     if all(sp.is_polyhedral() for sp in spaces):
         try:
             return _modulus_exact(spaces, mats, p, cfg.exact_budget)
         except BudgetError:
             pass
-    return _modulus_engine(spaces, mats, p, cfg, seeds)
+    res = _modulus_engine(spaces, mats, p, cfg, seeds)
+    return res.value, res.exact, lambda: res
 
 
 def family_strong_norm(
@@ -338,61 +337,32 @@ def family_strong_norm(
         X = np.atleast_2d(np.asarray(vectors, dtype=float))
     else:
         X = np.stack([v.coords for v in vectors])
-    _, _, result = _strong_route(space, p, cfg)(X)
-    return result()
+    return _strong_norm(space, X, p, cfg)[2]()
 
 
-@functools.lru_cache(maxsize=_ROUTE_CACHE_SIZE)
-def _strong_route(space: NormedSpace, p: float, cfg: SigmaConfig) -> _Route:
-    """One factor's strong-norm route, picked once per (space, p, cfg).
+def _strong_norm(
+    space: NormedSpace, X: np.ndarray, p: float, cfg: SigmaConfig
+) -> tuple[float, bool, Callable[[], ModulusResult]]:
+    """:func:`family_strong_norm` of a 2-D float family as ``(value, exact, result)``.
 
-    A route maps a 2-D float family to ``(value, exact, result)``, where
-    ``result()`` builds :func:`family_strong_norm`'s :class:`ModulusResult`,
-    functionals included; beta_p's polish loop never calls it.  Only the
-    polyhedral route's budget check is made per call.
+    ``result()`` builds the :class:`ModulusResult`, functionals included;
+    beta_p's polish loop never calls it.
     """
-    dual = space.dual()
-
-    def modulus(X: np.ndarray) -> tuple[float, bool, Callable[[], ModulusResult]]:
-        res = _modulus_arrays((space,), [X], p, cfg)
-        return res.value, res.exact, lambda: res
-
     if p == INF:  # the largest member norm
-
-        def largest(X: np.ndarray) -> tuple[float, bool, Callable[[], ModulusResult]]:
-            norms = space.norm(X)
-            value = float(norms.max())
-            return value, True, lambda: ModulusResult(
-                value, (ball_linear_maximizer_batch(dual, X[int(np.argmax(norms))])[0][0],), True, 1
-            )
-
-        return largest
+        norms = space.norm(X)
+        value = float(norms.max())
+        return value, True, lambda: ModulusResult(
+            value, (ball_linear_maximizer_batch(space.dual(), X[int(np.argmax(norms))])[0][0],),
+            True, 1,
+        )
     if space.p == 2.0 and p == 2.0:  # the top singular value of the weighted family
         w = space.weight_array()
-
-        def singular(X: np.ndarray) -> tuple[float, bool, Callable[[], ModulusResult]]:
-            M = X * w[None, :]
-            value = top_singular_value(M)
-            return value, True, lambda: ModulusResult(
-                value, (w * np.linalg.svd(M, full_matrices=False)[2][0],), True, 1
-            )
-
-        return singular
-    if not space.is_polyhedral():
-        return modulus
-    count, inv_p = vertex_count(dual), 1.0 / p
-
-    def vertices(X: np.ndarray) -> tuple[float, bool, Callable[[], ModulusResult]]:
-        if len(X) == 1 or count * len(X) > cfg.exact_budget:
-            return modulus(X)
-        P = vertex_matrix(dual)  # the grid of _modulus_exact on one space
-        grid = (np.abs(P @ X.T) ** p).sum(axis=-1)
-        value = float(grid.max()) ** inv_p
+        M = X * w[None, :]
+        value = top_singular_value(M)
         return value, True, lambda: ModulusResult(
-            value, (P[int(np.argmax(grid))].copy(),), True, count
+            value, (w * np.linalg.svd(M, full_matrices=False)[2][0],), True, 1
         )
-
-    return vertices
+    return _modulus_arrays((space,), [X], p, cfg)
 
 
 def _split_scales(lam: np.ndarray, m: np.ndarray, p: float, q: float) -> np.ndarray:
@@ -446,7 +416,7 @@ def _sigma_candidate_value(
     # which is what keeps the reported value above the injective bound
     base_seeds = list(seeds)
     for _ in range(cfg.split_rounds):
-        mod = _modulus_arrays(factors, fams, p, cfg, seeds)
+        mod = _modulus_arrays(factors, fams, p, cfg, seeds)[2]()
         value = q_norm(lam, q) * mod.value
         if value < best:
             best = value
@@ -542,7 +512,7 @@ def _si_ratio(
     cfg: SigmaConfig,
 ) -> float:
     num = q_norm(aligned_values(form, fams), p)
-    den = _modulus_arrays(spaces, fams, p, cfg).value
+    den = _modulus_arrays(spaces, fams, p, cfg)[0]
     if den <= 1e-300:
         return 0.0
     return num / den
@@ -621,11 +591,13 @@ def _fit_blocks(
 
 
 def _beta_objective(
-    routes: Sequence[_Route],
+    domain: Sequence[NormedSpace],
     cod: NormedSpace,
     family_sets: Sequence[Sequence[np.ndarray]],
     coeff_arrays: Sequence[np.ndarray],
+    p: float,
     q: float,
+    cfg: SigmaConfig,
 ) -> tuple[float, bool]:
     """Sum over blocks of the q-norm of the codomain rows times the factors' strong norms."""
     total = 0.0
@@ -633,8 +605,8 @@ def _beta_objective(
     for fams, b in zip(family_sets, coeff_arrays):
         coef = q_norm(cod.norm(b.reshape(-1, b.shape[-1])), q)
         strong = 1.0
-        for route, X in zip(routes, fams):
-            value, exact, _ = route(X)
+        for sp, X in zip(domain, fams):
+            value, exact, _ = _strong_norm(sp, X, p, cfg)
             strong *= value
             certified = certified and exact
         total += coef * strong
@@ -664,7 +636,6 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
         return BetaResult(float(cod.norm(z.coeffs)), None, True, True)
 
     target = normalized.reshape(-1, cod.dim)
-    routes = [_strong_route(f, p, cfg.modulus) for f in domain]
     candidate_sets: list[list[list[np.ndarray]]] = [[[np.eye(f.dim) for f in domain]]]
 
     _, pi_dec, _, _ = pi_upper(
@@ -692,7 +663,7 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
         coeff_arrays, resid = _fit_blocks(target, family_sets)
         if resid > RESIDUAL_TOL:
             continue
-        val, cert = _beta_objective(routes, cod, family_sets, coeff_arrays, q)
+        val, cert = _beta_objective(domain, cod, family_sets, coeff_arrays, p, q, cfg.modulus)
         state = (family_sets, coeff_arrays)
         step = 0.2
         stalled = 0
@@ -703,7 +674,9 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
             ]
             t_coeffs, t_resid = _fit_blocks(target, trial_sets)
             if t_resid <= RESIDUAL_TOL:
-                t_val, t_cert = _beta_objective(routes, cod, trial_sets, t_coeffs, q)
+                t_val, t_cert = _beta_objective(
+                    domain, cod, trial_sets, t_coeffs, p, q, cfg.modulus
+                )
                 if t_val < val:
                     val, cert = t_val, t_cert
                     state = (trial_sets, t_coeffs)

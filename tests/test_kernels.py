@@ -251,6 +251,23 @@ def test_linalg_kernels_raise_where_numpy_raises():
         kernels.top_singular_value(a)
 
 
+def test_numpy_private_names_are_imported_on_first_use():
+    """A numpy release that moves a private name breaks one kernel, not ``import tnl``."""
+    private = []
+    for node in ast.parse((_SRC / "kernels.py").read_text()).body:  # module level only
+        if isinstance(node, ast.Import):
+            parts = [part for a in node.names for part in a.name.split(".")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            parts = node.module.split(".") + [a.name for a in node.names]
+        else:
+            continue
+        if any(part.startswith("_") for part in parts):
+            private.append(ast.unparse(node))
+    assert private == []
+    kernels.lstsq(np.eye(2), np.ones((2, 1)))  # the first call imports them
+    assert kernels.top_singular_value(np.eye(2)) == 1.0
+
+
 @pytest.mark.parametrize(
     "space",
     [

@@ -319,9 +319,10 @@ def test_modulus_exact_one_space_matches_contract_route_bitwise(kind, p):
             sp = NormedSpace(dim, kind, weights)
             for m in (2, 3, 4):
                 X = rng.standard_normal((m, dim))
-                res = sigma._modulus_exact((sp,), [X], p, 50_000)
+                got_value, exact, result = sigma._modulus_exact((sp,), [X], p, 50_000)
+                res = result()
                 value, phi = _modulus_exact_by_contract(sp, X, p)
-                assert res.exact
+                assert exact and res.exact and got_value == res.value
                 assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
                 (got,) = res.functionals
                 assert got.shape == phi.shape and got.tobytes() == phi.tobytes()
@@ -497,7 +498,7 @@ def _reference_strong_norm(space, X, p, cfg):
         w = space.weight_array()
         _, s, vt = np.linalg.svd(X * w[None, :], full_matrices=False)
         return ModulusResult(float(s[0]), (w * vt[0],), True, 1)
-    return sigma._modulus_arrays((space,), [X], p, cfg)
+    return sigma._modulus_arrays((space,), [X], p, cfg)[2]()
 
 
 def _reference_fit_blocks(target, family_sets):
@@ -607,7 +608,7 @@ def test_strong_norm_routes_are_bitwise_the_reference():
         cfg = tight if k % 5 == 0 else MODULUS_CONFIG
         ref = _reference_strong_norm(space, X, p, cfg)
         _same_modulus(family_strong_norm(space, X, p, cfg), ref)
-        value, exact, result = sigma._strong_route(space, p, cfg)(X)
+        value, exact, result = sigma._strong_norm(space, X, p, cfg)
         assert (np.float64(value).tobytes(), exact) == (np.float64(ref.value).tobytes(), ref.exact)
         _same_modulus(result(), ref)
 
