@@ -10,18 +10,19 @@ routine, spec and operand order behind each value are decided in one place:
   :func:`grid_tensor` is its mirror, :func:`grid_sup` the maximum over a
   product of point families; :func:`aligned_values` and
   :func:`aligned_outer` do the same for aligned families (one index j);
-* :func:`kron`, :func:`outer`, :func:`contract_leading`,
+* :func:`kron`, :func:`khatri_rao`, :func:`outer`, :func:`contract_leading`,
   :func:`apply_axis` and :func:`leading_direction`;
 * :func:`vertex_matrix` caches a polyhedral ball's extreme points as one
   read-only array per space (callers copy rows they hand out);
   :func:`vertex_count` and :func:`vertex_total` count them first;
-* :func:`lstsq` and :func:`top_singular_value`, numpy's own LAPACK gufuncs
-  behind ``np.linalg.lstsq(a, b, rcond=None)`` and the reduced
-  ``np.linalg.svd``, under numpy's own error state, without the argument
-  handling: the beta_p polish loop calls them on tiny arrays hundreds of
-  times per call.  Numpy's private linalg names appear in this module only,
-  imported on first use, so a numpy that moves them breaks these two
-  kernels and not ``import tnl``.
+* :func:`refit`, the one least-squares reconstruction (on a :func:`khatri_rao`
+  or :func:`kron` design) behind every pi, sigma_p and beta_p upper end, and
+  :func:`top_singular_value`: numpy's own LAPACK gufuncs behind
+  ``np.linalg.lstsq(a, b, rcond=None)`` and the reduced ``np.linalg.svd``,
+  under numpy's own error state, without the argument handling; the pi
+  refine and beta_p polish loops call them hundreds of times per call.
+  Numpy's private linalg names appear in this module only, imported on first
+  use, so a numpy that moves them breaks these two kernels, not ``import tnl``.
 
 Only the π deflation's per-axis dot (``projective._contract_all_but``)
 stays inline in its hot loop.
@@ -41,8 +42,8 @@ from .spaces import INF, NormedSpace, UnsupportedNormError, extreme_points
 
 __all__ = [
     "aligned_outer", "aligned_values", "apply_axis", "contract", "contract_leading", "grid_sup",
-    "grid_tensor", "grid_values", "kron", "leading_direction", "lstsq", "outer", "sweep_specs",
-    "top_singular_value", "vertex_count", "vertex_total", "vertex_matrix",
+    "grid_tensor", "grid_values", "khatri_rao", "kron", "leading_direction", "outer", "refit",
+    "sweep_specs", "top_singular_value", "vertex_count", "vertex_total", "vertex_matrix",
 ]
 
 #: Distinct (spec, shapes) plans kept; an entry is a few short steps.
@@ -167,6 +168,14 @@ def kron(mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Columnwise Kronecker product, left to right: column j is the kron of every column j."""
+    out = mats[0]
+    for M in mats[1:]:
+        out = (out[:, None, :] * M[None, :, :]).reshape(-1, out.shape[1])
+    return out
+
+
 def outer(vectors: Sequence[np.ndarray]) -> np.ndarray:
     """The outer product v_1 (x) ... (x) v_n as a float array, built left to right."""
     out = np.asarray(vectors[0], dtype=float)
@@ -214,16 +223,17 @@ def _linalg_gufuncs() -> tuple:
     )
 
 
-def lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The solution of ``np.linalg.lstsq(a, b, rcond=None)``, bit for bit.
+def refit(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
+    """``np.linalg.lstsq(design, target, rcond=None)[0]`` and the residual, bit for bit.
 
-    ``a`` is an (m, n) and ``b`` an (m, k) float array, m and k at least
-    one.  Numpy's own gufunc runs under numpy's own error state and rcond
-    rule, so a non-converging SVD raises the same ``LinAlgError``; the
-    argument handling and the residual, rank and singular-value outputs
-    are skipped.
+    ``design`` is (m, n) and ``target`` (m, k), m and k at least one.  Numpy's
+    own gufunc runs under numpy's own error state and rcond rule, so a
+    non-converging SVD raises the same ``LinAlgError``.  The residual is
+    ``np.linalg.norm(design @ solution - target)``, computed as numpy does.
     """
-    return _linalg_gufuncs()[0](a, b, _EPS * max(a.shape), signature="ddd->ddid")[0]
+    sol = _linalg_gufuncs()[0](design, target, _EPS * max(design.shape), signature="ddd->ddid")[0]
+    r = (design @ sol - target).ravel(order="K")
+    return sol, math.sqrt(r.dot(r))
 
 
 def top_singular_value(a: np.ndarray) -> float:

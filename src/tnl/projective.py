@@ -28,7 +28,8 @@ from .spaces import (
     Vector,
 )
 from .injective import BudgetError, EpsilonConfig, canonical_gauge, multilinear_sup
-from .kernels import grid_sup, kron, leading_direction, outer, vertex_matrix, vertex_total
+from .kernels import grid_sup, khatri_rao, kron, leading_direction, outer, refit, vertex_matrix
+from .kernels import vertex_total
 from .tensors import (
     Decomposition,
     DecompositionTerm,
@@ -182,28 +183,16 @@ def norm_gradient(space: NormedSpace, X: np.ndarray) -> np.ndarray:
     return w * a / (norms ** (space.p - 1.0))[None, :]
 
 
-def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
-    out = mats[0]
-    for M in mats[1:]:
-        out = (out[:, None, :] * M[None, :, :]).reshape(-1, out.shape[1])
-    return out
-
-
-def _column_norms(factors: Sequence[NormedSpace], mats: Sequence[np.ndarray]) -> np.ndarray:
+def column_norms(factors: Sequence[NormedSpace], mats: Sequence[np.ndarray]) -> np.ndarray:
+    """The factor norm of every column, one row per factor matrix."""
     return np.stack([np.atleast_1d(f.norm(M.T)) for f, M in zip(factors, mats)])
-
-
-def _pi_objective(factors: Sequence[NormedSpace], mats: Sequence[np.ndarray]) -> float:
-    return float(np.prod(_column_norms(factors, mats), axis=0).sum())
 
 
 def repair_pivot(
     unfolded: np.ndarray, free_mats: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, float]:
     """Least-squares pivot factor given the other factors; returns residual too."""
-    K = _khatri_rao(free_mats)
-    sol, *_ = np.linalg.lstsq(K, unfolded.T, rcond=None)
-    resid = float(np.linalg.norm(K @ sol - unfolded.T))
+    sol, resid = refit(khatri_rao(free_mats), unfolded.T)
     return sol.T, resid
 
 
@@ -289,25 +278,33 @@ def _refine_candidate(
 
     The pivot factor is refit by least squares after every trial step, so
     every accepted state reconstructs the tensor; steps that break the
-    residual tolerance or increase the objective are rejected.
+    residual tolerance or increase the objective are rejected.  Each state
+    is priced once: the column norms behind its objective give the next
+    gradient.
     """
-    n = len(factors)
-    free_idx = [l for l in range(n) if l != pivot]
+    free_idx = [l for l in range(len(factors)) if l != pivot]
     free_spaces = [factors[l] for l in free_idx]
     unfolded = np.moveaxis(coeffs, pivot, 0).reshape(coeffs.shape[pivot], -1)
 
-    free = [_normalize_columns(s, M) for s, M in zip(free_spaces, free_mats)]
-    pivot_mat, resid = repair_pivot(unfolded, free)
-    if resid > RESIDUAL_TOL:
+    def price(free: list[np.ndarray]) -> tuple | None:
+        """Objective, free factors, matrices, column norms, term products; None if z is lost."""
+        pivot_mat, resid = repair_pivot(unfolded, free)
+        if resid > RESIDUAL_TOL:
+            return None
+        mats = _assemble(free, pivot_mat, pivot)
+        norms = column_norms(factors, mats)
+        prods = np.prod(norms, axis=0)
+        return float(prods.sum()), free, mats, norms, prods
+
+    state = price([_normalize_columns(s, M) for s, M in zip(free_spaces, free_mats)])
+    if state is None:
         return INF, None, False
-    mats = _assemble(free, pivot_mat, pivot)
-    best = _pi_objective(factors, mats)
-    best_free = [M.copy() for M in free]
+    best, free, mats, norms, prods = state
+    # steps start from C order, as numpy sums in memory order (an SVD basis arrives in F order)
+    free = [np.ascontiguousarray(M) for M in free]
     step = 0.1
     converged = False
     for _ in range(cfg.refine_iters):
-        norms = _column_norms(factors, mats)
-        prods = np.prod(norms, axis=0)
         grads = []
         for k, l in enumerate(free_idx):
             g = norm_gradient(free_spaces[k], mats[l])
@@ -317,29 +314,21 @@ def _refine_candidate(
         if gnorm <= 1e-14:
             converged = True
             break
-        improved = False
         trial = step
         for _ in range(8):
-            cand = [
+            state = price([
                 _normalize_columns(s, M - trial * g / gnorm)
-                for s, M, g in zip(free_spaces, best_free, grads)
-            ]
-            piv, resid = repair_pivot(unfolded, cand)
-            if resid <= RESIDUAL_TOL:
-                val = _pi_objective(factors, _assemble(cand, piv, pivot))
-                if val < best - 1e-15:
-                    best = val
-                    best_free = cand
-                    pivot_mat = piv
-                    mats = _assemble(cand, piv, pivot)
-                    improved = True
-                    step = trial * 1.5
-                    break
+                for s, M, g in zip(free_spaces, free, grads)
+            ])
+            if state is not None and state[0] < best - 1e-15:
+                best, free, mats, norms, prods = state
+                step = trial * 1.5
+                break
             trial *= 0.5
-        if not improved:
+        else:  # no trial step lowered the objective
             converged = True
             break
-    return best, _assemble(best_free, pivot_mat, pivot), converged
+    return best, _assemble(free, mats[pivot], pivot), converged
 
 
 def _assemble(free: Sequence[np.ndarray], pivot_mat: np.ndarray, pivot: int) -> list[np.ndarray]:

@@ -24,9 +24,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .injective import BudgetError, EpsilonConfig, canonical_gauge, multilinear_sup, sup_bracket
-from .kernels import aligned_outer, aligned_values, kron, lstsq, top_singular_value
+from .kernels import aligned_outer, aligned_values, kron, refit, top_singular_value
 from .kernels import vertex_matrix, vertex_total
-from .projective import RESIDUAL_TOL, PiConfig, gauge, pi_search, pi_upper, repair_pivot
+from .projective import RESIDUAL_TOL, PiConfig, column_norms, gauge, pi_search, pi_upper
+from .projective import repair_pivot
 from .spaces import (
     INF,
     NormedSpace,
@@ -396,7 +397,7 @@ def _sigma_candidate_value(
     factor's family, re-evaluating the modulus honestly each round.
     """
     n = len(factors)
-    norms = np.stack([np.atleast_1d(f.norm(M.T)) for f, M in zip(factors, mats)])
+    norms = column_norms(factors, mats)
     lam = np.prod(norms, axis=0)
     keep = lam > 0.0
     if not np.any(keep):
@@ -471,14 +472,14 @@ def sigma_p_upper(
 
     pi_cfg = PiConfig(seed=cfg.seed, restarts=2, max_rank=cfg.max_rank)
     pivot, free_lists, _, pi_mats, _ = pi_search(factors, coeffs, pi_cfg)
-    if pi_mats is not None:
-        free_lists.append(pi_mats[:pivot] + pi_mats[pivot + 1 :])
     unfolded = np.moveaxis(coeffs, pivot, 0).reshape(coeffs.shape[pivot], -1)
     candidates: list[list[np.ndarray]] = []
     for free in free_lists:
         piv, resid = repair_pivot(unfolded, free)
         if resid <= RESIDUAL_TOL:
             candidates.append(free[:pivot] + [piv] + free[pivot:])
+    if pi_mats is not None:  # its pivot is already refit from its own free factors
+        candidates.append(pi_mats)
 
     best = np.inf
     best_lam: np.ndarray | None = None
@@ -575,13 +576,10 @@ def _fit_blocks(
     ``target`` is the (domain, codomain) matrix and the design [D_1 | D_2 |
     ...], D_b the Kronecker product of block b's X.T (rows follow the domain
     axes in C order, columns the family rows in C order), so block b's
-    coefficients are the next prod(m_l) solution rows.  The residual is the
-    Frobenius norm as ``np.linalg.norm`` computes it.
+    coefficients are the next prod(m_l) solution rows.
     """
     G = np.hstack([kron([X.T for X in fams]) for fams in family_sets])
-    sol = lstsq(G, target)
-    r = (G @ sol - target).ravel(order="K")
-    resid = math.sqrt(r.dot(r))
+    sol, resid = refit(G, target)
     out, offset = [], 0
     for fams in family_sets:
         shape = tuple(X.shape[0] for X in fams)

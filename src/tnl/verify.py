@@ -123,6 +123,15 @@ def _rel_dev(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), abs(y), 1e-12)
 
 
+def _draw_factors(
+    rng: np.random.Generator, dims: Sequence[int], palette: Sequence[float]
+) -> tuple[NormedSpace, ...]:
+    """One factor per dimension, its p drawn from the palette, in order."""
+    return tuple(
+        NormedSpace(int(d), float(palette[int(rng.integers(0, len(palette)))])) for d in dims
+    )
+
+
 def _report(
     suite: str, beta: TensorNormEvaluator, cases: Sequence[dict], max_dev: float,
     tolerance: float, passed: bool, notes: tuple[str, ...] = (), **config,
@@ -324,10 +333,7 @@ def check_property_b(
     cases = []
     max_dev = 0.0
     for s in range(samples):
-        factors = tuple(
-            NormedSpace(int(d), float(palette[int(rng.integers(0, len(palette)))]))
-            for d in dims
-        )
+        factors = _draw_factors(rng, dims, palette)
         domain = factors + (scalar_space(),)
         shape = tuple(f.dim for f in domain) + (1,)
         A = MultilinearMap(domain, scalar_space(), rng.standard_normal(shape))
@@ -342,7 +348,7 @@ def check_property_b(
 
         v_tall = linearization_norm(A, beta, frozen, extra=lifted).lower
         v_flat = linearization_norm(A1, beta, frozen, extra=pool).lower
-        dev = abs(v_tall - v_flat) / max(abs(v_tall), abs(v_flat), 1e-12)
+        dev = _rel_dev(v_tall, v_flat)
         max_dev = max(max_dev, dev)
         cases.append(
             {
@@ -393,10 +399,7 @@ def check_representation(
     cases = []
     max_dev = 0.0
     for s in range(samples):
-        factors = tuple(
-            NormedSpace(int(d), float(palette[int(rng.integers(0, len(palette)))]))
-            for d in dims
-        )
+        factors = _draw_factors(rng, dims, palette)
         mseed = int(rng.integers(0, 2**31 - 1))
         Fd = int(rng.integers(2, 4))
         F = NormedSpace(Fd, float(palette[int(rng.integers(0, len(palette)))]))
@@ -517,10 +520,7 @@ def witness_search_nonsmooth(
     """
     rng = np.random.default_rng([seed, 198491317])
     palette = (1.0, 2.0, INF)
-    factors = tuple(
-        NormedSpace(int(d), float(palette[int(rng.integers(0, len(palette)))]))
-        for d in dims
-    )
+    factors = _draw_factors(rng, dims, palette)
     space = TensorSpace(factors)
     judged = beta.name in SMOOTHNESS_TOLERANCES
     tol = SMOOTHNESS_TOLERANCES.get(beta.name, INF)

@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import math
 import re
 from pathlib import Path
 
@@ -208,6 +209,19 @@ def test_kron_is_bitwise_np_kron():
             assert np.array_equal(row, ref.ravel())
 
 
+def test_khatri_rao_is_the_columnwise_kron():
+    # the pi pivot refit design: column j is the kron of every factor's column j
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        R = int(rng.integers(1, 5))
+        mats = [rng.standard_normal((int(d), R)) for d in rng.integers(1, 4, int(rng.integers(1, 4)))]
+        got = kernels.khatri_rao(mats)
+        assert got.shape == (math.prod(M.shape[0] for M in mats), R)
+        for j in range(R):
+            ref = _kron_chain([M[:, j : j + 1] for M in mats])[:, 0]
+            assert got[:, j].tobytes() == ref.tobytes()
+
+
 def _linalg_inputs():
     """Over- and under-determined, square, rank-deficient, zero and F-ordered matrices."""
     rng = np.random.default_rng(39)
@@ -219,15 +233,20 @@ def _linalg_inputs():
 
 
 def test_lstsq_is_bitwise_numpy():
+    """refit: numpy's lstsq solution and numpy's norm of its residual, C- and F-ordered targets."""
     count = 0
     for a, rng in _linalg_inputs():
         for k in (1, 3):
-            b = rng.standard_normal((a.shape[0], k))
-            got, ref = kernels.lstsq(a, b), np.linalg.lstsq(a, b, rcond=None)[0]
-            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), a.shape
-            assert got.strides == ref.strides
-            count += 1
-    assert count == 64
+            # an F-ordered view, as repair_pivot passes its unfolded target
+            for b in (rng.standard_normal((a.shape[0], k)), rng.standard_normal((k, a.shape[0])).T):
+                (got, resid), ref = kernels.refit(a, b), np.linalg.lstsq(a, b, rcond=None)[0]
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), a.shape
+                assert got.strides == ref.strides
+                assert type(resid) is float
+                want = float(np.linalg.norm(a @ ref - b))
+                assert np.float64(resid).tobytes() == np.float64(want).tobytes(), a.shape
+                count += 1
+    assert count == 128
 
 
 def test_top_singular_value_is_bitwise_numpy():
@@ -244,7 +263,7 @@ def test_linalg_kernels_raise_where_numpy_raises():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.lstsq(a, b, rcond=None)
     with pytest.raises(np.linalg.LinAlgError, match="Least Squares"):
-        kernels.lstsq(a, b)
+        kernels.refit(a, b)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.svd(a, full_matrices=False)
     with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
@@ -264,7 +283,7 @@ def test_numpy_private_names_are_imported_on_first_use():
         if any(part.startswith("_") for part in parts):
             private.append(ast.unparse(node))
     assert private == []
-    kernels.lstsq(np.eye(2), np.ones((2, 1)))  # the first call imports them
+    kernels.refit(np.eye(2), np.ones((2, 1)))  # the first call imports them
     assert kernels.top_singular_value(np.eye(2)) == 1.0
 
 
@@ -399,21 +418,24 @@ def test_returned_rows_are_copies():
 _SRC = Path(tnl.__file__).resolve().parent
 _STACKED_VERTICES = re.compile(r"stack\(\s*\[[^\]]*extreme_points\(", re.S)
 _KRON_BROADCAST = re.compile(r"\[\s*:\s*,\s*None\s*,\s*:\s*,\s*None\s*\]")
-_CONTRACTIONS = {"np.einsum", "np.tensordot", "np.multiply.outer"}
+_KHATRI_RAO_BROADCAST = re.compile(r"\[\s*:\s*,\s*None\s*,\s*:\s*\]")
+_KERNEL_CALLS = {"np.einsum", "np.tensordot", "np.multiply.outer", "np.linalg.lstsq"}
 
 
 def _contraction_offenders(text: str) -> list[str]:
-    """Contraction decisions made in a module's own source, not through kernels."""
+    """Contractions and least squares a module spells in its own source, not through kernels."""
     found = []
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
             if "string" in names:
                 found.append(f"line {node.lineno}: imports string (builds its own einsum specs)")
-        elif isinstance(node, ast.Call) and ast.unparse(node.func) in _CONTRACTIONS:
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in _KERNEL_CALLS:
             found.append(f"line {node.lineno}: calls {ast.unparse(node.func)}")
     if _KRON_BROADCAST.search(text):
         found.append("builds the [:, None, :, None] Kronecker broadcast")
+    if _KHATRI_RAO_BROADCAST.search(text):
+        found.append("builds the [:, None, :] Khatri-Rao broadcast")
     return found
 
 
@@ -442,6 +464,8 @@ def test_contraction_scan_sees_each_kind():
         "    np.einsum('ab,b->a', a, b)\n"
         "    np.tensordot(a, b, axes=(0, 0))\n"
         "    np.multiply.outer(a, b)\n"
+        "    np.linalg.lstsq(a, b, rcond=None)\n"
+        "    a[:, None, :] * b[None, :, :]\n"
         "    return a[:, None, :, None] * b[None, :, None, :]\n"
         "# a comment naming np.tensordot is not a call\n"
     )
@@ -451,7 +475,9 @@ def test_contraction_scan_sees_each_kind():
         "line 5: calls np.einsum",
         "line 6: calls np.tensordot",
         "line 7: calls np.multiply.outer",
+        "line 8: calls np.linalg.lstsq",
         "builds the [:, None, :, None] Kronecker broadcast",
+        "builds the [:, None, :] Khatri-Rao broadcast",
     ]
 
 

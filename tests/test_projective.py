@@ -23,7 +23,7 @@ from tnl import (
     unflatten_scalar,
 )
 from tnl.injective import epsilon_matrix_oracle
-from tnl.tensors import from_decomposition
+from tnl.tensors import from_decomposition, weighted_matrix
 from tnl import projective
 from tnl.projective import _decomposition_from_mats, _deflation_candidate, strip_unit_factors
 
@@ -316,3 +316,148 @@ def test_deflation_is_bitwise_the_tensordot_reference():
 
 def test_projective_makes_no_tensordot_call():
     assert "np.tensordot" not in Path(projective.__file__).read_text()
+
+
+def _reference_repair_pivot(unfolded, free_mats):
+    """repair_pivot as first written, on np.linalg.lstsq and np.linalg.norm."""
+    K = free_mats[0]
+    for M in free_mats[1:]:
+        K = (K[:, None, :] * M[None, :, :]).reshape(-1, K.shape[1])
+    sol, *_ = np.linalg.lstsq(K, unfolded.T, rcond=None)
+    resid = float(np.linalg.norm(K @ sol - unfolded.T))
+    return sol.T, resid
+
+
+def _reference_column_norms(factors, mats):
+    return np.stack([np.atleast_1d(f.norm(M.T)) for f, M in zip(factors, mats)])
+
+
+def _reference_pi_objective(factors, mats):
+    return float(np.prod(_reference_column_norms(factors, mats), axis=0).sum())
+
+
+def _reference_refine(factors, coeffs, pivot, free_mats, cfg):
+    """The refine loop as first written: objective re-priced, free factors copied."""
+    normalize, assemble = projective._normalize_columns, projective._assemble
+    n = len(factors)
+    free_idx = [l for l in range(n) if l != pivot]
+    free_spaces = [factors[l] for l in free_idx]
+    unfolded = np.moveaxis(coeffs, pivot, 0).reshape(coeffs.shape[pivot], -1)
+
+    free = [normalize(s, M) for s, M in zip(free_spaces, free_mats)]
+    pivot_mat, resid = _reference_repair_pivot(unfolded, free)
+    if resid > projective.RESIDUAL_TOL:
+        return INF, None, False
+    mats = assemble(free, pivot_mat, pivot)
+    best = _reference_pi_objective(factors, mats)
+    best_free = [M.copy() for M in free]
+    step = 0.1
+    converged = False
+    for _ in range(cfg.refine_iters):
+        norms = _reference_column_norms(factors, mats)
+        prods = np.prod(norms, axis=0)
+        grads = []
+        for k, l in enumerate(free_idx):
+            g = projective.norm_gradient(free_spaces[k], mats[l])
+            coef = np.where(norms[l] > 0.0, prods / np.where(norms[l] > 0, norms[l], 1.0), 0.0)
+            grads.append(g * coef[None, :])
+        gnorm = np.sqrt(sum(float((g * g).sum()) for g in grads))
+        if gnorm <= 1e-14:
+            converged = True
+            break
+        improved = False
+        trial = step
+        for _ in range(8):
+            cand = [
+                normalize(s, M - trial * g / gnorm)
+                for s, M, g in zip(free_spaces, best_free, grads)
+            ]
+            piv, resid = _reference_repair_pivot(unfolded, cand)
+            if resid <= projective.RESIDUAL_TOL:
+                val = _reference_pi_objective(factors, assemble(cand, piv, pivot))
+                if val < best - 1e-15:
+                    best = val
+                    best_free = cand
+                    pivot_mat = piv
+                    mats = assemble(cand, piv, pivot)
+                    improved = True
+                    step = trial * 1.5
+                    break
+            trial *= 0.5
+        if not improved:
+            converged = True
+            break
+    return best, assemble(best_free, pivot_mat, pivot), converged
+
+
+def _refine_inputs():
+    """Seeded gauged arrays of 2-3 factors, every pivot, each kind of candidate pi_search makes.
+
+    Slice, deflation, SVD (two factors) and random candidates, under rank caps
+    too, plus a rank-deficient one (every column equal) that cannot rebuild z.
+    """
+    rng = np.random.default_rng(2026)
+    palette = (1.0, 1.5, 2.0, INF)
+    for k in range(48):
+        n = 2 + k % 2
+        factors = []
+        for l in range(n):
+            d = int(rng.integers(2, 4))
+            weights = tuple(rng.uniform(0.5, 2.0, d)) if rng.random() < 0.3 else None
+            factors.append(NormedSpace(d, palette[(k // 2 + l) % 4], weights))
+        shape = tuple(f.dim for f in factors)
+        if k % 5 == 4:  # rank one or two
+            space, seed = TensorSpace(tuple(factors)), int(rng.integers(1 << 30))
+            coeffs = random_tensor(space, seed, "low_rank", rank=1 + k % 2).coeffs
+        else:
+            coeffs = rng.standard_normal(shape)
+        coeffs = coeffs / np.linalg.norm(coeffs)
+        cap = (None, 1, 2)[k % 3]
+        cfg = PiConfig(max_rank=cap, refine_iters=(60, 60, 3, 0)[k % 4])
+        for pivot in range(n):
+            rest = int(np.prod([d for i, d in enumerate(shape) if i != pivot]))
+            rank = rest if cap is None else cap
+            dims = [d for i, d in enumerate(shape) if i != pivot]
+            cands = []
+            if rest <= rank:
+                cands.append(("slice", projective._slice_candidate(shape, pivot)))
+            defl = _deflation_candidate(coeffs, pivot, rank, 10)
+            if defl:
+                cands.append(("deflation", defl))
+            if n == 2:
+                other = 1 - pivot
+                u, s, vt = np.linalg.svd(weighted_matrix(coeffs, factors), full_matrices=False)
+                basis = (u if other == 0 else vt.T) / factors[other].weight_array()[:, None]
+                cands.append(("svd", [basis[:, : min(len(s), rank)]]))
+            cands.append(("random", [rng.standard_normal((d, rank)) for d in dims]))
+            cols = [rng.standard_normal((d, 1)) for d in dims]
+            cands.append(("rank_deficient", [np.repeat(c, rest, axis=1) for c in cols]))
+            for kind, free in cands:
+                yield tuple(factors), coeffs, pivot, kind, free, cfg
+
+
+def test_refine_is_bitwise_the_reference():
+    count, kinds, palette, shapes, outcomes = 0, set(), set(), set(), set()
+    for factors, coeffs, pivot, kind, free, cfg in _refine_inputs():
+        got = projective._refine_candidate(factors, coeffs, pivot, free, cfg)
+        ref = _reference_refine(factors, coeffs, pivot, free, cfg)
+        where = (count, kind, coeffs.shape, pivot)
+        assert np.float64(got[0]).tobytes() == np.float64(ref[0]).tobytes(), where
+        assert got[2] is ref[2], where
+        if ref[1] is None:
+            assert got[1] is None and got[0] == INF, where
+        else:
+            assert len(got[1]) == len(ref[1]), where
+            for a, b in zip(got[1], ref[1]):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), where
+        assert ref[1] is None or kind != "rank_deficient", where
+        count += 1
+        kinds.add(kind)
+        palette.update(f.p if f.weights is None else "weighted" for f in factors)
+        shapes.add((len(factors), cfg.max_rank is not None))
+        outcomes.add((ref[1] is None, ref[2]))
+    assert count >= 200
+    assert kinds == {"slice", "deflation", "svd", "random", "rank_deficient"}
+    assert palette == {1.0, 1.5, 2.0, INF, "weighted"}
+    assert shapes == {(2, False), (2, True), (3, False), (3, True)}
+    assert outcomes == {(True, False), (False, False), (False, True)}
