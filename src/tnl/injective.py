@@ -34,7 +34,7 @@ from .spaces import (
     unit_rows,
 )
 from .kernels import BudgetError, contract, grid_sup, leading_direction, sweep_specs
-from .kernels import vertex_count, vertex_matrix
+from .kernels import memo, vertex_count, vertex_matrix
 from .tensors import NormEstimate, Tensor, weighted_matrix
 
 __all__ = [
@@ -249,6 +249,7 @@ def _ascent_sup(
     return NormEstimate(res.value * scale, INF, res.converged, res.iterations, cfg.seed), res.slots
 
 
+@memo
 def sup_bracket(
     coeffs: np.ndarray, balls: tuple[NormedSpace, ...], cfg: EpsilonConfig | None = None
 ) -> _Bracket:
@@ -258,7 +259,8 @@ def sup_bracket(
     array is exactly 0, with zero slots.  Otherwise it takes the exhaustive
     route (vertices, and a grid when ``cfg.grid_resolution >= 2``) and, when
     that raises :class:`BudgetError` or :class:`UnsupportedNormError`,
-    seeded ascent with upper = inf.
+    seeded ascent with upper = inf.  Memoized (:func:`~tnl.kernels.memo`):
+    an equal call returns the same bracket and fresh copies of the slots.
     """
     cfg = cfg or EpsilonConfig()
     normalized, scale, _ = canonical_gauge(coeffs)

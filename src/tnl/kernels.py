@@ -22,7 +22,11 @@ routine, spec and operand order behind each value are decided in one place:
   under numpy's own error state, without the argument handling; the pi
   refine and beta_p polish loops call them hundreds of times per call.
   Numpy's private linalg names appear in this module only, imported on first
-  use, so a numpy that moves them breaks these two kernels, not ``import tnl``.
+  use, so a numpy that moves them breaks these two kernels, not ``import tnl``;
+* :func:`memo`, the one cache policy for searches: a small LRU memo keyed
+  exactly on a call's arguments (arrays by dtype, shape, strides and bytes),
+  under ``sup_bracket``, ``pi_search``, ``pi_dual_certificate`` and the
+  sigma_p stage, so a gauged array and its scalar-slot twin are searched once.
 
 Only the π deflation's per-axis dot (``projective._contract_all_but``)
 stays inline in its hot loop.
@@ -33,6 +37,7 @@ from __future__ import annotations
 import functools
 import math
 import string
+from collections import OrderedDict
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -42,8 +47,8 @@ from .spaces import INF, NormedSpace, UnsupportedNormError, extreme_points
 
 __all__ = [
     "aligned_outer", "aligned_values", "apply_axis", "contract", "contract_leading", "grid_sup",
-    "grid_tensor", "grid_values", "khatri_rao", "kron", "leading_direction", "outer", "refit",
-    "sweep_specs", "top_singular_value", "vertex_count", "vertex_total", "vertex_matrix",
+    "grid_tensor", "grid_values", "khatri_rao", "kron", "leading_direction", "memo", "outer",
+    "refit", "sweep_specs", "top_singular_value", "vertex_count", "vertex_total", "vertex_matrix",
 ]
 
 #: Distinct (spec, shapes) plans kept; an entry is a few short steps.
@@ -55,6 +60,13 @@ _VERTEX_CACHE_SIZE = 64
 _VERTEX_CACHE_MAX_ENTRIES = 1 << 14
 #: Machine epsilon as numpy's lstsq takes it for its default rcond.
 _EPS = np.finfo(np.float64).eps
+#: Search results kept by :func:`memo`.  Repeats come back to back: a
+#: ``tensor_brackets`` item evaluates eps, pi and sigma_p on z and on z (x) 1,
+#: which gauge to one array and keep four entries live (the injective bracket,
+#: the pi search, the pi dual form, the sigma_p stage); ``check_smoothness``
+#: needs one, beta(z)'s pi seed, until beta(lift) runs.  Twice the largest of
+#: these lets a caller interleave a second tensor or exponent without a miss.
+_MEMO_SIZE = 8
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -287,6 +299,82 @@ def vertex_matrix(space: NormedSpace) -> np.ndarray:
     if vertex_count(space) * space.dim > _VERTEX_CACHE_MAX_ENTRIES:
         return _build_vertex_matrix(space)
     return _cached_vertex_matrix(space)
+
+
+_memo: OrderedDict[tuple, object] = OrderedDict()
+
+
+def _memo_key(x: object) -> object:
+    """An exact, hashable key: arrays by dtype, shape, strides and full bytes.
+
+    Lists and tuples become tuples of keys; anything else is keyed by its type
+    and its value, so spaces and frozen configs compare by value, and 1 and
+    1.0 stay apart.
+    """
+    if isinstance(x, np.ndarray):
+        if x.dtype.hasobject:
+            raise TypeError("memo keys numeric arrays only")
+        return (np.ndarray, x.dtype.str, x.shape, x.strides, x.tobytes())
+    if isinstance(x, (list, tuple)):
+        return (tuple, *map(_memo_key, x))
+    return (type(x), x)
+
+
+def _freeze(x: object) -> object:
+    """A result as the memo stores it: tuples and read-only array copies."""
+    if isinstance(x, np.ndarray):
+        x = x.copy(order="K")
+        x.setflags(write=False)
+        return x
+    if isinstance(x, (list, tuple)):
+        return tuple(map(_freeze, x))
+    return x
+
+
+def _thaw(x: object) -> object:
+    """What a caller gets: the stored tuples with writable copies of the arrays."""
+    if isinstance(x, np.ndarray):
+        return x.copy(order="K")
+    if isinstance(x, tuple):
+        return tuple(map(_thaw, x))
+    return x
+
+
+def memo(fn):
+    """Remember ``fn``'s last results; equal calls get equal copies without a search.
+
+    For deterministic searches whose result depends on their arguments alone.
+    The key is the function's module and qualified name plus :func:`_memo_key`
+    of every argument, compared on its full bytes; the search runs on the
+    caller's own arrays.  Results are stored as tuples of read-only arrays,
+    and every call, hit or miss, gets writable copies in the arrays' own
+    memory order (``order="K"``; lists come back as tuples).  The least
+    recently used entry goes once ``_MEMO_SIZE`` are kept.  A closure is
+    refused, as its free variables would be inputs the key cannot see.
+    """
+    if fn.__closure__ is not None:
+        raise TypeError(f"memo cannot key the free variables of {fn.__qualname__}")
+    name = (fn.__module__, fn.__qualname__)
+    missing = object()
+
+    @functools.wraps(fn)
+    def remembered(*args, **kwargs):
+        key = (name, _memo_key(args), _memo_key(sorted(kwargs.items())))
+        out = _memo.get(key, missing)
+        if out is missing:
+            out = _memo[key] = _freeze(fn(*args, **kwargs))
+            if len(_memo) > _MEMO_SIZE:
+                _memo.popitem(last=False)
+        else:
+            _memo.move_to_end(key)
+        return _thaw(out)
+
+    return remembered
+
+
+def cache_clear() -> None:
+    """Empty the :func:`memo` store (for tests that need cold searches)."""
+    _memo.clear()
 
 
 class BudgetError(RuntimeError):

@@ -29,7 +29,7 @@ from .spaces import (
 )
 from .injective import BudgetError, EpsilonConfig, canonical_gauge, multilinear_sup
 from .kernels import grid_sup, khatri_rao, kron, leading_direction, outer, refit, vertex_matrix
-from .kernels import vertex_total
+from .kernels import memo, vertex_total
 from .tensors import (
     Decomposition,
     DecompositionTerm,
@@ -354,9 +354,10 @@ def _decomposition_from_mats(space: TensorSpace, mats: Sequence[np.ndarray]) -> 
     return Decomposition(tuple(terms))
 
 
+@memo
 def pi_search(
     factors: Sequence[NormedSpace], coeffs: np.ndarray, cfg: PiConfig
-) -> tuple[int, list[list[np.ndarray]], float, list[np.ndarray] | None, bool]:
+) -> tuple[int, tuple[tuple[np.ndarray, ...], ...], float, tuple[np.ndarray, ...] | None, bool]:
     """Refine every candidate decomposition of a gauged array; keep the best.
 
     Returns ``(pivot, exact, value, mats, converged)``.  The pivot is the
@@ -368,6 +369,8 @@ def pi_search(
     :func:`_refine_candidate`, which refits the pivot factor by least squares
     (see :func:`repair_pivot`); ``value`` is the best objective (inf when
     none reconstructs the array) and ``mats`` its factors, pivot included.
+    Memoized (:func:`~tnl.kernels.memo`), so lists come back as tuples: z and
+    its scalar-slot twin gauge to one array, searched once.
     """
     shape = coeffs.shape
     pivot = int(np.argmax(shape))
@@ -484,6 +487,7 @@ def _product_functional_certificate(
     return abs(float(np.vdot(A, coeffs))), A
 
 
+@memo
 def pi_dual_certificate(
     factors: Sequence[NormedSpace],
     coeffs: np.ndarray,
@@ -498,6 +502,8 @@ def pi_dual_certificate(
     polar factors, or the Euclidean embedding bound), never left to solver
     tolerance.  The form doubles as an exact linear-maximization oracle for
     the supremum-norm ball wherever one of the exact branches applies.
+    Memoized (:func:`~tnl.kernels.memo`): an equal call returns a fresh copy
+    of the same form.
     """
     cfg = cfg or PiConfig()
     coeffs = np.asarray(coeffs, dtype=float)

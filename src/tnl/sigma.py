@@ -25,7 +25,7 @@ import numpy as np
 
 from .injective import BudgetError, EpsilonConfig, canonical_gauge, multilinear_sup, sup_bracket
 from .kernels import aligned_outer, aligned_values, kron, refit, top_singular_value
-from .kernels import vertex_matrix, vertex_total
+from .kernels import memo, vertex_matrix, vertex_total
 from .projective import RESIDUAL_TOL, PiConfig, column_norms, gauge, pi_search, pi_upper
 from .projective import repair_pivot
 from .spaces import (
@@ -43,6 +43,7 @@ from .tensors import (
     GroupedBlock,
     GroupedDecomposition,
     Tensor,
+    TensorSpace,
 )
 
 __all__ = [
@@ -450,59 +451,64 @@ def sigma_p_upper(
     with Hoelder-split rebalancing.  Every modulus run is seeded with the
     injective argmax functionals of the tensor itself, which keeps the
     reported value at or above the injective lower end by construction.
+    The search on the gauged array is memoized (:func:`~tnl.kernels.memo`),
+    so z and its scalar-slot twin share it; only the lift is per call.
     """
     cfg = cfg or SigmaConfig()
-    pair = ConjugatePair(p)
-    q = pair.q
+    ConjugatePair(p)
     g = gauge(z)
     hit = g.direct()
     if hit is not None:  # one direct candidate; none for the zero tensor
         return SigmaResult(hit[0], hit[1], True, int(g.scale > 0.0), hit[0])
+
+    @memo
+    def search(space: TensorSpace, coeffs: np.ndarray, p: float, cfg: SigmaConfig) -> tuple:
+        """Injective lower end, best value, weights, families, converged, candidates."""
+        factors = space.factors
+        q = conjugate_exponent(p)
+        # seed the modulus runs with the injective argmax at the full default
+        # restart budget: the reported value then never drops below the bound an
+        # injective run at default budgets can certify for the same tensor
+        eps_cfg = EpsilonConfig(restarts=max(32, cfg.restarts), seed=cfg.seed)
+        eps, slots = sup_bracket(coeffs, space.dual_factors(), eps_cfg)
+        seeds = [slots]
+
+        pi_cfg = PiConfig(seed=cfg.seed, restarts=2, max_rank=cfg.max_rank)
+        pivot, free_lists, _, pi_mats, _ = pi_search(factors, coeffs, pi_cfg)
+        unfolded = np.moveaxis(coeffs, pivot, 0).reshape(coeffs.shape[pivot], -1)
+        candidates: list[list[np.ndarray]] = []
+        for free in free_lists:
+            piv, resid = repair_pivot(unfolded, free)
+            if resid <= RESIDUAL_TOL:
+                candidates.append([*free[:pivot], piv, *free[pivot:]])
+        if pi_mats is not None:  # its pivot is already refit from its own free factors
+            candidates.append(pi_mats)
+
+        best = np.inf
+        best_lam: np.ndarray | None = None
+        best_fams: list[np.ndarray] | None = None
+        converged = False
+        for mats in candidates:
+            val, lam, fams, conv = _sigma_candidate_value(factors, mats, p, q, cfg, seeds)
+            if val < best:
+                best = val
+                best_lam, best_fams = lam, fams
+                converged = conv
+        return eps.lower, best, best_lam, best_fams, converged, len(candidates)
+
     reduced = g.reduced
+    eps_lower, best, lam, fams, converged, tried = search(reduced.space, reduced.coeffs, p, cfg)
+    lower = eps_lower * g.mult * g.scale
+    if not np.isfinite(best) or lam is None:
+        return SigmaResult(float("inf"), None, False, tried, lower)
+
     factors = reduced.space.factors
-    coeffs = reduced.coeffs
-
-    # seed the modulus runs with the injective argmax at the full default
-    # restart budget: the reported value then never drops below the bound an
-    # injective run at default budgets can certify for the same tensor
-    eps_cfg = EpsilonConfig(restarts=max(32, cfg.restarts), seed=cfg.seed)
-    eps, slots = sup_bracket(coeffs, reduced.space.dual_factors(), eps_cfg)
-    seeds = [slots]
-    lower = eps.lower * g.mult * g.scale
-
-    pi_cfg = PiConfig(seed=cfg.seed, restarts=2, max_rank=cfg.max_rank)
-    pivot, free_lists, _, pi_mats, _ = pi_search(factors, coeffs, pi_cfg)
-    unfolded = np.moveaxis(coeffs, pivot, 0).reshape(coeffs.shape[pivot], -1)
-    candidates: list[list[np.ndarray]] = []
-    for free in free_lists:
-        piv, resid = repair_pivot(unfolded, free)
-        if resid <= RESIDUAL_TOL:
-            candidates.append(free[:pivot] + [piv] + free[pivot:])
-    if pi_mats is not None:  # its pivot is already refit from its own free factors
-        candidates.append(pi_mats)
-
-    best = np.inf
-    best_lam: np.ndarray | None = None
-    best_fams: list[np.ndarray] | None = None
-    converged = False
-    for mats in candidates:
-        val, lam, fams, conv = _sigma_candidate_value(factors, mats, p, q, cfg, seeds)
-        if val < best:
-            best = val
-            best_lam, best_fams = lam, fams
-            converged = conv
-
-    if not np.isfinite(best) or best_lam is None:
-        return SigmaResult(float("inf"), None, False, len(candidates), lower)
-
     terms = []
-    for j in range(len(best_lam)):
-        vecs = tuple(
-            Vector(factors[l], best_fams[l][j]) for l in range(len(factors))
-        )
-        terms.append(DecompositionTerm(float(best_lam[j]), vecs))
+    for j in range(len(lam)):
+        vecs = tuple(Vector(factors[l], fams[l][j]) for l in range(len(factors)))
+        terms.append(DecompositionTerm(float(lam[j]), vecs))
     dec = g.lift(Decomposition(tuple(terms)))
-    return SigmaResult(best * g.mult * g.scale, dec, converged, len(candidates), lower)
+    return SigmaResult(best * g.mult * g.scale, dec, converged, tried, lower)
 
 
 def _si_ratio(

@@ -10,10 +10,17 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import pytest
 
-from tnl import INF, NormedSpace, Tensor, TensorSpace
+from tnl import INF, NormedSpace, Tensor, TensorSpace, kernels
 
 INF_ = INF
+
+
+@pytest.fixture(autouse=True)
+def cold_search_memo():
+    """Start every test with an empty search memo, so what a test counts or patches runs."""
+    kernels.cache_clear()
 
 
 def ball_vertices(space: NormedSpace) -> list[np.ndarray]:

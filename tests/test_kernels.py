@@ -411,8 +411,189 @@ def test_returned_rows_are_copies():
     value2, form2 = pi_dual_certificate(factors, coeffs)
     assert value2 == value and np.array_equal(form2, kept)
 
+    # one more input each, now that equal calls come from the search memo
+    z = rng.standard_normal((2, 3, 2))
+    balls = (NormedSpace(2, 2.0), NormedSpace(3, 1.5), NormedSpace(2, 3.0))  # the ascent route
+    est, slots = sup_bracket(z, balls)
+    kept = [s.copy() for s in slots]
+    for s in slots:
+        assert s.flags.writeable
+        s[...] = 99.0
+    est2, slots2 = sup_bracket(z, balls)
+    assert est2 == est and est.upper == INF
+    assert all(np.array_equal(a, b) for a, b in zip(slots2, kept))
+
+    euclid = (NormedSpace(3, 2.0), NormedSpace(2, 2.0))  # the polar form
+    value, form = pi_dual_certificate(euclid, z[:, :, 0].T)
+    kept = form.copy()
+    assert form.flags.writeable
+    form[...] = 0.0
+    value2, form2 = pi_dual_certificate(euclid, z[:, :, 0].T)
+    assert value2 == value and np.array_equal(form2, kept)
+
     for sp in dom + factors + (space.dual(), NormedSpace(2, 1.0).dual()):
         assert not kernels.vertex_matrix(sp).flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# the search memo
+# ---------------------------------------------------------------------------
+
+#: (factor class, number of factors), as the tensor_brackets benchmark draws them.
+_TEMPLATES = (("euclid", 2), ("poly", 2), ("poly", 3), ("mixed", 2), ("mixed", 3))
+
+
+def _template_tensor(k: int) -> Tensor:
+    """Tensor k of a seeded stream over the templates, dense and low rank in turn."""
+    rng = np.random.default_rng([2027, k])
+    cls, n = _TEMPLATES[k % len(_TEMPLATES)]
+    palette = {"euclid": (2.0,), "poly": (1.0, INF), "mixed": (1.0, 1.5, 2.0, 3.0, INF)}[cls]
+    space = TensorSpace(tuple(
+        NormedSpace(int(rng.integers(2, 4)), float(rng.choice(palette))) for _ in range(n)
+    ))
+    low_rank = (k // len(_TEMPLATES)) % 2 == 1
+    return tnl.random_tensor(space, seed=int(rng.integers(0, 2**31 - 1)),
+                             style="low_rank" if low_rank else "dense", rank=2 if low_rank else None)
+
+
+def _bits(est) -> tuple:
+    """A NormEstimate with its floats as bit patterns, so equality is bytewise."""
+    return (est.lower.hex(), est.upper.hex(), est.converged, est.iterations, est.seed)
+
+
+def _evaluators() -> list:
+    sigmas = [tnl.make_sigma_evaluator(p) for p in (1.0, 1.5, 2.0)]
+    return [tnl.evaluator_for("eps"), tnl.evaluator_for("pi"), *sigmas]
+
+
+def test_memo_warm_equals_cold_on_template_tensors():
+    """Every bracket from the memo is bytewise the bracket of a cold search."""
+    tensors = [_template_tensor(k) for k in range(30)]
+    calls = [(ev, t) for z in tensors for ev in _evaluators() for t in (z, tnl.unflatten_scalar(z))]
+    cold = []
+    for ev, t in calls:
+        kernels.cache_clear()
+        cold.append(_bits(ev(t)))
+    kernels.cache_clear()
+    warm = [_bits(ev(t)) for ev, t in calls]
+    assert warm == cold
+    # the scalar-slot twins were hits: entries stay within the bound all along
+    assert 0 < len(kernels._memo) <= kernels._MEMO_SIZE
+
+
+def _next_ulp(x: float) -> float:
+    return float(np.nextafter(x, np.inf))
+
+
+def _miss_equals_cold(fn, *args) -> None:
+    """``fn(*args)`` adds one memo entry, and equals its result from an empty memo."""
+    before = len(kernels._memo)
+    warm = fn(*args)
+    assert len(kernels._memo) == before + 1
+    kernels.cache_clear()
+    cold = fn(*args)
+    assert repr(warm) == repr(cold)
+    for a, b in zip(_arrays(warm), _arrays(cold)):
+        assert a.tobytes() == b.tobytes() and a.strides == b.strides
+
+
+def _arrays(x) -> list:
+    if isinstance(x, np.ndarray):
+        return [x]
+    if isinstance(x, (list, tuple)):
+        return [a for v in x for a in _arrays(v)]
+    return []
+
+
+def test_memo_key_is_exact():
+    space = TensorSpace((NormedSpace(3, 1.5, weights=(1.0, 2.0, 0.5)), NormedSpace(2, INF)))
+    base = tnl.random_tensor(space, seed=3).coeffs / 4.0
+    factors = space.factors
+    moved = base.copy()
+    moved[1, 0] = _next_ulp(moved[1, 0])
+    weights = (1.0, _next_ulp(2.0), 0.5)
+    reweighted = (NormedSpace(3, 1.5, weights=weights), factors[1])
+    fortran = np.asfortranarray(base)
+    assert fortran.tobytes(order="A") != base.tobytes(order="A")
+    variants = {
+        "coefficient": (factors, moved, PiConfig()),
+        "weight": (reweighted, base, PiConfig()),
+        "seed": (factors, base, PiConfig(seed=1)),
+        "max_rank": (factors, base, PiConfig(max_rank=2)),
+        "F order": (factors, fortran, PiConfig()),
+    }
+    search = tnl.projective.pi_search
+    for name, args in variants.items():
+        kernels.cache_clear()
+        search(factors, base, PiConfig())
+        search(factors, base, PiConfig())  # a hit: no new entry
+        assert len(kernels._memo) == 1, name
+        _miss_equals_cold(search, *args)
+
+    duals = tuple(f.dual() for f in factors)
+    for args in [(moved, duals), (base, tuple(f.dual() for f in reweighted)),
+                 (base, duals, EpsilonConfig(seed=1)), (fortran, duals)]:
+        kernels.cache_clear()
+        sup_bracket(base, duals)
+        _miss_equals_cold(sup_bracket, *args)
+    for args in [(factors, moved), (reweighted, base), (factors, fortran)]:
+        kernels.cache_clear()
+        pi_dual_certificate(factors, base)
+        _miss_equals_cold(pi_dual_certificate, *args)
+
+    z = Tensor(space, base)
+    for name, t, cfg in [
+        ("coefficient", Tensor(space, moved), tnl.SigmaConfig()),
+        ("weight", Tensor(TensorSpace(reweighted), base), tnl.SigmaConfig()),
+        ("seed", z, tnl.SigmaConfig(seed=1)),
+        ("max_rank", z, tnl.SigmaConfig(max_rank=2)),
+        ("F order", Tensor(space, fortran), tnl.SigmaConfig()),
+    ]:
+        kernels.cache_clear()
+        ref = tnl.sigma_p_upper(z, 1.5)
+        assert tnl.sigma_p_upper(z, 1.5).value == ref.value
+        held = len(kernels._memo)
+        warm = tnl.sigma_p_upper(t, 1.5, cfg)
+        assert len(kernels._memo) > held, name  # the sigma_p stage missed
+        kernels.cache_clear()
+        cold = tnl.sigma_p_upper(t, 1.5, cfg)
+        assert warm.value.hex() == cold.value.hex() and warm.lower.hex() == cold.lower.hex(), name
+        assert repr(warm.decomposition) == repr(cold.decomposition), name
+
+
+def test_memo_is_bounded_and_least_recently_used_goes_first(monkeypatch):
+    searched = []
+    exhaustive = tnl.injective._exhaustive_sup
+
+    def counted(normalized, *args):
+        searched.append(normalized)
+        return exhaustive(normalized, *args)
+
+    monkeypatch.setattr(tnl.injective, "_exhaustive_sup", counted)
+    rng = np.random.default_rng(8)
+    balls = (NormedSpace(2, 1.0), NormedSpace(2, INF))
+    arrays = [rng.standard_normal((2, 2)) for _ in range(3 * kernels._MEMO_SIZE)]
+    first = arrays[0]
+    for a in arrays:
+        sup_bracket(a, balls)
+        sup_bracket(first, balls)  # kept in use, so never the oldest
+        assert len(kernels._memo) <= kernels._MEMO_SIZE
+    assert len(searched) == len(arrays)  # each array searched once, first included
+    sup_bracket(arrays[-1], balls)  # still held
+    assert len(searched) == len(arrays)
+    sup_bracket(arrays[1], balls)  # long evicted: searched again
+    assert len(searched) == len(arrays) + 1
+    assert len(kernels._memo) == kernels._MEMO_SIZE
+
+
+def test_memo_refuses_closures():
+    scale = 2.0
+
+    def scaled(x):
+        return x * scale
+
+    with pytest.raises(TypeError, match="free variables"):
+        kernels.memo(scaled)
 
 
 _SRC = Path(tnl.__file__).resolve().parent
