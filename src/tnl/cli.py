@@ -8,7 +8,9 @@ Three subcommands cover the library surface:
 * ``tnl witness`` searches for a tensor whose norm moves when a scalar
   factor is appended and writes the best candidate found.
 
-Exit codes: 0 success; 2 bad arguments or malformed input; 3 structurally
+Each subcommand takes only the flags it reads.  Exit codes: 0 success; 2
+bad arguments (a search budget a config rejects, or a sample count or
+candidate budget below one, included) or malformed input; 3 structurally
 unsupported combination (for example a semi-integral constant of a
 vector-valued map, or a summing norm with p < q); 4 a verification suite
 ran to completion and failed (its report is still written).
@@ -147,7 +149,22 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(**values)
     if cfg.format not in ("json", "csv"):
         raise CLIError(f"format must be json or csv, got {cfg.format!r}")
+    # a count below one would check nothing and still report a pass
+    if cfg.samples is not None and cfg.samples < 1:
+        raise CLIError(f"samples must be >= 1, got {cfg.samples}")
+    if cfg.budget < 1:
+        raise CLIError(f"budget must be >= 1, got {cfg.budget}")
     return cfg
+
+
+def _build(make, *args, **kwargs):
+    """``make(*args, **kwargs)``, where a config's own ValueError is a bad argument."""
+    try:
+        return make(*args, **kwargs)
+    except SpaceError:
+        raise
+    except ValueError as exc:
+        raise CLIError(str(exc)) from exc
 
 
 def _parse_exponent(text: str) -> float:
@@ -203,8 +220,9 @@ def _estimate_csv(result: dict) -> str:
 
 def _evaluator(kind: str, args: argparse.Namespace, cfg: RunConfig) -> TensorNormEvaluator:
     """The tensor norm evaluator named ``kind``, built from the shared knobs."""
-    return evaluator_for(
-        kind, p=args.p, seed=cfg.seed, restarts=cfg.restarts, max_rank=cfg.max_rank, grid=cfg.grid
+    return _build(
+        evaluator_for, kind, p=args.p, seed=cfg.seed, restarts=cfg.restarts,
+        max_rank=cfg.max_rank, grid=cfg.grid,
     )
 
 
@@ -220,7 +238,7 @@ def _norm_result(args: argparse.Namespace, cfg: RunConfig) -> tuple[NormEstimate
         raise SpaceError(f"{kind} takes a multilinear map input (with a codomain block)")
     if kind == "sup":
         restarts = {} if cfg.restarts is None else {"restarts": cfg.restarts}
-        sup_cfg = EpsilonConfig(seed=cfg.seed, grid_resolution=cfg.grid, **restarts)
+        sup_cfg = _build(EpsilonConfig, seed=cfg.seed, grid_resolution=cfg.grid, **restarts)
         grid = {"grid_resolution": cfg.grid} if cfg.grid else {}
         return sup_norm(obj, sup_cfg), {"norm": "sup", "restarts": sup_cfg.restarts, **grid}
     if kind == "lin":
@@ -315,25 +333,31 @@ def cmd_witness(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK if report.passed else EXIT_SUITE_FAILED
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_common_flags(
+    parser: argparse.ArgumentParser, q: bool = False, tolerance: bool = False, dims: bool = False
+) -> None:
+    """The flags every subcommand reads, plus the ones asked for by name."""
     parser.add_argument("--p", type=_parse_exponent, default=2.0,
                         help="exponent parameter (number or 'inf'; default 2)")
-    parser.add_argument("--q", type=_parse_exponent, default=2.0,
-                        help="second exponent for sm_pq (default 2)")
+    if q:
+        parser.add_argument("--q", type=_parse_exponent, default=2.0,
+                            help="second exponent for sm_pq (default 2)")
     parser.add_argument("--out", dest="output", default=None, help="output file path")
     parser.add_argument("--format", choices=("json", "csv"), default=None,
                         help="output file format (default json)")
     parser.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="override the suite pass/fail tolerance")
+    if tolerance:
+        parser.add_argument("--tolerance", type=float, default=None,
+                            help="override the suite pass/fail tolerance")
     parser.add_argument("--restarts", type=int, default=None,
                         help="search restarts for the chosen norm")
     parser.add_argument("--max-rank", dest="max_rank", type=int, default=None,
                         help="decomposition rank cap for upper-bound searches")
     parser.add_argument("--grid", type=int, default=None,
                         help="grid resolution for certified injective bounds")
-    parser.add_argument("--dims", type=_parse_dims, default=None,
-                        help="factor dimensions, e.g. 2x3x2")
+    if dims:
+        parser.add_argument("--dims", type=_parse_dims, default=None,
+                            help="factor dimensions, e.g. 2x3x2")
     parser.add_argument("--norm", choices=NORM_NAMES, default=None,
                         help="tensor norm to drive a suite or linearization")
 
@@ -350,18 +374,18 @@ def build_parser() -> argparse.ArgumentParser:
     norm.add_argument("--in", dest="input", required=True, help="input JSON file")
     norm.add_argument("--samples", type=int, default=None,
                       help="family budget for sm_pq (default 3)")
-    _add_common_flags(norm)
+    _add_common_flags(norm, q=True)
     norm.set_defaults(func=cmd_norm)
 
     verify = sub.add_parser("verify", help="run one verification suite and write its report")
     verify.add_argument("--suite", choices=SUITES, required=True, help="which suite to run")
     verify.add_argument("--samples", type=int, default=None, help="sample count for the suite")
-    _add_common_flags(verify)
+    _add_common_flags(verify, tolerance=True, dims=True)
     verify.set_defaults(func=cmd_verify)
 
     witness = sub.add_parser("witness", help="search for a scalar-slot norm discrepancy")
     witness.add_argument("--budget", type=int, default=None, help="total candidate budget")
-    _add_common_flags(witness)
+    _add_common_flags(witness, dims=True)
     witness.set_defaults(func=cmd_witness)
     return parser
 

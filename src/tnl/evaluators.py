@@ -28,10 +28,10 @@ from dataclasses import asdict
 import numpy as np
 
 from .injective import EpsilonConfig, sup_bracket
-from .projective import PiConfig, gauge, pi_estimate
+from .projective import PiConfig, pi_estimate
 from .sigma import BetaConfig, SigmaConfig, beta_p_upper, sigma_p_upper
 from .spaces import INF, SpaceError
-from .tensors import NormEstimate, Tensor, TensorNormEvaluator
+from .tensors import NormEstimate, Tensor, TensorNormEvaluator, gauge
 
 __all__ = [
     "make_epsilon_evaluator",
@@ -52,9 +52,8 @@ def make_epsilon_evaluator(cfg: EpsilonConfig | None = None) -> TensorNormEvalua
         if hit is not None:
             return NormEstimate.exact(hit[0], seed=cfg.seed)
         est, _ = sup_bracket(g.reduced.coeffs, g.reduced.space.dual_factors(), cfg)
-        upper = est.upper * g.mult * g.scale if np.isfinite(est.upper) else INF
         return NormEstimate(
-            est.lower * g.mult * g.scale, upper, est.converged, est.iterations, cfg.seed
+            g.rescale(est.lower), g.rescale(est.upper), est.converged, est.iterations, cfg.seed
         )
 
     return TensorNormEvaluator("eps", fn, {"norm": "eps", **asdict(cfg)}, "lower")
@@ -77,13 +76,15 @@ def make_sigma_evaluator(p: float, cfg: SigmaConfig | None = None) -> TensorNorm
     end is its value, the lower end its ``lower``, the injective bracket
     whose argmax seeds every modulus run.  That seeding keeps the value at
     or above the lower end, so the min() below only absorbs float dust.
+    When no candidate reconstructs the tensor, the bracket is that lower
+    end and inf.
     """
     cfg = cfg or SigmaConfig()
 
     def fn(z: Tensor) -> NormEstimate:
         sig = sigma_p_upper(z, p, cfg)
         if not np.isfinite(sig.value):
-            return NormEstimate(0.0, INF, False, sig.candidates, cfg.seed)
+            return NormEstimate(sig.lower, INF, False, sig.candidates, cfg.seed)
         lower = min(sig.lower, sig.value)
         return NormEstimate(lower, sig.value, sig.converged, sig.candidates, cfg.seed)
 

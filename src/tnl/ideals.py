@@ -40,15 +40,10 @@ from .spaces import (
     unit_rows,
 )
 from .injective import EpsilonConfig, sup_bracket
-from .kernels import apply_axis, contract_leading, grid_tensor, grid_values, outer
-from .projective import PiConfig, norm_gradient, pi_dual_certificate
-from .sigma import (
-    MODULUS_CONFIG,
-    SigmaDualConfig,
-    family_strong_norm,
-    q_norm,
-    sigma_p_dual,
-)
+from .kernels import apply_axis, contract_leading, grid_tensor, grid_values, norm_gradient, outer
+from .kernels import q_norm
+from .projective import PiConfig, pi_dual_certificate
+from .sigma import MODULUS_CONFIG, SigmaDualConfig, family_strong_norm, sigma_p_dual
 from .tensors import (
     NormEstimate,
     Tensor,
@@ -64,6 +59,7 @@ __all__ = [
     "SmConfig",
     "sup_norm",
     "sup_argmax",
+    "argmax_elementary",
     "linearization_norm",
     "one_adjunction",
     "one_adjunction_inverse",
@@ -445,11 +441,6 @@ _SM_CG_ITERS = 10
 _SM_PI = PiConfig(restarts=1)
 
 
-def _norming_functional(space: NormedSpace, x: np.ndarray) -> np.ndarray:
-    """A functional of dual norm at most 1 with <g, x> = ||x||."""
-    return norm_gradient(space, np.asarray(x, dtype=float)[:, None])[:, 0]
-
-
 def _form_ball_denominator(
     spaces: Sequence[NormedSpace], fams: Sequence[np.ndarray], q: float
 ) -> tuple[float, bool]:
@@ -479,7 +470,8 @@ def _form_ball_denominator(
     starts = []
     for flat in flat_order[:_SM_CG_STARTS]:
         idx = np.unravel_index(int(flat), prod_norms.shape)
-        norming = [_norming_functional(sp, F[i]) for sp, F, i in zip(spaces, fams, idx)]
+        # norming functionals: dual norm at most 1, <g, x> = ||x||
+        norming = [norm_gradient(sp, F[i][:, None])[:, 0] for sp, F, i in zip(spaces, fams, idx)]
         starts.append(outer(norming))
 
     def q_sum(form: np.ndarray) -> float:

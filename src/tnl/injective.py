@@ -35,7 +35,7 @@ from .spaces import (
 )
 from .kernels import BudgetError, contract, grid_sup, leading_direction, sweep_specs
 from .kernels import memo, vertex_count, vertex_matrix
-from .tensors import NormEstimate, Tensor, weighted_matrix
+from .tensors import NormEstimate, Tensor, canonical_gauge, matrix_singular_values
 
 __all__ = [
     "EpsilonConfig",
@@ -44,8 +44,6 @@ __all__ = [
     "epsilon_matrix_oracle",
     "operator_norm",
     "sup_bracket",
-    "canonical_gauge",
-    "BudgetError",
 ]
 
 _STALL_SWEEPS = 3
@@ -89,24 +87,6 @@ class SupResult:
     slots: tuple[np.ndarray, ...]
     iterations: int
     converged: bool
-
-
-def canonical_gauge(coeffs: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Normalize a coefficient array to unit Frobenius norm and canonical sign.
-
-    Returns (normalized, scale, sign) with coeffs = sign * scale * normalized,
-    scale >= 0, and sign the sign of the first nonzero entry (1.0 for the
-    zero array).  Estimators run on the normalized array and multiply by the
-    scale, which makes them equivariant under scaling of the input (exactly
-    so for power-of-two scalings, where float multiplication is exact).
-    """
-    flat = coeffs.ravel()
-    scale = float(np.linalg.norm(flat))
-    if scale == 0.0:
-        return coeffs, 0.0, 1.0
-    nz = flat[flat != 0.0]
-    sign = 1.0 if nz[0] > 0 else -1.0
-    return coeffs * (sign / scale), scale, sign
 
 
 def multilinear_sup(
@@ -274,13 +254,7 @@ def sup_bracket(
 
 def epsilon_matrix_oracle(z: Tensor) -> float:
     """Exact injective norm for two Euclidean factors: the top singular value."""
-    if z.space.order != 2:
-        raise UnsupportedNormError("matrix oracle needs exactly two factors")
-    for f in z.space.factors:
-        if f.p != 2.0:
-            raise UnsupportedNormError("matrix oracle needs both factors Euclidean")
-    scaled = weighted_matrix(z.coeffs, z.space.factors)
-    return float(np.linalg.svd(scaled, compute_uv=False)[0])
+    return float(matrix_singular_values(z)[0])
 
 
 def operator_norm(

@@ -23,6 +23,9 @@ routine, spec and operand order behind each value are decided in one place:
   refine and beta_p polish loops call them hundreds of times per call.
   Numpy's private linalg names appear in this module only, imported on first
   use, so a numpy that moves them breaks these two kernels, not ``import tnl``;
+* the helpers the norm modules share: :func:`norm_gradient`,
+  :func:`column_norms`, :func:`q_norm`, the pi pivot refit
+  :func:`repair_pivot`, :data:`RESIDUAL_TOL` and :class:`BudgetError`;
 * :func:`memo`, the one cache policy for searches: a small LRU memo keyed
   exactly on a call's arguments (arrays by dtype, shape, strides and bytes),
   under ``sup_bracket``, ``pi_search``, ``pi_dual_certificate`` and the
@@ -49,7 +52,11 @@ __all__ = [
     "aligned_outer", "aligned_values", "apply_axis", "contract", "contract_leading", "grid_sup",
     "grid_tensor", "grid_values", "khatri_rao", "kron", "leading_direction", "memo", "outer",
     "refit", "sweep_specs", "top_singular_value", "vertex_count", "vertex_total", "vertex_matrix",
+    "BudgetError", "RESIDUAL_TOL", "column_norms", "norm_gradient", "q_norm", "repair_pivot",
 ]
+
+#: Largest reconstruction residual accepted behind a pi, sigma_p or beta_p upper end.
+RESIDUAL_TOL = 1e-9
 
 #: Distinct (spec, shapes) plans kept; an entry is a few short steps.
 _PLAN_CACHE_SIZE = 1024
@@ -255,6 +262,52 @@ def top_singular_value(a: np.ndarray) -> float:
     singular-value-only gufunc may differ in the last bits, so it is not used.
     """
     return float(_linalg_gufuncs()[1](a, signature="d->ddd")[1][0])
+
+
+def repair_pivot(
+    unfolded: np.ndarray, free_mats: Sequence[np.ndarray]
+) -> tuple[np.ndarray, float]:
+    """Least-squares pivot factor given the other factors; returns residual too."""
+    sol, resid = refit(khatri_rao(free_mats), unfolded.T)
+    return sol.T, resid
+
+
+def norm_gradient(space: NormedSpace, X: np.ndarray) -> np.ndarray:
+    """Columnwise gradient of the factor norm; subgradient 0 at kinks."""
+    w = space.weight_array()[:, None]
+    wx = w * X
+    if space.p == 1.0:
+        return w * np.sign(X)
+    if space.p == INF:
+        g = np.zeros_like(X)
+        idx = np.argmax(np.abs(wx), axis=0)
+        cols = np.arange(X.shape[1])
+        g[idx, cols] = w[idx, 0] * np.sign(X[idx, cols])
+        return g
+    norms = space.norm(X.T)
+    norms = np.where(norms > 0.0, norms, 1.0)
+    if space.p == 2.0:
+        return w * wx / norms[None, :]
+    a = np.abs(wx) ** (space.p - 1.0) * np.sign(X)
+    return w * a / (norms ** (space.p - 1.0))[None, :]
+
+
+def column_norms(factors: Sequence[NormedSpace], mats: Sequence[np.ndarray]) -> np.ndarray:
+    """The factor norm of every column, one row per factor matrix."""
+    return np.stack([np.atleast_1d(f.norm(M.T)) for f, M in zip(factors, mats)])
+
+
+def q_norm(values: np.ndarray, q: float) -> float:
+    """The ell_q norm of the entries of ``values``; 0 for an empty array."""
+    a = np.abs(np.asarray(values, dtype=float))
+    if a.size == 0:
+        return 0.0
+    if q == INF:
+        return float(a.max())
+    top = a.max()
+    if top <= 0.0:
+        return 0.0
+    return float(top * ((a / top) ** q).sum() ** (1.0 / q))
 
 
 def vertex_count(space: NormedSpace) -> int:

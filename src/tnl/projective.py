@@ -21,21 +21,16 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .spaces import (
-    INF,
-    NormedSpace,
-    UnsupportedNormError,
-    Vector,
-)
-from .injective import BudgetError, EpsilonConfig, canonical_gauge, multilinear_sup
-from .kernels import grid_sup, khatri_rao, kron, leading_direction, outer, refit, vertex_matrix
-from .kernels import memo, vertex_total
+from .spaces import INF, NormedSpace
+from .injective import EpsilonConfig, multilinear_sup
+from .kernels import RESIDUAL_TOL, BudgetError, column_norms, grid_sup, kron, leading_direction
+from .kernels import memo, norm_gradient, outer, repair_pivot, vertex_matrix, vertex_total
 from .tensors import (
     Decomposition,
-    DecompositionTerm,
     NormEstimate,
     Tensor,
-    TensorSpace,
+    gauge,
+    matrix_singular_values,
     weighted_matrix,
 )
 
@@ -46,12 +41,7 @@ __all__ = [
     "pi_dual_certificate",
     "pi_estimate",
     "pi_matrix_oracle",
-    "strip_unit_factors",
 ]
-
-#: Largest reconstruction residual accepted behind a pi, sigma_p or beta_p upper end.
-RESIDUAL_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class PiConfig:
@@ -68,132 +58,6 @@ class PiConfig:
     def __post_init__(self) -> None:
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
-
-
-def strip_unit_factors(z: Tensor) -> tuple[Tensor | None, float]:
-    """Split off all one-dimensional factors.
-
-    Returns (reduced, multiplier).  Every tensor norm in this package
-    satisfies norm(z) = multiplier * norm(reduced): a one-dimensional slot
-    contributes exactly the norm of its basis vector to each rank-one term,
-    and the correspondence of decompositions (and of dual functionals) is a
-    bijection.  When every factor is one-dimensional, reduced is None and
-    the norm is multiplier * |single coefficient|.
-    """
-    keep = [f for f in z.space.factors if f.dim > 1]
-    mult = 1.0
-    for f in z.space.factors:
-        if f.dim == 1:
-            mult *= float(f.norm(np.ones(1)))
-    if not keep:
-        return None, mult
-    if len(keep) == len(z.space.factors):
-        return z, 1.0
-    shape = tuple(f.dim for f in keep)
-    return Tensor(TensorSpace(tuple(keep)), z.coeffs.reshape(shape)), mult
-
-
-@dataclass(frozen=True)
-class Gauge:
-    """A tensor split into sign * scale * mult * reduced (see :func:`gauge`).
-
-    ``reduced`` is the unit-norm, canonically signed tensor with every
-    one-dimensional factor stripped; it is None when no factor is left (or
-    the tensor is zero), and ``value`` then holds the norm itself.
-    """
-
-    space: TensorSpace
-    reduced: Tensor | None
-    scale: float
-    sign: float
-    mult: float
-    value: float | None
-
-    def lift(self, base: Decomposition | None) -> Decomposition:
-        """Lift a decomposition of ``reduced`` back to ``space``, rescaled.
-
-        ``base=None`` stands for the single term of ones used when every
-        factor is one-dimensional.
-        """
-        weight = self.sign * self.scale
-        if base is None:
-            vectors = tuple(Vector(f, np.ones(1)) for f in self.space.factors)
-            return Decomposition((DecompositionTerm(weight, vectors),))
-        terms = []
-        for t in base.terms:
-            it = iter(t.vectors)
-            vecs = tuple(
-                next(it) if f.dim > 1 else Vector(f, np.ones(1)) for f in self.space.factors
-            )
-            terms.append(DecompositionTerm(t.weight * weight, vecs))
-        return Decomposition(tuple(terms))
-
-    def direct(self) -> tuple[float, Decomposition] | None:
-        """Value and decomposition when no search is needed, else None.
-
-        That is the zero tensor, every factor one-dimensional, or a single
-        factor left, whose norm is the norm of the vector itself.
-        """
-        if self.reduced is None:
-            if self.scale == 0.0:
-                return 0.0, Decomposition(())
-            return self.value, self.lift(None)
-        if self.reduced.space.order > 1:
-            return None
-        f = self.reduced.space.factors[0]
-        value = self.mult * float(f.norm(self.reduced.coeffs)) * self.scale
-        base = Decomposition((DecompositionTerm(1.0, (Vector(f, self.reduced.coeffs),)),))
-        return value, self.lift(base)
-
-
-def gauge(z: Tensor) -> Gauge:
-    """Normalize z, take its sign and strip its one-dimensional factors.
-
-    Every norm in this package except beta_p satisfies
-    norm(z) = scale * mult * norm(reduced), so the estimators search on
-    ``reduced`` and map results back with :meth:`Gauge.lift`.
-    """
-    normalized, scale, sign = canonical_gauge(z.coeffs)
-    if scale == 0.0:
-        return Gauge(z.space, None, 0.0, 1.0, 1.0, 0.0)
-    reduced, mult = strip_unit_factors(Tensor(z.space, normalized))
-    value = None
-    if reduced is None:
-        value = mult * float(abs(normalized.ravel()[0])) * scale
-    return Gauge(z.space, reduced, scale, sign, mult, value)
-
-
-def norm_gradient(space: NormedSpace, X: np.ndarray) -> np.ndarray:
-    """Columnwise gradient of the factor norm; subgradient 0 at kinks."""
-    w = space.weight_array()[:, None]
-    wx = w * X
-    if space.p == 1.0:
-        return w * np.sign(X)
-    if space.p == INF:
-        g = np.zeros_like(X)
-        idx = np.argmax(np.abs(wx), axis=0)
-        cols = np.arange(X.shape[1])
-        g[idx, cols] = w[idx, 0] * np.sign(X[idx, cols])
-        return g
-    norms = space.norm(X.T)
-    norms = np.where(norms > 0.0, norms, 1.0)
-    if space.p == 2.0:
-        return w * wx / norms[None, :]
-    a = np.abs(wx) ** (space.p - 1.0) * np.sign(X)
-    return w * a / (norms ** (space.p - 1.0))[None, :]
-
-
-def column_norms(factors: Sequence[NormedSpace], mats: Sequence[np.ndarray]) -> np.ndarray:
-    """The factor norm of every column, one row per factor matrix."""
-    return np.stack([np.atleast_1d(f.norm(M.T)) for f, M in zip(factors, mats)])
-
-
-def repair_pivot(
-    unfolded: np.ndarray, free_mats: Sequence[np.ndarray]
-) -> tuple[np.ndarray, float]:
-    """Least-squares pivot factor given the other factors; returns residual too."""
-    sol, resid = refit(khatri_rao(free_mats), unfolded.T)
-    return sol.T, resid
 
 
 def _slice_candidate(shape: tuple[int, ...], pivot: int) -> list[np.ndarray]:
@@ -337,21 +201,23 @@ def _assemble(free: Sequence[np.ndarray], pivot_mat: np.ndarray, pivot: int) -> 
     return mats
 
 
-def _decomposition_from_mats(space: TensorSpace, mats: Sequence[np.ndarray]) -> Decomposition:
-    """Package factor matrices as unit-vector terms with signed weights."""
-    factors = space.factors
-    R = mats[0].shape[1]
-    terms = []
-    for j in range(R):
+def _decomposition_from_mats(
+    factors: Sequence[NormedSpace], mats: Sequence[np.ndarray]
+) -> tuple[list[float], list[np.ndarray]]:
+    """Factor matrices as signed term weights and unit rows, for :meth:`Gauge.lift`."""
+    weights: list[float] = []
+    units: list[list[np.ndarray]] = [[] for _ in factors]
+    for j in range(mats[0].shape[1]):
         cols = [m[:, j] for m in mats]
         norms = [float(f.norm(col)) for f, col in zip(factors, cols)]
         weight = math.prod(norms)
         # a zero column carries no term; so does a product that underflows
         if min(norms) <= 1e-300 or weight == 0.0:
             continue
-        vectors = tuple(Vector(f, col / nl) for f, col, nl in zip(factors, cols, norms))
-        terms.append(DecompositionTerm(weight, vectors))
-    return Decomposition(tuple(terms))
+        weights.append(weight)
+        for u, col, nl in zip(units, cols, norms):
+            u.append(col / nl)
+    return weights, [np.array(u).reshape(len(weights), f.dim) for u, f in zip(units, factors)]
 
 
 @memo
@@ -367,7 +233,7 @@ def pi_search(
     two factors, the weighted SVD basis, in that order.  ``cfg.restarts``
     seeded random candidates follow.  Each is refined by
     :func:`_refine_candidate`, which refits the pivot factor by least squares
-    (see :func:`repair_pivot`); ``value`` is the best objective (inf when
+    (see :func:`~tnl.kernels.repair_pivot`); ``value`` is the best objective (inf when
     none reconstructs the array) and ``mats`` its factors, pivot included.
     Memoized (:func:`~tnl.kernels.memo`), so lists come back as tuples: z and
     its scalar-slot twin gauge to one array, searched once.
@@ -423,8 +289,8 @@ def pi_upper(
     tried = len(exact) + cfg.restarts
     if not np.isfinite(value):
         return INF, None, False, tried
-    base = _decomposition_from_mats(g.reduced.space, mats)
-    return value * g.mult * g.scale, g.lift(base), converged, tried
+    dec = g.lift(*_decomposition_from_mats(g.reduced.space.factors, mats))
+    return g.rescale(value), dec, converged, tried
 
 
 def _pi_lower_polyhedral(
@@ -559,7 +425,7 @@ def pi_lower(z: Tensor, cfg: PiConfig | None = None) -> float:
     if g.reduced is None:
         return g.value
     value, _ = pi_dual_certificate(g.reduced.space.factors, g.reduced.coeffs, cfg)
-    return value * g.mult * g.scale
+    return g.rescale(value)
 
 
 def pi_estimate(z: Tensor, cfg: PiConfig | None = None) -> NormEstimate:
@@ -578,10 +444,4 @@ def pi_estimate(z: Tensor, cfg: PiConfig | None = None) -> NormEstimate:
 
 def pi_matrix_oracle(z: Tensor) -> float:
     """Exact projective norm for two Euclidean factors: the nuclear norm."""
-    if z.space.order != 2:
-        raise UnsupportedNormError("matrix oracle needs exactly two factors")
-    for f in z.space.factors:
-        if f.p != 2.0:
-            raise UnsupportedNormError("matrix oracle needs both factors Euclidean")
-    scaled = weighted_matrix(z.coeffs, z.space.factors)
-    return float(np.linalg.svd(scaled, compute_uv=False).sum())
+    return float(matrix_singular_values(z).sum())

@@ -23,11 +23,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .injective import BudgetError, EpsilonConfig, canonical_gauge, multilinear_sup, sup_bracket
-from .kernels import aligned_outer, aligned_values, kron, refit, top_singular_value
-from .kernels import memo, vertex_matrix, vertex_total
-from .projective import RESIDUAL_TOL, PiConfig, column_norms, gauge, pi_search, pi_upper
-from .projective import repair_pivot
+from .injective import EpsilonConfig, multilinear_sup, sup_bracket
+from .kernels import RESIDUAL_TOL, BudgetError, aligned_outer, aligned_values, column_norms, kron
+from .kernels import memo, q_norm, refit, repair_pivot, top_singular_value, vertex_matrix
+from .kernels import vertex_total
+from .projective import PiConfig, pi_search, pi_upper
 from .spaces import (
     INF,
     NormedSpace,
@@ -39,11 +39,12 @@ from .spaces import (
 )
 from .tensors import (
     Decomposition,
-    DecompositionTerm,
     GroupedBlock,
     GroupedDecomposition,
     Tensor,
     TensorSpace,
+    canonical_gauge,
+    gauge,
 )
 
 __all__ = [
@@ -77,19 +78,6 @@ class ConjugatePair:
     @property
     def q(self) -> float:
         return conjugate_exponent(self.p)
-
-
-def q_norm(values: np.ndarray, q: float) -> float:
-    """The ell_q norm of the entries of ``values``; 0 for an empty array."""
-    a = np.abs(np.asarray(values, dtype=float))
-    if a.size == 0:
-        return 0.0
-    if q == INF:
-        return float(a.max())
-    top = a.max()
-    if top <= 0.0:
-        return 0.0
-    return float(top * ((a / top) ** q).sum() ** (1.0 / q))
 
 
 @dataclass(frozen=True)
@@ -498,17 +486,10 @@ def sigma_p_upper(
 
     reduced = g.reduced
     eps_lower, best, lam, fams, converged, tried = search(reduced.space, reduced.coeffs, p, cfg)
-    lower = eps_lower * g.mult * g.scale
+    lower = g.rescale(eps_lower)
     if not np.isfinite(best) or lam is None:
         return SigmaResult(float("inf"), None, False, tried, lower)
-
-    factors = reduced.space.factors
-    terms = []
-    for j in range(len(lam)):
-        vecs = tuple(Vector(factors[l], fams[l][j]) for l in range(len(factors)))
-        terms.append(DecompositionTerm(float(lam[j]), vecs))
-    dec = g.lift(Decomposition(tuple(terms)))
-    return SigmaResult(best * g.mult * g.scale, dec, converged, tried, lower)
+    return SigmaResult(g.rescale(best), g.lift(lam, fams), converged, tried, lower)
 
 
 def _si_ratio(

@@ -6,17 +6,22 @@ never return bare floats: they return a :class:`NormEstimate` bracket
 ``[lower, upper]`` together with convergence metadata, so that every
 downstream comparison can be explicit about which side of the bracket it
 certifies.
+
+The gauge lives here too: :func:`gauge` normalizes a tensor, fixes its sign
+and strips its one-dimensional factors, so eps, pi and sigma_p search one
+array for z and z (x) 1; :meth:`Gauge.rescale` and :meth:`Gauge.lift` map
+values and decompositions back to the caller's space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .kernels import apply_axis, contract_leading, grid_tensor, outer
-from .spaces import NormedSpace, SpaceError, Vector, scalar_space, unit_vector
+from .spaces import NormedSpace, SpaceError, UnsupportedNormError, Vector, scalar_space, unit_vector
 
 #: Largest total dimension of a tensor space (product of factor dimensions).
 DIM_CAP = 4096
@@ -39,6 +44,11 @@ __all__ = [
     "random_tensor",
     "random_decomposition",
     "weighted_matrix",
+    "matrix_singular_values",
+    "canonical_gauge",
+    "strip_unit_factors",
+    "Gauge",
+    "gauge",
 ]
 
 
@@ -237,6 +247,126 @@ class TensorNormEvaluator:
 def weighted_matrix(coeffs: np.ndarray, factors: Sequence[NormedSpace]) -> np.ndarray:
     """Two-factor coefficients times both factors' weights: the unweighted matrix."""
     return coeffs * factors[0].weight_array()[:, None] * factors[1].weight_array()[None, :]
+
+
+def matrix_singular_values(z: Tensor) -> np.ndarray:
+    """Singular values of the unweighted matrix of a tensor on two Euclidean factors."""
+    if z.space.order != 2:
+        raise UnsupportedNormError("matrix oracle needs exactly two factors")
+    for f in z.space.factors:
+        if f.p != 2.0:
+            raise UnsupportedNormError("matrix oracle needs both factors Euclidean")
+    return np.linalg.svd(weighted_matrix(z.coeffs, z.space.factors), compute_uv=False)
+
+
+def canonical_gauge(coeffs: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Normalize a coefficient array to unit Frobenius norm and canonical sign.
+
+    Returns (normalized, scale, sign) with coeffs = sign * scale * normalized,
+    scale >= 0, and sign the sign of the first nonzero entry (1.0 for the
+    zero array).  Estimators run on the normalized array and multiply by the
+    scale, which makes them equivariant under scaling of the input (exactly
+    so for power-of-two scalings, where float multiplication is exact).
+    """
+    flat = coeffs.ravel()
+    scale = float(np.linalg.norm(flat))
+    if scale == 0.0:
+        return coeffs, 0.0, 1.0
+    nz = flat[flat != 0.0]
+    sign = 1.0 if nz[0] > 0 else -1.0
+    return coeffs * (sign / scale), scale, sign
+
+
+def strip_unit_factors(z: Tensor) -> tuple[Tensor | None, float]:
+    """Split off all one-dimensional factors.
+
+    Returns (reduced, multiplier).  Every tensor norm in this package
+    satisfies norm(z) = multiplier * norm(reduced): a one-dimensional slot
+    contributes exactly the norm of its basis vector to each rank-one term,
+    and the correspondence of decompositions (and of dual functionals) is a
+    bijection.  When every factor is one-dimensional, reduced is None and
+    the norm is multiplier * |single coefficient|.
+    """
+    keep = [f for f in z.space.factors if f.dim > 1]
+    mult = 1.0
+    for f in z.space.factors:
+        if f.dim == 1:
+            mult *= float(f.norm(np.ones(1)))
+    if not keep:
+        return None, mult
+    if len(keep) == len(z.space.factors):
+        return z, 1.0
+    shape = tuple(f.dim for f in keep)
+    return Tensor(TensorSpace(tuple(keep)), z.coeffs.reshape(shape)), mult
+
+
+@dataclass(frozen=True)
+class Gauge:
+    """A tensor split into sign * scale * mult * reduced (see :func:`gauge`).
+
+    ``reduced`` is the unit-norm, canonically signed tensor with every
+    one-dimensional factor stripped; it is None when no factor is left (or
+    the tensor is zero), and ``value`` then holds the norm itself.
+    """
+
+    space: TensorSpace
+    reduced: Tensor | None
+    scale: float
+    sign: float
+    mult: float
+    value: float | None
+
+    def rescale(self, x: float) -> float:
+        """A norm value of ``reduced`` as a value of the caller's tensor."""
+        return x * self.mult * self.scale
+
+    def lift(self, weights: Sequence[float], rows: Sequence[np.ndarray]) -> Decomposition:
+        """Terms weights[j] * rows[0][j] (x) rows[1][j] (x) ... of ``reduced``, on ``space``.
+
+        ``rows`` holds one (terms, dim) array per reduced factor; the ones
+        vector fills every stripped slot, and each weight takes sign * scale.
+        """
+        terms = []
+        for j, lam in enumerate(weights):
+            it = iter(rows)
+            vecs = tuple(
+                Vector(f, next(it)[j]) if f.dim > 1 else Vector(f, np.ones(1))
+                for f in self.space.factors
+            )
+            terms.append(DecompositionTerm(float(lam) * (self.sign * self.scale), vecs))
+        return Decomposition(tuple(terms))
+
+    def direct(self) -> tuple[float, Decomposition] | None:
+        """Value and decomposition when no search is needed, else None.
+
+        That is the zero tensor, every factor one-dimensional, or a single
+        factor left, whose norm is the norm of the vector itself.
+        """
+        if self.reduced is None:  # no term for the zero tensor, one of ones otherwise
+            return self.value, self.lift([1.0] if self.scale > 0.0 else [], [])
+        if self.reduced.space.order > 1:
+            return None
+        f = self.reduced.space.factors[0]
+        value = self.rescale(float(f.norm(self.reduced.coeffs)))
+        return value, self.lift([1.0], [self.reduced.coeffs[None, :]])
+
+
+def gauge(z: Tensor) -> Gauge:
+    """Normalize z, take its sign and strip its one-dimensional factors.
+
+    Every norm in this package except beta_p satisfies
+    norm(z) = scale * mult * norm(reduced), so the estimators search on
+    ``reduced`` and map results back with :meth:`Gauge.rescale` and
+    :meth:`Gauge.lift`.
+    """
+    normalized, scale, sign = canonical_gauge(z.coeffs)
+    if scale == 0.0:
+        return Gauge(z.space, None, 0.0, 1.0, 1.0, 0.0)
+    reduced, mult = strip_unit_factors(Tensor(z.space, normalized))
+    g = Gauge(z.space, reduced, scale, sign, mult, None)
+    if reduced is None:
+        g = replace(g, value=g.rescale(float(abs(normalized.ravel()[0]))))
+    return g
 
 
 def from_decomposition(space: TensorSpace, d: Decomposition) -> Tensor:

@@ -202,6 +202,58 @@ def test_exit_2_on_bad_dims(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("kind,restarts", [("eps", "0"), ("pi", "-1")])
+def test_exit_2_on_bad_search_config(kind, restarts, identity_tensor, capsys):
+    assert main(["norm", "--kind", kind, "--in", identity_tensor, "--restarts", restarts]) == 2
+    assert "restarts must be >=" in capsys.readouterr().err
+
+
+def test_norm_rejects_flags_it_ignores(identity_tensor, capsys):
+    for flags in (["--tolerance", "1"], ["--dims", "2x2"]):
+        assert main(["norm", "--kind", "eps", "--in", identity_tensor, *flags]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_rejects_flags_it_ignores(capsys):
+    assert main(["verify", "--suite", "crossnorm", "--samples", "2", "--q", "3"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_witness_rejects_flags_it_ignores(capsys):
+    for flags in (["--q", "3"], ["--tolerance", "1"]):
+        assert main(["witness", "--norm", "pi", "--budget", "2", *flags]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "smoothness", "--samples", "0"],
+    ["verify", "--suite", "crossnorm", "--samples", "-2"],
+    ["witness", "--budget", "0"],
+    ["witness", "--norm", "pi", "--budget", "-1"],
+])
+def test_exit_2_on_counts_that_check_nothing(argv, tmp_path, capsys):
+    assert main(argv) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no report written
+
+
+def test_exit_2_on_sm_family_budget_zero(scalar_form, capsys):
+    assert main(["norm", "--kind", "sm_pq", "--in", scalar_form, "--samples", "0"]) == 2
+    assert "samples must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,argv", [
+    ("samples = 0", ["verify", "--suite", "smoothness"]),
+    ("budget = 0", ["witness", "--norm", "pi"]),
+], ids=["samples", "budget"])
+def test_exit_2_on_config_file_counts_that_check_nothing(line, argv, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n")
+    monkeypatch.setenv("TNL_CONFIG", str(cfg))
+    assert main(argv) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 def test_exit_3_on_kind_input_mismatch(identity_tensor, scalar_form, capsys):
     assert main(["norm", "--kind", "eps", "--in", scalar_form]) == 3
     assert main(["norm", "--kind", "sup", "--in", identity_tensor]) == 3

@@ -755,3 +755,73 @@ def test_private_import_scan_sees_function_local_imports(tmp_path):
         "probe.py:4: _first_unit from .projective",
         "probe.py:5: _hidden from tnl",
     ]
+
+
+#: The layer under the norm modules: shared helpers live here, free to import.
+_BASE_LAYER = {"spaces", "kernels", "tensors"}
+
+
+def _surface(module: str) -> set[str]:
+    """A module's ``__all__`` and the functions it decorates with ``@memo``, read from source."""
+    names = set()
+    for node in ast.parse((_SRC / f"{module}.py").read_text()).body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+            names |= set(ast.literal_eval(node.value))
+        elif isinstance(node, ast.FunctionDef) and "memo" in map(ast.unparse, node.decorator_list):
+            names.add(node.name)
+    return names
+
+
+def _helper_imports(path: Path) -> list[str]:
+    """Names a module imports from a norm module that are neither public nor a memoized search."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0:
+            if not module.startswith("tnl."):
+                continue
+            module = module[len("tnl."):]
+        if not module or module in _BASE_LAYER:
+            continue
+        surface = _surface(module)
+        where = "." * node.level + (node.module or "")
+        found += [
+            f"{path.name}:{node.lineno}: {alias.name} from {where}"
+            for alias in node.names if alias.name not in surface
+        ]
+    return found
+
+
+def test_modules_share_only_public_names_and_searches():
+    """Above the base layer, a module takes another's ``__all__`` names and memoized searches only.
+
+    sigma_p reuses ``projective.pi_search``; every other shared step (the
+    gauge and its lift, factor norms, the pivot refit) lives in ``tensors``
+    or ``kernels``.
+    """
+    offenders = [
+        hit
+        for path in sorted(_SRC.glob("*.py")) if path.stem not in _BASE_LAYER
+        for hit in _helper_imports(path)
+    ]
+    assert offenders == []
+
+
+def test_helper_import_scan_sees_a_helper_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .kernels import q_norm\n"
+        "from .projective import pi_upper, pi_search, _assemble\n"
+        "from tnl.ideals import argmax_elementary\n"
+        "def f():\n"
+        "    from tnl.sigma import sigma_p_upper, _strong_norm\n"
+        "    from .injective import canonical_gauge\n"
+        "from tnl import tensors\n"
+    )
+    assert _helper_imports(probe) == [
+        "probe.py:2: _assemble from .projective",
+        "probe.py:5: _strong_norm from tnl.sigma",
+        "probe.py:6: canonical_gauge from .injective",
+    ]

@@ -23,9 +23,9 @@ from tnl import (
     unflatten_scalar,
 )
 from tnl.injective import epsilon_matrix_oracle
-from tnl.tensors import from_decomposition, weighted_matrix
+from tnl.tensors import Gauge, from_decomposition, strip_unit_factors, weighted_matrix
 from tnl import projective
-from tnl.projective import _decomposition_from_mats, _deflation_candidate, strip_unit_factors
+from tnl.projective import _decomposition_from_mats, _deflation_candidate
 
 from conftest import elementary_tensor, nuclear, random_factors
 
@@ -203,11 +203,36 @@ def test_decompositions_reconstruct_z(n, units):
         assert float(np.linalg.norm(back - z.coeffs)) <= 1e-9 * size
 
 
+def _term_bytes(dec) -> list[tuple[bytes, ...]]:
+    return [
+        (np.float64(t.weight).tobytes(), *(v.coords.tobytes() for v in t.vectors))
+        for t in dec.terms
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scalar_slot_decompositions_are_the_lifted_ones(n):
+    """pi's and sigma_p's decompositions of z (x) 1 are those of z, byte for byte, plus ones."""
+    z = _scalar_slot_case(n, 0, seed=90 + n)
+    twin = unflatten_scalar(z)
+    pairs = [(pi_upper(z)[1], pi_upper(twin)[1])]
+    pairs += [(sigma_p_upper(z, p).decomposition, sigma_p_upper(twin, p).decomposition)
+              for p in (1.5, INF)]
+    ones = np.ones(1).tobytes()
+    for dec, dec_twin in pairs:
+        assert dec.rank > 0
+        assert _term_bytes(dec_twin) == [(*term, ones) for term in _term_bytes(dec)]
+        for t in dec_twin.terms:
+            assert t.vectors[-1].space == twin.space.factors[-1]
+
+
 def test_decomposition_skips_a_zero_column():
     space = TensorSpace((NormedSpace(2, 1.0), NormedSpace(3, INF)))
     A = np.array([[1.0, 0.0, -2.0], [3.0, 0.0, 0.5]])
     B = np.array([[0.5, 1.0, 0.0], [0.0, 2.0, 1.0], [-1.0, 3.0, 0.0]])
-    dec = _decomposition_from_mats(space, [A, B])
+    # sign, scale and multiplier 1, no stripped slot
+    identity = Gauge(space, None, 1.0, 1.0, 1.0, None)
+    dec = identity.lift(*_decomposition_from_mats(space.factors, [A, B]))
     assert [t.weight for t in dec.terms] == [4.0 * 1.0, 2.5 * 1.0]
     for term, j in zip(dec.terms, (0, 2)):
         for v, f, M in zip(term.vectors, space.factors, (A, B)):

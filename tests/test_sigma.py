@@ -33,12 +33,11 @@ from tnl import witness_search_nonsmooth
 from tnl.injective import sup_bracket
 from tnl.kernels import contract, vertex_matrix
 from tnl.evaluators import make_epsilon_evaluator, make_sigma_evaluator
-from tnl.injective import canonical_gauge
 from tnl.kernels import kron
-from tnl.projective import RESIDUAL_TOL
-from tnl.sigma import MODULUS_CONFIG, BetaResult, ConjugatePair, q_norm
+from tnl.kernels import RESIDUAL_TOL, q_norm
+from tnl.sigma import MODULUS_CONFIG, BetaResult, ConjugatePair
 from tnl.spaces import ball_linear_maximizer_batch, unit_rows
-from tnl.tensors import GroupedBlock, GroupedDecomposition, grouped_to_tensor
+from tnl.tensors import GroupedBlock, GroupedDecomposition, canonical_gauge, grouped_to_tensor
 
 from conftest import elementary_tensor, modulus_oracle, modulus_oracle_loop, random_factors
 
@@ -191,15 +190,18 @@ def test_sigma_last_candidate_is_pi_best_decomposition(monkeypatch):
 
 @pytest.mark.parametrize("p", [1.0, 2.0, INF])
 def test_sigma_evaluator_lower_is_eps_lower_or_value(p):
+    """Also without a candidate (rank cap 1): the lower end is then eps's, the upper inf."""
     rng = np.random.default_rng(44)
     for trial in range(5):
         factors = random_factors(rng, rng.integers(2, 4))
         z = random_tensor(TensorSpace(factors), seed=700 + trial)
-        sig_eval = make_sigma_evaluator(p, SigmaConfig(seed=trial))
         eps_eval = make_epsilon_evaluator(EpsilonConfig(restarts=32, seed=trial))
-        for t in (z, unflatten_scalar(z)):
-            est = sig_eval(t)
-            assert est.lower == min(eps_eval(t).lower, est.upper)
+        for max_rank in (None, 1):
+            sig_eval = make_sigma_evaluator(p, SigmaConfig(seed=trial, max_rank=max_rank))
+            for t in (z, unflatten_scalar(z)):
+                est = sig_eval(t)
+                assert est.lower == min(eps_eval(t).lower, est.upper)
+                assert max_rank is None or est.upper == INF
 
 
 # ---------------------------------------------------------------------------
