@@ -77,6 +77,8 @@ class EpsilonConfig:
             raise ValueError("max_iters must be >= 1")
         if not (self.tol > 0.0):
             raise ValueError("tol must be positive")
+        if self.grid_resolution < 0:
+            raise ValueError("grid_resolution must be >= 0")
 
 
 @dataclass(frozen=True)

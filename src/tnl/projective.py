@@ -10,6 +10,10 @@ pairs with z below the projective norm.  On polyhedral factor spaces that
 dual problem is a finite linear program and the bound is exact; for two
 Euclidean factors the polar factor of the coefficient matrix is the optimal
 form and the bracket collapses onto the nuclear norm.
+
+``import tnl`` loads numpy only; scipy's LP solver is imported on the first
+polyhedral π certificate (a π lower end, an sm_pq gradient step or the
+bidual suite), inside ``_pi_lower_polyhedral``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .spaces import INF, NormedSpace
 from .injective import EpsilonConfig, multilinear_sup
@@ -58,6 +61,8 @@ class PiConfig:
     def __post_init__(self) -> None:
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
+        if self.max_rank is not None and self.max_rank < 1:
+            raise ValueError("max_rank must be >= 1")
 
 
 def _slice_candidate(shape: tuple[int, ...], pivot: int) -> list[np.ndarray]:
@@ -296,7 +301,14 @@ def pi_upper(
 def _pi_lower_polyhedral(
     factors: Sequence[NormedSpace], coeffs: np.ndarray, budget: int
 ) -> tuple[float, np.ndarray]:
-    """Exact dual bound by linear programming over the polytope of feasible forms."""
+    """Exact dual bound by linear programming over the polytope of feasible forms.
+
+    ``import tnl`` loads numpy only; scipy's LP solver is imported here, on the
+    first polyhedral π certificate, so runs that never solve an LP (ε, sup,
+    σ_p, β_p, the witness) start without it.
+    """
+    from scipy.optimize import linprog
+
     count = vertex_total(factors)
     if count > budget:
         raise BudgetError(f"{count} dual constraints exceed budget {budget}")

@@ -102,6 +102,12 @@ class SigmaConfig:
     seed: int = 0
     exact_budget: int = 50_000
 
+    def __post_init__(self) -> None:
+        if self.restarts < 0:
+            raise ValueError("restarts must be >= 0")
+        if self.max_rank is not None and self.max_rank < 1:
+            raise ValueError("max_rank must be >= 1")
+
 
 #: Family-modulus budget of the searches that evaluate many small families.
 MODULUS_CONFIG = SigmaConfig(restarts=6, max_sweeps=60)
@@ -130,6 +136,10 @@ class BetaConfig:
     polish_rounds: int = 80
     seed: int = 0
     modulus: SigmaConfig = MODULUS_CONFIG
+
+    def __post_init__(self) -> None:
+        if self.restarts < 0:
+            raise ValueError("restarts must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,19 @@ def test_exit_2_on_bad_search_config(kind, restarts, identity_tensor, capsys):
     assert "restarts must be >=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--kind", "pi", "--max-rank", "-1"], "max_rank must be >= 1"),
+    (["--kind", "pi", "--max-rank", "0"], "max_rank must be >= 1"),
+    (["--kind", "sigma_p", "--restarts", "-3"], "restarts must be >= 0"),
+    (["--kind", "beta_p", "--restarts", "-3"], "restarts must be >= 0"),
+    (["--kind", "eps", "--grid", "-1"], "grid_resolution must be >= 0"),
+], ids=["pi-max-rank-neg", "pi-max-rank-0", "sigma-restarts-neg", "beta-restarts-neg",
+        "eps-grid-neg"])
+def test_exit_2_on_config_values_out_of_range(flags, message, identity_tensor, capsys):
+    assert main(["norm", "--in", identity_tensor, *flags]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_norm_rejects_flags_it_ignores(identity_tensor, capsys):
     for flags in (["--tolerance", "1"], ["--dims", "2x2"]):
         assert main(["norm", "--kind", "eps", "--in", identity_tensor, *flags]) == 2
@@ -439,3 +452,31 @@ def test_console_script_help():
     )
     assert proc.returncode == 0, proc.stderr
     assert "norm" in proc.stdout and "verify" in proc.stdout and "witness" in proc.stdout
+
+
+_STARTUP_PROBE = """
+import sys
+
+import tnl
+import tnl.cli
+
+loaded = ["scipy.optimize" in sys.modules]
+assert tnl.cli.main(["norm", "--in", sys.argv[1], "--kind", "pi"]) == 0
+loaded.append("scipy.optimize" in sys.modules)
+l1_linf = tnl.TensorSpace((tnl.NormedSpace(3, 1.0), tnl.NormedSpace(4, tnl.INF)))
+tnl.pi_estimate(tnl.random_tensor(l1_linf, 1701))
+loaded.append("scipy.optimize" in sys.modules)
+print(loaded)
+"""
+
+
+def test_scipy_optimize_loads_at_the_first_lp(tmp_path):
+    """``import tnl`` and the CLI's ℓ2⊗ℓ2 π bracket leave scipy.optimize out; an LP loads it."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, str(root / "demos" / "data" / "identity_l2.json")],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, False, True]"

@@ -662,6 +662,51 @@ def test_contraction_scan_sees_each_kind():
     ]
 
 
+def _import_time_scipy(text: str) -> list[str]:
+    """scipy imports that run when the module is imported (outside any function body)."""
+    found, stack = [], list(ast.parse(text).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+            continue
+        if any(n == "scipy" or n.startswith("scipy.") for n in names):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return sorted(found)
+
+
+def test_scipy_is_imported_on_first_use():
+    """``import tnl`` loads numpy only; the LP solver is imported where it is called."""
+    offenders = [f"{path.name}: {hit}" for path in sorted(_SRC.glob("*.py"))
+                 for hit in _import_time_scipy(path.read_text())]
+    assert offenders == []
+    probe = (
+        "import scipy\n"
+        "from scipy.optimize import linprog\n"
+        "try:\n"
+        "    import scipy.linalg as sl\n"
+        "except ImportError:\n"
+        "    sl = None\n"
+        "class C:\n"
+        "    from scipy import sparse\n"
+        "def f():\n"
+        "    from scipy.optimize import linprog\n"
+        "import scipyish\n"
+    )
+    assert _import_time_scipy(probe) == [
+        "line 1: import scipy",
+        "line 2: from scipy.optimize import linprog",
+        "line 4: import scipy.linalg as sl",
+        "line 8: from scipy import sparse",
+    ]
+
+
 def _sites(match) -> set[str]:
     """module.function for every function of the package with a node that matches."""
     sites = set()

@@ -486,3 +486,24 @@ def test_refine_is_bitwise_the_reference():
     assert palette == {1.0, 1.5, 2.0, INF, "weighted"}
     assert shapes == {(2, False), (2, True), (3, False), (3, True)}
     assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+@pytest.mark.parametrize("factors,seed,lower,upper", [
+    ((NormedSpace(3, 1.0), NormedSpace(4, INF)), 1701,
+     "0x1.d5dbfc8810a68p+1", "0x1.d5dbfc8810a68p+1"),
+    ((NormedSpace(2, INF), NormedSpace(3, INF), NormedSpace(2, 1.0)), 1702,
+     "0x1.3628a483d95e9p+2", "0x1.6fb70692ffb9ep+2"),
+])
+def test_lp_route_bracket_is_pinned(factors, seed, lower, upper, monkeypatch):
+    """The LP certificate's bracket on polyhedral tensors, in bytes, as scipy's solver gives it."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return lp(*args)
+
+    lp = projective._pi_lower_polyhedral
+    monkeypatch.setattr(projective, "_pi_lower_polyhedral", spy)
+    est = pi_estimate(random_tensor(TensorSpace(factors), seed))
+    assert (est.lower.hex(), est.upper.hex()) == (lower, upper)
+    assert len(calls) == 1
