@@ -9,11 +9,12 @@ Three subcommands cover the library surface:
   factor is appended and writes the best candidate found.
 
 Each subcommand takes only the flags it reads.  Exit codes: 0 success; 2
-bad arguments (a search budget a config rejects, or a sample count or
-candidate budget below one, included) or malformed input; 3 structurally
-unsupported combination (for example a semi-integral constant of a
-vector-valued map, or a summing norm with p < q); 4 a verification suite
-ran to completion and failed (its report is still written).
+bad arguments (a search budget a config rejects, a sample count or
+candidate budget below one, or an exponent below one or NaN, included) or
+malformed input; 3 structurally unsupported combination (for example a
+semi-integral constant of a vector-valued map, or a summing norm with
+p < q); 4 a verification suite ran to completion and failed (its report is
+still written).
 
 Defaults may be placed in a UTF-8 ``key=value`` file named by the
 ``TNL_CONFIG`` environment variable; explicit flags win over the file.
@@ -174,6 +175,8 @@ def _parse_exponent(text: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad exponent {text!r}") from exc
+    if not value >= 1.0:  # NaN fails this too
+        raise argparse.ArgumentTypeError(f"bad exponent {text!r}; must be >= 1 or 'inf'")
     return value
 
 

@@ -10,14 +10,17 @@ routine, spec and operand order behind each value are decided in one place:
   :func:`grid_tensor` is its mirror, :func:`grid_sup` the maximum over a
   product of point families; :func:`aligned_values` and
   :func:`aligned_outer` do the same for aligned families (one index j);
-* :func:`kron`, :func:`khatri_rao`, :func:`outer`, :func:`contract_leading`,
-  :func:`apply_axis` and :func:`leading_direction`;
+* :func:`kron`, :func:`khatri_rao`, :func:`outer`, :func:`apply_axis` and
+  :func:`leading_direction`; :func:`contract_leading` and :func:`contract_all_but`
+  share one per-axis step, ``np.tensordot``'s own transpose, reshape and dot;
 * :func:`vertex_matrix` caches a polyhedral ball's extreme points as one
   read-only array per space (callers copy rows they hand out);
   :func:`vertex_count` and :func:`vertex_total` count them first;
+  :func:`vertex_families` is the one gate of the exact π LP and σ_p modulus
+  routes: every ball polyhedral and the vertex product within a budget;
 * :func:`refit`, the one least-squares reconstruction (on a :func:`khatri_rao`
   or :func:`kron` design) behind every pi, sigma_p and beta_p upper end, and
-  :func:`top_singular_value`: numpy's own LAPACK gufuncs behind
+  :func:`top_singular_pair`: numpy's own LAPACK gufuncs behind
   ``np.linalg.lstsq(a, b, rcond=None)`` and the reduced ``np.linalg.svd``,
   under numpy's own error state, without the argument handling; the pi
   refine and beta_p polish loops call them hundreds of times per call.
@@ -30,9 +33,6 @@ routine, spec and operand order behind each value are decided in one place:
   exactly on a call's arguments (arrays by dtype, shape, strides and bytes),
   under ``sup_bracket``, ``pi_search``, ``pi_dual_certificate`` and the
   sigma_p stage, so a gauged array and its scalar-slot twin are searched once.
-
-Only the π deflation's per-axis dot (``projective._contract_all_but``)
-stays inline in its hot loop.
 """
 
 from __future__ import annotations
@@ -49,9 +49,10 @@ import numpy as np
 from .spaces import INF, NormedSpace, UnsupportedNormError, extreme_points
 
 __all__ = [
-    "aligned_outer", "aligned_values", "apply_axis", "contract", "contract_leading", "grid_sup",
-    "grid_tensor", "grid_values", "khatri_rao", "kron", "leading_direction", "memo", "outer",
-    "refit", "sweep_specs", "top_singular_value", "vertex_count", "vertex_total", "vertex_matrix",
+    "aligned_outer", "aligned_values", "apply_axis", "contract", "contract_all_but",
+    "contract_leading", "grid_sup", "grid_tensor", "grid_values", "khatri_rao", "kron",
+    "leading_direction", "memo", "outer", "refit", "sweep_specs", "top_singular_pair",
+    "vertex_count", "vertex_families", "vertex_total", "vertex_matrix",
     "BudgetError", "RESIDUAL_TOL", "column_norms", "norm_gradient", "q_norm", "repair_pivot",
 ]
 
@@ -203,11 +204,30 @@ def outer(vectors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _contract_axis(coeffs: np.ndarray, v: np.ndarray, axis: int) -> np.ndarray:
+    """``np.tensordot(coeffs, v, axes=(axis, 0))``, bit for bit: its transpose, reshape and dot."""
+    d, rest = len(v), coeffs.shape[:axis] + coeffs.shape[axis + 1 :]
+    if axis != coeffs.ndim - 1:
+        coeffs = coeffs.transpose(*range(axis), *range(axis + 1, coeffs.ndim), axis)
+    return np.dot(coeffs.reshape(-1, d), v.reshape(d, 1)).reshape(rest)
+
+
 def contract_leading(coeffs: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Contract the leading axes of ``coeffs`` with the vectors, first axis first."""
     out = coeffs
     for v in vectors:
-        out = np.tensordot(out, v, axes=(0, 0))
+        out = _contract_axis(out, v, 0)
+    return out
+
+
+def contract_all_but(
+    coeffs: np.ndarray, vecs: Sequence[np.ndarray], skip: int | None
+) -> np.ndarray:
+    """Contract every axis m != skip with vecs[m], highest first (skip None: a 0-d result)."""
+    out = coeffs
+    for m in range(coeffs.ndim - 1, -1, -1):
+        if m != skip:
+            out = _contract_axis(out, vecs[m], m)
     return out
 
 
@@ -255,13 +275,14 @@ def refit(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     return sol, math.sqrt(r.dot(r))
 
 
-def top_singular_value(a: np.ndarray) -> float:
-    """``np.linalg.svd(a, full_matrices=False)[1][0]`` of an (m, n) float array, bit for bit.
+def top_singular_pair(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """``s[0]`` and ``vt[0]`` of ``np.linalg.svd(a, full_matrices=False)``, bit for bit.
 
-    The reduced SVD's own gufunc under numpy's own error state; the
+    One call of the reduced SVD's own gufunc under numpy's own error state; the
     singular-value-only gufunc may differ in the last bits, so it is not used.
     """
-    return float(_linalg_gufuncs()[1](a, signature="d->ddd")[1][0])
+    _, s, vt = _linalg_gufuncs()[1](a, signature="d->ddd")
+    return float(s[0]), vt[0]
 
 
 def repair_pivot(
@@ -352,6 +373,16 @@ def vertex_matrix(space: NormedSpace) -> np.ndarray:
     if vertex_count(space) * space.dim > _VERTEX_CACHE_MAX_ENTRIES:
         return _build_vertex_matrix(space)
     return _cached_vertex_matrix(space)
+
+
+def vertex_families(spaces: Sequence[NormedSpace], budget: int) -> list[np.ndarray] | None:
+    """Each ball's :func:`vertex_matrix`, or None before any vertex is built.
+
+    None unless every ball is polyhedral and :func:`vertex_total` is within ``budget``.
+    """
+    if not all(sp.is_polyhedral() for sp in spaces) or vertex_total(spaces) > budget:
+        return None
+    return [vertex_matrix(sp) for sp in spaces]
 
 
 _memo: OrderedDict[tuple, object] = OrderedDict()

@@ -26,8 +26,8 @@ import numpy as np
 
 from .spaces import INF, NormedSpace
 from .injective import EpsilonConfig, multilinear_sup
-from .kernels import RESIDUAL_TOL, BudgetError, column_norms, grid_sup, kron, leading_direction
-from .kernels import memo, norm_gradient, outer, repair_pivot, vertex_matrix, vertex_total
+from .kernels import RESIDUAL_TOL, column_norms, contract_all_but, grid_sup, kron
+from .kernels import leading_direction, memo, norm_gradient, outer, repair_pivot, vertex_families
 from .tensors import (
     Decomposition,
     NormEstimate,
@@ -92,14 +92,14 @@ def _deflation_candidate(
         vecs = [leading_direction(residual, l) for l in range(n)]
         for _ in range(iters):
             for l in range(n):
-                vecs[l] = _contract_all_but(residual, vecs, l)
+                vecs[l] = contract_all_but(residual, vecs, l)
                 # what np.linalg.norm returns for a contiguous 1-d float vector
                 nl = math.sqrt(float(vecs[l].dot(vecs[l])))
                 if nl <= 1e-300:
                     vecs[l] = np.ones_like(vecs[l]) / np.sqrt(len(vecs[l]))
                 else:
                     vecs[l] = vecs[l] / nl
-        weight = float(_contract_all_but(residual, vecs, None))
+        weight = float(contract_all_but(residual, vecs, None))
         residual = residual - outer([vecs[0] * weight, *vecs[1:]])
         scale = abs(weight) ** (1.0 / n) if weight != 0.0 else 1.0
         for l in range(n):
@@ -108,26 +108,6 @@ def _deflation_candidate(
         return []
     mats = [np.stack(c, axis=1) for c in cols]
     return [mats[l] for l in range(n) if l != pivot]
-
-
-def _contract_all_but(
-    coeffs: np.ndarray, vecs: Sequence[np.ndarray], skip: int | None
-) -> np.ndarray:
-    """Contract every axis m != skip of coeffs with vecs[m] (skip None: a 0-d result).
-
-    Per axis, the calls tensordot makes, without its argument handling: move
-    axis m last, reshape to (-1, d), dot with the (d, 1) column, reshape back.
-    """
-    out = coeffs
-    # contract from the highest axis down so earlier axis indices stay valid
-    for m in range(coeffs.ndim - 1, -1, -1):
-        if m == skip:
-            continue
-        d, rest = len(vecs[m]), out.shape[:m] + out.shape[m + 1 :]
-        if m != out.ndim - 1:
-            out = out.transpose(*range(m), *range(m + 1, out.ndim), m)
-        out = np.dot(out.reshape(-1, d), vecs[m].reshape(d, 1)).reshape(rest)
-    return out
 
 
 def _normalize_columns(space: NormedSpace, M: np.ndarray) -> np.ndarray:
@@ -299,26 +279,23 @@ def pi_upper(
 
 
 def _pi_lower_polyhedral(
-    factors: Sequence[NormedSpace], coeffs: np.ndarray, budget: int
+    pts: Sequence[np.ndarray], coeffs: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Exact dual bound by linear programming over the polytope of feasible forms.
 
+    ``pts`` are the factor balls' vertex matrices, one constraint per tuple.
     ``import tnl`` loads numpy only; scipy's LP solver is imported here, on the
     first polyhedral π certificate, so runs that never solve an LP (ε, sup,
     σ_p, β_p, the witness) start without it.
     """
     from scipy.optimize import linprog
 
-    count = vertex_total(factors)
-    if count > budget:
-        raise BudgetError(f"{count} dual constraints exceed budget {budget}")
-    pts = [vertex_matrix(f) for f in factors]
-    T = kron(pts).reshape(count, -1)  # one row per vertex tuple
+    T = kron(pts)  # one row per vertex tuple
     c = -coeffs.ravel()
     res = linprog(
         c,
         A_ub=np.vstack([T, -T]),
-        b_ub=np.ones(2 * count),
+        b_ub=np.ones(2 * len(T)),
         bounds=(None, None),
         method="highs",
     )
@@ -392,13 +369,11 @@ def pi_dual_certificate(
         g = norm_gradient(factors[0], coeffs[:, None])[:, 0]
         return abs(float(np.vdot(g, coeffs))), g
 
-    if all(f.is_polyhedral() for f in factors):
-        try:
-            peak = float(np.abs(coeffs).max())
-            _, A = _pi_lower_polyhedral(list(factors), coeffs / peak, cfg.lp_budget)
-            return abs(float(np.vdot(A, coeffs))), A
-        except BudgetError:
-            pass
+    pts = vertex_families(factors, cfg.lp_budget)
+    if pts is not None:
+        peak = float(np.abs(coeffs).max())
+        _, A = _pi_lower_polyhedral(pts, coeffs / peak)
+        return abs(float(np.vdot(A, coeffs))), A
 
     # always available: a rank-one product of normalized dual functionals,
     # exact on elementary arrays and never below the injective estimate

@@ -24,9 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .injective import EpsilonConfig, multilinear_sup, sup_bracket
-from .kernels import RESIDUAL_TOL, BudgetError, aligned_outer, aligned_values, column_norms, kron
-from .kernels import memo, q_norm, refit, repair_pivot, top_singular_value, vertex_matrix
-from .kernels import vertex_total
+from .kernels import RESIDUAL_TOL, aligned_outer, aligned_values, column_norms, kron, memo
+from .kernels import q_norm, refit, repair_pivot, top_singular_pair, vertex_families
 from .projective import PiConfig, pi_search, pi_upper
 from .spaces import (
     INF,
@@ -187,14 +186,9 @@ def _family_arrays(
 
 
 def _modulus_exact(
-    spaces: Sequence[NormedSpace], mats: Sequence[np.ndarray], p: float, budget: int
+    points: Sequence[np.ndarray], mats: Sequence[np.ndarray], p: float
 ) -> tuple[float, bool, Callable[[], ModulusResult]]:
-    duals = [s.dual() for s in spaces]
-    total = vertex_total(duals)
-    m = mats[0].shape[0]
-    if total * m > budget:
-        raise BudgetError(f"{total}x{m} grid exceeds modulus budget {budget}")
-    points = [vertex_matrix(d) for d in duals]
+    """The modulus by enumeration over ``points``, the vertex matrix of each dual ball."""
     if len(points) == 1:  # one factor: the term products are the actions
         prod = points[0] @ mats[0].T
     else:
@@ -208,7 +202,7 @@ def _modulus_exact(
 
     def result() -> ModulusResult:
         idx = np.unravel_index(flat, grid.shape)
-        return ModulusResult(value, tuple(P[i].copy() for P, i in zip(points, idx)), True, total)
+        return ModulusResult(value, tuple(P[i].copy() for P, i in zip(points, idx)), True, grid.size)
 
     return value, True, result
 
@@ -309,11 +303,9 @@ def _modulus_arrays(
             value *= float(val[0])
             funcs.append(y[0])
         return value, True, lambda: ModulusResult(value, tuple(funcs), True, 1)
-    if all(sp.is_polyhedral() for sp in spaces):
-        try:
-            return _modulus_exact(spaces, mats, p, cfg.exact_budget)
-        except BudgetError:
-            pass
+    points = vertex_families([sp.dual() for sp in spaces], cfg.exact_budget // m)
+    if points is not None:
+        return _modulus_exact(points, mats, p)
     res = _modulus_engine(spaces, mats, p, cfg, seeds)
     return res.value, res.exact, lambda: res
 
@@ -358,10 +350,8 @@ def _strong_norm(
     if space.p == 2.0 and p == 2.0:  # the top singular value of the weighted family
         w = space.weight_array()
         M = X * w[None, :]
-        value = top_singular_value(M)
-        return value, True, lambda: ModulusResult(
-            value, (w * np.linalg.svd(M, full_matrices=False)[2][0],), True, 1
-        )
+        value, vt0 = top_singular_pair(M)
+        return value, True, lambda: ModulusResult(value, (w * vt0,), True, 1)
     return _modulus_arrays((space,), [X], p, cfg)
 
 

@@ -250,6 +250,22 @@ def test_exit_2_on_counts_that_check_nothing(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # no report written
 
 
+@pytest.mark.parametrize("argv", [
+    ["norm", "--kind", "sigma_p", "--in", "TENSOR", "--p", "0.5"],
+    ["norm", "--kind", "sigma_p", "--in", "TENSOR", "--p", "nan"],
+    ["verify", "--suite", "crossnorm", "--p", "0.5", "--samples", "1"],
+    ["norm", "--kind", "sm_pq", "--in", "FORM", "--p", "nan", "--q", "1"],
+    ["norm", "--kind", "sm_pq", "--in", "FORM", "--p", "2", "--q", "0.5"],
+], ids=["sigma-p-half", "sigma-p-nan", "verify-p-half", "sm-p-nan", "sm-q-half"])
+def test_exit_2_on_exponent_below_one_or_nan(argv, identity_tensor, scalar_form, tmp_path,
+                                             monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    paths = {"TENSOR": identity_tensor, "FORM": scalar_form}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    assert "must be >= 1 or 'inf'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_report.json"))  # no report written
+
+
 def test_exit_2_on_sm_family_budget_zero(scalar_form, capsys):
     assert main(["norm", "--kind", "sm_pq", "--in", scalar_form, "--samples", "0"]) == 2
     assert "samples must be >= 1" in capsys.readouterr().err

@@ -250,11 +250,13 @@ def test_lstsq_is_bitwise_numpy():
 
 
 def test_top_singular_value_is_bitwise_numpy():
+    """top_singular_pair: numpy's s[0] and vt[0], from one reduced SVD."""
     for a, _ in _linalg_inputs():
-        got = kernels.top_singular_value(a)
-        ref = np.linalg.svd(a, full_matrices=False)[1][0]
+        got, vec = kernels.top_singular_pair(a)
+        _, s, vt = np.linalg.svd(a, full_matrices=False)
         assert type(got) is float
-        assert np.float64(got).tobytes() == np.float64(ref).tobytes(), a.shape
+        assert np.float64(got).tobytes() == np.float64(s[0]).tobytes(), a.shape
+        assert vec.shape == vt[0].shape and vec.tobytes() == vt[0].tobytes(), a.shape
 
 
 def test_linalg_kernels_raise_where_numpy_raises():
@@ -267,7 +269,7 @@ def test_linalg_kernels_raise_where_numpy_raises():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.svd(a, full_matrices=False)
     with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-        kernels.top_singular_value(a)
+        kernels.top_singular_pair(a)
 
 
 def test_numpy_private_names_are_imported_on_first_use():
@@ -284,7 +286,7 @@ def test_numpy_private_names_are_imported_on_first_use():
             private.append(ast.unparse(node))
     assert private == []
     kernels.refit(np.eye(2), np.ones((2, 1)))  # the first call imports them
-    assert kernels.top_singular_value(np.eye(2)) == 1.0
+    assert kernels.top_singular_pair(np.eye(2))[0] == 1.0
 
 
 @pytest.mark.parametrize(
@@ -377,6 +379,52 @@ def test_budget_checked_before_vertices_are_built(counted_extreme_points):
     # within budget the exact LP runs, and the counter sees its vertex builds
     assert 0.0 < low <= pi_lower(w) * (1.0 + 1e-9)
     assert counted_extreme_points
+
+
+def test_vertex_families_is_the_one_gate(counted_extreme_points):
+    smooth = [NormedSpace(3, 1.0), NormedSpace(2, 2.0)]
+    big = [NormedSpace(3, INF), NormedSpace(4, 1.0)]  # 8 * 8 vertex tuples
+    assert kernels.vertex_families(smooth, 10**6) is None
+    assert kernels.vertex_families(big, 63) is None
+    assert counted_extreme_points == []  # neither refusal built a vertex
+    spaces = big + [NormedSpace(1, 2.0)]  # a one-dimensional ball is an interval
+    mats = kernels.vertex_families(spaces, 128)
+    assert len(mats) == 3 and counted_extreme_points
+    for M, sp in zip(mats, spaces):
+        assert M is kernels.vertex_matrix(sp)
+    assert kernels.vertex_families([], 1) == []
+
+
+def _tensordot_chain(coeffs, vecs, axes):
+    """np.tensordot(out, v, axes=(m, 0)) for each (m, v) in turn."""
+    out = coeffs
+    for m, v in zip(axes, vecs):
+        out = np.tensordot(out, v, axes=(m, 0))
+    return out
+
+
+def _same_bytes(got, ref):
+    return got.shape == ref.shape and got.strides == ref.strides and got.tobytes() == ref.tobytes()
+
+
+def test_axis_contractions_are_bitwise_the_tensordot_chain():
+    """contract_leading and contract_all_but make tensordot's own calls, on C and F arrays."""
+    rng = np.random.default_rng(40)
+    count = 0
+    for _ in range(300):
+        k = int(rng.integers(1, 5))
+        shape = tuple(int(d) for d in rng.integers(1, 5, size=k + int(rng.integers(0, 3))))
+        a = rng.standard_normal(shape)
+        vecs = [rng.standard_normal(d) for d in shape]
+        for coeffs in (a, np.asfortranarray(a)):
+            assert _same_bytes(kernels.contract_leading(coeffs, vecs[:k]),
+                               _tensordot_chain(coeffs, vecs[:k], [0] * k)), shape
+            for skip in (None, *range(len(shape))):
+                axes = [m for m in reversed(range(len(shape))) if m != skip]
+                ref = _tensordot_chain(coeffs, [vecs[m] for m in axes], axes)
+                assert _same_bytes(kernels.contract_all_but(coeffs, vecs, skip), ref), (shape, skip)
+            count += 1
+    assert count == 600
 
 
 def test_returned_rows_are_copies():
@@ -738,9 +786,19 @@ def test_one_supremum_route_rule():
         "projective._product_functional_certificate",
         "sigma.sigma_p_dual",
     }
-    for name in ("evaluators.py", "ideals.py", "verify.py"):
+    for name in ("evaluators.py", "ideals.py", "verify.py", "sigma.py", "projective.py"):
         text = (_SRC / name).read_text()
         assert "is_polyhedral" not in text and "BudgetError" not in text, name
+    # the exact enumeration routes count and build vertices behind one gate
+    for name in ("sigma.py", "projective.py"):
+        text = (_SRC / name).read_text()
+        assert "vertex_total" not in text and "vertex_matrix" not in text, name
+
+
+def test_tensordot_is_called_only_by_apply_axis():
+    """Every other per-axis contraction goes through the one private step."""
+    assert _sites(_calls("tensordot")) == {"kernels.apply_axis"}
+    assert _sites(_calls("_contract_axis")) == {"kernels.contract_leading", "kernels.contract_all_but"}
 
 
 def test_sigma_reuses_its_own_pi_search_and_injective_bracket():

@@ -321,7 +321,7 @@ def test_modulus_exact_one_space_matches_contract_route_bitwise(kind, p):
             sp = NormedSpace(dim, kind, weights)
             for m in (2, 3, 4):
                 X = rng.standard_normal((m, dim))
-                got_value, exact, result = sigma._modulus_exact((sp,), [X], p, 50_000)
+                got_value, exact, result = sigma._modulus_exact([vertex_matrix(sp.dual())], [X], p)
                 res = result()
                 value, phi = _modulus_exact_by_contract(sp, X, p)
                 assert exact and res.exact and got_value == res.value
