@@ -10,11 +10,12 @@ Three subcommands cover the library surface:
 
 Each subcommand takes only the flags it reads.  Exit codes: 0 success; 2
 bad arguments (a search budget a config rejects, a sample count or
-candidate budget below one, or an exponent below one or NaN, included) or
-malformed input; 3 structurally unsupported combination (for example a
-semi-integral constant of a vector-valued map, or a summing norm with
-p < q); 4 a verification suite ran to completion and failed (its report is
-still written).
+candidate budget below one, a negative seed, a negative or NaN tolerance,
+or an exponent below one or NaN, included) or malformed input; 3
+structurally unsupported combination (for example a semi-integral
+constant of a vector-valued map, or a summing norm with p < q); 4 a
+verification suite ran to completion and failed (its report is still
+written).
 
 Defaults may be placed in a UTF-8 ``key=value`` file named by the
 ``TNL_CONFIG`` environment variable; explicit flags win over the file.
@@ -155,6 +156,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         raise CLIError(f"samples must be >= 1, got {cfg.samples}")
     if cfg.budget < 1:
         raise CLIError(f"budget must be >= 1, got {cfg.budget}")
+    if cfg.seed < 0:  # numpy's seeding rejects it deep inside a search
+        raise CLIError(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.tolerance is not None and not cfg.tolerance >= 0.0:  # NaN fails this too
+        raise CLIError(f"tolerance must be >= 0, got {cfg.tolerance}")
     return cfg
 
 

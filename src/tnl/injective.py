@@ -6,13 +6,14 @@ supremum of this kind (injective norms, supremum norms of maps, the argmax
 candidates of the verification suites) is gauged once and takes its route
 in :func:`sup_bracket`, in this order:
 
-* exhaustive, while it fits the budget: the vertices of each polyhedral
-  ball and, when ``grid_resolution >= 2``, grid points on the others.
-  Exact when no ball is gridded, else a rigorous Lipschitz upper end;
-* ascent, otherwise: seeded multi-start alternating maximization, a lower
-  end.  Fixing all slots but one leaves a linear functional with a
-  closed-form maximum over a unit ball, so the sweeps are exact and
-  monotone.
+* exhaustive, when :func:`~tnl.kernels.point_families` passes: the vertices
+  of each polyhedral ball and, when ``grid_resolution >= 2``, grid points on
+  the others, within the budget.  Exact when no ball is gridded, else a
+  rigorous Lipschitz upper end;
+* ascent, when the gate returns None: seeded multi-start alternating
+  maximization, a lower end.  Fixing all slots but one leaves a linear
+  functional with a closed-form maximum over a unit ball, so the sweeps are
+  exact and monotone.
 
 :func:`epsilon_matrix_oracle` is the top singular value for two Euclidean
 factors.
@@ -25,16 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import (
-    INF,
-    NormedSpace,
-    SpaceError,
-    UnsupportedNormError,
-    ball_linear_maximizer_batch,
-    unit_rows,
-)
-from .kernels import BudgetError, contract, grid_sup, leading_direction, sweep_specs
-from .kernels import memo, vertex_count, vertex_matrix
+from .spaces import INF, NormedSpace, SpaceError, ball_linear_maximizer_batch, unit_rows
+from .kernels import contract, grid_sup, leading_direction, memo, point_families, sweep_specs
 from .tensors import NormEstimate, Tensor, canonical_gauge, matrix_singular_values
 
 __all__ = [
@@ -47,10 +40,6 @@ __all__ = [
 ]
 
 _STALL_SWEEPS = 3
-
-#: A supremum bracket and the slot vectors attaining its lower end.
-_Bracket = tuple[NormEstimate, tuple[np.ndarray, ...]]
-
 
 @dataclass(frozen=True)
 class EpsilonConfig:
@@ -148,110 +137,36 @@ def multilinear_sup(
     )
 
 
-def _grid_plan(space: NormedSpace, resolution: int) -> tuple[float, int]:
-    """Covering radius of the :func:`_ball_grid` grid and a floor on its size.
-
-    The grid keeps every mesh point of the inscribed cube |t_i| <= dim^(-1/q),
-    so it has at least m^dim points, m the ticks in that cube; no mesh is built.
-    """
-    if resolution < 2:
-        raise UnsupportedNormError("balls that are not polyhedral need grid_resolution >= 2")
-    d, q = space.dim, space.p
-    h = 2.0 / resolution
-    ticks = np.linspace(-1.0, 1.0, resolution + 1)
-    inside = int(np.count_nonzero(np.abs(ticks) <= d ** (-1.0 / q)))
-    return 2.0 * ((d ** (1.0 / q) if q < INF else 1.0) * (h / 2.0)), inside**d
-
-
-def _ball_grid(space: NormedSpace, resolution: int) -> tuple[np.ndarray, float]:
-    """Cover the unit ball of ``space`` with grid points and a covering radius.
-
-    Returns (points, delta): every ball point is within delta of some
-    returned point, measured in the ball's own norm, and every returned
-    point lies inside the ball.
-    """
-    delta, _ = _grid_plan(space, resolution)
-    d, q = space.dim, space.p
-    w = space.weight_array()
-    ticks = np.linspace(-1.0, 1.0, resolution + 1)
-    mesh = np.stack(np.meshgrid(*([ticks] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    norms = NormedSpace(d, q).norm(mesh)
-    keep = norms <= 1.0 + delta / 2.0
-    pts = mesh[keep]
-    scale = np.maximum(1.0, norms[keep])
-    pts = pts / scale[:, None]
-    return pts / w, delta
-
-
-def _exhaustive_sup(
-    normalized: np.ndarray, scale: float, balls: tuple[NormedSpace, ...], cfg: EpsilonConfig
-) -> _Bracket:
-    """The exhaustive route of :func:`sup_bracket`: one point family per ball.
-
-    A polyhedral ball gives its vertices (covering radius 0), any other a
-    :func:`_ball_grid` grid.  By multilinear Lipschitz slack the supremum is
-    at most best/(1 - sum of radii), which is exact when no ball is
-    gridded.  Raises :class:`UnsupportedNormError` when a grid is needed
-    but not configured or its radii sum to 1 or more, and, before any mesh
-    or vertex is built, :class:`BudgetError` when a mesh of
-    (resolution + 1)^dim rows or the product of the family sizes (floors
-    from :func:`_grid_plan` for the grids) exceeds ``cfg.budget``.
-    """
-    res = cfg.grid_resolution
-    plans = [None if sp.is_polyhedral() else _grid_plan(sp, res) for sp in balls]
-    slack = sum(plan[0] for plan in plans if plan is not None)
-    if slack >= 1.0:
-        raise UnsupportedNormError(f"grid radii sum to {slack:.3g} >= 1: raise grid_resolution")
-    rows = max(((res + 1) ** sp.dim for sp, plan in zip(balls, plans) if plan), default=0)
-    if rows > cfg.budget:
-        raise BudgetError(f"grid mesh of {rows} rows exceeds budget {cfg.budget}")
-    floor = math.prod(
-        vertex_count(sp) if plan is None else plan[1] for sp, plan in zip(balls, plans)
-    )
-    if floor > cfg.budget:
-        more = " or more" if any(plans) else ""
-        raise BudgetError(f"enumeration size {floor}{more} exceeds budget {cfg.budget}")
-    grids = [None if plan is None else _ball_grid(sp, res)[0] for sp, plan in zip(balls, plans)]
-    total = math.prod(
-        vertex_count(sp) if pts is None else len(pts) for sp, pts in zip(balls, grids)
-    )
-    if total > cfg.budget:
-        raise BudgetError(f"enumeration size {total} exceeds budget {cfg.budget}")
-    fams = [vertex_matrix(sp) if pts is None else pts for sp, pts in zip(balls, grids)]
-    value, slots = grid_sup(normalized, fams)
-    best = value * scale
-    return NormEstimate(best, best / (1.0 - slack), True, total, cfg.seed), slots
-
-
-def _ascent_sup(
-    normalized: np.ndarray, scale: float, balls: tuple[NormedSpace, ...], cfg: EpsilonConfig
-) -> _Bracket:
-    """The ascent route of :func:`sup_bracket`: a lower end, upper = inf."""
-    res = multilinear_sup(normalized, balls, cfg)
-    return NormEstimate(res.value * scale, INF, res.converged, res.iterations, cfg.seed), res.slots
-
-
 @memo
 def sup_bracket(
     coeffs: np.ndarray, balls: tuple[NormedSpace, ...], cfg: EpsilonConfig | None = None
-) -> _Bracket:
+) -> tuple[NormEstimate, tuple[np.ndarray, ...]]:
     """Bracket sup |sum coeffs * x_1 ... x_n| over unit balls, with maximizing slots.
 
     The one entry for such suprema.  It gauges ``coeffs`` once; the zero
-    array is exactly 0, with zero slots.  Otherwise it takes the exhaustive
-    route (vertices, and a grid when ``cfg.grid_resolution >= 2``) and, when
-    that raises :class:`BudgetError` or :class:`UnsupportedNormError`,
-    seeded ascent with upper = inf.  Memoized (:func:`~tnl.kernels.memo`):
-    an equal call returns the same bracket and fresh copies of the slots.
+    array is exactly 0, with zero slots.  When :func:`~tnl.kernels.point_families`
+    gives one family per ball (vertices, and grids when
+    ``cfg.grid_resolution >= 2``) within ``cfg.budget``, it takes their best
+    point: by multilinear Lipschitz slack the supremum is at most
+    best/(1 - sum of radii), exact when no ball is gridded.  Otherwise it
+    runs seeded ascent, with upper = inf.  Memoized
+    (:func:`~tnl.kernels.memo`): an equal call returns the same bracket and
+    fresh copies of the slots.
     """
     cfg = cfg or EpsilonConfig()
     normalized, scale, _ = canonical_gauge(coeffs)
     if scale == 0.0:
         return NormEstimate.exact(0.0, seed=cfg.seed), tuple(np.zeros(sp.dim) for sp in balls)
-    try:
-        return _exhaustive_sup(normalized, scale, balls, cfg)
-    except (BudgetError, UnsupportedNormError):
-        return _ascent_sup(normalized, scale, balls, cfg)
+    gate = point_families(balls, cfg.budget, cfg.grid_resolution)
+    if gate is None:
+        res = multilinear_sup(normalized, balls, cfg)
+        est = NormEstimate(res.value * scale, INF, res.converged, res.iterations, cfg.seed)
+        return est, res.slots
+    fams, slack = gate
+    value, slots = grid_sup(normalized, fams)
+    best = value * scale
+    total = math.prod(map(len, fams))
+    return NormEstimate(best, best / (1.0 - slack), True, total, cfg.seed), slots
 
 
 def epsilon_matrix_oracle(z: Tensor) -> float:

@@ -14,10 +14,12 @@ routine, spec and operand order behind each value are decided in one place:
   :func:`leading_direction`; :func:`contract_leading` and :func:`contract_all_but`
   share one per-axis step, ``np.tensordot``'s own transpose, reshape and dot;
 * :func:`vertex_matrix` caches a polyhedral ball's extreme points as one
-  read-only array per space (callers copy rows they hand out);
-  :func:`vertex_count` and :func:`vertex_total` count them first;
-  :func:`vertex_families` is the one gate of the exact π LP and σ_p modulus
-  routes: every ball polyhedral and the vertex product within a budget;
+  read-only array per space (callers copy rows they hand out), and
+  :func:`vertex_count` counts them first; :func:`ball_grid` covers a smooth
+  ball with grid points, and :func:`grid_plan` gives its radius and a floor
+  on its size before it is meshed; :func:`point_families` is the one gate
+  of every exhaustive route (the ε/sup enumeration and grid, the π LP and
+  the σ_p exact modulus): one family per ball, within a budget, or None;
 * :func:`refit`, the one least-squares reconstruction (on a :func:`khatri_rao`
   or :func:`kron` design) behind every pi, sigma_p and beta_p upper end, and
   :func:`top_singular_pair`: numpy's own LAPACK gufuncs behind
@@ -28,7 +30,7 @@ routine, spec and operand order behind each value are decided in one place:
   use, so a numpy that moves them breaks these two kernels, not ``import tnl``;
 * the helpers the norm modules share: :func:`norm_gradient`,
   :func:`column_norms`, :func:`q_norm`, the pi pivot refit
-  :func:`repair_pivot`, :data:`RESIDUAL_TOL` and :class:`BudgetError`;
+  :func:`repair_pivot` and :data:`RESIDUAL_TOL`;
 * :func:`memo`, the one cache policy for searches: a small LRU memo keyed
   exactly on a call's arguments (arrays by dtype, shape, strides and bytes),
   under ``sup_bracket``, ``pi_search``, ``pi_dual_certificate`` and the
@@ -42,18 +44,18 @@ import math
 import string
 from collections import OrderedDict
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .spaces import INF, NormedSpace, UnsupportedNormError, extreme_points
 
 __all__ = [
-    "aligned_outer", "aligned_values", "apply_axis", "contract", "contract_all_but",
-    "contract_leading", "grid_sup", "grid_tensor", "grid_values", "khatri_rao", "kron",
-    "leading_direction", "memo", "outer", "refit", "sweep_specs", "top_singular_pair",
-    "vertex_count", "vertex_families", "vertex_total", "vertex_matrix",
-    "BudgetError", "RESIDUAL_TOL", "column_norms", "norm_gradient", "q_norm", "repair_pivot",
+    "aligned_outer", "aligned_values", "apply_axis", "ball_grid", "contract", "contract_all_but",
+    "contract_leading", "grid_plan", "grid_sup", "grid_tensor", "grid_values", "khatri_rao",
+    "kron", "leading_direction", "memo", "outer", "point_families", "refit", "sweep_specs",
+    "top_singular_pair", "vertex_count", "vertex_matrix",
+    "RESIDUAL_TOL", "column_norms", "norm_gradient", "q_norm", "repair_pivot",
 ]
 
 #: Largest reconstruction residual accepted behind a pi, sigma_p or beta_p upper end.
@@ -348,11 +350,6 @@ def vertex_count(space: NormedSpace) -> int:
     )
 
 
-def vertex_total(spaces: Iterable[NormedSpace]) -> int:
-    """Size of the product of the spaces' vertex sets (an exact integer)."""
-    return math.prod(vertex_count(sp) for sp in spaces)
-
-
 def _build_vertex_matrix(space: NormedSpace) -> np.ndarray:
     M = np.stack([v.coords for v in extreme_points(space)])
     M.setflags(write=False)
@@ -375,14 +372,71 @@ def vertex_matrix(space: NormedSpace) -> np.ndarray:
     return _cached_vertex_matrix(space)
 
 
-def vertex_families(spaces: Sequence[NormedSpace], budget: int) -> list[np.ndarray] | None:
-    """Each ball's :func:`vertex_matrix`, or None before any vertex is built.
+def grid_plan(space: NormedSpace, resolution: int) -> tuple[float, int]:
+    """Covering radius of the :func:`ball_grid` grid and a floor on its size.
 
-    None unless every ball is polyhedral and :func:`vertex_total` is within ``budget``.
+    The grid keeps every mesh point of the inscribed cube |t_i| <= dim^(-1/q),
+    so it has at least m^dim points, m the ticks in that cube; no mesh is built.
     """
-    if not all(sp.is_polyhedral() for sp in spaces) or vertex_total(spaces) > budget:
+    if resolution < 2:
+        raise UnsupportedNormError("balls that are not polyhedral need grid_resolution >= 2")
+    d, q = space.dim, space.p
+    h = 2.0 / resolution
+    ticks = np.linspace(-1.0, 1.0, resolution + 1)
+    inside = int(np.count_nonzero(np.abs(ticks) <= d ** (-1.0 / q)))
+    return 2.0 * ((d ** (1.0 / q) if q < INF else 1.0) * (h / 2.0)), inside**d
+
+
+def ball_grid(space: NormedSpace, resolution: int) -> tuple[np.ndarray, float]:
+    """Cover the unit ball of ``space`` with grid points and a covering radius.
+
+    Returns (points, delta): every ball point is within delta of some
+    returned point, measured in the ball's own norm, and every returned
+    point lies inside the ball.
+    """
+    delta, _ = grid_plan(space, resolution)
+    d, q = space.dim, space.p
+    w = space.weight_array()
+    ticks = np.linspace(-1.0, 1.0, resolution + 1)
+    mesh = np.stack(np.meshgrid(*([ticks] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    norms = NormedSpace(d, q).norm(mesh)
+    keep = norms <= 1.0 + delta / 2.0
+    pts = mesh[keep]
+    scale = np.maximum(1.0, norms[keep])
+    pts = pts / scale[:, None]
+    return pts / w, delta
+
+
+def point_families(
+    balls: Sequence[NormedSpace], budget: int, resolution: int = 0
+) -> tuple[list[np.ndarray], float] | None:
+    """One point family per ball and the sum of their covering radii, or None.
+
+    The one gate of every exhaustive route.  A polyhedral ball gives its
+    :func:`vertex_matrix` (radius 0), any other a :func:`ball_grid` grid when
+    ``resolution >= 2``.  None, before any vertex is built, when a smooth
+    ball has no grid, the radii sum to 1 or more, or the product of the
+    family sizes exceeds ``budget``.  Nothing is planned unless every
+    (resolution + 1)^dim mesh fits the budget, and nothing is meshed unless
+    the product of the :func:`grid_plan` floors fits it too.
+    """
+    smooth = [sp for sp in balls if not sp.is_polyhedral()]
+    if not smooth:
+        if math.prod(map(vertex_count, balls)) > budget:
+            return None
+        return [vertex_matrix(sp) for sp in balls], 0.0
+    if resolution < 2 or max((resolution + 1) ** sp.dim for sp in smooth) > budget:
+        return None  # before grid_plan, whose ticks grow with the resolution
+    plans = [grid_plan(sp, resolution) for sp in smooth]
+    slack = sum(radius for radius, _ in plans)
+    vertices = math.prod(vertex_count(sp) for sp in balls if sp.is_polyhedral())
+    if slack >= 1.0 or vertices * math.prod(floor for _, floor in plans) > budget:
         return None
-    return [vertex_matrix(sp) for sp in spaces]
+    grids = [ball_grid(sp, resolution)[0] for sp in smooth]
+    if vertices * math.prod(map(len, grids)) > budget:
+        return None
+    rest = iter(grids)
+    return [vertex_matrix(sp) if sp.is_polyhedral() else next(rest) for sp in balls], slack
 
 
 _memo: OrderedDict[tuple, object] = OrderedDict()
@@ -459,10 +513,6 @@ def memo(fn):
 def cache_clear() -> None:
     """Empty the :func:`memo` store (for tests that need cold searches)."""
     _memo.clear()
-
-
-class BudgetError(RuntimeError):
-    """An exhaustive mode would exceed its evaluation budget."""
 
 
 def grid_sup(coeffs: np.ndarray, fams: Sequence[np.ndarray]) -> tuple[float, tuple[np.ndarray, ...]]:

@@ -27,7 +27,7 @@ import numpy as np
 from .spaces import INF, NormedSpace
 from .injective import EpsilonConfig, multilinear_sup
 from .kernels import RESIDUAL_TOL, column_norms, contract_all_but, grid_sup, kron
-from .kernels import leading_direction, memo, norm_gradient, outer, repair_pivot, vertex_families
+from .kernels import leading_direction, memo, norm_gradient, outer, point_families, repair_pivot
 from .tensors import (
     Decomposition,
     NormEstimate,
@@ -369,10 +369,10 @@ def pi_dual_certificate(
         g = norm_gradient(factors[0], coeffs[:, None])[:, 0]
         return abs(float(np.vdot(g, coeffs))), g
 
-    pts = vertex_families(factors, cfg.lp_budget)
-    if pts is not None:
+    gate = point_families(factors, cfg.lp_budget)
+    if gate is not None:
         peak = float(np.abs(coeffs).max())
-        _, A = _pi_lower_polyhedral(pts, coeffs / peak)
+        _, A = _pi_lower_polyhedral(gate[0], coeffs / peak)
         return abs(float(np.vdot(A, coeffs))), A
 
     # always available: a rank-one product of normalized dual functionals,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .injective import EpsilonConfig, multilinear_sup, sup_bracket
 from .kernels import RESIDUAL_TOL, aligned_outer, aligned_values, column_norms, kron, memo
-from .kernels import q_norm, refit, repair_pivot, top_singular_pair, vertex_families
+from .kernels import point_families, q_norm, refit, repair_pivot, top_singular_pair
 from .projective import PiConfig, pi_search, pi_upper
 from .spaces import (
     INF,
@@ -47,7 +47,6 @@ from .tensors import (
 )
 
 __all__ = [
-    "ConjugatePair",
     "ModulusResult",
     "SigmaConfig",
     "SigmaDualConfig",
@@ -62,21 +61,6 @@ __all__ = [
     "sigma_p_dual",
     "beta_p_upper",
 ]
-
-
-@dataclass(frozen=True)
-class ConjugatePair:
-    """An exponent p in [1, inf] together with its conjugate q, 1/p + 1/q = 1."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        if not (self.p >= 1.0):
-            raise SpaceError(f"p must be >= 1, got {self.p}")
-
-    @property
-    def q(self) -> float:
-        return conjugate_exponent(self.p)
 
 
 @dataclass(frozen=True)
@@ -281,9 +265,9 @@ def family_modulus_p(
     a lower bound, like every maximization-based estimate in this package.
     """
     cfg = cfg or SigmaConfig()
-    pair = ConjugatePair(p)
+    conjugate_exponent(p)  # SpaceError unless p >= 1
     spaces, mats = _family_arrays(families)
-    return _modulus_arrays(spaces, mats, pair.p, cfg, seeds)[2]()
+    return _modulus_arrays(spaces, mats, p, cfg, seeds)[2]()
 
 
 def _modulus_arrays(
@@ -303,9 +287,9 @@ def _modulus_arrays(
             value *= float(val[0])
             funcs.append(y[0])
         return value, True, lambda: ModulusResult(value, tuple(funcs), True, 1)
-    points = vertex_families([sp.dual() for sp in spaces], cfg.exact_budget // m)
-    if points is not None:
-        return _modulus_exact(points, mats, p)
+    gate = point_families([sp.dual() for sp in spaces], cfg.exact_budget // m)
+    if gate is not None:
+        return _modulus_exact(gate[0], mats, p)
     res = _modulus_engine(spaces, mats, p, cfg, seeds)
     return res.value, res.exact, lambda: res
 
@@ -443,7 +427,7 @@ def sigma_p_upper(
     so z and its scalar-slot twin share it; only the lift is per call.
     """
     cfg = cfg or SigmaConfig()
-    ConjugatePair(p)
+    conjugate_exponent(p)  # SpaceError unless p >= 1
     g = gauge(z)
     hit = g.direct()
     if hit is not None:  # one direct candidate; none for the zero tensor
@@ -517,7 +501,7 @@ def sigma_p_dual(form: Tensor, p: float, cfg: SigmaDualConfig | None = None) -> 
     seeded multi-start families polished by hill climbing.
     """
     cfg = cfg or SigmaDualConfig()
-    ConjugatePair(p)
+    conjugate_exponent(p)  # SpaceError unless p >= 1
     spaces = form.space.factors
     coeffs = form.coeffs
     if float(np.linalg.norm(coeffs)) == 0.0:
@@ -608,8 +592,7 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
     exactly (polyhedral or Euclidean-p2 oracles) rather than by ascent.
     """
     cfg = cfg or BetaConfig()
-    pair = ConjugatePair(p)
-    q = pair.q
+    q = conjugate_exponent(p)
     if z.space.order < 1:
         raise SpaceError("beta_p needs at least the codomain factor")
     cod = z.space.factors[-1]

@@ -48,7 +48,9 @@ class UnsupportedNormError(SpaceError):
 
 
 def conjugate_exponent(p: float) -> float:
-    """Return q with 1/p + 1/q = 1, mapping 1 <-> inf."""
+    """Return q with 1/p + 1/q = 1, mapping 1 <-> inf; SpaceError unless p >= 1."""
+    if not (p >= 1.0):
+        raise SpaceError(f"p must be >= 1, got {p}")
     if p == 1.0:
         return INF
     if p == INF:

@@ -283,6 +283,35 @@ def test_exit_2_on_config_file_counts_that_check_nothing(line, argv, tmp_path, m
     assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--suite", "crossnorm", "--samples", "1", "--tolerance", "nan"], "tolerance"),
+    (["verify", "--suite", "crossnorm", "--samples", "1", "--tolerance", "-1"], "tolerance"),
+    (["norm", "--kind", "pi", "--seed", "-1", "--in", "TENSOR"], "seed"),
+    (["verify", "--suite", "crossnorm", "--samples", "1", "--seed", "-2"], "seed"),
+    (["witness", "--norm", "pi", "--budget", "1", "--seed", "-2"], "seed"),
+], ids=["tolerance-nan", "tolerance-neg", "norm-seed-neg", "verify-seed-neg", "witness-seed-neg"])
+def test_exit_2_on_negative_seed_or_bad_tolerance(argv, message, identity_tensor, tmp_path,
+                                                  monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([identity_tensor if a == "TENSOR" else a for a in argv]) == 2
+    assert f"{message} must be >= 0" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["identity.json"]  # no report written
+
+
+@pytest.mark.parametrize("line,message", [
+    ("tolerance = nan", "tolerance must be >= 0"),
+    ("seed = -1", "seed must be >= 0"),
+], ids=["tolerance", "seed"])
+def test_exit_2_on_config_file_seed_or_tolerance(line, message, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n")
+    monkeypatch.setenv("TNL_CONFIG", str(cfg))
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--suite", "crossnorm", "--samples", "1"]) == 2
+    assert message in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["cfg.txt"]
+
+
 def test_exit_3_on_kind_input_mismatch(identity_tensor, scalar_form, capsys):
     assert main(["norm", "--kind", "eps", "--in", scalar_form]) == 3
     assert main(["norm", "--kind", "sup", "--in", identity_tensor]) == 3

@@ -1,9 +1,9 @@
 """Injective norm: enumeration oracles, engine estimates, operator norms.
 
 Brackets come from ``sup_bracket`` on the dual balls.  ``EpsilonConfig(budget=1)``
-forces its ascent route on any input, and the exhaustive route's errors are
-checked on ``_exhaustive_sup`` itself, which raises where ``sup_bracket``
-falls back.
+forces its ascent route on any input, and the exhaustive route's refusals are
+checked on ``kernels.point_families`` itself, whose None sends ``sup_bracket``
+to ascent.
 """
 
 import itertools
@@ -13,7 +13,6 @@ import pytest
 
 from tnl import (
     INF,
-    BudgetError,
     EpsilonConfig,
     NormedSpace,
     Tensor,
@@ -23,9 +22,10 @@ from tnl import (
     operator_norm,
     random_tensor,
 )
-from tnl import injective
+from tnl import kernels
 from tnl.evaluators import make_epsilon_evaluator
-from tnl.injective import _ball_grid, _exhaustive_sup, _grid_plan, sup_bracket
+from tnl.injective import sup_bracket
+from tnl.kernels import ball_grid, grid_plan, point_families
 from tnl.tensors import eval_functionals
 
 from conftest import ball_vertices, elementary_tensor, eps_oracle, random_factors, sigma_max
@@ -66,11 +66,15 @@ class TestPolyhedralExact:
         assert est.lower == 2.0
         assert est.upper == 2.0
 
-    def test_budget_error(self):
+    def test_budget_gate(self):
         factors = tuple(NormedSpace(3, 1.0) for _ in range(3))
         z = random_tensor(TensorSpace(factors), seed=1)
-        with pytest.raises(BudgetError, match="enumeration size 512 exceeds budget 10"):
-            _exhaustive_sup(z.coeffs, 1.0, z.space.dual_factors(), EpsilonConfig(budget=10))
+        balls = z.space.dual_factors()
+        assert point_families(balls, 511) is None  # 8^3 vertex tuples
+        fams, slack = point_families(balls, 512)
+        assert [len(F) for F in fams] == [8, 8, 8] and slack == 0.0
+        assert eps_bracket(z, EpsilonConfig(budget=511))[0].upper == INF
+        assert eps_bracket(z, EpsilonConfig(budget=512))[0].iterations == 512
 
 
 class TestEuclidean:
@@ -111,12 +115,14 @@ class TestGridCertificate:
         assert est.lower <= want + 1e-9
         assert est.upper >= want - 1e-9
 
-    def test_low_resolution_raises(self):
+    def test_low_resolution_has_no_grid(self):
         sp = TensorSpace((NormedSpace(2, 2.0), NormedSpace(2, 2.0)))
         z = random_tensor(sp, seed=31)
         balls = sp.dual_factors()
+        for res in (0, 1):
+            assert point_families(balls, 10**9, res) is None
         with pytest.raises(UnsupportedNormError, match="grid_resolution >= 2"):
-            _exhaustive_sup(z.coeffs, 1.0, balls, EpsilonConfig(grid_resolution=1))
+            grid_plan(balls[0], 1)
         assert eps_bracket(z, EpsilonConfig(grid_resolution=1))[0].upper == INF
 
     def test_mixed_grid_enumerates_polyhedral_balls(self):
@@ -132,7 +138,7 @@ class TestGridCertificate:
         truth = max(
             float(np.linalg.norm(coeffs @ s @ v)) for v, s in itertools.product(cube, ends)
         )
-        grid, delta = _ball_grid(balls[0], 8)
+        grid, delta = ball_grid(balls[0], 8)
         est, slots = sup_bracket(coeffs, balls, EpsilonConfig(grid_resolution=8))
         assert est.iterations == len(grid) * 8 * 2
         assert any(np.array_equal(slots[1], v) for v in cube)
@@ -144,13 +150,12 @@ class TestGridCertificate:
         sp = TensorSpace((NormedSpace(2, 2.0), NormedSpace(2, 2.0)))
         z = random_tensor(sp, seed=33)
         balls = sp.dual_factors()
-        assert 2 * _ball_grid(balls[0], 4)[1] >= 1.0
+        assert 2 * ball_grid(balls[0], 4)[1] >= 1.0
         est, slots = sup_bracket(z.coeffs, balls, EpsilonConfig(grid_resolution=4))
         ref, ref_slots = sup_bracket(z.coeffs, balls, EpsilonConfig())
         assert est == ref and est.upper == INF
         assert all(np.array_equal(a, b) for a, b in zip(slots, ref_slots))
-        with pytest.raises(UnsupportedNormError, match="radii"):
-            _exhaustive_sup(z.coeffs, 1.0, balls, EpsilonConfig(grid_resolution=4))
+        assert point_families(balls, 10**9, 4) is None
         # a Euclidean ball next to an ell_1 ball: only the Euclidean one is gridded,
         # and eps is the largest Euclidean column norm
         w = Tensor(TensorSpace((NormedSpace(2, 2.0), NormedSpace(2, INF))), z.coeffs)
@@ -187,22 +192,21 @@ class TestGridCertificate:
         def no_mesh(*args):
             raise AssertionError("a grid mesh was built")
 
-        monkeypatch.setattr(injective, "_ball_grid", no_mesh)
+        monkeypatch.setattr(kernels, "ball_grid", no_mesh)
         cfg = EpsilonConfig(grid_resolution=16)
         est, slots = sup_bracket(z.coeffs, balls, cfg)
         assert est == ref and est.upper == INF  # the ascent bracket
         assert all(np.array_equal(a, b) for a, b in zip(slots, ref_slots))
         assert make_epsilon_evaluator(cfg)(z) == make_epsilon_evaluator()(z)
-        with pytest.raises(BudgetError):
-            _exhaustive_sup(z.coeffs, 1.0, balls, cfg)
+        assert point_families(balls, cfg.budget, cfg.grid_resolution) is None
 
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, INF])
     def test_grid_plan_floors_the_grid_size(self, q):
         for dim in (1, 2, 3, 4):
             for res in (2, 3, 4, 7, 8):
                 space = NormedSpace(dim, q)
-                points, delta = _ball_grid(space, res)
-                radius, floor = _grid_plan(space, res)
+                points, delta = ball_grid(space, res)
+                radius, floor = grid_plan(space, res)
                 assert radius == delta and floor <= len(points)
                 if q == INF:
                     assert floor == len(points) == (res + 1) ** dim

@@ -12,7 +12,6 @@ import pytest
 import tnl
 from tnl import (
     INF,
-    BudgetError,
     EpsilonConfig,
     MultilinearMap,
     NormedSpace,
@@ -28,7 +27,7 @@ from tnl import (
 )
 from tnl import kernels
 from tnl.evaluators import make_epsilon_evaluator
-from tnl.injective import _ball_grid, _exhaustive_sup, sup_bracket
+from tnl.injective import sup_bracket
 from tnl.spaces import extreme_points
 
 from conftest import ball_vertices, map_sup_oracle
@@ -201,7 +200,7 @@ def test_kron_is_bitwise_np_kron():
         rows = kernels.kron(pts)
         _assert_same_kron(rows, _kron_chain(pts))
         tuples = list(itertools.product(*pts))
-        assert len(rows) == kernels.vertex_total(spaces) == len(tuples)
+        assert len(rows) == math.prod(map(kernels.vertex_count, spaces)) == len(tuples)
         for row, tup in zip(rows, tuples):
             ref = tup[0]
             for v in tup[1:]:
@@ -318,16 +317,19 @@ def test_exhaustive_route_matches_oracle_and_checks_budget_first(counted_extreme
     cod = NormedSpace(2, 1.0)
     A = MultilinearMap(dom, cod, rng.standard_normal((2, 3, 2)))
     balls = dom + (cod.dual(),)
-    with pytest.raises(BudgetError, match="enumeration size 96 exceeds budget 95"):
-        _exhaustive_sup(A.coeffs, 1.0, balls, EpsilonConfig(budget=95))
+    assert kernels.point_families(balls, 95) is None  # 4 * 6 * 4 vertex tuples
     assert sup_bracket(A.coeffs, balls, EpsilonConfig(budget=95))[0].upper == INF
     # vertices times grid points: a Euclidean ball gridded next to two of the polytopes
     mixed = (NormedSpace(2, 2.0),) + balls[1:]
-    total = len(_ball_grid(mixed[0], 6)[0]) * 6 * 4
-    with pytest.raises(BudgetError, match=f"enumeration size {total} exceeds"):
-        _exhaustive_sup(A.coeffs, 1.0, mixed, EpsilonConfig(grid_resolution=6, budget=total - 1))
+    grid, delta = kernels.ball_grid(mixed[0], 6)
+    total = len(grid) * 6 * 4
+    assert kernels.point_families(mixed, total - 1, 6) is None
     assert counted_extreme_points == []
 
+    fams, slack = kernels.point_families(balls, 96)
+    assert [len(F) for F in fams] == [4, 6, 4] and slack == 0.0
+    fams, slack = kernels.point_families(mixed, total, 6)
+    assert np.array_equal(fams[0], grid) and slack == delta
     est, slots = sup_bracket(A.coeffs, balls, EpsilonConfig(budget=96))
     assert est.iterations == 4 * 6 * 4
     assert est.lower == est.upper == pytest.approx(map_sup_oracle(A), rel=1e-12)
@@ -340,7 +342,8 @@ def test_exhaustive_route_matches_oracle_and_checks_budget_first(counted_extreme
 def test_vertex_count_rejects_smooth_balls():
     with pytest.raises(UnsupportedNormError):
         kernels.vertex_count(NormedSpace(2, 2.0))
-    assert kernels.vertex_total([NormedSpace(2, 1.0), NormedSpace(3, INF), NormedSpace(1)]) == 64
+    spaces = [NormedSpace(2, 1.0), NormedSpace(3, INF), NormedSpace(1)]
+    assert [kernels.vertex_count(sp) for sp in spaces] == [4, 8, 2]
 
 
 @pytest.fixture
@@ -367,8 +370,7 @@ def test_budget_checked_before_vertices_are_built(counted_extreme_points):
     assert est.upper == INF and est.lower > 0.0  # the ascent fallback
 
     z = Tensor(TensorSpace((NormedSpace(10, 1.0), NormedSpace(10, 1.0))), rng.standard_normal((10, 10)))
-    with pytest.raises(BudgetError):
-        _exhaustive_sup(z.coeffs, 1.0, z.space.dual_factors(), cfg)
+    assert kernels.point_families(z.space.dual_factors(), cfg.budget) is None  # 1024^2 tuples
     eps = make_epsilon_evaluator(cfg)(z)
     assert eps.upper == INF and eps.lower > 0.0
 
@@ -381,18 +383,31 @@ def test_budget_checked_before_vertices_are_built(counted_extreme_points):
     assert counted_extreme_points
 
 
-def test_vertex_families_is_the_one_gate(counted_extreme_points):
+def test_point_families_is_the_one_gate(counted_extreme_points, monkeypatch):
     smooth = [NormedSpace(3, 1.0), NormedSpace(2, 2.0)]
     big = [NormedSpace(3, INF), NormedSpace(4, 1.0)]  # 8 * 8 vertex tuples
-    assert kernels.vertex_families(smooth, 10**6) is None
-    assert kernels.vertex_families(big, 63) is None
+    assert kernels.point_families(smooth, 10**6) is None  # no grid without a resolution
+    assert kernels.point_families(big, 63) is None
     assert counted_extreme_points == []  # neither refusal built a vertex
     spaces = big + [NormedSpace(1, 2.0)]  # a one-dimensional ball is an interval
-    mats = kernels.vertex_families(spaces, 128)
-    assert len(mats) == 3 and counted_extreme_points
+    mats, slack = kernels.point_families(spaces, 128)
+    assert len(mats) == 3 and slack == 0.0 and counted_extreme_points
     for M, sp in zip(mats, spaces):
         assert M is kernels.vertex_matrix(sp)
-    assert kernels.vertex_families([], 1) == []
+    assert kernels.point_families([], 1) == ([], 0.0)
+    # a grid beside the vertices, with its covering radius as the slack
+    mats, slack = kernels.point_families(smooth, 10**6, 8)
+    grid, delta = kernels.ball_grid(smooth[1], 8)
+    assert mats[0] is kernels.vertex_matrix(smooth[0]) and np.array_equal(mats[1], grid)
+    assert slack == delta
+
+    def no_plan(*args):
+        raise AssertionError("a grid was planned")
+
+    # a mesh over budget is refused before grid_plan builds resolution + 1 ticks
+    monkeypatch.setattr(kernels, "grid_plan", no_plan)
+    assert kernels.point_families(smooth, 120, 10) is None  # 11^2 mesh rows
+    assert kernels.point_families(smooth, 2_000_000, 10**12) is None
 
 
 def _tensordot_chain(coeffs, vecs, axes):
@@ -611,13 +626,13 @@ def test_memo_key_is_exact():
 
 def test_memo_is_bounded_and_least_recently_used_goes_first(monkeypatch):
     searched = []
-    exhaustive = tnl.injective._exhaustive_sup
+    grid_sup = tnl.injective.grid_sup  # the exhaustive route's one evaluation
 
     def counted(normalized, *args):
         searched.append(normalized)
-        return exhaustive(normalized, *args)
+        return grid_sup(normalized, *args)
 
-    monkeypatch.setattr(tnl.injective, "_exhaustive_sup", counted)
+    monkeypatch.setattr(tnl.injective, "grid_sup", counted)
     rng = np.random.default_rng(8)
     balls = (NormedSpace(2, 1.0), NormedSpace(2, INF))
     arrays = [rng.standard_normal((2, 2)) for _ in range(3 * kernels._MEMO_SIZE)]
@@ -774,25 +789,29 @@ def _calls(name: str):
 def test_one_supremum_route_rule():
     """Only injective.sup_bracket chooses between the exhaustive route and ascent."""
     # the one evaluation of point families, and the exact rescale of the LP's dual form
-    assert _sites(_calls("grid_sup")) == {"injective._exhaustive_sup", "projective._pi_lower_polyhedral"}
-    routes = {"_exhaustive_sup", "_ascent_sup"}
-    assert _sites(lambda node: isinstance(node, ast.Name) and node.id in routes) == {
-        "injective.sup_bracket"
+    assert _sites(_calls("grid_sup")) == {"injective.sup_bracket", "projective._pi_lower_polyhedral"}
+    # the one gate of the exhaustive routes: sup, the pi LP and the sigma_p exact modulus
+    assert _sites(_calls("point_families")) == {
+        "injective.sup_bracket", "projective.pi_dual_certificate", "sigma._modulus_arrays"
     }
     # bare ascent: the ascent route, operator norms, and two searches that only need seeds
     assert _sites(_calls("multilinear_sup")) == {
-        "injective._ascent_sup",
+        "injective.sup_bracket",
         "injective.operator_norm",
         "projective._product_functional_certificate",
         "sigma.sigma_p_dual",
     }
+    # the gate's None is the route: no exception picks one
+    injective = ast.parse((_SRC / "injective.py").read_text())
+    assert not any(isinstance(node, ast.Try) for node in ast.walk(injective))
+    for path in _SRC.glob("*.py"):
+        assert "BudgetError" not in path.read_text(), path.name
     for name in ("evaluators.py", "ideals.py", "verify.py", "sigma.py", "projective.py"):
-        text = (_SRC / name).read_text()
-        assert "is_polyhedral" not in text and "BudgetError" not in text, name
+        assert "is_polyhedral" not in (_SRC / name).read_text(), name
     # the exact enumeration routes count and build vertices behind one gate
     for name in ("sigma.py", "projective.py"):
         text = (_SRC / name).read_text()
-        assert "vertex_total" not in text and "vertex_matrix" not in text, name
+        assert "vertex_count" not in text and "vertex_matrix" not in text, name
 
 
 def test_tensordot_is_called_only_by_apply_axis():

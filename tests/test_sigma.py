@@ -35,8 +35,8 @@ from tnl.kernels import contract, vertex_matrix
 from tnl.evaluators import make_epsilon_evaluator, make_sigma_evaluator
 from tnl.kernels import kron
 from tnl.kernels import RESIDUAL_TOL, q_norm
-from tnl.sigma import MODULUS_CONFIG, BetaResult, ConjugatePair
-from tnl.spaces import ball_linear_maximizer_batch, unit_rows
+from tnl.sigma import MODULUS_CONFIG, BetaResult
+from tnl.spaces import ball_linear_maximizer_batch, conjugate_exponent, unit_rows
 from tnl.tensors import GroupedBlock, GroupedDecomposition, canonical_gauge, grouped_to_tensor
 
 from conftest import elementary_tensor, modulus_oracle, modulus_oracle_loop, random_factors
@@ -110,6 +110,18 @@ def test_sigma_rejects_bad_exponent():
     z = random_tensor(space, seed=1)
     with pytest.raises(SpaceError):
         sigma_p_upper(z, 0.5)
+
+
+@pytest.mark.parametrize("p", [0.5, float("nan")])
+def test_sigma_entries_reject_p_below_one(p):
+    sp = NormedSpace(2, 2.0)
+    z = random_tensor(TensorSpace((sp, sp)), seed=1)
+    fams = [[Vector(sp, np.array([1.0, 0.0]))], [Vector(sp, np.array([0.0, 1.0]))]]
+    for call in (sigma_p_upper, sigma_p_dual, beta_p_upper):
+        with pytest.raises(SpaceError, match="p must be >= 1"):
+            call(z, p)
+    with pytest.raises(SpaceError, match="p must be >= 1"):
+        family_modulus_p(fams, p)
 
 
 def test_sigma_honours_max_rank():
@@ -532,7 +544,7 @@ def _reference_beta_objective(domain, cod, family_sets, coeff_arrays, p, q, cfg)
 
 def _reference_beta(z, p, cfg):
     """beta_p_upper as first written: every strong norm, norm and unit draw routed per call."""
-    q = ConjugatePair(p).q
+    q = conjugate_exponent(p)
     cod, domain = z.space.factors[-1], z.space.factors[:-1]
     normalized, scale, sign = canonical_gauge(z.coeffs)
     if scale == 0.0:

@@ -81,6 +81,9 @@ class TestDuality:
         assert conjugate_exponent(2.0) == 2.0
         assert conjugate_exponent(1.5) == pytest.approx(3.0)
         assert conjugate_exponent(4.0) == pytest.approx(4.0 / 3.0)
+        for p in (0.5, float("nan")):
+            with pytest.raises(SpaceError, match="p must be >= 1"):
+                conjugate_exponent(p)
 
     def test_dual_pairs(self):
         assert NormedSpace(3, 1.0).dual() == NormedSpace(3, INF)
