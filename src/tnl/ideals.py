@@ -595,12 +595,15 @@ def si_p_norm(
 ) -> NormEstimate:
     """Semi-integral constant of a scalar-valued map (lower estimate).
 
-    Delegates to the family-ratio search on the map's form coefficients;
-    vector-valued maps are not supported (bridge them to a scalar form
+    Delegates to the family-ratio search on the map's form coefficients
+    (:func:`~tnl.sigma.sigma_p_dual`); the zero map and one domain factor
+    give an exact bracket (the dual norm), any other map an open upper end.
+    Vector-valued maps are not supported (bridge them to a scalar form
     first if the extra slot is meant to range over a ball).
     """
     if not A.is_scalar:
         raise UnsupportedNormError("the semi-integral constant is defined for scalar-valued maps")
     res = sigma_p_dual(Tensor(A.domain_space(), A.form_coeffs()), p, cfg)
     seed = cfg.seed if cfg is not None else 0
-    return NormEstimate(res.value, INF, res.converged, res.iterations, seed)
+    upper = res.value if res.exact else INF
+    return NormEstimate(res.value, upper, res.converged, res.iterations, seed)

@@ -146,6 +146,7 @@ class SigmaDualResult:
     family: tuple[np.ndarray, ...]
     converged: bool
     iterations: int
+    exact: bool = False
 
 
 @dataclass(frozen=True)
@@ -172,15 +173,26 @@ def _family_arrays(
 def _modulus_exact(
     points: Sequence[np.ndarray], mats: Sequence[np.ndarray], p: float
 ) -> tuple[float, bool, Callable[[], ModulusResult]]:
-    """The modulus by enumeration over ``points``, the vertex matrix of each dual ball."""
+    """The modulus by enumeration over ``points``, the vertex matrix of each dual ball.
+
+    (R, m, d_l) families give the (R,) array of their moduli and no result.
+    """
+    batch = mats[0].shape[:-2]
+    if batch:  # R * m aligned columns
+        mats = [X.reshape(-1, X.shape[-1]) for X in mats]
     if len(points) == 1:  # one factor: the term products are the actions
         prod = points[0] @ mats[0].T
     else:
         prod = aligned_outer([P @ X.T for P, X in zip(points, mats)])
+    if batch:  # (vertex tuple, R, m)
+        prod = prod.reshape(prod.shape[:-1] + batch + (-1,))
     if p == INF:
         grid = np.abs(prod).max(axis=-1)
     else:
         grid = (np.abs(prod) ** p).sum(axis=-1)
+    if batch:
+        best = grid.reshape((-1,) + batch).max(axis=0)
+        return (best if p == INF else best ** (1.0 / p)), True, None
     flat = int(np.argmax(grid))
     value = float(grid.flat[flat]) if p == INF else float(grid.flat[flat]) ** (1.0 / p)
 
@@ -277,8 +289,16 @@ def _modulus_arrays(
     cfg: SigmaConfig,
     seeds: Sequence[tuple[np.ndarray, ...]] = (),
 ) -> tuple[float, bool, Callable[[], ModulusResult]]:
-    """The modulus as ``(value, exact, result)``; ``result()`` builds its ModulusResult."""
-    m = mats[0].shape[0]
+    """The modulus as ``(value, exact, result)``; ``result()`` builds its ModulusResult.
+
+    A batch of (R, m, d_l) families takes the same route; ``value`` is then
+    the (R,) array of their moduli and ``result`` is None.
+    """
+    batch = mats[0].ndim == 3
+    m = mats[0].shape[-2]
+    if batch and m == 1:
+        norms = [ball_linear_maximizer_batch(sp.dual(), X[:, 0])[1] for sp, X in zip(spaces, mats)]
+        return math.prod(norms), True, None
     if m == 1:
         value = 1.0
         funcs = []
@@ -290,6 +310,9 @@ def _modulus_arrays(
     gate = point_families([sp.dual() for sp in spaces], cfg.exact_budget // m)
     if gate is not None:
         return _modulus_exact(gate[0], mats, p)
+    if batch:
+        values = [_modulus_engine(spaces, F, p, cfg, seeds).value for F in zip(*mats)]
+        return np.array(values), False, None
     res = _modulus_engine(spaces, mats, p, cfg, seeds)
     return res.value, res.exact, lambda: res
 
@@ -476,18 +499,19 @@ def sigma_p_upper(
     return SigmaResult(g.rescale(best), g.lift(lam, fams), converged, tried, lower)
 
 
-def _si_ratio(
-    form: np.ndarray,
-    spaces: Sequence[NormedSpace],
-    fams: Sequence[np.ndarray],
-    p: float,
-    cfg: SigmaConfig,
-) -> float:
-    num = q_norm(aligned_values(form, fams), p)
-    den = _modulus_arrays(spaces, fams, p, cfg)[0]
-    if den <= 1e-300:
-        return 0.0
-    return num / den
+def _si_ratios(
+    form: np.ndarray, spaces: Sequence[NormedSpace], fams: Sequence[np.ndarray], p: float
+) -> np.ndarray:
+    """||(A(x_j))_j||_p / modulus_p(x) for each of R (R, m, d_l) families; 0 for modulus 0."""
+    R, m = fams[0].shape[:2]
+    a = np.abs(aligned_values(form, [F.reshape(R * m, -1) for F in fams])).reshape(R, m)
+    top = a.max(axis=1)
+    if p == INF:
+        num = top
+    else:  # q_norm per row
+        num = top * ((a / np.where(top > 0.0, top, 1.0)[:, None]) ** p).sum(axis=1) ** (1.0 / p)
+    den = _modulus_arrays(spaces, fams, p, MODULUS_CONFIG)[0]
+    return np.divide(num, den, out=np.zeros(R), where=den > 1e-300)
 
 
 def sigma_p_dual(form: Tensor, p: float, cfg: SigmaDualConfig | None = None) -> SigmaDualResult:
@@ -497,46 +521,59 @@ def sigma_p_dual(form: Tensor, p: float, cfg: SigmaDualConfig | None = None) -> 
     spaces.  By duality the constant equals the supremum over tensors of
     |<A, z>| / sigma_p(z); optimizing the representation weights in closed
     form reduces that to the supremum over vector families of
-    ||(A(x_j))_j||_p / modulus_p(family), which is searched directly:
-    seeded multi-start families polished by hill climbing.
+    ||(A(x_j))_j||_p / modulus_p(family), which is searched directly.
+
+    The zero form and one factor are ``exact``: the dual norm, since A/||A||
+    caps every ratio and the norming singleton attains it.  Otherwise, after the injective
+    argmax singleton, each family size m polishes its restarts in lockstep
+    from generator ``[seed, 15485863, m]``: a round draws one normal block
+    per factor for all restarts and prices the live ones in one batch; a
+    higher ratio is taken (step x1.4, at most 1), else the step shrinks
+    x0.7, ending the restart below 1e-4.  ``iterations`` sums the live
+    restarts over rounds.  Ratios are sound lower bounds where the modulus
+    is exact (polyhedral balls); on smooth balls ascent can overshoot.
     """
     cfg = cfg or SigmaDualConfig()
     conjugate_exponent(p)  # SpaceError unless p >= 1
     spaces = form.space.factors
     coeffs = form.coeffs
     if float(np.linalg.norm(coeffs)) == 0.0:
-        return SigmaDualResult(0.0, tuple(np.zeros((1, s.dim)) for s in spaces), True, 0)
+        return SigmaDualResult(0.0, tuple(np.zeros((1, s.dim)) for s in spaces), True, 0, True)
+    if len(spaces) == 1:
+        x, norm = ball_linear_maximizer_batch(spaces[0], coeffs)
+        return SigmaDualResult(float(norm[0]), (x,), True, 0, exact=True)
 
-    eps_cfg = EpsilonConfig(restarts=8, seed=cfg.seed)
-    sup = multilinear_sup(coeffs, tuple(spaces), eps_cfg)
-    best_fams: list[np.ndarray] = [s[None, :] for s in sup.slots]
-    best = _si_ratio(coeffs, spaces, best_fams, p, MODULUS_CONFIG)
-
+    sup = multilinear_sup(coeffs, tuple(spaces), EpsilonConfig(restarts=8, seed=cfg.seed))
+    best_fams = tuple(s[None, :] for s in sup.slots)
+    best = float(_si_ratios(coeffs, spaces, [F[None] for F in best_fams], p)[0])
     iterations = 0
-    rng_master = np.random.default_rng([cfg.seed, 15485863])
     for m in _DUAL_FAMILY_SIZES:
-        for r in range(_DUAL_RESTARTS_PER_SIZE):
-            fams = [unit_rows(sp, rng_master.standard_normal((m, sp.dim))) for sp in spaces]
-            val = _si_ratio(coeffs, spaces, fams, p, MODULUS_CONFIG)
-            step = 0.3
-            for _ in range(_DUAL_POLISH_ROUNDS):
-                iterations += 1
-                cand = [
-                    unit_rows(sp, F + step * rng_master.standard_normal(F.shape))
-                    for sp, F in zip(spaces, fams)
-                ]
-                cval = _si_ratio(coeffs, spaces, cand, p, MODULUS_CONFIG)
-                if cval > val:
-                    fams, val = cand, cval
-                    step = min(step * 1.4, 1.0)
-                else:
-                    step *= 0.7
-                    if step < 1e-4:
-                        break
-            if val > best:
-                best = val
-                best_fams = fams
-    return SigmaDualResult(float(best), tuple(best_fams), True, iterations)
+        rng = np.random.default_rng([cfg.seed, 15485863, m])
+        live = np.arange(_DUAL_RESTARTS_PER_SIZE)
+        fams = [unit_rows(sp, rng.standard_normal((live.size, m, sp.dim))) for sp in spaces]
+        vals = _si_ratios(coeffs, spaces, fams, p)
+        step = np.full(live.size, 0.3)
+        for _ in range(_DUAL_POLISH_ROUNDS):
+            if live.size == 0:
+                break
+            iterations += live.size
+            scale = step[live, None, None]  # all restarts draw: a draw depends on the round alone
+            cand = [unit_rows(sp, F[live] + scale * rng.standard_normal(F.shape)[live])
+                    for sp, F in zip(spaces, fams)]
+            cval = _si_ratios(coeffs, spaces, cand, p)
+            up = cval > vals[live]
+            acc = live[up]
+            for F, C in zip(fams, cand):
+                F[acc] = C[up]
+            vals[acc] = cval[up]
+            step[acc] = np.minimum(step[acc] * 1.4, 1.0)
+            step[live[~up]] *= 0.7
+            live = live[step[live] >= 1e-4]
+        r = int(np.argmax(vals))
+        if vals[r] > best:
+            best = float(vals[r])
+            best_fams = tuple(F[r] for F in fams)
+    return SigmaDualResult(best, best_fams, True, iterations)
 
 
 def _fit_blocks(

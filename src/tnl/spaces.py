@@ -220,9 +220,9 @@ def unit_vector(space: NormedSpace, rng: np.random.Generator) -> np.ndarray:
 
 
 def unit_rows(space: NormedSpace, X: np.ndarray) -> np.ndarray:
-    """The rows of X scaled to unit norm; rows of norm at most the tiny cut stay as they are."""
+    """The rows (last axis) of X scaled to unit norm; rows of norm at most the tiny cut stay."""
     norms = np.atleast_1d(space.norm(X))
-    return X / np.where(norms > _tiny_norm(space), norms, 1.0)[:, None]
+    return X / np.where(norms > _tiny_norm(space), norms, 1.0)[..., None]
 
 
 def extreme_points(space: NormedSpace) -> list[Vector]:

@@ -28,6 +28,7 @@ from tnl import (
     random_map,
     scalar_space,
     si_p_norm,
+    sigma_p_dual,
     sm_pq_norm,
     sup_argmax,
     sup_norm,
@@ -434,6 +435,36 @@ def test_si_unit_product_form_has_constant_one():
     A = MultilinearMap((sp1, sp2), scalar_space(), coeffs)
     est = si_p_norm(A, 2.0, SigmaDualConfig(seed=3))
     assert est.lower == pytest.approx(1.0, rel=1e-9)
+
+
+def test_si_one_factor_overshoot_example():
+    # the search's ascent modulus put this lower end at 0.186852, 15% above the constant
+    c = np.random.default_rng(0).standard_normal(2)
+    est = si_p_norm(MultilinearMap((NormedSpace(2, 1.5),), scalar_space(), c[:, None]), 1.0)
+    assert est.lower == est.upper == pytest.approx(0.162525, abs=1e-6)
+
+
+@pytest.mark.parametrize("kind", [1.0, 1.5, 2.0, 3.0, INF])
+def test_si_one_factor_is_the_exact_dual_norm(kind):
+    """phi = A / ||A|| caps every family ratio, and the norming singleton attains it."""
+    for seed in range(4):
+        rng = np.random.default_rng([61, seed])
+        for weights in (None, tuple(rng.uniform(0.5, 2.0, 3))):
+            sp = NormedSpace(3, kind, weights)
+            c = rng.standard_normal(3)
+            A = MultilinearMap((sp,), scalar_space(), c[:, None])
+            norm = float(sp.dual().norm(c))
+            for p in (1.0, 1.5, 2.0, 3.0, INF):
+                est = si_p_norm(A, p, SigmaDualConfig(seed=seed))
+                assert est.lower == est.upper
+                assert est.lower == pytest.approx(norm, rel=1e-12)
+                res = sigma_p_dual(Tensor(TensorSpace((sp,)), c), p, SigmaDualConfig(seed=seed))
+                (x,) = res.family
+                assert res.exact and x.shape == (1, 3)
+                assert float(sp.norm(x[0])) == pytest.approx(1.0, rel=1e-12)
+                assert float(c @ x[0]) == pytest.approx(norm, rel=1e-12)
+    zero = MultilinearMap((NormedSpace(3, kind),), scalar_space(), np.zeros((3, 1)))
+    assert si_p_norm(zero, 2.0).upper == 0.0
 
 
 def test_si_rejects_vector_valued_maps():

@@ -31,7 +31,7 @@ from tnl import (
 from tnl import evaluators, evaluator_for, injective, projective, report_json, sigma
 from tnl import witness_search_nonsmooth
 from tnl.injective import sup_bracket
-from tnl.kernels import contract, vertex_matrix
+from tnl.kernels import aligned_values, contract, vertex_matrix
 from tnl.evaluators import make_epsilon_evaluator, make_sigma_evaluator
 from tnl.kernels import kron
 from tnl.kernels import RESIDUAL_TOL, q_norm
@@ -386,13 +386,72 @@ def test_sigma_dual_unit_product_form():
     assert res.value == pytest.approx(1.0, rel=1e-9)
 
 
-def test_sigma_dual_determinism():
+def test_sigma_dual_determinism(monkeypatch):
     factors = (NormedSpace(2, 2.0), NormedSpace(2, 2.0))
     form = random_tensor(TensorSpace(factors), seed=5)
     a = sigma_p_dual(form, 1.5, SigmaDualConfig(seed=9))
+    priced = []  # (restarts, family size) of every batch priced
+    ratios = sigma._si_ratios
+
+    def counting(form, spaces, fams, p):
+        priced.append(fams[0].shape[:2])
+        return ratios(form, spaces, fams, p)
+
+    monkeypatch.setattr(sigma, "_si_ratios", counting)
     b = sigma_p_dual(form, 1.5, SigmaDualConfig(seed=9))
-    assert a.value == b.value
+    assert a.value == b.value and a.iterations == b.iterations
     assert len(a.family) == len(b.family)
+    for x, y in zip(a.family, b.family):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    # the singleton seed, then per family size one start batch of every
+    # restart and one batch per round of the restarts still live
+    assert priced[0] == (1, 1)
+    polished = 0
+    for m in sigma._DUAL_FAMILY_SIZES:
+        batches = [r for r, size in priced[1:] if size == m]
+        assert batches[0] == sigma._DUAL_RESTARTS_PER_SIZE
+        rounds = batches[1:]
+        assert 0 < len(rounds) <= sigma._DUAL_POLISH_ROUNDS
+        assert all(x >= y for x, y in zip(rounds, rounds[1:]))
+        polished += sum(rounds)
+    assert a.iterations == polished
+
+
+def _scalar_si_ratio(form, spaces, fams, p):
+    """One family's ratio as first written: q_norm of the aligned values over the modulus."""
+    den = sigma._modulus_arrays(spaces, fams, p, MODULUS_CONFIG)[0]
+    return q_norm(aligned_values(form, fams), p) / den if den > 1e-300 else 0.0
+
+
+#: Factor exponents per modulus route: member norms (m = 1), enumeration, ascent.
+_RATIO_ROUTES = {
+    "norms": (1.0, 2.0, INF, 3.0), "enumeration": (1.0, INF), "ascent": (1.5, 2.0, 3.0)
+}
+
+
+@pytest.mark.parametrize("route", sorted(_RATIO_ROUTES))
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, INF])
+def test_batched_si_ratio_matches_the_scalar_formula(route, n, p):
+    rng = np.random.default_rng([71, n, int(10 * min(p, 9.0)), len(route)])
+    kinds = _RATIO_ROUTES[route]
+    spaces = []
+    for l in range(n):
+        dim = int(rng.integers(2, 4))
+        weights = tuple(rng.uniform(0.5, 2.0, dim)) if l % 2 else None
+        spaces.append(NormedSpace(dim, kinds[(l + n) % len(kinds)], weights))
+    m = 1 if route == "norms" else 3
+    R = 5
+    form = rng.standard_normal(tuple(sp.dim for sp in spaces))
+    fams = [unit_rows(sp, rng.standard_normal((R, m, sp.dim))) for sp in spaces]
+    got = sigma._si_ratios(form, spaces, fams, p)
+    assert got.shape == (R,)
+    for r in range(R):
+        one = [F[r] for F in fams]
+        assert sigma._modulus_arrays(spaces, one, p, MODULUS_CONFIG)[1] == (route != "ascent")
+        want = _scalar_si_ratio(form, spaces, one, p)
+        assert want > 0.0
+        assert abs(got[r] - want) <= 1e-12 * want
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,8 @@ class TestDuality:
         U = unit_rows(sp, X)
         assert sp.norm(U[0]) == pytest.approx(1.0, rel=1e-12)
         assert np.array_equal(U[1:], X[1:])  # norm <= 1e-12: left as it is
+        stack = np.random.default_rng(3).standard_normal((4, 2, 3))  # rows along the last axis
+        assert unit_rows(sp, stack).tobytes() == unit_rows(sp, stack.reshape(8, 3)).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(p=P_VALUES, data=st.data())
