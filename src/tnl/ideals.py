@@ -13,8 +13,8 @@ axis.  This module provides:
 * the one-point adjunction that removes (or re-attaches) a trailing
   one-dimensional scalar slot;
 * the strongly multiple (p, q)-summing constant, estimated from finite
-  families with the inner supremum taken over the unit ball of multilinear
-  forms (not merely product functionals);
+  families; the inner supremum over the unit ball of multilinear forms is
+  priced on the product forms, one single-family strong norm per factor;
 * the exact correspondence between maps into a dual space and scalar
   forms with one extra slot.
 
@@ -40,9 +40,7 @@ from .spaces import (
     unit_rows,
 )
 from .injective import EpsilonConfig, sup_bracket
-from .kernels import apply_axis, contract_leading, grid_tensor, grid_values, norm_gradient, outer
-from .kernels import q_norm
-from .projective import PiConfig, pi_dual_certificate
+from .kernels import apply_axis, contract_leading, grid_values, outer, q_norm
 from .sigma import MODULUS_CONFIG, SigmaDualConfig, family_strong_norm, sigma_p_dual
 from .tensors import (
     NormEstimate,
@@ -431,28 +429,28 @@ class SmConfig:
     seed: int = 0
 
 
-# Budgets of the strongly multiple family search and of its form-ball
-# denominator's conditional gradient.
+# Budgets of the strongly multiple family search.  Its form-ball denominator
+# has none of its own: one strong norm per factor at MODULUS_CONFIG, an
+# ascent only off polyhedral and Euclidean/q=2 balls.
 _SM_RESTARTS = 8
 _SM_POLISH_ROUNDS = 40
 _SM_STEP = 0.3
-_SM_CG_STARTS = 4
-_SM_CG_ITERS = 10
-_SM_PI = PiConfig(restarts=1)
 
 
 def _form_ball_denominator(
     spaces: Sequence[NormedSpace], fams: Sequence[np.ndarray], q: float
 ) -> tuple[float, bool]:
-    """sup over the unit ball of multilinear forms of the grid q-sum.
+    """Grid q-sum of the families, maximized over forms of supremum norm <= 1.
 
-    Returns (value, exact).  Exact tiers: a single grid point (the supremum
-    is the product of member norms), q = inf (max and sup commute), and one
-    domain factor (single-family strong norm, exact on polyhedral and
-    Euclidean/q=2 balls).  Otherwise a conditional-gradient ascent over
-    certified-feasible forms (each iterate has supremum norm at most 1 by
-    the same rescaling used for projective lower bounds), reported as a
-    lower estimate of the supremum.
+    Returns (value, exact).  Exact tiers: a single grid point (the product
+    of member norms) and q = inf (max and sup commute).  Otherwise the
+    supremum over product forms f_1 x ... x f_n with ||f_l||' <= 1: their
+    grid q-sum factorizes into prod_l ||(f_l(x_{l,j}))_j||_q, so it is the
+    product of single-family strong norms (exact on polyhedral and
+    Euclidean/q=2 balls).  One factor keeps its strong norm's exact flag;
+    with more, forms outside the products can score higher, so the value is
+    a lower estimate.  The sound upper bound, the grid q-sum of
+    prod_l ||x_{l,J_l}||, is not used yet.
     """
     # outer product of member norms: entry J is prod_l ||x_{l, J_l}||
     prod_norms = outer([np.atleast_1d(sp.norm(X)) for sp, X in zip(spaces, fams)])
@@ -460,46 +458,11 @@ def _form_ball_denominator(
         return float(prod_norms.ravel()[0]), True
     if q == INF:
         return float(prod_norms.max()), True
-    if len(spaces) == 1:
-        res = family_strong_norm(spaces[0], fams[0], q, MODULUS_CONFIG)
-        return res.value, res.exact
-
-    # conditional gradient over the form ball, started from the product
-    # functionals of the heaviest grid points (always feasible forms)
-    flat_order = np.argsort(prod_norms.ravel())[::-1]
-    starts = []
-    for flat in flat_order[:_SM_CG_STARTS]:
-        idx = np.unravel_index(int(flat), prod_norms.shape)
-        # norming functionals: dual norm at most 1, <g, x> = ||x||
-        norming = [norm_gradient(sp, F[i][:, None])[:, 0] for sp, F, i in zip(spaces, fams, idx)]
-        starts.append(outer(norming))
-
-    def q_sum(form: np.ndarray) -> float:
-        return q_norm(grid_values(form, fams).ravel(), q)
-
-    best = 0.0
-    for phi in starts:
-        val = q_sum(phi)
-        best = max(best, val)
-        for _ in range(_SM_CG_ITERS):
-            v = grid_values(phi, fams)
-            av = np.abs(v)
-            if q == 1.0:
-                u = np.sign(v)
-            else:
-                peak = av.max()
-                if peak <= 1e-300:
-                    break
-                u = (av / peak) ** (q - 1.0) * np.sign(v)
-            # gradient direction as a tensor on the domain product
-            G = grid_tensor(u, fams)
-            _, cand = pi_dual_certificate(spaces, G, _SM_PI)
-            val = q_sum(cand)
-            if val <= best * (1.0 + 1e-12):
-                break
-            best = val
-            phi = cand
-    return best, False
+    res = [family_strong_norm(sp, X, q, MODULUS_CONFIG) for sp, X in zip(spaces, fams)]
+    value = res[0].value
+    for r in res[1:]:
+        value *= r.value
+    return value, len(res) == 1 and res[0].exact
 
 
 def _sm_ratio(
@@ -533,12 +496,13 @@ def sm_pq_norm(
     grid to the supremum over the unit ball of multilinear forms of the
     grid q-sum.  The single-member family built from the supremum-norm
     argmax is always tried first, so the result is never below the
-    supremum norm it was seeded with.  On configurations where the inner
-    supremum has an exact tier (single grid point, q = inf, or a single
-    domain factor with a polyhedral or Euclidean/q=2 ball) the reported
-    ratio is a certified lower bound of the constant; elsewhere the inner
-    supremum is itself an ascent value and the ratio is a best-effort
-    estimate, flagged by converged=False.
+    supremum norm it was seeded with.  The inner supremum is priced on
+    product forms, one strong norm per factor, with no LP
+    (:func:`_form_ball_denominator`).  Where that is exact (single grid
+    point, q = inf, or a single domain factor with a polyhedral or
+    Euclidean/q=2 ball) the ratio is a certified lower bound of the
+    constant; elsewhere the denominator is a lower estimate and the ratio
+    can overshoot, flagged by converged=False.
     """
     if not (p >= q >= 1.0):
         raise SpaceError("the strongly multiple constant needs p >= q >= 1")

@@ -12,8 +12,8 @@ Euclidean factors the polar factor of the coefficient matrix is the optimal
 form and the bracket collapses onto the nuclear norm.
 
 ``import tnl`` loads numpy only; scipy's LP solver is imported on the first
-polyhedral π certificate (a π lower end, an sm_pq gradient step or the
-bidual suite), inside ``_pi_lower_polyhedral``.
+polyhedral π certificate (a π lower end or the bidual suite), inside
+``_pi_lower_polyhedral``.
 """
 
 from __future__ import annotations

@@ -530,8 +530,10 @@ def sigma_p_dual(form: Tensor, p: float, cfg: SigmaDualConfig | None = None) -> 
     per factor for all restarts and prices the live ones in one batch; a
     higher ratio is taken (step x1.4, at most 1), else the step shrinks
     x0.7, ending the restart below 1e-4.  ``iterations`` sums the live
-    restarts over rounds.  Ratios are sound lower bounds where the modulus
-    is exact (polyhedral balls); on smooth balls ascent can overshoot.
+    restarts over rounds; ``converged`` is False if any restart was still
+    live when the round cap ended its size.  Ratios are sound lower bounds
+    where the modulus is exact (polyhedral balls); on smooth balls ascent
+    can overshoot.
     """
     cfg = cfg or SigmaDualConfig()
     conjugate_exponent(p)  # SpaceError unless p >= 1
@@ -547,6 +549,7 @@ def sigma_p_dual(form: Tensor, p: float, cfg: SigmaDualConfig | None = None) -> 
     best_fams = tuple(s[None, :] for s in sup.slots)
     best = float(_si_ratios(coeffs, spaces, [F[None] for F in best_fams], p)[0])
     iterations = 0
+    converged = True
     for m in _DUAL_FAMILY_SIZES:
         rng = np.random.default_rng([cfg.seed, 15485863, m])
         live = np.arange(_DUAL_RESTARTS_PER_SIZE)
@@ -569,11 +572,12 @@ def sigma_p_dual(form: Tensor, p: float, cfg: SigmaDualConfig | None = None) -> 
             step[acc] = np.minimum(step[acc] * 1.4, 1.0)
             step[live[~up]] *= 0.7
             live = live[step[live] >= 1e-4]
+        converged = converged and live.size == 0
         r = int(np.argmax(vals))
         if vals[r] > best:
             best = float(vals[r])
             best_fams = tuple(F[r] for F in fams)
-    return SigmaDualResult(best, best_fams, True, iterations)
+    return SigmaDualResult(best, best_fams, converged, iterations)
 
 
 def _fit_blocks(

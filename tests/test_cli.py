@@ -525,3 +525,27 @@ def test_scipy_optimize_loads_at_the_first_lp(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[False, False, True]"
+
+
+_SM_PQ_PROBE = """
+import sys
+
+import numpy as np
+
+import tnl
+
+domain = (tnl.NormedSpace(3, 1.0), tnl.NormedSpace(2, tnl.INF))
+A = tnl.MultilinearMap(domain, tnl.scalar_space(), np.random.default_rng(1701).standard_normal((3, 2, 1)))
+tnl.sm_pq_norm(A, 2.0, 1.0)
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_sm_pq_leaves_scipy_optimize_unloaded(tmp_path):
+    """The form-ball denominator of a two-factor ℓ1 ⊗ ℓ∞ map solves no LP."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", _SM_PQ_PROBE],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -1,5 +1,7 @@
 """Tests for multilinear maps, ideal-norm searches, and the adjunction tools."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from tnl import (
     Vector,
     compose,
     evaluator_for,
+    family_strong_norm,
     finite_type_map,
     linearization_norm,
     one_adjunction,
@@ -35,6 +38,10 @@ from tnl import (
     vector_scalar_bridge,
     vector_scalar_bridge_inverse,
 )
+
+from tnl.ideals import _form_ball_denominator
+from tnl.sigma import MODULUS_CONFIG
+from tnl.spaces import unit_rows
 
 from conftest import ball_vertices, map_sup_oracle
 
@@ -422,6 +429,68 @@ def test_sm_zero_map():
     sp = NormedSpace(2, 2.0)
     A = MultilinearMap((sp,), sp, np.zeros((2, 2)))
     assert sm_pq_norm(A, 2.0, 2.0).lower == 0.0
+
+
+def _product_form_q_sum(funcs, fams, q):
+    """Grid q-sum of the product form f_1 x ... x f_n, over every index tuple."""
+    vals = [float(np.prod([f @ X[j] for f, X, j in zip(funcs, fams, J)]))
+            for J in itertools.product(*(range(X.shape[0]) for X in fams))]
+    return float(np.linalg.norm(vals, q))
+
+
+def _denominator_case(rng, palette, weighted):
+    spaces = []
+    for _ in range(int(rng.integers(2, 4))):
+        d = int(rng.integers(2, 4))
+        weights = tuple(rng.uniform(0.5, 2.0, d)) if weighted else None
+        spaces.append(NormedSpace(d, float(rng.choice(palette)), weights))
+    fams = [rng.standard_normal((int(rng.integers(2, 4)), sp.dim)) for sp in spaces]
+    return tuple(spaces), fams
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_sm_denominator_on_polyhedral_factors_is_the_dual_vertex_maximum(weighted):
+    for trial in range(6):
+        rng = np.random.default_rng([71, trial, int(weighted)])
+        spaces, fams = _denominator_case(rng, (1.0, INF), weighted)
+        for q in (1.0, 1.5, 2.0, 3.0):
+            den, exact = _form_ball_denominator(spaces, fams, q)
+            best = max(_product_form_q_sum(funcs, fams, q)
+                       for funcs in itertools.product(*(ball_vertices(sp.dual()) for sp in spaces)))
+            assert den == pytest.approx(best, rel=1e-12)
+            assert not exact
+
+
+def test_sm_denominator_on_euclidean_factors_with_q2_is_the_product_of_top_singular_values():
+    for trial in range(6):
+        rng = np.random.default_rng([72, trial])
+        spaces, fams = _denominator_case(rng, (2.0,), weighted=trial % 2 == 1)
+        den, exact = _form_ball_denominator(spaces, fams, 2.0)
+        tops = [np.linalg.svd(X * sp.weight_array(), compute_uv=False)[0]
+                for sp, X in zip(spaces, fams)]
+        assert den == pytest.approx(float(np.prod(tops)), rel=1e-12)
+        assert not exact
+
+
+def test_sm_denominator_on_smooth_factors_dominates_feasible_product_forms():
+    for trial in range(8):
+        rng = np.random.default_rng([73, trial])
+        spaces, fams = _denominator_case(rng, (1.0, 1.5, 2.0, 3.0, INF), weighted=trial % 2 == 1)
+        for q in (1.0, 1.5, 2.0, 3.0):
+            den, _ = _form_ball_denominator(spaces, fams, q)
+            for _ in range(20):
+                funcs = [unit_rows(sp.dual(), rng.standard_normal((1, sp.dim)))[0] for sp in spaces]
+                assert den >= _product_form_q_sum(funcs, fams, q) * (1.0 - 1e-12)
+
+
+def test_sm_denominator_one_factor_tier_is_the_strong_norm_bitwise():
+    for k, kind in enumerate((1.0, 1.5, 2.0, 3.0, INF)):
+        rng = np.random.default_rng([74, k])
+        sp = NormedSpace(3, kind, tuple(rng.uniform(0.5, 2.0, 3)))
+        X = rng.standard_normal((3, 3))
+        for q in (1.0, 1.5, 2.0, 3.0):
+            res = family_strong_norm(sp, X, q, MODULUS_CONFIG)
+            assert _form_ball_denominator((sp,), [X], q) == (res.value, res.exact)
 
 
 # ---------------------------------------------------------------------------

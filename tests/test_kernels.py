@@ -770,6 +770,56 @@ def test_scipy_is_imported_on_first_use():
     ]
 
 
+def _unused_imports(text: str) -> list[str]:
+    """Names a module imports and never reads, unless its ``__all__`` re-exports them."""
+    tree = ast.parse(text)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+            if name not in read and name not in exported]
+
+
+def test_no_import_goes_unused():
+    """Every name imported into a tnl module is read there or re-exported through ``__all__``."""
+    offenders = [f"{path.name}: {hit}" for path in sorted(_SRC.glob("*.py"))
+                 for hit in _unused_imports(path.read_text())]
+    assert offenders == []
+
+
+def test_unused_import_scan_fires():
+    probe = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from .kernels import grid_tensor, norm_gradient, outer\n"
+        "from .projective import PiConfig, pi_dual_certificate\n"
+        "from .spaces import INF\n"
+        "__all__ = ['INF']\n"
+        "def f(x):\n"
+        "    norm_gradient = None  # a store is not a read\n"
+        "    return outer([np.abs(x)])\n"
+    )
+    assert _unused_imports(probe) == [
+        "line 3: os",
+        "line 4: grid_tensor",
+        "line 4: norm_gradient",
+        "line 5: PiConfig",
+        "line 5: pi_dual_certificate",
+    ]
+
+
 def _sites(match) -> set[str]:
     """module.function for every function of the package with a node that matches."""
     sites = set()

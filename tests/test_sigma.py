@@ -417,6 +417,20 @@ def test_sigma_dual_determinism(monkeypatch):
     assert a.iterations == polished
 
 
+def test_sigma_dual_converged_is_false_on_a_round_cap_exit(monkeypatch):
+    """Only restarts that all stop by the step rule make the search converged."""
+    factors = (NormedSpace(2, 1.0), NormedSpace(2, INF))
+    form = random_tensor(TensorSpace(factors), seed=5)
+    assert not sigma_p_dual(form, 2.0).converged  # some restarts are live in round 60
+    monkeypatch.setattr(sigma, "_DUAL_POLISH_ROUNDS", 1000)
+    assert sigma_p_dual(form, 2.0).converged
+    monkeypatch.setattr(sigma, "_DUAL_POLISH_ROUNDS", 1)
+    assert not sigma_p_dual(form, 2.0).converged
+    zero = Tensor(TensorSpace(factors), np.zeros((2, 2)))
+    one = random_tensor(TensorSpace(factors[:1]), seed=5)
+    assert sigma_p_dual(zero, 2.0).converged and sigma_p_dual(one, 2.0).converged
+
+
 def _scalar_si_ratio(form, spaces, fams, p):
     """One family's ratio as first written: q_norm of the aligned values over the modulus."""
     den = sigma._modulus_arrays(spaces, fams, p, MODULUS_CONFIG)[0]
