@@ -18,8 +18,15 @@ axis.  This module provides:
 * the exact correspondence between maps into a dual space and scalar
   forms with one extra slot.
 
-Every maximization-based value reported here is a certified lower bound;
-``upper`` is finite only when an enumeration or a grid closed the bracket.
+The sup and linearization lower ends are certified: each is attained by
+the point or tensor it reports.  The family-ratio lower ends are certified
+only where their denominator is exact: ``sm_pq`` on one domain factor
+(polyhedral or Euclidean/q = 2), at a single grid point or for q = inf, and
+si_p on one factor or on polyhedral balls.  Elsewhere they are estimates
+that can overshoot the constant: ``sm_pq`` on two or more domain factors
+outside those tiers (flagged ``converged=False``), and si_p on smooth
+multi-factor domains.  ``upper`` is finite only when an enumeration or a
+grid closed the bracket.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ routine, spec and operand order behind each value are decided in one place:
   :func:`grid_tensor` is its mirror, :func:`grid_sup` the maximum over a
   product of point families; :func:`aligned_values` and
   :func:`aligned_outer` do the same for aligned families (one index j);
-* :func:`kron`, :func:`khatri_rao`, :func:`outer`, :func:`apply_axis` and
+* :func:`kron` (also of stacks with one leading batch axis, beta_p's blocks
+  of one shape), :func:`khatri_rao`, :func:`outer`, :func:`apply_axis` and
   :func:`leading_direction`; :func:`contract_leading` and :func:`contract_all_but`
   share one per-axis step, ``np.tensordot``'s own transpose, reshape and dot;
 * :func:`vertex_matrix` caches a polyhedral ball's extreme points as one
@@ -24,8 +25,9 @@ routine, spec and operand order behind each value are decided in one place:
   or :func:`kron` design) behind every pi, sigma_p and beta_p upper end, and
   :func:`top_singular_pair`: numpy's own LAPACK gufuncs behind
   ``np.linalg.lstsq(a, b, rcond=None)`` and the reduced ``np.linalg.svd``,
-  under numpy's own error state, without the argument handling; the pi
-  refine and beta_p polish loops call them hundreds of times per call.
+  under numpy's own error state, without the argument handling (a stack of
+  matrices goes through one gufunc call); the pi refine and beta_p polish
+  loops call them hundreds of times per call.
   Numpy's private linalg names appear in this module only, imported on first
   use, so a numpy that moves them breaks these two kernels, not ``import tnl``;
 * the helpers the norm modules share: :func:`norm_gradient`,
@@ -182,11 +184,17 @@ def aligned_outer(cols: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def kron(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product, left to right; bit for bit and in memory layout the ``np.kron`` chain."""
+    """Kronecker product, left to right; bit for bit and in memory layout the ``np.kron`` chain.
+
+    Matrices with one leading batch axis of a common length B give the (B, ...)
+    stack of their slices' products, each slice bit for bit and in memory layout
+    the 2-D product of the slices (beta_p prices a set of equal blocks at once).
+    """
     out = mats[0]
     for M in mats[1:]:
-        prod = out[:, None, :, None] * M[None, :, None, :]
-        out = prod.reshape(out.shape[0] * M.shape[0], out.shape[1] * M.shape[1])
+        prod = out[..., :, None, :, None] * M[..., None, :, None, :]
+        rows, cols = out.shape[-2] * M.shape[-2], out.shape[-1] * M.shape[-1]
+        out = prod.reshape(out.shape[:-2] + (rows, cols))
     return out
 
 
@@ -277,14 +285,18 @@ def refit(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     return sol, math.sqrt(r.dot(r))
 
 
-def top_singular_pair(a: np.ndarray) -> tuple[float, np.ndarray]:
+def top_singular_pair(a: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """``s[0]`` and ``vt[0]`` of ``np.linalg.svd(a, full_matrices=False)``, bit for bit.
 
     One call of the reduced SVD's own gufunc under numpy's own error state; the
     singular-value-only gufunc may differ in the last bits, so it is not used.
+    A (B, m, n) stack gives the (B,) top singular values and the (B, n) top
+    rows, from the same one call; each slice's pair is bit for bit its own.
     """
     _, s, vt = _linalg_gufuncs()[1](a, signature="d->ddd")
-    return float(s[0]), vt[0]
+    if a.ndim == 2:
+        return float(s[0]), vt[0]
+    return s[:, 0], vt[:, 0]
 
 
 def repair_pivot(

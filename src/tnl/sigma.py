@@ -121,8 +121,14 @@ class BetaConfig:
     modulus: SigmaConfig = MODULUS_CONFIG
 
     def __post_init__(self) -> None:
+        if self.max_blocks < 1:
+            raise ValueError("max_blocks must be >= 1")
+        if self.max_family < 1:
+            raise ValueError("max_family must be >= 1")
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
+        if self.polish_rounds < 0:
+            raise ValueError("polish_rounds must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -176,6 +182,9 @@ def _modulus_exact(
     """The modulus by enumeration over ``points``, the vertex matrix of each dual ball.
 
     (R, m, d_l) families give the (R,) array of their moduli and no result.
+    With one factor (a strong-norm stack) each root is taken on a Python
+    float, so each value is bit for bit its own family's; the si_p batches,
+    with two or more factors, keep numpy's vectorized root.
     """
     batch = mats[0].shape[:-2]
     if batch:  # R * m aligned columns
@@ -192,7 +201,11 @@ def _modulus_exact(
         grid = (np.abs(prod) ** p).sum(axis=-1)
     if batch:
         best = grid.reshape((-1,) + batch).max(axis=0)
-        return (best if p == INF else best ** (1.0 / p)), True, None
+        if p == INF:
+            return best, True, None
+        if len(points) == 1:
+            return np.array([v ** (1.0 / p) for v in best.tolist()]), True, None
+        return best ** (1.0 / p), True, None
     flat = int(np.argmax(grid))
     value = float(grid.flat[flat]) if p == INF else float(grid.flat[flat]) ** (1.0 / p)
 
@@ -344,11 +357,16 @@ def _strong_norm(
 ) -> tuple[float, bool, Callable[[], ModulusResult]]:
     """:func:`family_strong_norm` of a 2-D float family as ``(value, exact, result)``.
 
-    ``result()`` builds the :class:`ModulusResult`, functionals included;
-    beta_p's polish loop never calls it.
+    ``result()`` builds the :class:`ModulusResult`, functionals included.
+    A (B, m, d) stack of families, beta_p's blocks of one shape, takes one
+    route for all B and is priced in one pass (only the ascent loops over
+    them): ``value`` is then the (B,) array of their values, each bit for bit
+    its own family's, and ``result`` is None.
     """
     if p == INF:  # the largest member norm
         norms = space.norm(X)
+        if X.ndim == 3:
+            return norms.max(axis=1), True, None
         value = float(norms.max())
         return value, True, lambda: ModulusResult(
             value, (ball_linear_maximizer_batch(space.dual(), X[int(np.argmax(norms))])[0][0],),
@@ -356,8 +374,9 @@ def _strong_norm(
         )
     if space.p == 2.0 and p == 2.0:  # the top singular value of the weighted family
         w = space.weight_array()
-        M = X * w[None, :]
-        value, vt0 = top_singular_pair(M)
+        value, vt0 = top_singular_pair(X * w)
+        if X.ndim == 3:
+            return value, True, None
         return value, True, lambda: ModulusResult(value, (w * vt0,), True, 1)
     return _modulus_arrays((space,), [X], p, cfg)
 
@@ -588,37 +607,80 @@ def _fit_blocks(
     ``target`` is the (domain, codomain) matrix and the design [D_1 | D_2 |
     ...], D_b the Kronecker product of block b's X.T (rows follow the domain
     axes in C order, columns the family rows in C order), so block b's
-    coefficients are the next prod(m_l) solution rows.
+    coefficients are the next prod(m_l) solution rows.  A set given as
+    per-factor (B, m_l, d_l) stacks is B blocks of one shape: one stacked
+    :func:`~tnl.kernels.kron` builds their designs, and their coefficients
+    come back as one (B, m_1, ..., m_n, k) stack.
     """
-    G = np.hstack([kron([X.T for X in fams]) for fams in family_sets])
-    sol, resid = refit(G, target)
+    designs: list[np.ndarray] = []
+    for fams in family_sets:
+        D = kron([X.swapaxes(-1, -2) for X in fams])
+        designs.extend(D if D.ndim == 3 else [D])
+    sol, resid = refit(np.concatenate(designs, axis=1), target)  # np.hstack, bit for bit
     out, offset = [], 0
     for fams in family_sets:
-        shape = tuple(X.shape[0] for X in fams)
-        out.append(sol[offset : offset + math.prod(shape)].reshape(shape + target.shape[1:]))
-        offset += math.prod(shape)
+        shape = fams[0].shape[:-2] + tuple(X.shape[-2] for X in fams)
+        size = math.prod(shape)
+        out.append(sol[offset : offset + size].reshape(shape + target.shape[1:]))
+        offset += size
     return out, resid
 
 
-def _beta_objective(
+def _normal_stacks(
+    rng: np.random.Generator, count: int, shapes: Sequence[tuple[int, int]]
+) -> list[np.ndarray]:
+    """One standard-normal draw for ``count`` blocks, split into a (count, m, d) stack per shape.
+
+    The split is block-major, so stack l's slice b holds the bytes that block
+    b's own ``rng.standard_normal(shapes[l])`` would draw, the blocks in turn
+    and within a block the shapes in turn.
+    """
+    flat = rng.standard_normal((count, sum(m * d for m, d in shapes)))
+    stacks, start = [], 0
+    for m, d in shapes:
+        stacks.append(flat[:, start : start + m * d].reshape(count, m, d))
+        start += m * d
+    return stacks
+
+
+def _beta_price(
     domain: Sequence[NormedSpace],
     cod: NormedSpace,
-    family_sets: Sequence[Sequence[np.ndarray]],
-    coeff_arrays: Sequence[np.ndarray],
+    stacks: Sequence[np.ndarray],
+    coeffs: np.ndarray,
     p: float,
     q: float,
     cfg: SigmaConfig,
 ) -> tuple[float, bool]:
-    """Sum over blocks of the q-norm of the codomain rows times the factors' strong norms."""
-    total = 0.0
+    """Sum over the B blocks of the q-norm of their codomain rows times their strong norms.
+
+    ``stacks`` holds one (B, m_l, d_l) family stack per domain factor and
+    ``coeffs`` the (B, m_1, ..., m_n, k) coefficients.  Each block's term is
+    bit for bit the one of pricing it alone: the q-norm takes
+    :func:`~tnl.kernels.q_norm`'s steps row by row (its abs is the identity on
+    norms) and each root on a Python float, which calls the same ``pow`` as
+    q_norm's numpy scalar, where numpy's vectorized power can differ.
+    """
+    norms = cod.norm(coeffs.reshape(len(coeffs), -1, cod.dim))
+    top = norms.max(axis=1, keepdims=True)
+    if q == INF:
+        coefs = top.ravel().tolist()
+    else:
+        # the least subnormal is below every nonzero top: only zero rows divide by it
+        sums = ((norms / np.fmax(top, 5e-324)) ** q).sum(axis=1)
+        e = 1.0 / q
+        coefs = [0.0 if t <= 0.0 else t * s**e for (t,), s in zip(top.tolist(), sums.tolist())]
+    columns = []
     certified = True
-    for fams, b in zip(family_sets, coeff_arrays):
-        coef = q_norm(cod.norm(b.reshape(-1, b.shape[-1])), q)
+    for sp, S in zip(domain, stacks):
+        values, exact, _ = _strong_norm(sp, S, p, cfg)
+        columns.append(values.tolist())
+        certified = certified and exact
+    total = 0.0
+    for b, coef in enumerate(coefs):
         strong = 1.0
-        for sp, X in zip(domain, fams):
-            value, exact, _ = _strong_norm(sp, X, p, cfg)
-            strong *= value
-            certified = certified and exact
+        for values in columns:
+            strong *= values[b]
         total += coef * strong
     return total, certified
 
@@ -631,6 +693,13 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
     family move, so all reported values come from exact reconstructions.
     ``certified`` records whether every per-factor strong norm was computed
     exactly (polyhedral or Euclidean-p2 oracles) rather than by ascent.
+
+    Each candidate set (the identity families, the pi terms as one-member
+    families, the random restarts) has blocks of one shape, so it is held as
+    one (B, m_l, d_l) stack per domain factor.  A polish trial draws its noise
+    in one call, split block-major, normalizes one stack per factor, fits one
+    stacked design and prices all B blocks in one pass per factor.  The values
+    are bit for bit those of pricing the blocks one by one.
     """
     cfg = cfg or BetaConfig()
     q = conjugate_exponent(p)
@@ -645,50 +714,45 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
         return BetaResult(float(cod.norm(z.coeffs)), None, True, True)
 
     target = normalized.reshape(-1, cod.dim)
-    candidate_sets: list[list[list[np.ndarray]]] = [[[np.eye(f.dim) for f in domain]]]
+    candidate_sets: list[list[np.ndarray]] = [[np.eye(f.dim)[None] for f in domain]]
 
     _, pi_dec, _, _ = pi_upper(
         Tensor(z.space, normalized), PiConfig(seed=cfg.seed, restarts=1)
     )
     terms = pi_dec.terms[: cfg.max_blocks * 3] if pi_dec is not None else ()
     if terms:
-        candidate_sets.append([[v.coords[None, :] for v in t.vectors[:-1]] for t in terms])
+        candidate_sets.append(
+            [np.stack([t.vectors[l].coords for t in terms])[:, None] for l in range(len(domain))]
+        )
 
     rng = np.random.default_rng([cfg.seed, 32452843])
     sizes = [(min(cfg.max_family, f.dim), f.dim) for f in domain]
     for r in range(cfg.restarts):
-        candidate_sets.append(
-            [
-                [unit_rows(f, rng.standard_normal(size)) for f, size in zip(domain, sizes)]
-                for _ in range(1 + r % cfg.max_blocks)
-            ]
-        )
+        noise = _normal_stacks(rng, 1 + r % cfg.max_blocks, sizes)
+        candidate_sets.append([unit_rows(f, N) for f, N in zip(domain, noise)])
 
     best = np.inf
-    best_state: tuple[list[list[np.ndarray]], list[np.ndarray]] | None = None
+    best_state: tuple[list[np.ndarray], np.ndarray] | None = None
     best_cert = False
     converged = False
-    for family_sets in candidate_sets:
-        coeff_arrays, resid = _fit_blocks(target, family_sets)
+    for stacks in candidate_sets:
+        (coeffs,), resid = _fit_blocks(target, [stacks])
         if resid > RESIDUAL_TOL:
             continue
-        val, cert = _beta_objective(domain, cod, family_sets, coeff_arrays, p, q, cfg.modulus)
-        state = (family_sets, coeff_arrays)
+        val, cert = _beta_price(domain, cod, stacks, coeffs, p, q, cfg.modulus)
+        state = (stacks, coeffs)
+        shapes = [S.shape[1:] for S in stacks]
         step = 0.2
         stalled = 0
         for _ in range(cfg.polish_rounds):
-            trial_sets = [
-                [unit_rows(sp, X + step * rng.standard_normal(X.shape)) for sp, X in zip(domain, F)]
-                for F in state[0]
-            ]
-            t_coeffs, t_resid = _fit_blocks(target, trial_sets)
+            noise = _normal_stacks(rng, len(coeffs), shapes)
+            trial = [unit_rows(sp, S + step * N) for sp, S, N in zip(domain, state[0], noise)]
+            (t_coeffs,), t_resid = _fit_blocks(target, [trial])
             if t_resid <= RESIDUAL_TOL:
-                t_val, t_cert = _beta_objective(
-                    domain, cod, trial_sets, t_coeffs, p, q, cfg.modulus
-                )
+                t_val, t_cert = _beta_price(domain, cod, trial, t_coeffs, p, q, cfg.modulus)
                 if t_val < val:
                     val, cert = t_val, t_cert
-                    state = (trial_sets, t_coeffs)
+                    state = (trial, t_coeffs)
                     step = min(step * 1.3, 0.8)
                     stalled = 0
                     continue
@@ -704,9 +768,10 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
     if best_state is None:
         return BetaResult(float("inf"), None, False, False)
     # undo the input normalization through the coefficient arrays
+    stacks, coeffs = best_state
     blocks = [
-        GroupedBlock(tuple(fams), b * sign * scale)
-        for fams, b in zip(best_state[0], best_state[1])
+        GroupedBlock(tuple(S[b] for S in stacks), coeffs[b] * sign * scale)
+        for b in range(len(coeffs))
     ]
     grouped = GroupedDecomposition(tuple(blocks))
     return BetaResult(best * scale, grouped, converged, best_cert)

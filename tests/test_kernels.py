@@ -208,6 +208,18 @@ def test_kron_is_bitwise_np_kron():
             assert np.array_equal(row, ref.ravel())
 
 
+def test_stacked_kron_is_bitwise_each_slice():
+    # beta_p's stacked block designs: one leading batch axis on every matrix
+    for seed in range(300):
+        rng = np.random.default_rng([40, seed])
+        B, k = int(rng.integers(1, 10)), int(rng.integers(1, 4))
+        stacks = [rng.standard_normal((B, int(rng.integers(1, 4)), int(rng.integers(1, 4))))
+                  for _ in range(k)]
+        got = kernels.kron([S.swapaxes(-1, -2) for S in stacks])
+        for b in range(B):
+            _assert_same_kron(got[b], kernels.kron([S[b].T for S in stacks]))
+
+
 def test_khatri_rao_is_the_columnwise_kron():
     # the pi pivot refit design: column j is the kron of every factor's column j
     rng = np.random.default_rng(37)
@@ -256,6 +268,22 @@ def test_top_singular_value_is_bitwise_numpy():
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(s[0]).tobytes(), a.shape
         assert vec.shape == vt[0].shape and vec.tobytes() == vt[0].tobytes(), a.shape
+
+
+def test_stacked_top_singular_pair_is_bitwise_each_slice():
+    rng = np.random.default_rng(41)
+    for m, n in [(1, 1), (4, 2), (2, 4), (3, 3), (1, 5), (8, 1)]:
+        for B in range(1, 10):
+            a = rng.standard_normal((B, m, n))
+            a[B // 2] = rng.standard_normal((m, 1)) @ rng.standard_normal((1, n))  # rank one
+            if B > 2:
+                a[-1] = 0.0
+            values, rows = kernels.top_singular_pair(a)
+            assert values.shape == (B,) and rows.shape == (B, n)
+            for b in range(B):
+                value, row = kernels.top_singular_pair(a[b])
+                assert np.float64(values[b]).tobytes() == np.float64(value).tobytes()
+                assert rows[b].tobytes() == row.tobytes()
 
 
 def test_linalg_kernels_raise_where_numpy_raises():

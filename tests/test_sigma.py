@@ -786,6 +786,107 @@ def test_default_beta_witness_report_bytes_are_pinned():
     assert digest == WITNESS_BETA_SHA256
 
 
+@pytest.mark.parametrize("field", ["max_blocks", "max_family", "polish_rounds"])
+def test_beta_config_rejects_counts_out_of_range(field):
+    low = -1 if field == "polish_rounds" else 0
+    with pytest.raises(ValueError, match=f"{field} must be >= {low + 1}"):
+        BetaConfig(**{field: low})
+    BetaConfig(**{field: low + 1})  # the bound itself is accepted
+
+
+def _strong_norm_route(space, p, m, exact):
+    if p == INF:
+        return "inf"
+    if space.p == 2.0 and p == 2.0:
+        return "svd"
+    if m == 1:
+        return "single"
+    return "vertices" if exact else "ascent"
+
+
+def test_stacked_strong_norms_are_bitwise_each_slice():
+    """Every route, weighted and not, B from 1 to 9: each value is its slice's _strong_norm."""
+    rng = np.random.default_rng(4545)
+    tight = SigmaConfig(exact_budget=8)
+    routes, weighted, counts = Counter(), Counter(), set()
+    for k in range(360):
+        dim = int(rng.integers(1, 4))
+        w = tuple(rng.uniform(0.5, 2.0, dim)) if k % 3 == 0 else None
+        space = NormedSpace(dim, float(rng.choice((1.0, 1.5, 2.0, 3.0, INF))), w)
+        p = float(rng.choice((1.0, 1.5, 2.0, 3.0, INF)))
+        B, m = 1 + k % 9, int(rng.integers(1, 4))
+        S = unit_rows(space, rng.standard_normal((B, m, dim)))
+        cfg = tight if k % 4 == 0 else MODULUS_CONFIG
+        values, exact, result = sigma._strong_norm(space, S, p, cfg)
+        assert result is None
+        assert values.shape == (B,)
+        for b in range(B):
+            value, slice_exact, _ = sigma._strong_norm(space, S[b], p, cfg)
+            assert np.float64(values[b]).tobytes() == np.float64(value).tobytes(), (space, p, m)
+            assert exact == slice_exact
+        route = _strong_norm_route(space, p, m, exact)
+        routes[route] += 1
+        weighted[route, w is not None] += 1
+        counts.add(B)
+    assert set(routes) == {"inf", "svd", "single", "vertices", "ascent"}
+    assert all(weighted[route, True] and weighted[route, False] for route in routes)
+    assert counts == set(range(1, 10))
+
+
+def test_one_draw_per_trial_splits_into_the_per_block_draws():
+    rng = np.random.default_rng(4646)
+    for _ in range(200):
+        shapes = [(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+                  for _ in range(int(rng.integers(1, 4)))]
+        count, seed = int(rng.integers(1, 10)), int(rng.integers(0, 2**31))
+        stacked, per_block = np.random.default_rng(seed), np.random.default_rng(seed)
+        stacks = sigma._normal_stacks(stacked, count, shapes)
+        for b in range(count):
+            for S, shape in zip(stacks, shapes, strict=True):
+                assert S.shape == (count, *shape)
+                assert S[b].tobytes() == per_block.standard_normal(shape).tobytes()
+        assert stacked.standard_normal() == per_block.standard_normal()  # the same draws used
+
+
+def test_fit_blocks_of_a_stacked_set_is_bitwise_its_blocks():
+    rng = np.random.default_rng(4747)
+    for k in range(200):
+        dims = [int(d) for d in rng.integers(1, 4, size=1 + k % 3)]
+        target = rng.standard_normal((int(np.prod(dims)), int(rng.integers(1, 4))))
+        B = 1 + k % 4
+        stacks = [rng.standard_normal((B, int(rng.integers(1, 4)), d)) for d in dims]
+        (got,), resid = sigma._fit_blocks(target, [stacks])
+        ref, ref_resid = _reference_fit_blocks(target, [[S[b] for S in stacks] for b in range(B)])
+        assert np.float64(resid).tobytes() == np.float64(ref_resid).tobytes()
+        assert got.shape == (B,) + ref[0].shape
+        for b in range(B):
+            assert got[b].tobytes() == ref[b].tobytes()
+
+
+def test_beta_price_is_bitwise_the_per_block_objective():
+    """The stacked pricer against the per-block reference, zero coefficient blocks included."""
+    rng = np.random.default_rng(4848)
+    for k in range(120):
+        factors = _BETA_SPACES[k % len(_BETA_SPACES)]
+        domain, cod = factors[:-1], factors[-1]
+        B = 1 + k % 5
+        stacks = [unit_rows(sp, rng.standard_normal((B, int(rng.integers(1, 4)), sp.dim)))
+                  for sp in domain]
+        coeffs = rng.standard_normal((B, *(S.shape[1] for S in stacks), cod.dim))
+        if k % 7 == 0:
+            coeffs[k % B] = 0.0
+        p = (2.0, 1.0, 1.5, 3.0, INF)[k % 5]
+        q = conjugate_exponent(p)
+        cfg = SigmaConfig(exact_budget=8) if k % 3 == 0 else MODULUS_CONFIG
+        got = sigma._beta_price(domain, cod, stacks, coeffs, p, q, cfg)
+        ref = _reference_beta_objective(
+            domain, cod, [[S[b] for S in stacks] for b in range(B)], list(coeffs), p, q, cfg
+        )
+        assert type(got[0]) is float
+        assert np.float64(got[0]).tobytes() == np.float64(ref[0]).tobytes(), (factors, p)
+        assert got[1] == ref[1]
+
+
 def test_beta_rejects_bad_exponent():
     space = TensorSpace((NormedSpace(2, 2.0), NormedSpace(2, 2.0)))
     z = random_tensor(space, seed=1)
