@@ -279,10 +279,19 @@ def refit(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     own gufunc runs under numpy's own error state and rcond rule, so a
     non-converging SVD raises the same ``LinAlgError``.  The residual is
     ``np.linalg.norm(design @ solution - target)``, computed as numpy does.
+    A (K, m, n) stack of designs, beta_p's look-ahead trials, shares the one
+    target and goes through one gufunc call and one stacked matmul; it gives
+    the (K, n, k) solutions and the (K,) residuals, each slice's bit for bit
+    its own 2-D call's when the slices have the 2-D design's strides.
     """
-    sol = _linalg_gufuncs()[0](design, target, _EPS * max(design.shape), signature="ddd->ddid")[0]
-    r = (design @ sol - target).ravel(order="K")
-    return sol, math.sqrt(r.dot(r))
+    rcond = _EPS * max(design.shape[-2:])
+    sol = _linalg_gufuncs()[0](design, target, rcond, signature="ddd->ddid")[0]
+    r = design @ sol - target
+    if design.ndim == 2:
+        r = r.ravel(order="K")
+        return sol, math.sqrt(r.dot(r))
+    r = r.reshape(len(r), 1, -1)  # C-ordered slices: each row is its slice's ravel(order="K")
+    return sol, np.sqrt(r @ r.swapaxes(-1, -2))[:, 0, 0]  # a vector @ vector is ndarray.dot
 
 
 def top_singular_pair(a: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:

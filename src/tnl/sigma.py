@@ -108,6 +108,12 @@ _DUAL_FAMILY_SIZES = (1, 2, 4, 8)
 _DUAL_RESTARTS_PER_SIZE = 12
 _DUAL_POLISH_ROUNDS = 60
 
+#: Polish trials of beta_p priced ahead in one stacked pass.  A trial is
+#: accepted about 39% of the time, whatever its place in a run of rejections.
+_LOOKAHEAD = 4
+#: Rejections in a row that end a beta_p polish.
+_POLISH_STALL = 12
+
 
 @dataclass(frozen=True)
 class BetaConfig:
@@ -601,7 +607,7 @@ def sigma_p_dual(form: Tensor, p: float, cfg: SigmaDualConfig | None = None) -> 
 
 def _fit_blocks(
     target: np.ndarray, family_sets: Sequence[Sequence[np.ndarray]]
-) -> tuple[list[np.ndarray], float]:
+) -> tuple[list[np.ndarray], float | np.ndarray]:
     """Joint least-squares coefficients for all blocks; returns residual too.
 
     ``target`` is the (domain, codomain) matrix and the design [D_1 | D_2 |
@@ -610,18 +616,24 @@ def _fit_blocks(
     coefficients are the next prod(m_l) solution rows.  A set given as
     per-factor (B, m_l, d_l) stacks is B blocks of one shape: one stacked
     :func:`~tnl.kernels.kron` builds their designs, and their coefficients
-    come back as one (B, m_1, ..., m_n, k) stack.
+    come back as one (B, m_1, ..., m_n, k) stack.  Per-factor (K, B, m_l, d_l)
+    stacks are K trials of such a set (beta_p's look-ahead): one stacked
+    :func:`~tnl.kernels.refit` solves their K designs, giving (K, B, m_1, ...,
+    m_n, k) coefficients and the (K,) residuals, each trial's bit for bit the
+    fit of its (B, m_l, d_l) stacks alone.
     """
     designs: list[np.ndarray] = []
     for fams in family_sets:
         D = kron([X.swapaxes(-1, -2) for X in fams])
-        designs.extend(D if D.ndim == 3 else [D])
-    sol, resid = refit(np.concatenate(designs, axis=1), target)  # np.hstack, bit for bit
+        designs.extend(D.swapaxes(0, -3) if D.ndim > 2 else [D])  # block-major
+    # np.hstack, bit for bit; a trial's slice keeps the strides of its 2-D design
+    sol, resid = refit(np.concatenate(designs, axis=-1), target)
+    trials = sol.shape[:-2]
     out, offset = [], 0
     for fams in family_sets:
-        shape = fams[0].shape[:-2] + tuple(X.shape[-2] for X in fams)
+        shape = fams[0].shape[len(trials) : -2] + tuple(X.shape[-2] for X in fams)
         size = math.prod(shape)
-        out.append(sol[offset : offset + size].reshape(shape + target.shape[1:]))
+        out.append(sol[..., offset : offset + size, :].reshape(trials + shape + target.shape[1:]))
         offset += size
     return out, resid
 
@@ -651,7 +663,7 @@ def _beta_price(
     p: float,
     q: float,
     cfg: SigmaConfig,
-) -> tuple[float, bool]:
+) -> tuple[float | list[float], bool]:
     """Sum over the B blocks of the q-norm of their codomain rows times their strong norms.
 
     ``stacks`` holds one (B, m_l, d_l) family stack per domain factor and
@@ -660,8 +672,13 @@ def _beta_price(
     :func:`~tnl.kernels.q_norm`'s steps row by row (its abs is the identity on
     norms) and each root on a Python float, which calls the same ``pow`` as
     q_norm's numpy scalar, where numpy's vectorized power can differ.
+    (K, B, m_l, d_l) stacks and (K, B, m_1, ..., m_n, k) coefficients are K
+    trials: all K * B blocks are priced in one pass per factor, and the list
+    of the K sums comes back, each summed in block order as alone.
     """
-    norms = cod.norm(coeffs.reshape(len(coeffs), -1, cod.dim))
+    trials = stacks[0].shape[:-3]
+    count = math.prod(stacks[0].shape[:-2])  # blocks of all trials
+    norms = cod.norm(coeffs.reshape(count, -1, cod.dim))
     top = norms.max(axis=1, keepdims=True)
     if q == INF:
         coefs = top.ravel().tolist()
@@ -673,16 +690,20 @@ def _beta_price(
     columns = []
     certified = True
     for sp, S in zip(domain, stacks):
-        values, exact, _ = _strong_norm(sp, S, p, cfg)
+        values, exact, _ = _strong_norm(sp, S.reshape(count, *S.shape[-2:]), p, cfg)
         columns.append(values.tolist())
         certified = certified and exact
-    total = 0.0
-    for b, coef in enumerate(coefs):
-        strong = 1.0
-        for values in columns:
-            strong *= values[b]
-        total += coef * strong
-    return total, certified
+    blocks = stacks[0].shape[-3]
+    totals = []
+    for start in range(0, count, blocks):
+        total = 0.0
+        for b in range(start, start + blocks):
+            strong = 1.0
+            for values in columns:
+                strong *= values[b]
+            total += coefs[b] * strong
+        totals.append(total)
+    return (totals if trials else totals[0]), certified
 
 
 def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResult:
@@ -696,10 +717,21 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
 
     Each candidate set (the identity families, the pi terms as one-member
     families, the random restarts) has blocks of one shape, so it is held as
-    one (B, m_l, d_l) stack per domain factor.  A polish trial draws its noise
-    in one call, split block-major, normalizes one stack per factor, fits one
-    stacked design and prices all B blocks in one pass per factor.  The values
-    are bit for bit those of pricing the blocks one by one.
+    one (B, m_l, d_l) stack per domain factor and polished by a hill-climb:
+    a round moves every family by ``step`` times fresh noise; a lower value
+    is taken (step x1.3, at most 0.8), else the step shrinks x0.7, and 12
+    rejections in a row end the polish.  A round's noise does not depend on
+    the rounds before it, so the next K = min(4, rounds left, 12 - stalled)
+    trials, each priced as if every one before it were rejected (steps
+    step, 0.7 step, ...), are drawn in one call (split round- then
+    block-major), normalized in one stack per factor, fit by one stacked
+    :func:`~tnl.kernels.refit` and priced in one pass per factor.  The walk
+    takes the first of them that passes the residual check and lowers the
+    value; the noise of the rounds after it is kept for those rounds.  Every
+    drawn round is thus used by its own round, a chunked normal draw gives
+    the bytes of the round-by-round draws, and each trial is priced bit for
+    bit as alone, so values, families and the next set's noise are those of
+    the one-trial-per-round loop.
     """
     cfg = cfg or BetaConfig()
     q = conjugate_exponent(p)
@@ -741,30 +773,38 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
             continue
         val, cert = _beta_price(domain, cod, stacks, coeffs, p, q, cfg.modulus)
         state = (stacks, coeffs)
-        shapes = [S.shape[1:] for S in stacks]
+        blocks, shapes = len(coeffs), [S.shape[1:] for S in stacks]
+        ahead = [np.empty((0, blocks, *shape)) for shape in shapes]  # drawn, not yet used
         step = 0.2
         stalled = 0
-        for _ in range(cfg.polish_rounds):
-            noise = _normal_stacks(rng, len(coeffs), shapes)
-            trial = [unit_rows(sp, S + step * N) for sp, S, N in zip(domain, state[0], noise)]
+        rounds = cfg.polish_rounds
+        while rounds and stalled < _POLISH_STALL:
+            K = min(_LOOKAHEAD, rounds, _POLISH_STALL - stalled)
+            drawn = _normal_stacks(rng, (K - len(ahead[0])) * blocks, shapes)
+            noise = [np.concatenate([A, N.reshape(-1, *A.shape[1:])]) for A, N in zip(ahead, drawn)]
+            steps = [step]  # the steps of K rejections in a row
+            for _ in range(K - 1):
+                steps.append(steps[-1] * 0.7)
+            moves = np.array(steps)[:, None, None, None]
+            trial = [unit_rows(sp, S + moves * N) for sp, S, N in zip(domain, state[0], noise)]
             (t_coeffs,), t_resid = _fit_blocks(target, [trial])
-            if t_resid <= RESIDUAL_TOL:
-                t_val, t_cert = _beta_price(domain, cod, trial, t_coeffs, p, q, cfg.modulus)
-                if t_val < val:
-                    val, cert = t_val, t_cert
-                    state = (trial, t_coeffs)
+            t_vals, t_cert = _beta_price(domain, cod, trial, t_coeffs, p, q, cfg.modulus)
+            for k in range(K):
+                rounds -= 1
+                if t_resid[k] <= RESIDUAL_TOL and t_vals[k] < val:
+                    val, cert = t_vals[k], t_cert
+                    state = ([T[k] for T in trial], t_coeffs[k])
                     step = min(step * 1.3, 0.8)
                     stalled = 0
-                    continue
-            step *= 0.7
-            stalled += 1
-            if stalled >= 12:
-                break
+                    break
+                step *= 0.7
+                stalled += 1
+            ahead = [N[k + 1 :] for N in noise]  # the rounds after an accepted trial
         if val < best:
             best = val
             best_state = state
             best_cert = cert
-            converged = stalled >= 12 or cfg.polish_rounds == 0
+            converged = stalled >= _POLISH_STALL or cfg.polish_rounds == 0
     if best_state is None:
         return BetaResult(float("inf"), None, False, False)
     # undo the input normalization through the coefficient arrays

@@ -286,6 +286,32 @@ def test_stacked_top_singular_pair_is_bitwise_each_slice():
                 assert rows[b].tobytes() == row.tobytes()
 
 
+def test_stacked_refit_is_bitwise_each_slice():
+    """beta_p's look-ahead: K designs, C- and F-ordered slices, against one target each."""
+    rng = np.random.default_rng(43)
+    deficient = 0
+    for m, n in [(1, 1), (4, 2), (2, 4), (3, 3), (6, 4), (4, 9), (8, 1), (1, 5), (4, 3)]:
+        for K in range(1, 6):
+            for k in (1, 3):
+                design = rng.standard_normal((K, m, n))
+                if K % 2:  # F-ordered slices, as the design of a one-factor domain
+                    design = np.ascontiguousarray(design.swapaxes(-1, -2)).swapaxes(-1, -2)
+                if n > 1:  # a repeated column: rank-deficient, and above the residual cut when tall
+                    design[K // 2, :, -1] = design[K // 2, :, 0]
+                if K > 2:
+                    design[-1] = 0.0
+                target = rng.standard_normal((m, k))
+                sol, resid = kernels.refit(design, target)
+                assert sol.shape == (K, n, k) and resid.shape == (K,)
+                for b in range(K):
+                    ref, ref_resid = kernels.refit(design[b], target)
+                    assert sol[b].tobytes() == ref.tobytes() and sol[b].strides == ref.strides
+                    assert np.float64(resid[b]).tobytes() == np.float64(ref_resid).tobytes()
+                    rank = np.linalg.matrix_rank(design[b])
+                    deficient += rank < min(m, n) and ref_resid > kernels.RESIDUAL_TOL
+    assert deficient >= 20
+
+
 def test_linalg_kernels_raise_where_numpy_raises():
     a = np.array([[np.nan, 0.0], [0.0, 1.0], [1.0, 1.0]])
     b = np.ones((3, 1))

@@ -1,6 +1,8 @@
 """Tests for the sigma_p upper search, family moduli, and the beta_p search."""
 
 import hashlib
+import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -885,6 +887,217 @@ def test_beta_price_is_bitwise_the_per_block_objective():
         assert type(got[0]) is float
         assert np.float64(got[0]).tobytes() == np.float64(ref[0]).tobytes(), (factors, p)
         assert got[1] == ref[1]
+
+
+def test_trial_stacks_fit_and_price_bitwise_each_trial():
+    """(K, B, m, d) stacks: each trial's coefficients, residual and value as its stacks alone."""
+    rng = np.random.default_rng(4949)
+    for k in range(120):
+        factors = _BETA_SPACES[k % len(_BETA_SPACES)]
+        domain, cod = factors[:-1], factors[-1]
+        K, B = 1 + k % 4, 1 + k // 4 % 3
+        trials = [unit_rows(sp, rng.standard_normal((K, B, 1 + k % 3, sp.dim))) for sp in domain]
+        rows = math.prod(sp.dim for sp in domain)
+        target = rng.standard_normal((rows, cod.dim))
+        p = (2.0, 1.0, 1.5, 3.0, INF)[k % 5]
+        cfg = SigmaConfig(exact_budget=8) if k % 3 == 0 else MODULUS_CONFIG
+        (coeffs,), resid = sigma._fit_blocks(target, [trials])
+        q = conjugate_exponent(p)
+        values, cert = sigma._beta_price(domain, cod, trials, coeffs, p, q, cfg)
+        assert coeffs.shape[:2] == (K, B) and resid.shape == (K,) and len(values) == K
+        for t in range(K):
+            stacks = [S[t] for S in trials]
+            (ref,), ref_resid = sigma._fit_blocks(target, [stacks])
+            assert coeffs[t].shape == ref.shape and coeffs[t].tobytes() == ref.tobytes()
+            assert np.float64(resid[t]).tobytes() == np.float64(ref_resid).tobytes()
+            value, ref_cert = sigma._beta_price(domain, cod, stacks, ref, p, q, cfg)
+            assert type(values[t]) is float and cert == ref_cert
+            assert np.float64(values[t]).tobytes() == np.float64(value).tobytes(), (factors, p)
+
+
+class _PolishWatch:
+    """Tallies the exits of beta_p's look-ahead walk from the passes it prices.
+
+    It replays the walk on what each pass returns: the first trial that
+    passes the residual check and lowers the value is accepted; a run of 12
+    rejections ends the polish.
+    """
+
+    def __init__(self, monkeypatch):
+        self.exits = Counter()
+        fit, price = sigma._fit_blocks, sigma._beta_price
+
+        def watched_fit(target, family_sets):
+            out = fit(target, family_sets)
+            self.resid = out[1]
+            return out
+
+        def watched_price(domain, cod, stacks, coeffs, *args):
+            out = price(domain, cod, stacks, coeffs, *args)
+            if stacks[0].ndim == 3:  # a candidate set's own price starts its polish
+                self.value, self.stalled = out[0], 0
+            else:
+                self.walk(out[0])
+            return out
+
+        monkeypatch.setattr(sigma, "_fit_blocks", watched_fit)
+        monkeypatch.setattr(sigma, "_beta_price", watched_price)
+
+    def walk(self, values):
+        passed = self.resid <= sigma.RESIDUAL_TOL
+        if passed.any() and not passed.all():
+            self.exits["mixed residuals"] += 1
+        start = self.stalled
+        for k, (ok, value) in enumerate(zip(passed, values, strict=True)):
+            if ok and value < self.value:
+                self.exits[f"accepted at {k}"] += 1
+                self.value, self.stalled = value, 0
+                return
+            self.stalled += 1
+        if len(values) == 12 - start < sigma._LOOKAHEAD:
+            self.exits["stall inside a batch"] += 1  # a full batch would run past the 12th
+        elif len(values) < sigma._LOOKAHEAD:
+            self.exits["rounds end inside a batch"] += 1
+
+
+def _lookahead_cases():
+    """(tensor, p, config): every polish length, rank-2 tensors, one- and two-member families."""
+    rng = np.random.default_rng(4949)
+    for k, rounds in enumerate((0, 1, 2, 3, 5, 13, 80) * 4):
+        factors = _BETA_SPACES[k % len(_BETA_SPACES)]
+        z = random_tensor(TensorSpace(factors), seed=int(rng.integers(0, 2**31 - 1)),
+                          style="low_rank", rank=2)
+        if k % 3 == 2:
+            z = unflatten_scalar(z)
+        cfg = BetaConfig(max_blocks=1 + k % 3, max_family=1 + k % 2, restarts=2,
+                         polish_rounds=rounds, seed=k)
+        yield z, (2.0, 1.0, 1.5, INF)[k % 4], cfg
+
+
+def _assert_same_beta(got, ref, where):
+    assert np.float64(got.value).tobytes() == np.float64(ref.value).tobytes(), where
+    assert (got.converged, got.certified) == (ref.converged, ref.certified), where
+    assert (got.grouped is None) == (ref.grouped is None), where
+    if got.grouped is not None:
+        assert len(got.grouped.blocks) == len(ref.grouped.blocks), where
+        for a, b in zip(got.grouped.blocks, ref.grouped.blocks):
+            assert a.coeff_array.shape == b.coeff_array.shape, where
+            assert a.coeff_array.tobytes() == b.coeff_array.tobytes(), where
+            for x, y in zip(a.families, b.families, strict=True):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), where
+
+
+def test_lookahead_polish_is_bitwise_the_sequential_rule(monkeypatch):
+    """Every exit of the look-ahead walk, against the per-trial loop of _reference_beta.
+
+    Four is the width beta_p uses.  After an acceptance a polish starts its
+    next batch with no rejection, so at width four a run of rejections reaches
+    the twelfth at a batch's end; width five clips batches to the stall.  With
+    the exact tolerance a trial passes the residual check or not by its shapes
+    alone, so no batch mixes the two; the last cases loosen the tolerance on
+    both sides, where the size of each trial's move decides.
+    """
+    watch = _PolishWatch(monkeypatch)
+    for width in (4, 5):
+        monkeypatch.setattr(sigma, "_LOOKAHEAD", width)
+        for z, p, cfg in _lookahead_cases():
+            where = (width, z.space.factors, p, cfg)
+            _assert_same_beta(beta_p_upper(z, p, cfg), _reference_beta(z, p, cfg), where)
+    assert watch.exits["stall inside a batch"], watch.exits
+    monkeypatch.setattr(sigma, "_LOOKAHEAD", 4)
+    loose = 0.05
+    monkeypatch.setattr(sigma, "RESIDUAL_TOL", loose)
+    monkeypatch.setitem(globals(), "RESIDUAL_TOL", loose)
+    rng = np.random.default_rng(5050)
+    for k in range(8):
+        factors = _BETA_SPACES[k % len(_BETA_SPACES)]
+        z = random_tensor(TensorSpace(factors), seed=int(rng.integers(0, 2**31 - 1)),
+                          style="low_rank", rank=2)
+        if k % 2:  # codomain of dimension one
+            z = unflatten_scalar(z)
+        cfg = BetaConfig(max_blocks=2, max_family=1, restarts=2, polish_rounds=40, seed=k)
+        _assert_same_beta(beta_p_upper(z, 2.0, cfg), _reference_beta(z, 2.0, cfg), (factors, k))
+    assert {f"accepted at {k}" for k in range(4)} <= set(watch.exits), watch.exits
+    for exit in ("rounds end inside a batch", "mixed residuals"):
+        assert watch.exits[exit], (exit, watch.exits)
+
+
+class _DrawCounter:
+    """Logs each ``standard_normal`` call, the one draw _reference_beta makes, then draws."""
+
+    def __init__(self, rng, events):
+        self.rng, self.events = rng, events
+
+    def standard_normal(self, size):
+        self.events.append(("draw", math.prod(size)))
+        return self.rng.standard_normal(size)
+
+
+def _normals_per_polish(events, skip):
+    """Normals drawn by each polished set, from ("draw", n) and ("fit", first, resid) events.
+
+    The first ``skip`` draws are the restarts'.  A polish starts at a set's
+    first fit when its residual passes and runs to the next set's first fit.
+    """
+    out = []
+    for event in events:
+        if event[0] == "draw":
+            if skip:
+                skip -= 1
+            elif out and out[-1] is not None:
+                out[-1] += event[1]
+        elif event[1]:
+            out.append(0 if event[2] <= RESIDUAL_TOL else None)
+    return [n for n in out if n is not None]
+
+
+def test_lookahead_draws_the_normals_of_the_sequential_rule(monkeypatch):
+    """Set by set, a polish draws as many normals as the per-trial loop uses, no more.
+
+    An overdraw would shift every later set's noise.  Width five also clips
+    batches to the twelve-rejection stall.
+    """
+    real_rng, real_ref_fit = np.random.default_rng, _reference_fit_blocks
+    real_draw, real_fit = sigma._normal_stacks, sigma._fit_blocks
+    for width, (z, p, cfg) in itertools.product((4, 5), _lookahead_cases()):
+        restarts = [1 + r % cfg.max_blocks for r in range(cfg.restarts)]
+        got, ref = [], []
+
+        def draw(rng, count, shapes):
+            got.append(("draw", count * sum(m * d for m, d in shapes)))
+            return real_draw(rng, count, shapes)
+
+        def fit(target, sets):
+            out = real_fit(target, sets)
+            got.append(("fit", sets[0][0].ndim == 3, float(np.max(out[1]))))  # 3-D: a set's own
+            return out
+
+        monkeypatch.setattr(sigma, "_LOOKAHEAD", width)
+        monkeypatch.setattr(sigma, "_normal_stacks", draw)
+        monkeypatch.setattr(sigma, "_fit_blocks", fit)
+        beta_p_upper(z, p, cfg)
+        monkeypatch.undo()
+
+        def rng_for(seed=None):
+            if isinstance(seed, list) and seed == [cfg.seed, 32452843]:  # beta_p's own stream
+                return _DrawCounter(real_rng(seed), ref)
+            return real_rng(seed)
+
+        def ref_fit(target, sets):
+            out = real_ref_fit(target, sets)
+            # a trial's fit follows its own draws; a set's first fit does not
+            first = not any(e[0] == "fit" for e in ref) or ref[-1][0] != "draw"
+            ref.append(("fit", first, out[1]))
+            return out
+
+        monkeypatch.setattr(np.random, "default_rng", rng_for)
+        monkeypatch.setitem(globals(), "_reference_fit_blocks", ref_fit)
+        _reference_beta(z, p, cfg)
+        monkeypatch.undo()
+
+        per_set = _normals_per_polish(got, len(restarts))
+        assert per_set == _normals_per_polish(ref, sum(restarts) * (z.space.order - 1))
+        assert per_set, (width, z.space.factors, cfg)
 
 
 def test_beta_rejects_bad_exponent():
