@@ -108,8 +108,9 @@ _DUAL_FAMILY_SIZES = (1, 2, 4, 8)
 _DUAL_RESTARTS_PER_SIZE = 12
 _DUAL_POLISH_ROUNDS = 60
 
-#: Polish trials of beta_p priced ahead in one stacked pass.  A trial is
-#: accepted about 39% of the time, whatever its place in a run of rejections.
+#: Polish trials of beta_p priced ahead in one stacked pass where every
+#: strong norm is exact.  A trial is accepted about 39% of the time, whatever
+#: its place in a run of rejections.
 _LOOKAHEAD = 4
 #: Rejections in a row that end a beta_p polish.
 _POLISH_STALL = 12
@@ -721,9 +722,9 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
     a round moves every family by ``step`` times fresh noise; a lower value
     is taken (step x1.3, at most 0.8), else the step shrinks x0.7, and 12
     rejections in a row end the polish.  A round's noise does not depend on
-    the rounds before it, so the next K = min(4, rounds left, 12 - stalled)
-    trials, each priced as if every one before it were rejected (steps
-    step, 0.7 step, ...), are drawn in one call (split round- then
+    the rounds before it, so the next K = min(width, rounds left, 12 -
+    stalled) trials, each priced as if every one before it were rejected
+    (steps step, 0.7 step, ...), are drawn in one call (split round- then
     block-major), normalized in one stack per factor, fit by one stacked
     :func:`~tnl.kernels.refit` and priced in one pass per factor.  The walk
     takes the first of them that passes the residual check and lowers the
@@ -731,7 +732,10 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
     drawn round is thus used by its own round, a chunked normal draw gives
     the bytes of the round-by-round draws, and each trial is priced bit for
     bit as alone, so values, families and the next set's noise are those of
-    the one-trial-per-round loop.
+    the one-trial-per-round loop.  The width is 4 where every strong norm of
+    the set is exact, and so priced for all blocks in one vectorized pass;
+    where one takes the ascent it loops over the families, a trial priced
+    ahead costs as much as one priced in turn, and the width is 1.
     """
     cfg = cfg or BetaConfig()
     q = conjugate_exponent(p)
@@ -775,11 +779,12 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
         state = (stacks, coeffs)
         blocks, shapes = len(coeffs), [S.shape[1:] for S in stacks]
         ahead = [np.empty((0, blocks, *shape)) for shape in shapes]  # drawn, not yet used
+        width = _LOOKAHEAD if cert else 1  # an ascent prices each trial at full cost
         step = 0.2
         stalled = 0
         rounds = cfg.polish_rounds
         while rounds and stalled < _POLISH_STALL:
-            K = min(_LOOKAHEAD, rounds, _POLISH_STALL - stalled)
+            K = min(width, rounds, _POLISH_STALL - stalled)
             drawn = _normal_stacks(rng, (K - len(ahead[0])) * blocks, shapes)
             noise = [np.concatenate([A, N.reshape(-1, *A.shape[1:])]) for A, N in zip(ahead, drawn)]
             steps = [step]  # the steps of K rejections in a row

@@ -919,8 +919,9 @@ class _PolishWatch:
     """Tallies the exits of beta_p's look-ahead walk from the passes it prices.
 
     It replays the walk on what each pass returns: the first trial that
-    passes the residual check and lowers the value is accepted; a run of 12
-    rejections ends the polish.
+    passes the residual check and lowers the value is accepted; a run of
+    ``sigma._POLISH_STALL`` rejections ends the polish.  A set whose own price
+    is not certified (a strong norm by ascent) is polished one trial a pass.
     """
 
     def __init__(self, monkeypatch):
@@ -936,6 +937,7 @@ class _PolishWatch:
             out = price(domain, cod, stacks, coeffs, *args)
             if stacks[0].ndim == 3:  # a candidate set's own price starts its polish
                 self.value, self.stalled = out[0], 0
+                self.width = sigma._LOOKAHEAD if out[1] else 1
             else:
                 self.walk(out[0])
             return out
@@ -944,6 +946,9 @@ class _PolishWatch:
         monkeypatch.setattr(sigma, "_beta_price", watched_price)
 
     def walk(self, values):
+        assert len(values) <= self.width
+        if self.width == 1:
+            self.exits["ascent, one trial a pass"] += 1
         passed = self.resid <= sigma.RESIDUAL_TOL
         if passed.any() and not passed.all():
             self.exits["mixed residuals"] += 1
@@ -954,9 +959,9 @@ class _PolishWatch:
                 self.value, self.stalled = value, 0
                 return
             self.stalled += 1
-        if len(values) == 12 - start < sigma._LOOKAHEAD:
-            self.exits["stall inside a batch"] += 1  # a full batch would run past the 12th
-        elif len(values) < sigma._LOOKAHEAD:
+        if len(values) == sigma._POLISH_STALL - start < self.width:
+            self.exits["stall inside a batch"] += 1  # a full batch would run past the stall
+        elif len(values) < self.width:
             self.exits["rounds end inside a batch"] += 1
 
 
@@ -990,9 +995,11 @@ def _assert_same_beta(got, ref, where):
 def test_lookahead_polish_is_bitwise_the_sequential_rule(monkeypatch):
     """Every exit of the look-ahead walk, against the per-trial loop of _reference_beta.
 
-    Four is the width beta_p uses.  After an acceptance a polish starts its
-    next batch with no rejection, so at width four a run of rejections reaches
-    the twelfth at a batch's end; width five clips batches to the stall.  With
+    Four is the width beta_p uses where every strong norm is exact; a set
+    with one priced by ascent goes one trial a pass.  After an acceptance a
+    polish starts its next batch with no rejection, so at width four a run of
+    rejections reaches the twelfth at a batch's end; width five clips batches
+    to the stall.  With
     the exact tolerance a trial passes the residual check or not by its shapes
     alone, so no batch mixes the two; the last cases loosen the tolerance on
     both sides, where the size of each trial's move decides.
@@ -1018,7 +1025,7 @@ def test_lookahead_polish_is_bitwise_the_sequential_rule(monkeypatch):
         cfg = BetaConfig(max_blocks=2, max_family=1, restarts=2, polish_rounds=40, seed=k)
         _assert_same_beta(beta_p_upper(z, 2.0, cfg), _reference_beta(z, 2.0, cfg), (factors, k))
     assert {f"accepted at {k}" for k in range(4)} <= set(watch.exits), watch.exits
-    for exit in ("rounds end inside a batch", "mixed residuals"):
+    for exit in ("rounds end inside a batch", "mixed residuals", "ascent, one trial a pass"):
         assert watch.exits[exit], (exit, watch.exits)
 
 
