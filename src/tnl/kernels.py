@@ -11,7 +11,8 @@ routine, spec and operand order behind each value are decided in one place:
   product of point families; :func:`aligned_values` and
   :func:`aligned_outer` do the same for aligned families (one index j);
 * :func:`kron` (also of stacks with one leading batch axis, beta_p's blocks
-  of one shape), :func:`khatri_rao`, :func:`outer`, :func:`apply_axis` and
+  of one shape), :func:`khatri_rao` (also of stacks, the pi line search's
+  trials), :func:`outer`, :func:`apply_axis` and
   :func:`leading_direction`; :func:`contract_leading` and :func:`contract_all_but`
   share one per-axis step, ``np.tensordot``'s own transpose, reshape and dot;
 * :func:`vertex_matrix` caches a polyhedral ball's extreme points as one
@@ -26,13 +27,15 @@ routine, spec and operand order behind each value are decided in one place:
   :func:`top_singular_pair`: numpy's own LAPACK gufuncs behind
   ``np.linalg.lstsq(a, b, rcond=None)`` and the reduced ``np.linalg.svd``,
   under numpy's own error state, without the argument handling (a stack of
-  matrices goes through one gufunc call); the pi refine and beta_p polish
-  loops call them hundreds of times per call.
+  matrices goes through one gufunc call: all eight trials of a pi line-search
+  step, or the look-ahead trials of a beta_p polish pass); the pi refine and
+  beta_p polish loops call them hundreds of times per call.
   Numpy's private linalg names appear in this module only, imported on first
   use, so a numpy that moves them breaks these two kernels, not ``import tnl``;
 * the helpers the norm modules share: :func:`norm_gradient`,
   :func:`column_norms`, :func:`q_norm`, the pi pivot refit
-  :func:`repair_pivot` and :data:`RESIDUAL_TOL`;
+  :func:`repair_pivot` (of one state or a stack of trial states) and
+  :data:`RESIDUAL_TOL`;
 * :func:`memo`, the one cache policy for searches: a small LRU memo keyed
   exactly on a call's arguments (arrays by dtype, shape, strides and bytes),
   under ``sup_bracket``, ``pi_search``, ``pi_dual_certificate`` and the
@@ -199,10 +202,16 @@ def kron(mats: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Columnwise Kronecker product, left to right: column j is the kron of every column j."""
+    """Columnwise Kronecker product, left to right: column j is the kron of every column j.
+
+    Matrices with one leading batch axis of a common length K give the (K, ...)
+    stack of their slices' products, each slice bit for bit and in memory layout
+    the 2-D product of the slices (the pi line search prices its trials at once).
+    """
     out = mats[0]
     for M in mats[1:]:
-        out = (out[:, None, :] * M[None, :, :]).reshape(-1, out.shape[1])
+        prod = out[..., :, None, :] * M[..., None, :, :]
+        out = prod.reshape(out.shape[:-2] + (-1, out.shape[-1]))
     return out
 
 
@@ -279,10 +288,11 @@ def refit(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     own gufunc runs under numpy's own error state and rcond rule, so a
     non-converging SVD raises the same ``LinAlgError``.  The residual is
     ``np.linalg.norm(design @ solution - target)``, computed as numpy does.
-    A (K, m, n) stack of designs, beta_p's look-ahead trials, shares the one
-    target and goes through one gufunc call and one stacked matmul; it gives
-    the (K, n, k) solutions and the (K,) residuals, each slice's bit for bit
-    its own 2-D call's when the slices have the 2-D design's strides.
+    A (K, m, n) stack of designs, beta_p's look-ahead trials or the pi line
+    search's eight step halvings, shares the one target and goes through one
+    gufunc call and one stacked matmul; it gives the (K, n, k) solutions and
+    the (K,) residuals, each slice's bit for bit its own 2-D call's when the
+    slices have the 2-D design's strides.
     """
     rcond = _EPS * max(design.shape[-2:])
     sol = _linalg_gufuncs()[0](design, target, rcond, signature="ddd->ddid")[0]
@@ -310,10 +320,16 @@ def top_singular_pair(a: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
 
 def repair_pivot(
     unfolded: np.ndarray, free_mats: Sequence[np.ndarray]
-) -> tuple[np.ndarray, float]:
-    """Least-squares pivot factor given the other factors; returns residual too."""
+) -> tuple[np.ndarray, float | np.ndarray]:
+    """Least-squares pivot factor given the other factors; returns residual too.
+
+    Free factors with one leading batch axis of a common length K (the pi line
+    search's trials) give the (K, d, R) pivot factors and the (K,) residuals
+    from one stacked :func:`khatri_rao` design and one stacked :func:`refit`,
+    each slice bit for bit and in memory layout its own 2-D call's.
+    """
     sol, resid = refit(khatri_rao(free_mats), unfolded.T)
-    return sol.T, resid
+    return sol.swapaxes(-1, -2), resid
 
 
 def norm_gradient(space: NormedSpace, X: np.ndarray) -> np.ndarray:
@@ -337,8 +353,8 @@ def norm_gradient(space: NormedSpace, X: np.ndarray) -> np.ndarray:
 
 
 def column_norms(factors: Sequence[NormedSpace], mats: Sequence[np.ndarray]) -> np.ndarray:
-    """The factor norm of every column, one row per factor matrix."""
-    return np.stack([np.atleast_1d(f.norm(M.T)) for f, M in zip(factors, mats)])
+    """The factor norm of every column, one row per factor matrix ((K, R) per (K, d, R) stack)."""
+    return np.stack([np.atleast_1d(f.norm(M.swapaxes(-1, -2))) for f, M in zip(factors, mats)])
 
 
 def q_norm(values: np.ndarray, q: float) -> float:

@@ -63,6 +63,14 @@ class PiConfig:
             raise ValueError("restarts must be >= 0")
         if self.max_rank is not None and self.max_rank < 1:
             raise ValueError("max_rank must be >= 1")
+        if self.refine_iters < 0:
+            raise ValueError("refine_iters must be >= 0")
+        if self.deflation_iters < 0:
+            raise ValueError("deflation_iters must be >= 0")
+        if not self.gap_tol >= 0.0:  # NaN too
+            raise ValueError("gap_tol must be >= 0")
+        if self.lp_budget < 0:
+            raise ValueError("lp_budget must be >= 0")
 
 
 def _slice_candidate(shape: tuple[int, ...], pivot: int) -> list[np.ndarray]:
@@ -111,9 +119,25 @@ def _deflation_candidate(
 
 
 def _normalize_columns(space: NormedSpace, M: np.ndarray) -> np.ndarray:
-    norms = np.atleast_1d(space.norm(M.T))
+    """M with every nonzero column scaled to unit norm; M may be a (K, d, R) stack."""
+    norms = np.atleast_1d(space.norm(M.swapaxes(-1, -2)))
     safe = np.where(norms > 1e-300, norms, 1.0)
-    return M / safe[None, :]
+    return M / safe[..., None, :]
+
+
+def _price(
+    factors: Sequence[NormedSpace], unfolded: np.ndarray, pivot: int, stacks: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
+    """Objectives, residuals, factor stacks, column norms and term products of K states.
+
+    ``stacks`` holds one (K, d, R) stack of normalized columns per free factor;
+    the pivot factor of every state is refit in one stacked pass.
+    """
+    pivots, resid = repair_pivot(unfolded, stacks)
+    mats = _assemble(stacks, pivots, pivot)
+    norms = column_norms(factors, mats)
+    prods = np.prod(norms, axis=0)
+    return prods.sum(axis=-1), resid, mats, norms, prods
 
 
 def _refine_candidate(
@@ -126,31 +150,25 @@ def _refine_candidate(
     """Descend on the decomposition objective, keeping reconstruction exact.
 
     The pivot factor is refit by least squares after every trial step, so
-    every accepted state reconstructs the tensor; steps that break the
-    residual tolerance or increase the objective are rejected.  Each state
-    is priced once: the column norms behind its objective give the next
-    gradient.
+    every accepted state reconstructs the tensor.  Each iteration prices its
+    eight trial steps (the step, halved seven times) in one stacked pass and
+    takes the first that keeps the residual tolerance and lowers the
+    objective: the step the one-trial-at-a-time search would stop at.  When
+    none does, the search has converged.  The column norms behind an accepted
+    objective give the next gradient.
     """
     free_idx = [l for l in range(len(factors)) if l != pivot]
     free_spaces = [factors[l] for l in free_idx]
     unfolded = np.moveaxis(coeffs, pivot, 0).reshape(coeffs.shape[pivot], -1)
 
-    def price(free: list[np.ndarray]) -> tuple | None:
-        """Objective, free factors, matrices, column norms, term products; None if z is lost."""
-        pivot_mat, resid = repair_pivot(unfolded, free)
-        if resid > RESIDUAL_TOL:
-            return None
-        mats = _assemble(free, pivot_mat, pivot)
-        norms = column_norms(factors, mats)
-        prods = np.prod(norms, axis=0)
-        return float(prods.sum()), free, mats, norms, prods
-
-    state = price([_normalize_columns(s, M) for s, M in zip(free_spaces, free_mats)])
-    if state is None:
+    start = [_normalize_columns(s, M[None]) for s, M in zip(free_spaces, free_mats)]
+    values, resid, mats_k, norms_k, prods_k = _price(factors, unfolded, pivot, start)
+    if resid[0] > RESIDUAL_TOL:
         return INF, None, False
-    best, free, mats, norms, prods = state
+    best, norms, prods = float(values[0]), norms_k[:, 0], prods_k[0]
+    mats = [M[0] for M in mats_k]
     # steps start from C order, as numpy sums in memory order (an SVD basis arrives in F order)
-    free = [np.ascontiguousarray(M) for M in free]
+    free = [np.ascontiguousarray(mats[l]) for l in free_idx]
     step = 0.1
     converged = False
     for _ in range(cfg.refine_iters):
@@ -163,20 +181,22 @@ def _refine_candidate(
         if gnorm <= 1e-14:
             converged = True
             break
-        trial = step
-        for _ in range(8):
-            state = price([
-                _normalize_columns(s, M - trial * g / gnorm)
-                for s, M, g in zip(free_spaces, free, grads)
-            ])
-            if state is not None and state[0] < best - 1e-15:
-                best, free, mats, norms, prods = state
-                step = trial * 1.5
-                break
-            trial *= 0.5
-        else:  # no trial step lowered the objective
+        trials = [step]
+        for _ in range(7):
+            trials.append(trials[-1] * 0.5)
+        t = np.array(trials)[:, None, None]
+        values, resid, mats_k, norms_k, prods_k = _price(factors, unfolded, pivot, [
+            _normalize_columns(s, M - t * g / gnorm) for s, M, g in zip(free_spaces, free, grads)
+        ])
+        ok = (resid <= RESIDUAL_TOL) & (values < best - 1e-15)
+        if not ok.any():  # no trial step lowered the objective
             converged = True
             break
+        i = int(ok.argmax())  # the first acceptable trial
+        best, norms, prods = float(values[i]), norms_k[:, i], prods_k[i]
+        mats = [M[i] for M in mats_k]
+        free = [mats[l] for l in free_idx]
+        step = trials[i] * 1.5
     return best, _assemble(free, mats[pivot], pivot), converged
 
 

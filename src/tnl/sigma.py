@@ -90,6 +90,12 @@ class SigmaConfig:
             raise ValueError("restarts must be >= 0")
         if self.max_rank is not None and self.max_rank < 1:
             raise ValueError("max_rank must be >= 1")
+        if self.max_sweeps < 0:
+            raise ValueError("max_sweeps must be >= 0")
+        if self.split_rounds < 1:
+            raise ValueError("split_rounds must be >= 1")
+        if self.exact_budget < 0:
+            raise ValueError("exact_budget must be >= 0")
 
 
 #: Family-modulus budget of the searches that evaluate many small families.

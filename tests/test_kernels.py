@@ -233,6 +233,47 @@ def test_khatri_rao_is_the_columnwise_kron():
             assert got[:, j].tobytes() == ref.tobytes()
 
 
+def test_stacked_khatri_rao_is_bitwise_each_slice():
+    # the pi line search's trial designs: one leading batch axis on every free factor
+    for seed in range(300):
+        rng = np.random.default_rng([44, seed])
+        K, R = int(rng.integers(1, 10)), int(rng.integers(1, 10))
+        stacks = [rng.standard_normal((K, int(rng.integers(1, 4)), R))
+                  for _ in range(int(rng.integers(1, 4)))]
+        got = kernels.khatri_rao(stacks)
+        assert got.shape == (K, math.prod(S.shape[1] for S in stacks), R)
+        for k in range(K):
+            _assert_same_kron(got[k], kernels.khatri_rao([S[k] for S in stacks]))
+
+
+def test_stacked_repair_pivot_is_bitwise_each_slice():
+    """The pi line search's refit: K trial states against one unfolded array, every pivot axis."""
+    rng = np.random.default_rng(45)
+    count = deficient = 0
+    for shape in [(2, 2), (3, 2), (2, 3), (3, 3), (2, 2, 2), (3, 2, 3), (2, 3, 3)]:
+        coeffs = rng.standard_normal(shape)
+        for pivot in range(len(shape)):
+            unfolded = np.moveaxis(coeffs, pivot, 0).reshape(shape[pivot], -1)
+            dims = [d for i, d in enumerate(shape) if i != pivot]
+            rest = math.prod(dims)
+            for K, R in [(1, 1), (1, rest), (8, 2), (8, rest), (3, rest + 1)]:
+                stacks = [rng.standard_normal((K, d, R)) for d in dims]
+                if K % 2:  # F-ordered slices, as a starting SVD basis
+                    stacks = [np.ascontiguousarray(S.swapaxes(-1, -2)).swapaxes(-1, -2)
+                              for S in stacks]
+                if R > 1:  # a repeated column: rank-deficient, above the residual cut when tall
+                    for S in stacks:
+                        S[K // 2, :, -1] = S[K // 2, :, 0]
+                piv, resid = kernels.repair_pivot(unfolded, stacks)
+                assert piv.shape == (K, shape[pivot], R) and resid.shape == (K,)
+                for k in range(K):
+                    ref, ref_resid = kernels.repair_pivot(unfolded, [S[k] for S in stacks])
+                    assert piv[k].tobytes() == ref.tobytes() and piv[k].strides == ref.strides
+                    assert np.float64(resid[k]).tobytes() == np.float64(ref_resid).tobytes()
+                    count += 1
+                    deficient += ref_resid > kernels.RESIDUAL_TOL
+    assert count == 357 and deficient >= 20
+
 def _linalg_inputs():
     """Over- and under-determined, square, rank-deficient, zero and F-ordered matrices."""
     rng = np.random.default_rng(39)
@@ -715,8 +756,10 @@ def test_memo_refuses_closures():
 
 _SRC = Path(tnl.__file__).resolve().parent
 _STACKED_VERTICES = re.compile(r"stack\(\s*\[[^\]]*extreme_points\(", re.S)
-_KRON_BROADCAST = re.compile(r"\[\s*:\s*,\s*None\s*,\s*:\s*,\s*None\s*\]")
-_KHATRI_RAO_BROADCAST = re.compile(r"\[\s*:\s*,\s*None\s*,\s*:\s*\]")
+#: Leading ``...`` or ``:`` entries: a batch axis on the broadcast, as in ``[..., :, None, :]``.
+_BATCH = r"\[\s*(?:(?:\.\.\.|:)\s*,\s*)*"
+_KRON_BROADCAST = re.compile(_BATCH + r":\s*,\s*None\s*,\s*:\s*,\s*None\s*\]")
+_KHATRI_RAO_BROADCAST = re.compile(_BATCH + r":\s*,\s*None\s*,\s*:\s*\]")
 _KERNEL_CALLS = {"np.einsum", "np.tensordot", "np.multiply.outer", "np.linalg.lstsq"}
 
 
@@ -778,6 +821,24 @@ def test_contraction_scan_sees_each_kind():
         "builds the [:, None, :] Khatri-Rao broadcast",
     ]
 
+
+@pytest.mark.parametrize("spelling,kind", [
+    ("[:, None, :]", "Khatri-Rao"),
+    ("[..., :, None, :]", "Khatri-Rao"),
+    ("[:, :, None, :]", "Khatri-Rao"),
+    ("[ ...,:,None,: ]", "Khatri-Rao"),
+    ("[:, None, :, None]", "Kronecker"),
+    ("[..., :, None, :, None]", "Kronecker"),
+    ("[:, :, None, :, None]", "Kronecker"),
+])
+def test_contraction_scan_sees_batched_broadcasts(spelling, kind):
+    found = _contraction_offenders(f"def f(a, b):\n    return a{spelling} * b\n")
+    assert len(found) == 1 and kind in found[0]
+
+
+def test_contraction_scan_passes_other_broadcasts():
+    probe = "def f(a, b, c):\n    return a[..., None, :] * b[None, :] + c[:, None] + a[..., None, :, :]\n"
+    assert _contraction_offenders(probe) == []
 
 def _import_time_scipy(text: str) -> list[str]:
     """scipy imports that run when the module is imported (outside any function body)."""

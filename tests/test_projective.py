@@ -24,6 +24,7 @@ from tnl import (
 )
 from tnl.injective import epsilon_matrix_oracle
 from tnl.tensors import Gauge, from_decomposition, strip_unit_factors, weighted_matrix
+from tnl import kernels as tnl_kernels
 from tnl import projective
 from tnl.projective import _decomposition_from_mats, _deflation_candidate
 
@@ -507,3 +508,132 @@ def test_lp_route_bracket_is_pinned(factors, seed, lower, upper, monkeypatch):
     est = pi_estimate(random_tensor(TensorSpace(factors), seed))
     assert (est.lower.hex(), est.upper.hex()) == (lower, upper)
     assert len(calls) == 1
+
+
+def _walk_inputs():
+    """The refine corpus, plus inputs for the walk's rarer outcomes.
+
+    Rank-two arrays whose free factor is a Euclidean space with weights 1e-8
+    off the identity: each step leaves the span of the free columns by about
+    1e-8 of its length, so the longest trials break the residual tolerance
+    while shorter ones in the same pass keep it.  The zero array has a zero
+    gradient from the start, the loop's gnorm exit.  An F-ordered SVD start
+    with eight rows sums its columns in another order than a C copy would.
+    """
+    yield from ((f, c, p, free, cfg) for f, c, p, _, free, cfg in _refine_inputs())
+    rng = np.random.default_rng(2401)
+    factors = (NormedSpace(3, 1.5), NormedSpace(3, 2.0, (1.0, 1.0 + 1e-8, 1.0 - 1e-8)))
+    for _ in range(6):
+        coeffs = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 3))
+        coeffs = coeffs / np.linalg.norm(coeffs)
+        yield factors, coeffs, 0, _deflation_candidate(coeffs, 0, 2, 10), PiConfig(max_rank=2)
+    factors = (NormedSpace(2, 1.5), NormedSpace(2, 3.0))
+    yield factors, np.zeros((2, 2)), 0, [rng.standard_normal((2, 2))], PiConfig()
+    factors = (NormedSpace(9, 3.0), NormedSpace(8, 1.5))
+    for _ in range(2):
+        coeffs = rng.standard_normal((9, 8))
+        coeffs = coeffs / np.linalg.norm(coeffs)
+        _, _, vt = np.linalg.svd(weighted_matrix(coeffs, factors), full_matrices=False)
+        yield factors, coeffs, 0, [vt.T], PiConfig()
+
+
+def test_stacked_line_search_walks_like_one_trial_at_a_time(monkeypatch):
+    """Every outcome of a pass, and every exit, bit for bit the one-trial reference."""
+    passes = []
+    price = projective._price
+
+    def spy(*args):
+        out = price(*args)
+        passes.append(out[:2])
+        return out
+
+    monkeypatch.setattr(projective, "_price", spy)
+    outcomes = set()
+    for factors, coeffs, pivot, free, cfg in _walk_inputs():
+        passes.clear()
+        got = projective._refine_candidate(factors, coeffs, pivot, free, cfg)
+        ref = _reference_refine(factors, coeffs, pivot, free, cfg)
+        assert np.float64(got[0]).tobytes() == np.float64(ref[0]).tobytes()
+        assert got[2] is ref[2]
+        if ref[1] is None:
+            assert got[1] is None
+            continue
+        for a, b in zip(got[1], ref[1], strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        best, accepted = passes[0][0][0], True
+        for values, resid in passes[1:]:
+            assert len(values) == len(resid) == 8
+            ok = (resid <= projective.RESIDUAL_TOL) & (values < best - 1e-15)
+            accepted = bool(ok.any())
+            if not accepted:
+                outcomes.add("all rejected")
+                continue
+            i = int(ok.argmax())
+            best = values[i]
+            outcomes.add(f"accepted at {i}")
+            if (resid[:i] > projective.RESIDUAL_TOL).any():
+                outcomes.add("residual failures before the accepted trial")
+        if got[2] and accepted:
+            outcomes.add("gnorm exit")
+        if not got[2]:
+            assert len(passes) == 1 + cfg.refine_iters
+            outcomes.add(f"cap {cfg.refine_iters}")
+    assert outcomes >= {f"accepted at {i}" for i in range(8)} | {
+        "all rejected", "residual failures before the accepted trial", "gnorm exit", "cap 0", "cap 3"}
+
+
+def test_one_refine_iteration_makes_one_refit_call(monkeypatch):
+    calls = []
+    refit = tnl_kernels.refit
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return refit(*args)
+
+    monkeypatch.setattr(tnl_kernels, "refit", counted)
+    rng = np.random.default_rng(2403)
+    factors = (NormedSpace(3, 1.5), NormedSpace(3, 3.0), NormedSpace(2, INF))
+    coeffs = rng.standard_normal((3, 3, 2))
+    free = [rng.standard_normal((3, 6)), rng.standard_normal((2, 6))]
+    for iters in range(5):
+        calls.clear()
+        _, mats, converged = projective._refine_candidate(
+            factors, coeffs, 0, free, PiConfig(refine_iters=iters))
+        assert mats is not None and not converged
+        assert calls == [(1, 6, 6)] + [(8, 6, 6)] * iters
+
+
+@pytest.mark.parametrize("factors,seed,lower,upper", [
+    ((NormedSpace(3, 1.5), NormedSpace(3, 3.0)), 2401,
+     "0x1.ad0a1f655a04cp+1", "0x1.25ac95329ba62p+2"),
+    ((NormedSpace(2, 1.5), NormedSpace(3, INF), NormedSpace(2, 2.0)), 2402,
+     "0x1.6f0aad7b87f9dp+1", "0x1.959740e6b23e1p+2"),
+])
+def test_refine_route_bracket_is_pinned(factors, seed, lower, upper, monkeypatch):
+    """The refine search's bracket on non-polyhedral tensors, in bytes, with no LP."""
+    refined, lps = [], []
+    refine = projective._refine_candidate
+
+    def spy(*args):
+        refined.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(projective, "_refine_candidate", spy)
+    monkeypatch.setattr(projective, "_pi_lower_polyhedral", lambda *args: lps.append(args))
+    tnl_kernels.cache_clear()
+    est = pi_estimate(random_tensor(TensorSpace(factors), seed))
+    assert (est.lower.hex(), est.upper.hex()) == (lower, upper)
+    assert refined and not lps
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("refine_iters", -1, "refine_iters must be >= 0"),
+    ("deflation_iters", -2, "deflation_iters must be >= 0"),
+    ("lp_budget", -5, "lp_budget must be >= 0"),
+    ("gap_tol", float("nan"), "gap_tol must be >= 0"),
+    ("gap_tol", -1.0, "gap_tol must be >= 0"),
+])
+def test_pi_config_rejects_budgets_out_of_range(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        PiConfig(**{field: value})
+    PiConfig(**{field: 0})  # the bound itself is accepted

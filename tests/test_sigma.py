@@ -796,6 +796,13 @@ def test_beta_config_rejects_counts_out_of_range(field):
     BetaConfig(**{field: low + 1})  # the bound itself is accepted
 
 
+@pytest.mark.parametrize("field,low", [("split_rounds", 0), ("max_sweeps", -1), ("exact_budget", -1)])
+def test_sigma_config_rejects_budgets_out_of_range(field, low):
+    # split_rounds=0 used to reach sigma_p_upper and fail there on a bare assert
+    with pytest.raises(ValueError, match=f"{field} must be >= {low + 1}"):
+        SigmaConfig(**{field: low})
+    SigmaConfig(**{field: low + 1})  # the bound itself is accepted
+
 def _strong_norm_route(space, p, m, exact):
     if p == INF:
         return "inf"
