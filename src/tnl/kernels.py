@@ -27,9 +27,9 @@ routine, spec and operand order behind each value are decided in one place:
   :func:`top_singular_pair`: numpy's own LAPACK gufuncs behind
   ``np.linalg.lstsq(a, b, rcond=None)`` and the reduced ``np.linalg.svd``,
   under numpy's own error state, without the argument handling (a stack of
-  matrices goes through one gufunc call: all eight trials of a pi line-search
-  step, or the look-ahead trials of a beta_p polish pass); the pi refine and
-  beta_p polish loops call them hundreds of times per call.
+  matrices goes through one gufunc call: the eight trials of a pi line-search
+  step on a small design, or the look-ahead trials of a beta_p polish pass);
+  the pi refine and beta_p polish loops call them hundreds of times per call.
   Numpy's private linalg names appear in this module only, imported on first
   use, so a numpy that moves them breaks these two kernels, not ``import tnl``;
 * the helpers the norm modules share: :func:`norm_gradient`,
@@ -289,10 +289,10 @@ def refit(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     non-converging SVD raises the same ``LinAlgError``.  The residual is
     ``np.linalg.norm(design @ solution - target)``, computed as numpy does.
     A (K, m, n) stack of designs, beta_p's look-ahead trials or the pi line
-    search's eight step halvings, shares the one target and goes through one
-    gufunc call and one stacked matmul; it gives the (K, n, k) solutions and
-    the (K,) residuals, each slice's bit for bit its own 2-D call's when the
-    slices have the 2-D design's strides.
+    search's eight step halvings (on a small design), shares the one target
+    and goes through one gufunc call and one stacked matmul; it gives the
+    (K, n, k) solutions and the (K,) residuals, each slice's bit for bit its
+    own 2-D call's when the slices have the 2-D design's strides.
     """
     rcond = _EPS * max(design.shape[-2:])
     sol = _linalg_gufuncs()[0](design, target, rcond, signature="ddd->ddid")[0]

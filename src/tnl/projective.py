@@ -118,6 +118,16 @@ def _deflation_candidate(
     return [mats[l] for l in range(n) if l != pivot]
 
 
+#: Largest refit design (rows times rank) whose line-search steps price their
+#: eight trials in one stacked pass; a larger design prices one trial per
+#: pass.  A stacked pass saves the per-call overhead that dominates on small
+#: designs, but it prices all eight trials where a step needs about three,
+#: and that compute outweighs the saving as the design grows: eight stacked
+#: trials cost 2.2-2.5 one-trial passes at 36 entries (3 x 3 x 2 and 6 x 6
+#: arrays), 2.8 at 81 (3 x 3 x 3) and 3.6 at 100 (10 x 10).
+_STACK_ENTRIES = 36
+
+
 def _normalize_columns(space: NormedSpace, M: np.ndarray) -> np.ndarray:
     """M with every nonzero column scaled to unit norm; M may be a (K, d, R) stack."""
     norms = np.atleast_1d(space.norm(M.swapaxes(-1, -2)))
@@ -127,11 +137,13 @@ def _normalize_columns(space: NormedSpace, M: np.ndarray) -> np.ndarray:
 
 def _price(
     factors: Sequence[NormedSpace], unfolded: np.ndarray, pivot: int, stacks: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
-    """Objectives, residuals, factor stacks, column norms and term products of K states.
+) -> tuple:
+    """Objective, residual, factor matrices, column norms and term products of a state.
 
-    ``stacks`` holds one (K, d, R) stack of normalized columns per free factor;
-    the pivot factor of every state is refit in one stacked pass.
+    ``stacks`` holds the normalized (d, R) columns of each free factor, or
+    one (K, d, R) stack per free factor for K states at once; then the pivot
+    factor of every state is refit in one stacked pass, and each result
+    gains the leading K axis ((n, K, R) for the column norms).
     """
     pivots, resid = repair_pivot(unfolded, stacks)
     mats = _assemble(stacks, pivots, pivot)
@@ -150,23 +162,25 @@ def _refine_candidate(
     """Descend on the decomposition objective, keeping reconstruction exact.
 
     The pivot factor is refit by least squares after every trial step, so
-    every accepted state reconstructs the tensor.  Each iteration prices its
-    eight trial steps (the step, halved seven times) in one stacked pass and
-    takes the first that keeps the residual tolerance and lowers the
-    objective: the step the one-trial-at-a-time search would stop at.  When
-    none does, the search has converged.  The column norms behind an accepted
-    objective give the next gradient.
+    every accepted state reconstructs the tensor.  Each iteration walks its
+    eight trial steps (the step, halved seven times) in order and takes the
+    first that keeps the residual tolerance and lowers the objective; when
+    none does, the search has converged.  A refit design of at most
+    ``_STACK_ENTRIES`` entries prices all eight trials in one stacked pass, a
+    larger one a trial at a time; either way the accepted step is the one
+    the one-trial-at-a-time search stops at.  The column norms behind an
+    accepted objective give the next gradient.
     """
     free_idx = [l for l in range(len(factors)) if l != pivot]
     free_spaces = [factors[l] for l in free_idx]
     unfolded = np.moveaxis(coeffs, pivot, 0).reshape(coeffs.shape[pivot], -1)
+    stacked = unfolded.shape[1] * free_mats[0].shape[1] <= _STACK_ENTRIES
 
-    start = [_normalize_columns(s, M[None]) for s, M in zip(free_spaces, free_mats)]
-    values, resid, mats_k, norms_k, prods_k = _price(factors, unfolded, pivot, start)
-    if resid[0] > RESIDUAL_TOL:
+    start = [_normalize_columns(s, M) for s, M in zip(free_spaces, free_mats)]
+    value, resid, mats, norms, prods = _price(factors, unfolded, pivot, start)
+    if resid > RESIDUAL_TOL:
         return INF, None, False
-    best, norms, prods = float(values[0]), norms_k[:, 0], prods_k[0]
-    mats = [M[0] for M in mats_k]
+    best = float(value)
     # steps start from C order, as numpy sums in memory order (an SVD basis arrives in F order)
     free = [np.ascontiguousarray(mats[l]) for l in free_idx]
     step = 0.1
@@ -181,22 +195,38 @@ def _refine_candidate(
         if gnorm <= 1e-14:
             converged = True
             break
-        trials = [step]
-        for _ in range(7):
-            trials.append(trials[-1] * 0.5)
-        t = np.array(trials)[:, None, None]
-        values, resid, mats_k, norms_k, prods_k = _price(factors, unfolded, pivot, [
-            _normalize_columns(s, M - t * g / gnorm) for s, M, g in zip(free_spaces, free, grads)
-        ])
-        ok = (resid <= RESIDUAL_TOL) & (values < best - 1e-15)
-        if not ok.any():  # no trial step lowered the objective
+        accepted = None
+        if stacked:
+            trials = [step]
+            for _ in range(7):
+                trials.append(trials[-1] * 0.5)
+            t = np.array(trials)[:, None, None]
+            values, resid, mats_k, norms_k, prods_k = _price(factors, unfolded, pivot, [
+                _normalize_columns(s, M - t * g / gnorm)
+                for s, M, g in zip(free_spaces, free, grads)
+            ])
+            ok = (resid <= RESIDUAL_TOL) & (values < best - 1e-15)
+            if ok.any():
+                i = int(ok.argmax())  # the first acceptable trial
+                accepted = trials[i], values[i], [M[i] for M in mats_k], norms_k[:, i], prods_k[i]
+        else:
+            trial = step
+            for _ in range(8):
+                value, resid, mats_i, norms_i, prods_i = _price(factors, unfolded, pivot, [
+                    _normalize_columns(s, M - trial * g / gnorm)
+                    for s, M, g in zip(free_spaces, free, grads)
+                ])
+                if resid <= RESIDUAL_TOL and value < best - 1e-15:
+                    accepted = trial, value, mats_i, norms_i, prods_i
+                    break
+                trial *= 0.5
+        if accepted is None:  # no trial step lowered the objective
             converged = True
             break
-        i = int(ok.argmax())  # the first acceptable trial
-        best, norms, prods = float(values[i]), norms_k[:, i], prods_k[i]
-        mats = [M[i] for M in mats_k]
+        trial, value, mats, norms, prods = accepted
+        best = float(value)
         free = [mats[l] for l in free_idx]
-        step = trials[i] * 1.5
+        step = trial * 1.5
     return best, _assemble(free, mats[pivot], pivot), converged
 
 

@@ -274,6 +274,7 @@ def test_stacked_repair_pivot_is_bitwise_each_slice():
                     deficient += ref_resid > kernels.RESIDUAL_TOL
     assert count == 357 and deficient >= 20
 
+
 def _linalg_inputs():
     """Over- and under-determined, square, rank-deficient, zero and F-ordered matrices."""
     rng = np.random.default_rng(39)
@@ -839,6 +840,7 @@ def test_contraction_scan_sees_batched_broadcasts(spelling, kind):
 def test_contraction_scan_passes_other_broadcasts():
     probe = "def f(a, b, c):\n    return a[..., None, :] * b[None, :] + c[:, None] + a[..., None, :, :]\n"
     assert _contraction_offenders(probe) == []
+
 
 def _import_time_scipy(text: str) -> list[str]:
     """scipy imports that run when the module is imported (outside any function body)."""

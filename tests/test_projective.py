@@ -511,7 +511,7 @@ def test_lp_route_bracket_is_pinned(factors, seed, lower, upper, monkeypatch):
 
 
 def _walk_inputs():
-    """The refine corpus, plus inputs for the walk's rarer outcomes.
+    """The refine corpus, plus inputs for the walk's rarer outcomes and wider designs.
 
     Rank-two arrays whose free factor is a Euclidean space with weights 1e-8
     off the identity: each step leaves the span of the free columns by about
@@ -519,6 +519,11 @@ def _walk_inputs():
     while shorter ones in the same pass keep it.  The zero array has a zero
     gradient from the start, the loop's gnorm exit.  An F-ordered SVD start
     with eight rows sums its columns in another order than a C copy would.
+    Refit designs on both sides of ``_STACK_ENTRIES`` follow: 6 x 6 (from a
+    7 x 6 array) and 12 x 3 (4 x 4 x 3, rank capped) are priced eight trials a
+    pass; 7 x 7, 12 x 4, 12 x 12 and the rank-two 60 x 2 on a near-Euclidean
+    factor of 60 dimensions a trial at a time, as are the 8 x 8 SVD starts
+    above.
     """
     yield from ((f, c, p, free, cfg) for f, c, p, _, free, cfg in _refine_inputs())
     rng = np.random.default_rng(2401)
@@ -535,20 +540,47 @@ def _walk_inputs():
         coeffs = coeffs / np.linalg.norm(coeffs)
         _, _, vt = np.linalg.svd(weighted_matrix(coeffs, factors), full_matrices=False)
         yield factors, coeffs, 0, [vt.T], PiConfig()
+    wide = [
+        ((NormedSpace(7, 1.5), NormedSpace(6, 3.0)), None),
+        ((NormedSpace(7, 1.5), NormedSpace(7, 3.0)), None),
+        ((NormedSpace(4, 1.5), NormedSpace(4, 3.0), NormedSpace(3, 2.0)), 3),
+        ((NormedSpace(4, 1.5), NormedSpace(4, 3.0), NormedSpace(3, 2.0)), 4),
+        ((NormedSpace(4, 1.5), NormedSpace(4, 3.0), NormedSpace(3, 2.0)), None),
+    ]
+    for factors, cap in wide:
+        shape = tuple(f.dim for f in factors)
+        coeffs = rng.standard_normal(shape)
+        coeffs = coeffs / np.linalg.norm(coeffs)
+        rank = cap or int(np.prod(shape[1:]))
+        for iters in (60, 3, 0):
+            cfg = PiConfig(max_rank=cap, refine_iters=iters)
+            yield factors, coeffs, 0, _deflation_candidate(coeffs, 0, rank, 10), cfg
+            yield factors, coeffs, 0, [rng.standard_normal((d, rank)) for d in shape[1:]], cfg
+    weights = tuple(1.0 + 1e-8 * rng.standard_normal(60))
+    factors = (NormedSpace(3, 1.5), NormedSpace(60, 2.0, weights))
+    for _ in range(4):
+        coeffs = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 60))
+        coeffs = coeffs / np.linalg.norm(coeffs)
+        yield factors, coeffs, 0, _deflation_candidate(coeffs, 0, 2, 10), PiConfig(max_rank=2)
 
 
 def test_stacked_line_search_walks_like_one_trial_at_a_time(monkeypatch):
-    """Every outcome of a pass, and every exit, bit for bit the one-trial reference."""
+    """Every outcome of a pass, and every exit, bit for bit the one-trial reference.
+
+    A refit design of at most ``_STACK_ENTRIES`` entries prices the eight
+    trials of a step in one pass; a larger one prices them one pass each.
+    Outcomes are collected per width.
+    """
     passes = []
     price = projective._price
 
     def spy(*args):
         out = price(*args)
-        passes.append(out[:2])
+        passes.append([np.atleast_1d(x) for x in out[:2]])
         return out
 
     monkeypatch.setattr(projective, "_price", spy)
-    outcomes = set()
+    outcomes = {1: set(), 8: set()}
     for factors, coeffs, pivot, free, cfg in _walk_inputs():
         passes.clear()
         got = projective._refine_candidate(factors, coeffs, pivot, free, cfg)
@@ -560,26 +592,36 @@ def test_stacked_line_search_walks_like_one_trial_at_a_time(monkeypatch):
             continue
         for a, b in zip(got[1], ref[1], strict=True):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        best, accepted = passes[0][0][0], True
+        rows = int(np.prod([d for l, d in enumerate(coeffs.shape) if l != pivot]))
+        width = 8 if rows * free[0].shape[1] <= projective._STACK_ENTRIES else 1
+        seen = outcomes[width]
+        best, accepted, steps, tried, failed = passes[0][0][0], True, 0, 0, False
         for values, resid in passes[1:]:
-            assert len(values) == len(resid) == 8
+            assert len(values) == len(resid) == width
             ok = (resid <= projective.RESIDUAL_TOL) & (values < best - 1e-15)
             accepted = bool(ok.any())
-            if not accepted:
-                outcomes.add("all rejected")
-                continue
-            i = int(ok.argmax())
-            best = values[i]
-            outcomes.add(f"accepted at {i}")
-            if (resid[:i] > projective.RESIDUAL_TOL).any():
-                outcomes.add("residual failures before the accepted trial")
+            i = int(ok.argmax()) if accepted else width
+            failed |= bool((resid[:i] > projective.RESIDUAL_TOL).any())
+            if accepted:
+                best = values[i]
+                seen.add(f"accepted at {tried + i}")
+                if failed:
+                    seen.add("residual failures before the accepted trial")
+            tried += i
+            if accepted or tried == 8:
+                if not accepted:
+                    seen.add("all rejected")
+                steps, tried, failed = steps + 1, 0, False
+        assert tried == 0  # no step left half walked
         if got[2] and accepted:
-            outcomes.add("gnorm exit")
+            seen.add("gnorm exit")
         if not got[2]:
-            assert len(passes) == 1 + cfg.refine_iters
-            outcomes.add(f"cap {cfg.refine_iters}")
-    assert outcomes >= {f"accepted at {i}" for i in range(8)} | {
+            assert steps == cfg.refine_iters
+            seen.add(f"cap {cfg.refine_iters}")
+    assert outcomes[8] >= {f"accepted at {i}" for i in range(8)} | {
         "all rejected", "residual failures before the accepted trial", "gnorm exit", "cap 0", "cap 3"}
+    assert outcomes[1] >= {f"accepted at {i}" for i in range(3)} | {
+        "all rejected", "residual failures before the accepted trial", "cap 0", "cap 3"}
 
 
 def test_one_refine_iteration_makes_one_refit_call(monkeypatch):
@@ -600,7 +642,38 @@ def test_one_refine_iteration_makes_one_refit_call(monkeypatch):
         _, mats, converged = projective._refine_candidate(
             factors, coeffs, 0, free, PiConfig(refine_iters=iters))
         assert mats is not None and not converged
-        assert calls == [(1, 6, 6)] + [(8, 6, 6)] * iters
+        assert calls == [(6, 6)] + [(8, 6, 6)] * iters
+
+
+@pytest.mark.parametrize("shape,rank,width", [
+    ((3, 3, 2), 6, 8),
+    ((7, 6), 6, 8),
+    ((3, 3, 3), 4, 8),
+    ((3, 3, 3), 5, 1),
+    ((3, 3, 3), 9, 1),
+    ((7, 7), 7, 1),
+    ((8, 8, 8), 64, 1),
+])
+def test_stack_width_follows_the_design_size(shape, rank, width, monkeypatch):
+    """Eight trials a pass up to ``_STACK_ENTRIES`` design entries, one a pass beyond."""
+    calls = []
+    refit = tnl_kernels.refit
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return refit(*args)
+
+    monkeypatch.setattr(tnl_kernels, "refit", counted)
+    rng = np.random.default_rng(2404)
+    factors = tuple(NormedSpace(d, p) for d, p in zip(shape, (1.5, 3.0, 2.0)))
+    free = [rng.standard_normal((d, rank)) for d in shape[1:]]
+    rows = int(np.prod(shape[1:]))
+    # an array the start rebuilds, so the search steps under a rank cap too
+    coeffs = (rng.standard_normal((shape[0], rank)) @ tnl_kernels.khatri_rao(free).T).reshape(shape)
+    projective._refine_candidate(factors, coeffs, 0, free, PiConfig(refine_iters=4))
+    assert calls[0] == (rows, rank)
+    assert len(calls) > 1 and set(calls[1:]) == {(8, rows, rank) if width == 8 else (rows, rank)}
+    assert (rows * rank <= projective._STACK_ENTRIES) == (width == 8)
 
 
 @pytest.mark.parametrize("factors,seed,lower,upper", [

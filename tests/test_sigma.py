@@ -803,6 +803,7 @@ def test_sigma_config_rejects_budgets_out_of_range(field, low):
         SigmaConfig(**{field: low})
     SigmaConfig(**{field: low + 1})  # the bound itself is accepted
 
+
 def _strong_norm_route(space, p, m, exact):
     if p == INF:
         return "inf"
