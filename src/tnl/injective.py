@@ -68,6 +68,8 @@ class EpsilonConfig:
             raise ValueError("tol must be positive")
         if self.grid_resolution < 0:
             raise ValueError("grid_resolution must be >= 0")
+        if self.budget < 0:  # a negative cap would turn the exhaustive route off
+            raise ValueError("budget must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,8 @@ class SigmaConfig:
             raise ValueError("split_rounds must be >= 1")
         if self.exact_budget < 0:
             raise ValueError("exact_budget must be >= 0")
+        if not self.tol >= 0.0:  # NaN too: the ascent's sweep stop would never hold
+            raise ValueError("tol must be >= 0")
 
 
 #: Family-modulus budget of the searches that evaluate many small families.
@@ -114,9 +116,8 @@ _DUAL_FAMILY_SIZES = (1, 2, 4, 8)
 _DUAL_RESTARTS_PER_SIZE = 12
 _DUAL_POLISH_ROUNDS = 60
 
-#: Polish trials of beta_p priced ahead in one stacked pass where every
-#: strong norm is exact.  A trial is accepted about 39% of the time, whatever
-#: its place in a run of rejections.
+#: Polish trials of beta_p priced ahead in one stacked pass.  A trial is
+#: accepted about 39% of the time, whatever its place in a run of rejections.
 _LOOKAHEAD = 4
 #: Rejections in a row that end a beta_p polish.
 _POLISH_STALL = 12
@@ -191,42 +192,51 @@ def _family_arrays(
 
 def _modulus_exact(
     points: Sequence[np.ndarray], mats: Sequence[np.ndarray], p: float
-) -> tuple[float, bool, Callable[[], ModulusResult]]:
-    """The modulus by enumeration over ``points``, the vertex matrix of each dual ball.
+) -> tuple[float | np.ndarray, bool, Callable[[], ModulusResult | list[ModulusResult]]]:
+    """The moduli of (R, m, d_l) families by enumeration over ``points``, each dual ball's vertices.
 
-    (R, m, d_l) families give the (R,) array of their moduli and no result.
-    With one factor (a strong-norm stack) each root is taken on a Python
-    float, so each value is bit for bit its own family's; the si_p batches,
-    with two or more factors, keep numpy's vectorized root.
+    Returns the (R,) array of their values and a ``results()`` that builds
+    each family's :class:`ModulusResult` from the same grid, its value rooted
+    on a Python float as for the family alone.  With one factor (a
+    strong-norm stack) the array takes those roots too; the si_p batches,
+    with two or more factors, keep numpy's vectorized root, whose last bit
+    can differ.  One (m, d_l) family gives its value and a ``result()``.
     """
-    batch = mats[0].shape[:-2]
-    if batch:  # R * m aligned columns
-        mats = [X.reshape(-1, X.shape[-1]) for X in mats]
+    one = mats[0].ndim == 2
+    if one:
+        mats = [X[None] for X in mats]
+    R = mats[0].shape[0]
+    cols = [X.reshape(-1, X.shape[-1]) for X in mats]  # R * m aligned columns
     if len(points) == 1:  # one factor: the term products are the actions
-        prod = points[0] @ mats[0].T
+        prod = points[0] @ cols[0].T
     else:
-        prod = aligned_outer([P @ X.T for P, X in zip(points, mats)])
-    if batch:  # (vertex tuple, R, m)
-        prod = prod.reshape(prod.shape[:-1] + batch + (-1,))
+        prod = aligned_outer([P @ X.T for P, X in zip(points, cols)])
+    prod = prod.reshape(prod.shape[:-1] + (R, -1))  # (vertex tuple, R, m)
     if p == INF:
         grid = np.abs(prod).max(axis=-1)
     else:
         grid = (np.abs(prod) ** p).sum(axis=-1)
-    if batch:
-        best = grid.reshape((-1,) + batch).max(axis=0)
-        if p == INF:
-            return best, True, None
-        if len(points) == 1:
-            return np.array([v ** (1.0 / p) for v in best.tolist()]), True, None
-        return best ** (1.0 / p), True, None
-    flat = int(np.argmax(grid))
-    value = float(grid.flat[flat]) if p == INF else float(grid.flat[flat]) ** (1.0 / p)
 
-    def result() -> ModulusResult:
-        idx = np.unravel_index(flat, grid.shape)
-        return ModulusResult(value, tuple(P[i].copy() for P, i in zip(points, idx)), True, grid.size)
+    def results() -> list[ModulusResult]:
+        out = []
+        for r in range(R):
+            g = grid[..., r]
+            flat = int(np.argmax(g))
+            top = float(g.flat[flat])
+            idx = np.unravel_index(flat, g.shape)
+            funcs = tuple(P[i].copy() for P, i in zip(points, idx))
+            out.append(ModulusResult(top if p == INF else top ** (1.0 / p), funcs, True, g.size))
+        return out
 
-    return value, True, result
+    if one:
+        res = results()[0]
+        return res.value, True, lambda: res
+    best = grid.reshape(-1, R).max(axis=0)
+    if p == INF:
+        return best, True, results
+    if len(points) == 1:
+        return np.array([v ** (1.0 / p) for v in best.tolist()]), True, results
+    return best ** (1.0 / p), True, results
 
 
 def _modulus_engine(
@@ -234,59 +244,99 @@ def _modulus_engine(
     mats: Sequence[np.ndarray],
     p: float,
     cfg: SigmaConfig,
-    seeds: Sequence[tuple[np.ndarray, ...]],
-) -> ModulusResult:
+    seeds: Sequence[np.ndarray],
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Conditional-gradient ascent of the moduli of F families at once.
+
+    ``mats[l]`` is the (F, m, d_l) stack of factor l's families and
+    ``seeds[l]`` the (F, S, d_l) seed rows of each family.  Every family
+    starts from its seeds and the same ``max(cfg.restarts, 1)`` random dual
+    rows per factor (generator ``[cfg.seed, 6007 + l]``); a sweep moves every
+    restart of every live family one factor at a time.  A family stops when
+    its best score has not risen by more than ``cfg.tol`` (relative and
+    absolute) for three sweeps in a row, or at ``cfg.max_sweeps``; it then
+    leaves the batch with its value, the functionals of its best restart at
+    that sweep, and its sweep count.  Each family is priced bit for bit as in
+    a batch of its own: the stacks go through per-family matrix products of
+    its own shapes and row-wise steps only.  Returns the (F,) values, one
+    (F, d_l) functional stack per factor and the (F,) sweep counts.
+    """
+    F = mats[0].shape[0]
     n = len(spaces)
     duals = [s.dual() for s in spaces]
     phis: list[np.ndarray] = []
     for l in range(n):
         rng = np.random.default_rng([cfg.seed, 6007 + l])
         block = unit_rows(duals[l], rng.standard_normal((max(cfg.restarts, 1), duals[l].dim)))
-        rows = [np.asarray(s[l], dtype=float) for s in seeds]
-        phis.append(np.vstack([np.stack(rows), block]) if rows else block)
-    acts = [phis[l] @ mats[l].T for l in range(n)]
+        phis.append(np.concatenate([seeds[l], np.broadcast_to(block, (F,) + block.shape)], axis=1))
+    tmats = [X.swapaxes(-1, -2) for X in mats]
+    acts = [phis[l] @ tmats[l] for l in range(n)]
 
     def scores() -> np.ndarray:
         prod = acts[0].copy()
         for a in acts[1:]:
             prod *= a
         if p == INF:
-            return np.abs(prod).max(axis=1)
-        return (np.abs(prod) ** p).sum(axis=1)
+            return np.abs(prod).max(axis=-1)
+        return (np.abs(prod) ** p).sum(axis=-1)
 
+    values = np.empty(F)
+    funcs = [np.empty((F, d.dim)) for d in duals]
+    sweeps = np.full(F, cfg.max_sweeps)
+    live = np.arange(F)
     best = scores()
-    stall = 0
-    sweeps = 0
-    for _ in range(cfg.max_sweeps):
-        sweeps += 1
+    stall = [0] * F
+
+    def leave(out: np.ndarray, sweep: int) -> None:
+        """Record the families at the live positions ``out`` as stopped at ``sweep``."""
+        r = best[out].argmax(axis=-1)  # each family's best restart
+        fams, tops = live[out], best[out, r].tolist()
+        values[fams] = tops if p == INF else [t ** (1.0 / p) for t in tops]
+        for l in range(n):
+            funcs[l][fams] = phis[l][out, r]
+        sweeps[fams] = sweep
+
+    for sweep in range(1, cfg.max_sweeps + 1):
         for l in range(n):
             t = np.ones_like(acts[0])
             for k in range(n):
                 if k != l:
                     t *= acts[k]
             v = acts[l]
-            if p == INF:
+            if p == INF:  # on the rows of all restarts of all families
+                t, v = t.reshape(-1, t.shape[-1]), v.reshape(-1, v.shape[-1])
                 pick = np.argmax(np.abs(t * v), axis=1)
                 rows = np.arange(v.shape[0])
                 w = np.zeros_like(v)
                 w[rows, pick] = np.abs(t[rows, pick]) * np.sign(v[rows, pick])
+                w = w.reshape(acts[l].shape)
             else:
                 w = (np.abs(t) ** p) * (np.abs(v) ** (p - 1.0)) * np.sign(v)
             c = w @ mats[l]
-            y, _ = ball_linear_maximizer_batch(duals[l], c)
-            phis[l] = y
-            acts[l] = y @ mats[l].T
+            y, _ = ball_linear_maximizer_batch(duals[l], c.reshape(-1, c.shape[-1]))
+            phis[l] = y.reshape(c.shape)
+            acts[l] = phis[l] @ tmats[l]
         cur = scores()
-        if cur.max() <= best.max() * (1.0 + cfg.tol) + cfg.tol:
-            stall += 1
-        else:
-            stall = 0
+        # each family's stall rule on Python floats, the IEEE steps of numpy's scalars
+        tops = zip(cur.max(axis=-1).tolist(), best.max(axis=-1).tolist())
+        stall = [s + 1 if now <= top * (1.0 + cfg.tol) + cfg.tol else 0
+                 for s, (now, top) in zip(stall, tops)]
         best = np.maximum(best, cur)
-        if stall >= 3:
-            break
-    r = int(np.argmax(best))
-    value = float(best[r]) if p == INF else float(best[r]) ** (1.0 / p)
-    return ModulusResult(value, tuple(phis[l][r] for l in range(n)), False, sweeps)
+        if max(stall) >= 3:
+            out = np.array(stall) >= 3
+            leave(np.flatnonzero(out), sweep)
+            if out.all():
+                break
+            keep = ~out
+            live, best = live[keep], best[keep]
+            stall = [s for s in stall if s < 3]
+            mats = [X[keep] for X in mats]
+            tmats = [X.swapaxes(-1, -2) for X in mats]
+            phis = [Y[keep] for Y in phis]
+            acts = [A[keep] for A in acts]
+    else:
+        leave(np.arange(live.size), cfg.max_sweeps)
+    return values, funcs, sweeps
 
 
 def family_modulus_p(
@@ -314,33 +364,45 @@ def _modulus_arrays(
     p: float,
     cfg: SigmaConfig,
     seeds: Sequence[tuple[np.ndarray, ...]] = (),
-) -> tuple[float, bool, Callable[[], ModulusResult]]:
+) -> tuple[float | np.ndarray, bool, Callable[[], ModulusResult | list[ModulusResult]]]:
     """The modulus as ``(value, exact, result)``; ``result()`` builds its ModulusResult.
 
-    A batch of (R, m, d_l) families takes the same route; ``value`` is then
-    the (R,) array of their moduli and ``result`` is None.
+    Each seed is a tuple of one dual row per factor.  A batch of (R, m, d_l)
+    families takes one route for all R, with one engine call on the ascent:
+    ``value`` is then the (R,) array of their moduli, ``result()`` the list of
+    their ModulusResults, and each seed holds an (R, d_l) stack per factor,
+    a row for each family.  Each family's result is bit for bit the one of
+    pricing it alone, and so is its value but on a multi-factor enumeration
+    (see :func:`_modulus_exact`).
     """
-    batch = mats[0].ndim == 3
     m = mats[0].shape[-2]
-    if batch and m == 1:
-        norms = [ball_linear_maximizer_batch(sp.dual(), X[:, 0])[1] for sp, X in zip(spaces, mats)]
-        return math.prod(norms), True, None
+    if m > 1:
+        gate = point_families([sp.dual() for sp in spaces], cfg.exact_budget // m)
+        if gate is not None:
+            return _modulus_exact(gate[0], mats, p)
+    one = mats[0].ndim == 2
+    if one:  # a batch of one
+        mats = [X[None] for X in mats]
+        seeds = [tuple(np.asarray(x, dtype=float)[None] for x in s) for s in seeds]
+    R = mats[0].shape[0]
     if m == 1:
-        value = 1.0
-        funcs = []
-        for sp, X in zip(spaces, mats):
-            y, val = ball_linear_maximizer_batch(sp.dual(), X[0])
-            value *= float(val[0])
-            funcs.append(y[0])
-        return value, True, lambda: ModulusResult(value, tuple(funcs), True, 1)
-    gate = point_families([sp.dual() for sp in spaces], cfg.exact_budget // m)
-    if gate is not None:
-        return _modulus_exact(gate[0], mats, p)
-    if batch:
-        values = [_modulus_engine(spaces, F, p, cfg, seeds).value for F in zip(*mats)]
-        return np.array(values), False, None
-    res = _modulus_engine(spaces, mats, p, cfg, seeds)
-    return res.value, res.exact, lambda: res
+        maxima = [ball_linear_maximizer_batch(sp.dual(), X[:, 0]) for sp, X in zip(spaces, mats)]
+        value = math.prod(norms for _, norms in maxima)
+        funcs, counts, exact = [y for y, _ in maxima], [1] * R, True
+    else:
+        rows = [np.stack([s[l] for s in seeds], axis=1) if seeds else np.empty((R, 0, sp.dim))
+                for l, sp in enumerate(spaces)]
+        value, funcs, counts = _modulus_engine(spaces, mats, p, cfg, rows)
+        exact = False
+
+    def results() -> list[ModulusResult]:
+        return [ModulusResult(float(value[r]), tuple(f[r] for f in funcs), exact, int(counts[r]))
+                for r in range(R)]
+
+    if one:
+        res = results()[0]
+        return res.value, exact, lambda: res
+    return value, exact, results
 
 
 def family_strong_norm(
@@ -372,9 +434,9 @@ def _strong_norm(
 
     ``result()`` builds the :class:`ModulusResult`, functionals included.
     A (B, m, d) stack of families, beta_p's blocks of one shape, takes one
-    route for all B and is priced in one pass (only the ascent loops over
-    them): ``value`` is then the (B,) array of their values, each bit for bit
-    its own family's, and ``result`` is None.
+    route for all B and is priced in one pass (one engine call on the
+    ascent): ``value`` is then the (B,) array of their values, each bit for
+    bit its own family's, and ``result`` is None.
     """
     if p == INF:  # the largest member norm
         norms = space.norm(X)
@@ -391,7 +453,8 @@ def _strong_norm(
         if X.ndim == 3:
             return value, True, None
         return value, True, lambda: ModulusResult(value, (w * vt0,), True, 1)
-    return _modulus_arrays((space,), [X], p, cfg)
+    value, exact, result = _modulus_arrays((space,), [X], p, cfg)
+    return value, exact, (None if X.ndim == 3 else result)
 
 
 def _split_scales(lam: np.ndarray, m: np.ndarray, p: float, q: float) -> np.ndarray:
@@ -410,61 +473,85 @@ def _split_scales(lam: np.ndarray, m: np.ndarray, p: float, q: float) -> np.ndar
     return s / geo
 
 
-def _sigma_candidate_value(
+@dataclass
+class _SplitRun:
+    """One sigma_p candidate's Hoelder-split state between lockstep rounds."""
+
+    index: int
+    lam: np.ndarray
+    fams: list[np.ndarray]
+    seeds: list[tuple[np.ndarray, ...]]
+    best: float = np.inf
+    state: tuple[np.ndarray, list[np.ndarray]] | None = None
+    prev: float = np.inf
+
+
+def _sigma_candidates(
     factors: Sequence[NormedSpace],
-    mats: Sequence[np.ndarray],
+    candidates: Sequence[Sequence[np.ndarray]],
     p: float,
     q: float,
     cfg: SigmaConfig,
     seeds: Sequence[tuple[np.ndarray, ...]],
-) -> tuple[float, np.ndarray, list[np.ndarray], bool]:
-    """Evaluate one exact decomposition under the sigma_p objective.
+) -> list[tuple[float, np.ndarray, list[np.ndarray], bool]]:
+    """Evaluate exact decompositions under the sigma_p objective, in lockstep split rounds.
 
-    Columns are normalized so term weights carry the scale, then the
-    Hoelder split re-distributes scale between the weights and the first
-    factor's family, re-evaluating the modulus honestly each round.
+    For each candidate, columns are normalized so term weights carry the
+    scale, then the Hoelder split re-distributes scale between the weights
+    and the first factor's family, re-evaluating the modulus honestly each
+    round, until two rounds agree to 1e-12 (converged) or ``cfg.split_rounds``
+    end.  A round prices the live candidates of each term count in one
+    :func:`_modulus_arrays` batch; each keeps its own seeds, split, exit and
+    best state, so each (value, weights, families, converged) is bit for
+    bit the one of its candidate evaluated alone.
     """
     n = len(factors)
-    norms = column_norms(factors, mats)
-    lam = np.prod(norms, axis=0)
-    keep = lam > 0.0
-    if not np.any(keep):
-        return 0.0, np.zeros(0), [np.zeros((0, f.dim)) for f in factors], True
-    fams = []
-    for l, f in enumerate(factors):
-        safe = np.where(norms[l] > 0.0, norms[l], 1.0)
-        fams.append((mats[l] / safe[None, :]).T[keep])
-    lam = lam[keep]
-
-    best = np.inf
-    best_state: tuple[np.ndarray, list[np.ndarray], tuple[np.ndarray, ...]] | None = None
-    prev = np.inf
-    converged = False
-    # the injective-argmax seed must survive every split round: each modulus
-    # estimate that includes it stays at or above the pairing it certifies,
-    # which is what keeps the reported value above the injective bound
-    base_seeds = list(seeds)
+    out: list = [None] * len(candidates)
+    live: list[_SplitRun] = []
+    for i, mats in enumerate(candidates):
+        norms = column_norms(factors, mats)
+        lam = np.prod(norms, axis=0)
+        keep = lam > 0.0
+        if not np.any(keep):
+            out[i] = (0.0, np.zeros(0), [np.zeros((0, f.dim)) for f in factors], True)
+            continue
+        fams = []
+        for l, f in enumerate(factors):
+            safe = np.where(norms[l] > 0.0, norms[l], 1.0)
+            fams.append((mats[l] / safe[None, :]).T[keep])
+        live.append(_SplitRun(i, lam[keep], fams, list(seeds)))
     for _ in range(cfg.split_rounds):
-        mod = _modulus_arrays(factors, fams, p, cfg, seeds)[2]()
-        value = q_norm(lam, q) * mod.value
-        if value < best:
-            best = value
-            best_state = (lam.copy(), [F.copy() for F in fams], mod.functionals)
-        if abs(prev - value) <= 1e-12 * max(1.0, value):
-            converged = True
-            break
-        prev = value
-        acts = np.ones(len(lam))
-        for l in range(n):
-            acts = acts * (fams[l] @ mod.functionals[l])
-        m_j = np.abs(acts)
-        s = _split_scales(lam, m_j, p, q)
-        lam = lam * s
-        fams[0] = fams[0] / s[:, None]
-        seeds = base_seeds + [mod.functionals]
-    assert best_state is not None
-    lam_b, fams_b, _ = best_state
-    return float(best), lam_b, fams_b, converged
+        priced = []
+        for m in dict.fromkeys(len(run.lam) for run in live):
+            group = [run for run in live if len(run.lam) == m]
+            stacks = [np.stack([run.fams[l] for run in group]) for l in range(n)]
+            rows = [tuple(np.stack([run.seeds[k][l] for run in group]) for l in range(n))
+                    for k in range(len(group[0].seeds))]
+            priced.extend(zip(group, _modulus_arrays(factors, stacks, p, cfg, rows)[2]()))
+        live = []
+        for run, mod in priced:
+            value = q_norm(run.lam, q) * mod.value
+            if value < run.best:
+                run.best, run.state = value, (run.lam.copy(), [F.copy() for F in run.fams])
+            if abs(run.prev - value) <= 1e-12 * max(1.0, value):
+                out[run.index] = (float(run.best), *run.state, True)
+                continue
+            run.prev = value
+            acts = np.ones(len(run.lam))
+            for l in range(n):
+                acts = acts * (run.fams[l] @ mod.functionals[l])
+            s = _split_scales(run.lam, np.abs(acts), p, q)
+            run.lam = run.lam * s
+            run.fams[0] = run.fams[0] / s[:, None]
+            # the injective-argmax seed must survive every split round: each
+            # modulus estimate that includes it stays at or above the pairing
+            # it certifies, which keeps the reported value above the injective bound
+            run.seeds = list(seeds) + [mod.functionals]
+            live.append(run)
+    for run in live:
+        assert run.state is not None
+        out[run.index] = (float(run.best), *run.state, False)
+    return out
 
 
 def sigma_p_upper(
@@ -475,9 +562,12 @@ def sigma_p_upper(
     Candidates come from one projective search on the gauged tensor: its
     exact slice/deflation/SVD decompositions and its best refined one, all
     within ``cfg.max_rank``.  Each is evaluated under ||lambda||_q * modulus
-    with Hoelder-split rebalancing.  Every modulus run is seeded with the
-    injective argmax functionals of the tensor itself, which keeps the
-    reported value at or above the injective lower end by construction.
+    with Hoelder-split rebalancing, all in lockstep: a split round prices
+    the live candidates of one term count in one modulus batch, each bit
+    for bit as evaluated alone (:func:`_sigma_candidates`).  Every modulus
+    run is seeded with the injective argmax functionals of the tensor
+    itself, which keeps the reported value at or above the injective lower
+    end by construction.
     The search on the gauged array is memoized (:func:`~tnl.kernels.memo`),
     so z and its scalar-slot twin share it; only the lift is per call.
     """
@@ -515,8 +605,7 @@ def sigma_p_upper(
         best_lam: np.ndarray | None = None
         best_fams: list[np.ndarray] | None = None
         converged = False
-        for mats in candidates:
-            val, lam, fams, conv = _sigma_candidate_value(factors, mats, p, q, cfg, seeds)
+        for val, lam, fams, conv in _sigma_candidates(factors, candidates, p, q, cfg, seeds):
             if val < best:
                 best = val
                 best_lam, best_fams = lam, fams
@@ -559,7 +648,8 @@ def sigma_p_dual(form: Tensor, p: float, cfg: SigmaDualConfig | None = None) -> 
     caps every ratio and the norming singleton attains it.  Otherwise, after the injective
     argmax singleton, each family size m polishes its restarts in lockstep
     from generator ``[seed, 15485863, m]``: a round draws one normal block
-    per factor for all restarts and prices the live ones in one batch; a
+    per factor for all restarts and prices the live ones in one batch (one
+    engine call where the modulus takes the ascent); a
     higher ratio is taken (step x1.4, at most 1), else the step shrinks
     x0.7, ending the restart below 1e-4.  ``iterations`` sums the live
     restarts over rounds; ``converged`` is False if any restart was still
@@ -728,20 +818,19 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
     a round moves every family by ``step`` times fresh noise; a lower value
     is taken (step x1.3, at most 0.8), else the step shrinks x0.7, and 12
     rejections in a row end the polish.  A round's noise does not depend on
-    the rounds before it, so the next K = min(width, rounds left, 12 -
-    stalled) trials, each priced as if every one before it were rejected
+    the rounds before it, so the next K = min(4, rounds left, 12 - stalled)
+    trials, each priced as if every one before it were rejected
     (steps step, 0.7 step, ...), are drawn in one call (split round- then
     block-major), normalized in one stack per factor, fit by one stacked
-    :func:`~tnl.kernels.refit` and priced in one pass per factor.  The walk
+    :func:`~tnl.kernels.refit` and priced in one pass per factor (one
+    engine call for all of a factor's families where its strong norm takes
+    the ascent).  The walk
     takes the first of them that passes the residual check and lowers the
     value; the noise of the rounds after it is kept for those rounds.  Every
     drawn round is thus used by its own round, a chunked normal draw gives
     the bytes of the round-by-round draws, and each trial is priced bit for
     bit as alone, so values, families and the next set's noise are those of
-    the one-trial-per-round loop.  The width is 4 where every strong norm of
-    the set is exact, and so priced for all blocks in one vectorized pass;
-    where one takes the ascent it loops over the families, a trial priced
-    ahead costs as much as one priced in turn, and the width is 1.
+    the one-trial-per-round loop.
     """
     cfg = cfg or BetaConfig()
     q = conjugate_exponent(p)
@@ -785,12 +874,11 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
         state = (stacks, coeffs)
         blocks, shapes = len(coeffs), [S.shape[1:] for S in stacks]
         ahead = [np.empty((0, blocks, *shape)) for shape in shapes]  # drawn, not yet used
-        width = _LOOKAHEAD if cert else 1  # an ascent prices each trial at full cost
         step = 0.2
         stalled = 0
         rounds = cfg.polish_rounds
         while rounds and stalled < _POLISH_STALL:
-            K = min(width, rounds, _POLISH_STALL - stalled)
+            K = min(_LOOKAHEAD, rounds, _POLISH_STALL - stalled)
             drawn = _normal_stacks(rng, (K - len(ahead[0])) * blocks, shapes)
             noise = [np.concatenate([A, N.reshape(-1, *A.shape[1:])]) for A, N in zip(ahead, drawn)]
             steps = [step]  # the steps of K rejections in a row

@@ -319,3 +319,10 @@ class TestInvariances:
         assert est.lower == 0.0
         assert est.upper == 0.0
         assert not any(s.any() for s in slots)
+
+
+def test_epsilon_config_rejects_a_negative_budget():
+    # a negative cap would turn the exhaustive route off without a word
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        EpsilonConfig(budget=-1)
+    EpsilonConfig(budget=0)  # the bound itself is accepted

@@ -981,6 +981,19 @@ def test_one_supremum_route_rule():
         assert "vertex_count" not in text and "vertex_matrix" not in text, name
 
 
+def test_modulus_engine_is_called_only_by_modulus_arrays():
+    """Every family-modulus ascent is one batched engine call behind the route choice."""
+    assert _sites(_calls("_modulus_engine")) == {"sigma._modulus_arrays"}
+    tree = ast.parse((_SRC / "sigma.py").read_text())
+    fn = next(node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "_modulus_arrays")
+    # the call sits in no loop or comprehension, so a batch never loops over its families
+    loops = (ast.For, ast.While, ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.DictComp)
+    for node in ast.walk(fn):
+        if isinstance(node, loops):
+            assert not any(map(_calls("_modulus_engine"), ast.walk(node)))
+
+
 def test_tensordot_is_called_only_by_apply_axis():
     """Every other per-axis contraction goes through the one private step."""
     assert _sites(_calls("tensordot")) == {"kernels.apply_axis"}

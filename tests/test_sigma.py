@@ -33,7 +33,8 @@ from tnl import (
 from tnl import evaluators, evaluator_for, injective, projective, report_json, sigma
 from tnl import witness_search_nonsmooth
 from tnl.injective import sup_bracket
-from tnl.kernels import aligned_values, contract, vertex_matrix
+from tnl.kernels import aligned_outer, aligned_values, column_norms, contract, point_families
+from tnl.kernels import vertex_matrix
 from tnl.evaluators import make_epsilon_evaluator, make_sigma_evaluator
 from tnl.kernels import kron
 from tnl.kernels import RESIDUAL_TOL, q_norm
@@ -176,18 +177,18 @@ def test_sigma_last_candidate_is_pi_best_decomposition(monkeypatch):
     space = TensorSpace((NormedSpace(3, INF), NormedSpace(3, 1.5), NormedSpace(2, 1.5)))
     z = random_tensor(space, seed=39, style="low_rank", rank=2)
     refined, evaluated = [], []
-    refine, evaluate = projective._refine_candidate, sigma._sigma_candidate_value
+    refine, evaluate = projective._refine_candidate, sigma._sigma_candidates
 
     def spy_refine(*args):
         refined.append(refine(*args))
         return refined[-1]
 
-    def spy_evaluate(factors, mats, *args):
-        evaluated.append(mats)
-        return evaluate(factors, mats, *args)
+    def spy_evaluate(factors, candidates, *args):
+        evaluated.extend(candidates)
+        return evaluate(factors, candidates, *args)
 
     monkeypatch.setattr(projective, "_refine_candidate", spy_refine)
-    monkeypatch.setattr(sigma, "_sigma_candidate_value", spy_evaluate)
+    monkeypatch.setattr(sigma, "_sigma_candidates", spy_evaluate)
     sigma_p_upper(z, 1.5)
     best, best_mats = INF, None
     for value, mats, _ in refined:
@@ -349,6 +350,212 @@ def test_strong_norm_accepts_vector_sequence():
     vecs = [Vector(sp, np.array([1.0, 0.0])), Vector(sp, np.array([0.0, -2.0]))]
     res = family_strong_norm(sp, vecs, INF)
     assert res.value == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# the batched family-modulus engine and the lockstep sigma_p candidates
+# ---------------------------------------------------------------------------
+
+
+def _reference_modulus_engine(spaces, mats, p, cfg, seeds):
+    """The family-modulus ascent as first written: one (m, d_l) family per call."""
+    n = len(spaces)
+    duals = [s.dual() for s in spaces]
+    phis = []
+    for l in range(n):
+        rng = np.random.default_rng([cfg.seed, 6007 + l])
+        block = unit_rows(duals[l], rng.standard_normal((max(cfg.restarts, 1), duals[l].dim)))
+        rows = [np.asarray(s[l], dtype=float) for s in seeds]
+        phis.append(np.vstack([np.stack(rows), block]) if rows else block)
+    acts = [phis[l] @ mats[l].T for l in range(n)]
+
+    def scores():
+        prod = acts[0].copy()
+        for a in acts[1:]:
+            prod *= a
+        if p == INF:
+            return np.abs(prod).max(axis=1)
+        return (np.abs(prod) ** p).sum(axis=1)
+
+    best = scores()
+    stall = 0
+    sweeps = 0
+    for _ in range(cfg.max_sweeps):
+        sweeps += 1
+        for l in range(n):
+            t = np.ones_like(acts[0])
+            for k in range(n):
+                if k != l:
+                    t *= acts[k]
+            v = acts[l]
+            if p == INF:
+                pick = np.argmax(np.abs(t * v), axis=1)
+                rows = np.arange(v.shape[0])
+                w = np.zeros_like(v)
+                w[rows, pick] = np.abs(t[rows, pick]) * np.sign(v[rows, pick])
+            else:
+                w = (np.abs(t) ** p) * (np.abs(v) ** (p - 1.0)) * np.sign(v)
+            c = w @ mats[l]
+            y, _ = ball_linear_maximizer_batch(duals[l], c)
+            phis[l] = y
+            acts[l] = y @ mats[l].T
+        cur = scores()
+        if cur.max() <= best.max() * (1.0 + cfg.tol) + cfg.tol:
+            stall += 1
+        else:
+            stall = 0
+        best = np.maximum(best, cur)
+        if stall >= 3:
+            break
+    r = int(np.argmax(best))
+    value = float(best[r]) if p == INF else float(best[r]) ** (1.0 / p)
+    return ModulusResult(value, tuple(phis[l][r] for l in range(n)), False, sweeps)
+
+
+def _reference_modulus(spaces, mats, p, cfg, seeds):
+    """The modulus of one (m, d_l) family as first written: product of norms, grid or ascent."""
+    m = mats[0].shape[0]
+    if m == 1:
+        value, funcs = 1.0, []
+        for sp, X in zip(spaces, mats):
+            y, val = ball_linear_maximizer_batch(sp.dual(), X[0])
+            value *= float(val[0])
+            funcs.append(y[0])
+        return ModulusResult(value, tuple(funcs), True, 1)
+    gate = point_families([sp.dual() for sp in spaces], cfg.exact_budget // m)
+    if gate is None:
+        return _reference_modulus_engine(spaces, mats, p, cfg, seeds)
+    points = gate[0]
+    if len(points) == 1:
+        prod = points[0] @ mats[0].T
+    else:
+        prod = aligned_outer([P @ X.T for P, X in zip(points, mats)])
+    grid = np.abs(prod).max(axis=-1) if p == INF else (np.abs(prod) ** p).sum(axis=-1)
+    flat = int(np.argmax(grid))
+    value = float(grid.flat[flat]) if p == INF else float(grid.flat[flat]) ** (1.0 / p)
+    idx = np.unravel_index(flat, grid.shape)
+    return ModulusResult(value, tuple(P[i].copy() for P, i in zip(points, idx)), True, grid.size)
+
+
+def _reference_sigma_candidate(factors, mats, p, q, cfg, seeds, exits):
+    """One sigma_p candidate's Hoelder-split rounds as first written; appends its exit round."""
+    n = len(factors)
+    norms = column_norms(factors, mats)
+    lam = np.prod(norms, axis=0)
+    keep = lam > 0.0
+    if not np.any(keep):
+        exits.append(None)
+        return 0.0, np.zeros(0), [np.zeros((0, f.dim)) for f in factors], True
+    fams = []
+    for l, f in enumerate(factors):
+        safe = np.where(norms[l] > 0.0, norms[l], 1.0)
+        fams.append((mats[l] / safe[None, :]).T[keep])
+    lam = lam[keep]
+    best, best_state, prev, converged = np.inf, None, np.inf, False
+    base_seeds = list(seeds)
+    for round_ in range(cfg.split_rounds):
+        mod = _reference_modulus(factors, fams, p, cfg, seeds)
+        value = q_norm(lam, q) * mod.value
+        if value < best:
+            best = value
+            best_state = (lam.copy(), [F.copy() for F in fams])
+        if abs(prev - value) <= 1e-12 * max(1.0, value):
+            converged = True
+            break
+        prev = value
+        acts = np.ones(len(lam))
+        for l in range(n):
+            acts = acts * (fams[l] @ mod.functionals[l])
+        s = sigma._split_scales(lam, np.abs(acts), p, q)
+        lam = lam * s
+        fams[0] = fams[0] / s[:, None]
+        seeds = base_seeds + [mod.functionals]
+    exits.append(round_ if converged else "cap")
+    return float(best), best_state[0], best_state[1], converged
+
+
+def _same_bytes(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    return got.shape == ref.shape and got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+#: Factor exponents of the engine cases: smooth balls, and polyhedral ones priced by ascent.
+_ENGINE_KINDS = (1.5, 2.0, 3.0, 1.5, 1.0, INF)
+
+
+def test_batched_engine_is_bitwise_the_two_d_engine():
+    """F families in one call: each value, functional row and sweep count as priced alone."""
+    rng = np.random.default_rng(2525)
+    sweeps_seen, mixed_exits = Counter(), 0
+    for k in range(150):
+        n, F = 1 + k % 3, 1 + k % 6
+        spaces = []
+        for l in range(n):
+            dim = int(rng.integers(1, 4))
+            weights = tuple(rng.uniform(0.5, 2.0, dim)) if (k + l) % 3 == 0 else None
+            spaces.append(NormedSpace(dim, _ENGINE_KINDS[(k + 2 * l) % len(_ENGINE_KINDS)], weights))
+        p = (1.0, 1.5, 2.0, 3.0, INF)[k % 5]
+        m = int(rng.integers(2, 5))
+        max_sweeps = (80, 60, 4, 0, 80, 2)[k % 6]
+        cfg = SigmaConfig(restarts=(8, 6, 1, 3)[k % 4], max_sweeps=max_sweeps, seed=k % 7)
+        mats = [rng.standard_normal((F, m, sp.dim)) for sp in spaces]
+        S = (0, 1, 2)[k % 3]
+        rows = [unit_rows(sp.dual(), rng.standard_normal((F, S, sp.dim))) for sp in spaces]
+        values, funcs, sweeps = sigma._modulus_engine(spaces, mats, p, cfg, rows)
+        assert values.shape == sweeps.shape == (F,)
+        for f in range(F):
+            seeds = [tuple(R[f, s] for R in rows) for s in range(S)]
+            ref = _reference_modulus_engine(spaces, [X[f] for X in mats], p, cfg, seeds)
+            where = (k, f, spaces, p)
+            assert _same_bytes(values[f], ref.value) and type(ref.value) is float, where
+            assert sweeps[f] == ref.iterations, where
+            for got, want in zip(funcs, ref.functionals, strict=True):
+                assert _same_bytes(got[f], want), where
+            sweeps_seen[ref.iterations == max_sweeps] += 1
+        mixed_exits += len(set(sweeps.tolist())) > 1
+    assert mixed_exits >= 10 and sweeps_seen[True] and sweeps_seen[False]
+
+
+def test_lockstep_sigma_candidates_are_bitwise_the_per_candidate_rule():
+    """Unequal term counts, an all-zero candidate, every route: each result as evaluated alone."""
+    rng = np.random.default_rng(2626)
+    exit_rounds, routes = Counter(), Counter()
+    for k in range(60):
+        n = 2 + k % 2
+        kinds = ((1.5, 2.0, 3.0), (1.0, INF), (1.5, INF, 1.0))[k % 3]
+        factors = []
+        for l in range(n):
+            dim = int(rng.integers(2, 4))
+            weights = tuple(rng.uniform(0.5, 2.0, dim)) if (k + l) % 2 else None
+            factors.append(NormedSpace(dim, kinds[(k + l) % len(kinds)], weights))
+        p = (1.0, 1.5, 2.0, 3.0, INF)[k % 5]
+        q = conjugate_exponent(p)
+        cfg = SigmaConfig(seed=k, split_rounds=(4, 2, 6)[k % 3], exact_budget=(50_000, 8)[k % 2])
+        candidates = []
+        for R in (1, 2, 2, 3, 4)[: 3 + k % 3]:
+            candidates.append([rng.standard_normal((f.dim, R)) for f in factors])
+        if k % 4 == 0:  # an all-zero candidate
+            candidates.insert(1, [np.zeros((f.dim, 2)) for f in factors])
+        if k % 4 == 1:  # a zero column: the term drops out
+            candidates[-1][0][:, 0] = 0.0
+        seeds = [tuple(unit_rows(f.dual(), rng.standard_normal((1, f.dim)))[0] for f in factors)]
+        got = sigma._sigma_candidates(factors, candidates, p, q, cfg, seeds)
+        exits = []
+        for i, mats in enumerate(candidates):
+            ref = _reference_sigma_candidate(factors, mats, p, q, cfg, seeds, exits)
+            where = (k, i, factors, p)
+            assert type(got[i][0]) is float and _same_bytes(got[i][0], ref[0]), where
+            assert _same_bytes(got[i][1], ref[1]) and got[i][3] == ref[3], where
+            for a, b in zip(got[i][2], ref[2], strict=True):
+                assert _same_bytes(a, b), where
+            m = len(ref[1])
+            exact = m == 0 or sigma._modulus_arrays(factors, ref[2], p, cfg)[1]
+            routes["zero" if m == 0 else "single" if m == 1 else "exact" if exact else "ascent"] += 1
+        exit_rounds[len(set(exits) - {None})] += 1
+        exit_rounds.update(f"exit {e}" for e in exits)
+    assert set(routes) == {"zero", "single", "exact", "ascent"}, routes
+    assert exit_rounds["exit cap"] and exit_rounds["exit 1"] and exit_rounds["exit 2"], exit_rounds
+    assert sum(v for c, v in exit_rounds.items() if isinstance(c, int) and c > 1), exit_rounds
 
 
 # ---------------------------------------------------------------------------
@@ -796,6 +1003,14 @@ def test_beta_config_rejects_counts_out_of_range(field):
     BetaConfig(**{field: low + 1})  # the bound itself is accepted
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1e-12])
+def test_sigma_config_rejects_a_nan_or_negative_tol(tol):
+    # the ascent's sweep stop compares against tol: with NaN it never holds
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        SigmaConfig(tol=tol)
+    SigmaConfig(tol=0.0)  # the bound itself is accepted
+
+
 @pytest.mark.parametrize("field,low", [("split_rounds", 0), ("max_sweeps", -1), ("exact_budget", -1)])
 def test_sigma_config_rejects_budgets_out_of_range(field, low):
     # split_rounds=0 used to reach sigma_p_upper and fail there on a bare assert
@@ -928,8 +1143,9 @@ class _PolishWatch:
 
     It replays the walk on what each pass returns: the first trial that
     passes the residual check and lowers the value is accepted; a run of
-    ``sigma._POLISH_STALL`` rejections ends the polish.  A set whose own price
-    is not certified (a strong norm by ascent) is polished one trial a pass.
+    ``sigma._POLISH_STALL`` rejections ends the polish.  No pass prices more
+    than ``sigma._LOOKAHEAD`` trials, whether or not a strong norm of the set
+    takes the ascent.
     """
 
     def __init__(self, monkeypatch):
@@ -944,8 +1160,7 @@ class _PolishWatch:
         def watched_price(domain, cod, stacks, coeffs, *args):
             out = price(domain, cod, stacks, coeffs, *args)
             if stacks[0].ndim == 3:  # a candidate set's own price starts its polish
-                self.value, self.stalled = out[0], 0
-                self.width = sigma._LOOKAHEAD if out[1] else 1
+                self.value, self.stalled, self.ascent = out[0], 0, not out[1]
             else:
                 self.walk(out[0])
             return out
@@ -954,9 +1169,9 @@ class _PolishWatch:
         monkeypatch.setattr(sigma, "_beta_price", watched_price)
 
     def walk(self, values):
-        assert len(values) <= self.width
-        if self.width == 1:
-            self.exits["ascent, one trial a pass"] += 1
+        assert len(values) <= sigma._LOOKAHEAD
+        if self.ascent and len(values) > 1:
+            self.exits["ascent, priced ahead"] += 1
         passed = self.resid <= sigma.RESIDUAL_TOL
         if passed.any() and not passed.all():
             self.exits["mixed residuals"] += 1
@@ -967,9 +1182,9 @@ class _PolishWatch:
                 self.value, self.stalled = value, 0
                 return
             self.stalled += 1
-        if len(values) == sigma._POLISH_STALL - start < self.width:
+        if len(values) == sigma._POLISH_STALL - start < sigma._LOOKAHEAD:
             self.exits["stall inside a batch"] += 1  # a full batch would run past the stall
-        elif len(values) < self.width:
+        elif len(values) < sigma._LOOKAHEAD:
             self.exits["rounds end inside a batch"] += 1
 
 
@@ -1003,8 +1218,8 @@ def _assert_same_beta(got, ref, where):
 def test_lookahead_polish_is_bitwise_the_sequential_rule(monkeypatch):
     """Every exit of the look-ahead walk, against the per-trial loop of _reference_beta.
 
-    Four is the width beta_p uses where every strong norm is exact; a set
-    with one priced by ascent goes one trial a pass.  After an acceptance a
+    Four is the width beta_p uses, also where a strong norm of the set takes
+    the ascent.  After an acceptance a
     polish starts its next batch with no rejection, so at width four a run of
     rejections reaches the twelfth at a batch's end; width five clips batches
     to the stall.  With
@@ -1033,7 +1248,7 @@ def test_lookahead_polish_is_bitwise_the_sequential_rule(monkeypatch):
         cfg = BetaConfig(max_blocks=2, max_family=1, restarts=2, polish_rounds=40, seed=k)
         _assert_same_beta(beta_p_upper(z, 2.0, cfg), _reference_beta(z, 2.0, cfg), (factors, k))
     assert {f"accepted at {k}" for k in range(4)} <= set(watch.exits), watch.exits
-    for exit in ("rounds end inside a batch", "mixed residuals", "ascent, one trial a pass"):
+    for exit in ("rounds end inside a batch", "mixed residuals", "ascent, priced ahead"):
         assert watch.exits[exit], (exit, watch.exits)
 
 
