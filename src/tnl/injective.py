@@ -150,8 +150,10 @@ def sup_bracket(
     gives one family per ball (vertices, and grids when
     ``cfg.grid_resolution >= 2``) within ``cfg.budget``, it takes their best
     point: by multilinear Lipschitz slack the supremum is at most
-    best/(1 - sum of radii), exact when no ball is gridded.  Otherwise it
-    runs seeded ascent, with upper = inf.  Memoized
+    best/(1 - sum of radii), exact when no ball is gridded.  A polyhedral
+    ball's family holds one vertex per pair v, -v, as |A| is even in each
+    slot; ``iterations`` counts the full grid, each such vertex twice.
+    Otherwise it runs seeded ascent, with upper = inf.  Memoized
     (:func:`~tnl.kernels.memo`): an equal call returns the same bracket and
     fresh copies of the slots.
     """
@@ -165,9 +167,11 @@ def sup_bracket(
         est = NormEstimate(res.value * scale, INF, res.converged, res.iterations, cfg.seed)
         return est, res.slots
     fams, slack = gate
-    value, slots = grid_sup(normalized, fams)
+    # the full grid's family sizes: each kept vertex stands for itself and its negation
+    rows = [2 * len(F) if sp.is_polyhedral() else len(F) for sp, F in zip(balls, fams)]
+    value, slots = grid_sup(normalized, fams, rows)
     best = value * scale
-    total = math.prod(map(len, fams))
+    total = math.prod(rows)
     return NormEstimate(best, best / (1.0 - slack), True, total, cfg.seed), slots
 
 

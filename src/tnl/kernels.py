@@ -16,12 +16,19 @@ routine, spec and operand order behind each value are decided in one place:
   :func:`leading_direction`; :func:`contract_leading` and :func:`contract_all_but`
   share one per-axis step, ``np.tensordot``'s own transpose, reshape and dot;
 * :func:`vertex_matrix` caches a polyhedral ball's extreme points as one
-  read-only array per space (callers copy rows they hand out), and
-  :func:`vertex_count` counts them first; :func:`ball_grid` covers a smooth
-  ball with grid points, and :func:`grid_plan` gives its radius and a floor
-  on its size before it is meshed; :func:`point_families` is the one gate
-  of every exhaustive route (the ε/sup enumeration and grid, the π LP and
-  the σ_p exact modulus): one family per ball, within a budget, or None;
+  read-only array per space (callers copy rows they hand out), beside
+  :func:`half_vertices`, one vertex per pair v, -v; :func:`vertex_count`
+  counts them first; :func:`ball_grid` covers a smooth ball with grid
+  points, and :func:`grid_plan` gives its radius and a floor on its size
+  before it is meshed; :func:`point_families` is the one gate of every
+  exhaustive route (the ε/sup enumeration and grid, the π LP and the σ_p
+  exact modulus): one family per ball, within a budget, or None.  Every
+  ball is symmetric and every quantity those routes price is even in each
+  slot, so a polyhedral ball's family is its half set: a tuple stands for
+  its 2^n sign twins, and the routes count (and budget) the full grid.
+  :func:`grid_values` and :func:`grid_sup` take the full grid's family
+  sizes and contract along its einsum path, so every value, argmax and
+  count is the full enumeration's, bit for bit;
 * :func:`refit`, the one least-squares reconstruction (on a :func:`khatri_rao`
   or :func:`kron` design) behind every pi, sigma_p and beta_p upper end, and
   :func:`top_singular_pair`: numpy's own LAPACK gufuncs behind
@@ -57,9 +64,9 @@ from .spaces import INF, NormedSpace, UnsupportedNormError, extreme_points
 
 __all__ = [
     "aligned_outer", "aligned_values", "apply_axis", "ball_grid", "contract", "contract_all_but",
-    "contract_leading", "grid_plan", "grid_sup", "grid_tensor", "grid_values", "khatri_rao",
-    "kron", "leading_direction", "memo", "outer", "point_families", "refit", "sweep_specs",
-    "top_singular_pair", "vertex_count", "vertex_matrix",
+    "contract_leading", "grid_plan", "grid_sup", "grid_tensor", "grid_values", "half_vertices",
+    "khatri_rao", "kron", "leading_direction", "memo", "outer", "point_families", "refit",
+    "sweep_specs", "top_singular_pair", "vertex_count", "vertex_matrix",
     "RESIDUAL_TOL", "column_norms", "norm_gradient", "q_norm", "repair_pivot",
 ]
 
@@ -85,19 +92,27 @@ _MEMO_SIZE = 8
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _plan(spec: str, shapes: tuple[tuple[int, ...], ...]) -> tuple[tuple, ...]:
+def _plan(
+    spec: str, shapes: tuple[tuple[int, ...], ...], rows: tuple[int | None, ...] | None = None
+) -> tuple[tuple, ...]:
     """The steps ``np.einsum(spec, *operands, optimize=True)`` runs on these shapes.
 
     A step is ``(positions, eq, bmm)``: pop the operands at ``positions``, in
     that order, and contract them with ``np.einsum(eq, ...)``, or, for a pair,
     by numpy's batch-matmul recipe ``bmm = (eq_a, eq_b, shape_a, shape_b,
-    shape_ab, perm_ab, pure)``.  Only shapes are read, never values.
+    shape_ab, perm_ab, pure)``.  The pairs and their specs are numpy's path
+    for the shapes with ``rows[k]`` (where not None) as operand k's first
+    axis, each recipe the one for the operands' own shapes.  Only shapes are
+    read, never values.
     """
     from numpy._core.einsumfunc import _parse_eq_to_batch_matmul
 
     if "->" not in spec or "." in spec:
         raise ValueError(f"contract needs an explicit output and no ellipsis: {spec!r}")
-    zeros = [np.broadcast_to(0.0, s) for s in shapes]
+    planned = shapes if rows is None else [
+        s if r is None else (r,) + s[1:] for r, s in zip(rows, shapes)
+    ]
+    zeros = [np.broadcast_to(0.0, s) for s in planned]
     _, steps = np.einsum_path(spec, *zeros, optimize=True, einsum_call=True)
     shapes, plan = list(shapes), []
     for positions, eq, _ in steps:
@@ -112,16 +127,21 @@ def _plan(spec: str, shapes: tuple[tuple[int, ...], ...]) -> tuple[tuple, ...]:
     return tuple(plan)
 
 
-def contract(spec: str, *operands: np.ndarray) -> np.ndarray:
+def contract(
+    spec: str, *operands: np.ndarray, rows: tuple[int | None, ...] | None = None
+) -> np.ndarray:
     """``np.einsum(spec, *operands, optimize=True)``, with the plan cached.
 
     The result is bitwise equal to that call, strides included: each step of
     the cached plan makes the calls numpy's own replay makes (one-step
     ``np.einsum``, ``np.matmul`` or ``np.multiply``, reshapes, transposes).
-    No path is searched or validated at call time.
+    No path is searched or validated at call time.  With ``rows`` the
+    operands contract along numpy's path for operand k with ``rows[k]``
+    rows (where not None): a grid on half vertex sets takes the full sets'
+    path, so each of its entries is computed as the full grid computes it.
     """
     ops = list(operands)
-    for positions, eq, bmm in _plan(spec, tuple(op.shape for op in operands)):
+    for positions, eq, bmm in _plan(spec, tuple(op.shape for op in operands), rows):
         args = [ops.pop(i) for i in positions]
         if bmm is None:
             ops.append(np.einsum(eq, *args))
@@ -158,14 +178,20 @@ def _specs(n: int, tail: int) -> Mapping[str, str]:
     })
 
 
-def grid_values(coeffs: np.ndarray, fams: Sequence[np.ndarray]) -> np.ndarray:
+def grid_values(
+    coeffs: np.ndarray, fams: Sequence[np.ndarray], rows: Sequence[int] | None = None
+) -> np.ndarray:
     """Evaluate a coefficient array on the full grid of one family per axis.
 
     ``coeffs`` has one axis per family (plus optional trailing axes); the
     result has one grid axis per family (row J_l of family l), followed by
-    the trailing axes: spec ``abc..,Aa,Bb,..->AB..`` plus the tail.
+    the trailing axes: spec ``abc..,Aa,Bb,..->AB..`` plus the tail.  With
+    ``rows``, the family sizes of the full grid that half vertex sets stand
+    for, the contraction takes that grid's path, so every entry is bit for
+    bit the full grid's entry at the same tuple.
     """
-    return contract(_specs(len(fams), coeffs.ndim - len(fams))["grid_values"], coeffs, *fams)
+    spec = _specs(len(fams), coeffs.ndim - len(fams))["grid_values"]
+    return contract(spec, coeffs, *fams, rows=None if rows is None else (None, *rows))
 
 
 def grid_tensor(weights: np.ndarray, fams: Sequence[np.ndarray]) -> np.ndarray:
@@ -387,13 +413,22 @@ def vertex_count(space: NormedSpace) -> int:
     )
 
 
-def _build_vertex_matrix(space: NormedSpace) -> np.ndarray:
+def _build_vertex_sets(space: NormedSpace) -> tuple[np.ndarray, np.ndarray]:
     M = np.stack([v.coords for v in extreme_points(space)])
+    # p = 1 lists each pair as +e_i, -e_i; p = inf lists its + half first; an interval is (+, -)
+    H = np.ascontiguousarray(M[::2] if space.p == 1.0 else M[: len(M) // 2])
     M.setflags(write=False)
-    return M
+    H.setflags(write=False)
+    return M, H
 
 
-_cached_vertex_matrix = functools.lru_cache(maxsize=_VERTEX_CACHE_SIZE)(_build_vertex_matrix)
+_cached_vertex_sets = functools.lru_cache(maxsize=_VERTEX_CACHE_SIZE)(_build_vertex_sets)
+
+
+def _vertex_sets(space: NormedSpace) -> tuple[np.ndarray, np.ndarray]:
+    if vertex_count(space) * space.dim > _VERTEX_CACHE_MAX_ENTRIES:
+        return _build_vertex_sets(space)
+    return _cached_vertex_sets(space)
 
 
 def vertex_matrix(space: NormedSpace) -> np.ndarray:
@@ -404,9 +439,20 @@ def vertex_matrix(space: NormedSpace) -> np.ndarray:
     bidual, when the weights round-trip) share one array.  Check
     :func:`vertex_count` against any budget before calling this.
     """
-    if vertex_count(space) * space.dim > _VERTEX_CACHE_MAX_ENTRIES:
-        return _build_vertex_matrix(space)
-    return _cached_vertex_matrix(space)
+    return _vertex_sets(space)[0]
+
+
+def half_vertices(space: NormedSpace) -> np.ndarray:
+    """One extreme point per pair v, -v of the unit ball, read-only and C-contiguous.
+
+    The first of each pair in :func:`vertex_matrix` order: the rows e_i/w_i
+    for p = 1, the sign rows whose first sign is + for p = inf, and the +
+    end of an interval.  ``vertex_matrix`` is these rows each followed by
+    its negation for p = 1, and these rows followed by their negations in
+    reverse order otherwise.  Cached with :func:`vertex_matrix`; check
+    :func:`vertex_count` against any budget before calling this.
+    """
+    return _vertex_sets(space)[1]
 
 
 def grid_plan(space: NormedSpace, resolution: int) -> tuple[float, int]:
@@ -450,18 +496,27 @@ def point_families(
     """One point family per ball and the sum of their covering radii, or None.
 
     The one gate of every exhaustive route.  A polyhedral ball gives its
-    :func:`vertex_matrix` (radius 0), any other a :func:`ball_grid` grid when
-    ``resolution >= 2``.  None, before any vertex is built, when a smooth
-    ball has no grid, the radii sum to 1 or more, or the product of the
-    family sizes exceeds ``budget``.  Nothing is planned unless every
-    (resolution + 1)^dim mesh fits the budget, and nothing is meshed unless
-    the product of the :func:`grid_plan` floors fits it too.
+    :func:`half_vertices`, one vertex per pair v, -v (radius 0), any other a
+    :func:`ball_grid` grid when ``resolution >= 2``.  Every ball is symmetric
+    and every quantity priced on the families is even in each slot
+    (|A(x_1, ..., x_n)|, |products|^p, the pi LP's rows [T; -T]); a sign
+    flip is exact in floating point, so a tuple and its sign twins price
+    alike, and the first maximizer in the full grid's C order is a tuple of
+    + representatives.  Priced along the full grid's einsum path (the
+    ``rows`` of :func:`grid_values`), the half sets give the full sets'
+    values and argmax rows, bit for bit.  The budget, and the counts the
+    callers report, are the full grid's: each kept vertex stands for two.
+    None, before any vertex is built, when a smooth ball has no grid,
+    the radii sum to 1 or more, or the product of the full family sizes
+    exceeds ``budget``.  Nothing is planned unless every (resolution + 1)^dim
+    mesh fits the budget, and nothing is meshed unless the product of the
+    :func:`grid_plan` floors fits it too.
     """
     smooth = [sp for sp in balls if not sp.is_polyhedral()]
     if not smooth:
         if math.prod(map(vertex_count, balls)) > budget:
             return None
-        return [vertex_matrix(sp) for sp in balls], 0.0
+        return [half_vertices(sp) for sp in balls], 0.0
     if resolution < 2 or max((resolution + 1) ** sp.dim for sp in smooth) > budget:
         return None  # before grid_plan, whose ticks grow with the resolution
     plans = [grid_plan(sp, resolution) for sp in smooth]
@@ -473,7 +528,7 @@ def point_families(
     if vertices * math.prod(map(len, grids)) > budget:
         return None
     rest = iter(grids)
-    return [vertex_matrix(sp) if sp.is_polyhedral() else next(rest) for sp in balls], slack
+    return [half_vertices(sp) if sp.is_polyhedral() else next(rest) for sp in balls], slack
 
 
 _memo: OrderedDict[tuple, object] = OrderedDict()
@@ -552,8 +607,14 @@ def cache_clear() -> None:
     _memo.clear()
 
 
-def grid_sup(coeffs: np.ndarray, fams: Sequence[np.ndarray]) -> tuple[float, tuple[np.ndarray, ...]]:
-    """Largest |value| on the :func:`grid_values` grid, and copies of a row tuple attaining it."""
-    values = grid_values(coeffs, fams)
+def grid_sup(
+    coeffs: np.ndarray, fams: Sequence[np.ndarray], rows: Sequence[int] | None = None
+) -> tuple[float, tuple[np.ndarray, ...]]:
+    """Largest |value| on the :func:`grid_values` grid, and copies of the first tuple attaining it.
+
+    ``rows`` as for :func:`grid_values`: half vertex sets then give the full
+    grid's value and first maximizer, bit for bit.
+    """
+    values = grid_values(coeffs, fams, rows)
     idx = np.unravel_index(int(np.argmax(np.abs(values))), values.shape)
     return float(abs(values[idx])), tuple(F[i].copy() for F, i in zip(fams, idx))

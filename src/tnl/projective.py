@@ -333,7 +333,15 @@ def _pi_lower_polyhedral(
 ) -> tuple[float, np.ndarray]:
     """Exact dual bound by linear programming over the polytope of feasible forms.
 
-    ``pts`` are the factor balls' vertex matrices, one constraint per tuple.
+    ``pts`` hold one vertex per pair v, -v of each factor ball (the
+    :func:`~tnl.kernels.point_families` half sets).  A form's value at a
+    tuple with some signs flipped is +-T x at the tuple of + representatives,
+    so the rows [T; -T], one pair per kept tuple, bound the same polytope as
+    the full enumeration, whose rows are 2^n copies of each of these: 2^n
+    times fewer rows, none of them new.  The solver may still land on
+    another optimal point of that polytope, within its tolerance; the exact
+    rescale below, on the full grid's einsum path, keeps the form feasible
+    whatever it returns.
     ``import tnl`` loads numpy only; scipy's LP solver is imported here, on the
     first polyhedral π certificate, so runs that never solve an LP (ε, sup,
     σ_p, β_p, the witness) start without it.
@@ -352,7 +360,7 @@ def _pi_lower_polyhedral(
     if not res.success:
         return 0.0, np.zeros_like(coeffs)
     A = res.x.reshape(coeffs.shape)
-    sup, _ = grid_sup(A, pts)  # exact sup norm of A
+    sup, _ = grid_sup(A, pts, [2 * len(P) for P in pts])  # exact sup norm of A
     if sup <= 1e-300:
         return 0.0, np.zeros_like(coeffs)
     A = A / sup

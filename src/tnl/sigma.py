@@ -195,6 +195,16 @@ def _modulus_exact(
 ) -> tuple[float | np.ndarray, bool, Callable[[], ModulusResult | list[ModulusResult]]]:
     """The moduli of (R, m, d_l) families by enumeration over ``points``, each dual ball's vertices.
 
+    ``points`` hold one vertex per pair phi, -phi of each dual ball (the
+    :func:`~tnl.kernels.point_families` half sets).  Flipping the sign of one
+    functional flips the sign of every term product, exactly, and leaves
+    |products|^p as it was, so each kept tuple prices as all 2^n of its sign
+    twins do; the first maximizer in the full grid's C order is a tuple of
+    + representatives, so the value and the functionals are the full grid's,
+    bit for bit (the outer products of the half sets take the full sets'
+    einsum path, as every family halves alike).  ``iterations`` counts the
+    full grid, 2^n times the tuples priced.
+
     Returns the (R,) array of their values and a ``results()`` that builds
     each family's :class:`ModulusResult` from the same grid, its value rooted
     on a Python float as for the family alone.  With one factor (a
@@ -219,13 +229,14 @@ def _modulus_exact(
 
     def results() -> list[ModulusResult]:
         out = []
+        count = math.prod(2 * len(P) for P in points)  # the full vertex grid's tuples
         for r in range(R):
             g = grid[..., r]
             flat = int(np.argmax(g))
             top = float(g.flat[flat])
             idx = np.unravel_index(flat, g.shape)
             funcs = tuple(P[i].copy() for P, i in zip(points, idx))
-            out.append(ModulusResult(top if p == INF else top ** (1.0 / p), funcs, True, g.size))
+            out.append(ModulusResult(top if p == INF else top ** (1.0 / p), funcs, True, count))
         return out
 
     if one:

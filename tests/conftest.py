@@ -41,6 +41,18 @@ def ball_vertices(space: NormedSpace) -> list[np.ndarray]:
     raise ValueError(f"not polyhedral: p={space.p}")
 
 
+def with_negations(space: NormedSpace, half: np.ndarray) -> np.ndarray:
+    """The full vertex matrix from one vertex per pair v, -v, in ``vertex_matrix`` order.
+
+    p = 1 lists each vertex before its negation; any other polyhedral ball
+    (p = inf, or an interval) lists the half first, then its negations in
+    reverse order.
+    """
+    if space.p == 1.0:
+        return np.stack([half, -half], axis=1).reshape(-1, space.dim)
+    return np.concatenate([half, -half[::-1]])
+
+
 def eps_oracle(z: Tensor) -> float:
     """Injective norm by direct enumeration over dual-ball vertices."""
     grids = [ball_vertices(f.dual()) for f in z.space.factors]

@@ -28,7 +28,9 @@ from tnl.injective import sup_bracket
 from tnl.kernels import ball_grid, grid_plan, point_families
 from tnl.tensors import eval_functionals
 
-from conftest import ball_vertices, elementary_tensor, eps_oracle, random_factors, sigma_max
+from conftest import (
+    ball_vertices, elementary_tensor, eps_oracle, random_factors, sigma_max, with_negations,
+)
 
 ASCENT = EpsilonConfig(budget=1)  # no exhaustive route fits: every bracket is ascent
 
@@ -72,9 +74,11 @@ class TestPolyhedralExact:
         balls = z.space.dual_factors()
         assert point_families(balls, 511) is None  # 8^3 vertex tuples
         fams, slack = point_families(balls, 512)
-        assert [len(F) for F in fams] == [8, 8, 8] and slack == 0.0
+        assert [len(F) for F in fams] == [4, 4, 4] and slack == 0.0  # one vertex per +- pair
+        for sp, F in zip(balls, fams):
+            assert np.array_equal(with_negations(sp, F), kernels.vertex_matrix(sp))
         assert eps_bracket(z, EpsilonConfig(budget=511))[0].upper == INF
-        assert eps_bracket(z, EpsilonConfig(budget=512))[0].iterations == 512
+        assert eps_bracket(z, EpsilonConfig(budget=512))[0].iterations == 512  # the full grid
 
 
 class TestEuclidean:

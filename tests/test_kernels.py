@@ -29,8 +29,9 @@ from tnl import kernels
 from tnl.evaluators import make_epsilon_evaluator
 from tnl.injective import sup_bracket
 from tnl.spaces import extreme_points
+from tnl.tensors import canonical_gauge
 
-from conftest import ball_vertices, map_sup_oracle
+from conftest import ball_vertices, map_sup_oracle, with_negations
 
 
 def _spec_families(n: int) -> list[str]:
@@ -423,9 +424,13 @@ def test_exhaustive_route_matches_oracle_and_checks_budget_first(counted_extreme
     assert counted_extreme_points == []
 
     fams, slack = kernels.point_families(balls, 96)
-    assert [len(F) for F in fams] == [4, 6, 4] and slack == 0.0
+    assert [len(F) for F in fams] == [2, 3, 2] and slack == 0.0  # one vertex per +- pair
+    for sp, F in zip(balls, fams):
+        assert np.array_equal(with_negations(sp, F), kernels.vertex_matrix(sp))
     fams, slack = kernels.point_families(mixed, total, 6)
-    assert np.array_equal(fams[0], grid) and slack == delta
+    assert np.array_equal(fams[0], grid) and slack == delta  # a grid stays whole
+    for sp, F in zip(mixed[1:], fams[1:]):
+        assert np.array_equal(with_negations(sp, F), kernels.vertex_matrix(sp))
     est, slots = sup_bracket(A.coeffs, balls, EpsilonConfig(budget=96))
     assert est.iterations == 4 * 6 * 4
     assert est.lower == est.upper == pytest.approx(map_sup_oracle(A), rel=1e-12)
@@ -451,10 +456,10 @@ def counted_extreme_points(monkeypatch):
         calls.append(space)
         return extreme_points(space)
 
-    kernels._cached_vertex_matrix.cache_clear()
+    kernels._cached_vertex_sets.cache_clear()
     monkeypatch.setattr(kernels, "extreme_points", counting)
     yield calls
-    kernels._cached_vertex_matrix.cache_clear()
+    kernels._cached_vertex_sets.cache_clear()
 
 
 def test_budget_checked_before_vertices_are_built(counted_extreme_points):
@@ -488,13 +493,16 @@ def test_point_families_is_the_one_gate(counted_extreme_points, monkeypatch):
     spaces = big + [NormedSpace(1, 2.0)]  # a one-dimensional ball is an interval
     mats, slack = kernels.point_families(spaces, 128)
     assert len(mats) == 3 and slack == 0.0 and counted_extreme_points
+    assert [len(M) for M in mats] == [4, 4, 1]  # one vertex per +- pair
     for M, sp in zip(mats, spaces):
-        assert M is kernels.vertex_matrix(sp)
+        assert M is kernels.half_vertices(sp)
+        assert M.flags.c_contiguous and not M.flags.writeable
+        assert np.array_equal(with_negations(sp, M), kernels.vertex_matrix(sp))
     assert kernels.point_families([], 1) == ([], 0.0)
     # a grid beside the vertices, with its covering radius as the slack
     mats, slack = kernels.point_families(smooth, 10**6, 8)
     grid, delta = kernels.ball_grid(smooth[1], 8)
-    assert mats[0] is kernels.vertex_matrix(smooth[0]) and np.array_equal(mats[1], grid)
+    assert mats[0] is kernels.half_vertices(smooth[0]) and np.array_equal(mats[1], grid)
     assert slack == delta
 
     def no_plan(*args):
@@ -504,6 +512,73 @@ def test_point_families_is_the_one_gate(counted_extreme_points, monkeypatch):
     monkeypatch.setattr(kernels, "grid_plan", no_plan)
     assert kernels.point_families(smooth, 120, 10) is None  # 11^2 mesh rows
     assert kernels.point_families(smooth, 2_000_000, 10**12) is None
+
+
+@pytest.mark.parametrize("kind", [1.0, INF])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_vertex_matrix_is_the_half_set_and_its_negations(kind, dim, weighted):
+    rng = np.random.default_rng([41, int(kind == INF), dim])
+    sp = NormedSpace(dim, kind, weights=tuple(rng.uniform(0.5, 2.0, dim)) if weighted else None)
+    H, M = kernels.half_vertices(sp), kernels.vertex_matrix(sp)
+    assert 2 * len(H) == len(M) == kernels.vertex_count(sp)
+    assert H.flags.c_contiguous and not H.flags.writeable
+    assert kernels.half_vertices(sp) is H  # cached beside the full set
+    assert np.array_equal(with_negations(sp, H), M)  # equal as numbers: -0.0 == 0.0
+    kept = np.arange(0, len(M), 2) if kind == 1.0 else np.arange(len(H))
+    assert H.tobytes() == M[kept].tobytes()  # the first of each pair, byte for byte
+
+
+def _reference_grid_sup(coeffs, fams):
+    """grid_sup as it enumerated every vertex: numpy's own einsum path on the full families."""
+    n = len(fams)
+    lo, up = "abcdefgh"[:n], "ABCDEFGH"[:n]
+    spec = lo + "," + ",".join(u + c for u, c in zip(up, lo)) + "->" + up
+    values = np.einsum(spec, coeffs, *fams, optimize=True)
+    idx = np.unravel_index(int(np.argmax(np.abs(values))), values.shape)
+    return float(abs(values[idx])), tuple(F[i].copy() for F, i in zip(fams, idx)), values.size
+
+
+def _random_balls(rng, smooth=False):
+    """One to four balls of dimension 1-4: p in {1, inf}, some weighted, maybe one Euclidean."""
+    balls = []
+    for _ in range(int(rng.integers(1, 5))):
+        d = int(rng.integers(1, 5))
+        w = tuple(rng.uniform(0.5, 2.0, d)) if rng.random() < 0.5 else None
+        balls.append(NormedSpace(d, float(rng.choice((1.0, INF))), weights=w))
+    if smooth:
+        balls[int(rng.integers(len(balls)))] = NormedSpace(2, 2.0)
+    return tuple(balls)
+
+
+def test_half_grids_are_bitwise_the_full_enumeration():
+    """grid_sup and sup_bracket on the gate's half sets: the full grid's value, slots and count."""
+    rng = np.random.default_rng(42)
+    seen = 0
+    while seen < 300:
+        balls = _random_balls(rng, smooth=seen % 5 == 0)
+        gate = kernels.point_families(balls, 4096, 4)
+        if gate is None:
+            continue
+        seen += 1
+        coeffs = rng.standard_normal(tuple(sp.dim for sp in balls))
+        if seen % 3 == 0 and np.any(np.round(coeffs)):
+            coeffs = np.round(coeffs)  # ties among the maxima
+        fams, _ = gate
+        full = [kernels.vertex_matrix(sp) if sp.is_polyhedral() else F
+                for sp, F in zip(balls, fams)]
+        value, slots, count = _reference_grid_sup(coeffs, full)
+        got, got_slots = kernels.grid_sup(coeffs, fams, [len(F) for F in full])
+        assert got == value
+        for a, b in zip(got_slots, slots, strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        # the route itself: the gauged array's sup, with the full grid's count
+        normalized, scale, _ = canonical_gauge(coeffs)
+        value, slots, count = _reference_grid_sup(normalized, full)
+        est, got_slots = sup_bracket(coeffs, balls, EpsilonConfig(budget=4096, grid_resolution=4))
+        assert est.lower == value * scale and est.iterations == count
+        for a, b in zip(got_slots, slots, strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _tensordot_chain(coeffs, vecs, axes):

@@ -510,6 +510,59 @@ def test_lp_route_bracket_is_pinned(factors, seed, lower, upper, monkeypatch):
     assert len(calls) == 1
 
 
+def _reference_pi_lower_polyhedral(pts, coeffs):
+    """The LP certificate as it enumerated every vertex: rows [T; -T] over all vertex tuples."""
+    from scipy.optimize import linprog
+
+    T = tnl_kernels.kron(pts)
+    res = linprog(-coeffs.ravel(), A_ub=np.vstack([T, -T]), b_ub=np.ones(2 * len(T)),
+                  bounds=(None, None), method="highs")
+    A = res.x.reshape(coeffs.shape)
+    return abs(float(np.vdot(A / np.abs(T @ res.x).max(), coeffs)))
+
+
+def _full_grid_sup(A, pts):
+    """max |A| over every vertex tuple, along numpy's own einsum path on the full vertex sets."""
+    lo, up = "abc"[: A.ndim], "ABC"[: A.ndim]
+    spec = lo + "," + ",".join(u + c for u, c in zip(up, lo)) + "->" + up
+    return float(np.abs(np.einsum(spec, A, *pts, optimize=True)).max())
+
+
+def test_lp_on_half_rows_is_feasible_and_within_dust_of_the_full_rows(monkeypatch):
+    """One row pair per vertex tuple up to sign bounds the same polytope as every tuple's rows."""
+    sups = []
+    grid_sup = projective.grid_sup
+
+    def spy(A, *args):
+        sups.append((A, grid_sup(A, *args)[0]))
+        return grid_sup(A, *args)
+
+    monkeypatch.setattr(projective, "grid_sup", spy)
+    rng = np.random.default_rng(37)
+    case = 0
+    while case < 200:
+        dims = rng.integers(1, 5, size=int(rng.integers(2, 4)))
+        factors = [NormedSpace(int(d), float(rng.choice((1.0, INF))),
+                               weights=tuple(rng.uniform(0.5, 2.0, d)) if case % 2 else None)
+                   for d in dims]
+        gate = tnl_kernels.point_families(factors, 1024)
+        if gate is None:
+            continue
+        case += 1
+        half, _ = gate
+        coeffs = rng.standard_normal(tuple(f.dim for f in factors))
+        coeffs /= np.abs(coeffs).max()
+        sups.clear()
+        value, A = projective._pi_lower_polyhedral(half, coeffs)
+        full = [tnl_kernels.vertex_matrix(f) for f in factors]
+        # the exact rescale divides by the full grid's sup, bit for bit
+        ((form, sup),) = sups
+        assert sup == _full_grid_sup(form, full)
+        # feasible after the exact rescale, on every vertex tuple
+        assert np.abs(tnl_kernels.kron(full) @ A.ravel()).max() <= 1.0 + 1e-15
+        assert value == pytest.approx(_reference_pi_lower_polyhedral(full, coeffs), rel=1e-13)
+
+
 def _walk_inputs():
     """The refine corpus, plus inputs for the walk's rarer outcomes and wider designs.
 

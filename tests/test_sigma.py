@@ -345,6 +345,71 @@ def test_modulus_exact_one_space_matches_contract_route_bitwise(kind, p):
                 assert got.shape == phi.shape and got.tobytes() == phi.tobytes()
 
 
+def _reference_modulus_exact(points, mats, p):
+    """_modulus_exact as it enumerated every vertex: the values and (value, functionals, count)s."""
+    one = mats[0].ndim == 2
+    if one:
+        mats = [X[None] for X in mats]
+    R = mats[0].shape[0]
+    cols = [X.reshape(-1, X.shape[-1]) for X in mats]
+    if len(points) == 1:
+        prod = points[0] @ cols[0].T
+    else:
+        up = "ABCDEFGH"[: len(points)]
+        spec = ",".join(u + "j" for u in up) + "->" + up + "j"
+        prod = np.einsum(spec, *[P @ X.T for P, X in zip(points, cols)], optimize=True)
+    prod = prod.reshape(prod.shape[:-1] + (R, -1))
+    grid = np.abs(prod).max(axis=-1) if p == INF else (np.abs(prod) ** p).sum(axis=-1)
+    results = []
+    for r in range(R):
+        g = grid[..., r]
+        flat = int(np.argmax(g))
+        top = float(g.flat[flat])
+        idx = np.unravel_index(flat, g.shape)
+        funcs = tuple(P[i].copy() for P, i in zip(points, idx))
+        results.append((top if p == INF else top ** (1.0 / p), funcs, g.size))
+    if one:
+        return results[0][0], results
+    best = grid.reshape(-1, R).max(axis=0)
+    if p == INF:
+        return best, results
+    if len(points) == 1:
+        return np.array([v ** (1.0 / p) for v in best.tolist()]), results
+    return best ** (1.0 / p), results
+
+
+def test_modulus_exact_on_half_sets_is_bitwise_the_full_enumeration():
+    """Values, functionals and counts of the gate's half sets, against every vertex."""
+    rng = np.random.default_rng(36)
+    for case in range(240):
+        spaces = []
+        for _ in range(int(rng.integers(1, 5))):
+            d = int(rng.integers(1, 5))
+            w = tuple(rng.uniform(0.5, 2.0, d)) if rng.random() < 0.5 else None
+            spaces.append(NormedSpace(d, float(rng.choice((1.0, INF))), weights=w))
+        duals = [sp.dual() for sp in spaces]
+        gate = point_families(duals, 4096)
+        if gate is None:
+            continue
+        m, R = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        mats = [rng.standard_normal((R, m, sp.dim)) for sp in spaces]
+        if case % 3 == 0:
+            mats = [np.round(X) for X in mats]  # ties among the maxima
+        if case % 4 == 0:
+            mats = [X[0] for X in mats]  # one (m, d_l) family
+        full = [vertex_matrix(sp) for sp in duals]
+        for p in (1.0, 1.5, 2.0, 3.0, INF):
+            value, exact, result = sigma._modulus_exact(gate[0], mats, p)
+            ref_value, ref = _reference_modulus_exact(full, mats, p)
+            assert exact and np.asarray(value).tobytes() == np.asarray(ref_value).tobytes()
+            got = result()
+            for res, (v, funcs, count) in zip(got if isinstance(got, list) else [got], ref,
+                                               strict=True):
+                assert res.exact and res.value == v and res.iterations == count
+                for a, b in zip(res.functionals, funcs, strict=True):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_strong_norm_accepts_vector_sequence():
     sp = NormedSpace(2, 1.0)
     vecs = [Vector(sp, np.array([1.0, 0.0])), Vector(sp, np.array([0.0, -2.0]))]
@@ -425,7 +490,7 @@ def _reference_modulus(spaces, mats, p, cfg, seeds):
     gate = point_families([sp.dual() for sp in spaces], cfg.exact_budget // m)
     if gate is None:
         return _reference_modulus_engine(spaces, mats, p, cfg, seeds)
-    points = gate[0]
+    points = [vertex_matrix(sp.dual()) for sp in spaces]  # every vertex, not the gate's half sets
     if len(points) == 1:
         prod = points[0] @ mats[0].T
     else:
