@@ -10,9 +10,9 @@ routine, spec and operand order behind each value are decided in one place:
   :func:`grid_tensor` is its mirror, :func:`grid_sup` the maximum over a
   product of point families; :func:`aligned_values` and
   :func:`aligned_outer` do the same for aligned families (one index j);
-* :func:`kron` (also of stacks with one leading batch axis, beta_p's blocks
-  of one shape), :func:`khatri_rao` (also of stacks, the pi line search's
-  trials), :func:`outer`, :func:`apply_axis` and
+* :func:`kron` (also of stacks with leading batch axes, beta_p's trials of
+  blocks of one shape), :func:`khatri_rao` (also of stacks, the pi line
+  search's trials), :func:`outer`, :func:`apply_axis` and
   :func:`leading_direction`; :func:`contract_leading` and :func:`contract_all_but`
   share one per-axis step, ``np.tensordot``'s own transpose, reshape and dot;
 * :func:`vertex_matrix` caches a polyhedral ball's extreme points as one
@@ -31,12 +31,13 @@ routine, spec and operand order behind each value are decided in one place:
   count is the full enumeration's, bit for bit;
 * :func:`refit`, the one least-squares reconstruction (on a :func:`khatri_rao`
   or :func:`kron` design) behind every pi, sigma_p and beta_p upper end, and
-  :func:`top_singular_pair`: numpy's own LAPACK gufuncs behind
-  ``np.linalg.lstsq(a, b, rcond=None)`` and the reduced ``np.linalg.svd``,
-  under numpy's own error state, without the argument handling (a stack of
-  matrices goes through one gufunc call: the eight trials of a pi line-search
-  step on a small design, or the look-ahead trials of a beta_p polish pass);
-  the pi refine and beta_p polish loops call them hundreds of times per call.
+  :func:`top_singular_pair` (of stacks only): numpy's own LAPACK gufuncs
+  behind ``np.linalg.lstsq(a, b, rcond=None)`` and the reduced
+  ``np.linalg.svd``, under numpy's own error state, without the argument
+  handling (a stack of matrices goes through one gufunc call: the trials of
+  a pi line-search pass, a beta_p set's fit or its look-ahead trials, a
+  stack of strong norms); the pi refine and beta_p polish loops call them
+  hundreds of times per call.
   Numpy's private linalg names appear in this module only, imported on first
   use, so a numpy that moves them breaks these two kernels, not ``import tnl``;
 * the helpers the norm modules share: :func:`norm_gradient`,
@@ -215,9 +216,9 @@ def aligned_outer(cols: Sequence[np.ndarray]) -> np.ndarray:
 def kron(mats: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product, left to right; bit for bit and in memory layout the ``np.kron`` chain.
 
-    Matrices with one leading batch axis of a common length B give the (B, ...)
-    stack of their slices' products, each slice bit for bit and in memory layout
-    the 2-D product of the slices (beta_p prices a set of equal blocks at once).
+    Matrices with common leading batch axes give the stack of their slices'
+    products, each slice bit for bit and in memory layout the 2-D product of
+    the slices (beta_p fits K trials of B equal blocks at once).
     """
     out = mats[0]
     for M in mats[1:]:
@@ -314,8 +315,8 @@ def refit(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     own gufunc runs under numpy's own error state and rcond rule, so a
     non-converging SVD raises the same ``LinAlgError``.  The residual is
     ``np.linalg.norm(design @ solution - target)``, computed as numpy does.
-    A (K, m, n) stack of designs, beta_p's look-ahead trials or the pi line
-    search's eight step halvings (on a small design), shares the one target
+    A (K, m, n) stack of designs, beta_p's look-ahead trials or a pi
+    line-search pass of step halvings, shares the one target
     and goes through one gufunc call and one stacked matmul; it gives the
     (K, n, k) solutions and the (K,) residuals, each slice's bit for bit its
     own 2-D call's when the slices have the 2-D design's strides.
@@ -330,17 +331,15 @@ def refit(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     return sol, np.sqrt(r @ r.swapaxes(-1, -2))[:, 0, 0]  # a vector @ vector is ndarray.dot
 
 
-def top_singular_pair(a: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
-    """``s[0]`` and ``vt[0]`` of ``np.linalg.svd(a, full_matrices=False)``, bit for bit.
+def top_singular_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each slice's ``s[0]`` and ``vt[0]`` of ``np.linalg.svd(a, full_matrices=False)``, bitwise.
 
-    One call of the reduced SVD's own gufunc under numpy's own error state; the
-    singular-value-only gufunc may differ in the last bits, so it is not used.
     A (B, m, n) stack gives the (B,) top singular values and the (B, n) top
-    rows, from the same one call; each slice's pair is bit for bit its own.
+    rows from one call of the reduced SVD's own gufunc, under numpy's own
+    error state; the singular-value-only gufunc may differ in the last bits,
+    so it is not used.
     """
     _, s, vt = _linalg_gufuncs()[1](a, signature="d->ddd")
-    if a.ndim == 2:
-        return float(s[0]), vt[0]
     return s[:, 0], vt[:, 0]
 
 

@@ -165,16 +165,16 @@ def _refine_candidate(
     every accepted state reconstructs the tensor.  Each iteration walks its
     eight trial steps (the step, halved seven times) in order and takes the
     first that keeps the residual tolerance and lowers the objective; when
-    none does, the search has converged.  A refit design of at most
-    ``_STACK_ENTRIES`` entries prices all eight trials in one stacked pass, a
-    larger one a trial at a time; either way the accepted step is the one
-    the one-trial-at-a-time search stops at.  The column norms behind an
+    none does, the search has converged.  The walk prices ``width`` trials a
+    pass as one stack of states: all eight on a refit design of at most
+    ``_STACK_ENTRIES`` entries, else one; either way the accepted step is the
+    one the one-trial-at-a-time search stops at.  The column norms behind an
     accepted objective give the next gradient.
     """
     free_idx = [l for l in range(len(factors)) if l != pivot]
     free_spaces = [factors[l] for l in free_idx]
     unfolded = np.moveaxis(coeffs, pivot, 0).reshape(coeffs.shape[pivot], -1)
-    stacked = unfolded.shape[1] * free_mats[0].shape[1] <= _STACK_ENTRIES
+    width = 8 if unfolded.shape[1] * free_mats[0].shape[1] <= _STACK_ENTRIES else 1
 
     start = [_normalize_columns(s, M) for s, M in zip(free_spaces, free_mats)]
     value, resid, mats, norms, prods = _price(factors, unfolded, pivot, start)
@@ -195,31 +195,20 @@ def _refine_candidate(
         if gnorm <= 1e-14:
             converged = True
             break
+        trials = step * 0.5 ** np.arange(8)  # the step halved seven times, each halving exact
         accepted = None
-        if stacked:
-            trials = [step]
-            for _ in range(7):
-                trials.append(trials[-1] * 0.5)
-            t = np.array(trials)[:, None, None]
+        for first in range(0, 8, width):
+            t = trials[first : first + width, None, None]
             values, resid, mats_k, norms_k, prods_k = _price(factors, unfolded, pivot, [
                 _normalize_columns(s, M - t * g / gnorm)
                 for s, M, g in zip(free_spaces, free, grads)
             ])
             ok = (resid <= RESIDUAL_TOL) & (values < best - 1e-15)
             if ok.any():
-                i = int(ok.argmax())  # the first acceptable trial
-                accepted = trials[i], values[i], [M[i] for M in mats_k], norms_k[:, i], prods_k[i]
-        else:
-            trial = step
-            for _ in range(8):
-                value, resid, mats_i, norms_i, prods_i = _price(factors, unfolded, pivot, [
-                    _normalize_columns(s, M - trial * g / gnorm)
-                    for s, M, g in zip(free_spaces, free, grads)
-                ])
-                if resid <= RESIDUAL_TOL and value < best - 1e-15:
-                    accepted = trial, value, mats_i, norms_i, prods_i
-                    break
-                trial *= 0.5
+                i = int(ok.argmax())  # the first acceptable trial of the pass
+                accepted = (trials[first + i], values[i], [M[i] for M in mats_k], norms_k[:, i],
+                            prods_k[i])
+                break
         if accepted is None:  # no trial step lowered the objective
             converged = True
             break

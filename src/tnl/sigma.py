@@ -186,13 +186,15 @@ def _family_arrays(
     if any(len(f) != m for f in families):
         raise SpaceError("aligned families must share one length")
     spaces = tuple(f[0].space for f in families)
-    mats = [np.stack([v.coords for v in f]) for f in families]
+    if any(v.space != sp for sp, f in zip(spaces, families) for v in f):
+        raise SpaceError("every member of a factor's family must lie in one space")
+    mats = [np.stack([v.coords for v in f])[None] for f in families]  # a batch of one
     return spaces, mats
 
 
 def _modulus_exact(
     points: Sequence[np.ndarray], mats: Sequence[np.ndarray], p: float
-) -> tuple[float | np.ndarray, bool, Callable[[], ModulusResult | list[ModulusResult]]]:
+) -> tuple[np.ndarray, bool, Callable[[], list[ModulusResult]]]:
     """The moduli of (R, m, d_l) families by enumeration over ``points``, each dual ball's vertices.
 
     ``points`` hold one vertex per pair phi, -phi of each dual ball (the
@@ -207,14 +209,11 @@ def _modulus_exact(
 
     Returns the (R,) array of their values and a ``results()`` that builds
     each family's :class:`ModulusResult` from the same grid, its value rooted
-    on a Python float as for the family alone.  With one factor (a
+    on a Python float as for a batch of one.  With one factor (a
     strong-norm stack) the array takes those roots too; the si_p batches,
     with two or more factors, keep numpy's vectorized root, whose last bit
-    can differ.  One (m, d_l) family gives its value and a ``result()``.
+    can differ.
     """
-    one = mats[0].ndim == 2
-    if one:
-        mats = [X[None] for X in mats]
     R = mats[0].shape[0]
     cols = [X.reshape(-1, X.shape[-1]) for X in mats]  # R * m aligned columns
     if len(points) == 1:  # one factor: the term products are the actions
@@ -239,9 +238,6 @@ def _modulus_exact(
             out.append(ModulusResult(top if p == INF else top ** (1.0 / p), funcs, True, count))
         return out
 
-    if one:
-        res = results()[0]
-        return res.value, True, lambda: res
     best = grid.reshape(-1, R).max(axis=0)
     if p == INF:
         return best, True, results
@@ -362,11 +358,13 @@ def family_modulus_p(
     single-member family, where the supremum is the product of norms);
     otherwise a monotone conditional-gradient ascent from seeded starts —
     a lower bound, like every maximization-based estimate in this package.
+    Each factor's family lies in one space, or :class:`SpaceError` is raised.
     """
     cfg = cfg or SigmaConfig()
     conjugate_exponent(p)  # SpaceError unless p >= 1
     spaces, mats = _family_arrays(families)
-    return _modulus_arrays(spaces, mats, p, cfg, seeds)[2]()
+    seeds = [tuple(np.asarray(x, dtype=float)[None] for x in s) for s in seeds]
+    return _modulus_arrays(spaces, mats, p, cfg, seeds)[2]()[0]
 
 
 def _modulus_arrays(
@@ -375,27 +373,22 @@ def _modulus_arrays(
     p: float,
     cfg: SigmaConfig,
     seeds: Sequence[tuple[np.ndarray, ...]] = (),
-) -> tuple[float | np.ndarray, bool, Callable[[], ModulusResult | list[ModulusResult]]]:
-    """The modulus as ``(value, exact, result)``; ``result()`` builds its ModulusResult.
+) -> tuple[np.ndarray, bool, Callable[[], list[ModulusResult]]]:
+    """The moduli of (R, m, d_l) families as ``(values, exact, results)``, one route for all R.
 
-    Each seed is a tuple of one dual row per factor.  A batch of (R, m, d_l)
-    families takes one route for all R, with one engine call on the ascent:
-    ``value`` is then the (R,) array of their moduli, ``result()`` the list of
-    their ModulusResults, and each seed holds an (R, d_l) stack per factor,
-    a row for each family.  Each family's result is bit for bit the one of
-    pricing it alone, and so is its value but on a multi-factor enumeration
-    (see :func:`_modulus_exact`).
+    Member norms (m = 1), enumeration (polyhedral dual balls within
+    ``cfg.exact_budget``) or one engine call on the ascent.  ``values`` is
+    the (R,) array of the moduli, ``results()`` builds their ModulusResults,
+    and each seed holds one (R, d_l) stack per factor, a row per family.
+    Each family's result is bit for bit the one of pricing it in a batch of
+    one, and so is its value but on a multi-factor enumeration (see
+    :func:`_modulus_exact`).
     """
-    m = mats[0].shape[-2]
+    R, m = mats[0].shape[:2]
     if m > 1:
         gate = point_families([sp.dual() for sp in spaces], cfg.exact_budget // m)
         if gate is not None:
             return _modulus_exact(gate[0], mats, p)
-    one = mats[0].ndim == 2
-    if one:  # a batch of one
-        mats = [X[None] for X in mats]
-        seeds = [tuple(np.asarray(x, dtype=float)[None] for x in s) for s in seeds]
-    R = mats[0].shape[0]
     if m == 1:
         maxima = [ball_linear_maximizer_batch(sp.dual(), X[:, 0]) for sp, X in zip(spaces, mats)]
         value = math.prod(norms for _, norms in maxima)
@@ -410,9 +403,6 @@ def _modulus_arrays(
         return [ModulusResult(float(value[r]), tuple(f[r] for f in funcs), exact, int(counts[r]))
                 for r in range(R)]
 
-    if one:
-        res = results()[0]
-        return res.value, exact, lambda: res
     return value, exact, results
 
 
@@ -429,43 +419,42 @@ def family_strong_norm(
     product of these single-factor strong norms.  Exact for polyhedral
     balls, for Euclidean balls with p = 2 (largest singular value), and for
     p = inf (the largest member norm); conditional-gradient ascent otherwise.
+    ``vectors`` is a nonempty (m, dim) family or one (dim,) vector; any
+    other shape raises :class:`SpaceError`.
     """
     cfg = cfg or SigmaConfig()
-    if isinstance(vectors, np.ndarray):
-        X = np.atleast_2d(np.asarray(vectors, dtype=float))
-    else:
-        X = np.stack([v.coords for v in vectors])
-    return _strong_norm(space, X, p, cfg)[2]()
+    X = np.asarray(vectors if isinstance(vectors, np.ndarray) else [v.coords for v in vectors],
+                   dtype=float)
+    X = X[None] if X.shape == (space.dim,) else X  # one vector: a family of one
+    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] != space.dim:
+        raise SpaceError(f"a strong norm needs a nonempty (m, {space.dim}) family, not {X.shape}")
+    return _strong_norm(space, X[None], p, cfg)[2]()[0]
 
 
 def _strong_norm(
     space: NormedSpace, X: np.ndarray, p: float, cfg: SigmaConfig
-) -> tuple[float, bool, Callable[[], ModulusResult]]:
-    """:func:`family_strong_norm` of a 2-D float family as ``(value, exact, result)``.
+) -> tuple[np.ndarray, bool, Callable[[], list[ModulusResult]]]:
+    """:func:`family_strong_norm` of a (B, m, d) stack of families as ``(values, exact, results)``.
 
-    ``result()`` builds the :class:`ModulusResult`, functionals included.
-    A (B, m, d) stack of families, beta_p's blocks of one shape, takes one
-    route for all B and is priced in one pass (one engine call on the
-    ascent): ``value`` is then the (B,) array of their values, each bit for
-    bit its own family's, and ``result`` is None.
+    One route for all B families (beta_p's blocks of one shape), priced in
+    one pass (one engine call on the ascent): ``values`` is the (B,) array
+    of their values, each bit for bit its own family's, and ``results()``
+    builds the list of their :class:`ModulusResult`, functionals included.
     """
     if p == INF:  # the largest member norm
         norms = space.norm(X)
-        if X.ndim == 3:
-            return norms.max(axis=1), True, None
-        value = float(norms.max())
-        return value, True, lambda: ModulusResult(
-            value, (ball_linear_maximizer_batch(space.dual(), X[int(np.argmax(norms))])[0][0],),
-            True, 1,
-        )
+        values, dual = norms.max(axis=1), space.dual()
+        return values, True, lambda: [
+            ModulusResult(float(v), (ball_linear_maximizer_batch(dual, F[j])[0][0],), True, 1)
+            for v, F, j in zip(values, X, norms.argmax(axis=1).tolist())
+        ]
     if space.p == 2.0 and p == 2.0:  # the top singular value of the weighted family
         w = space.weight_array()
-        value, vt0 = top_singular_pair(X * w)
-        if X.ndim == 3:
-            return value, True, None
-        return value, True, lambda: ModulusResult(value, (w * vt0,), True, 1)
-    value, exact, result = _modulus_arrays((space,), [X], p, cfg)
-    return value, exact, (None if X.ndim == 3 else result)
+        values, vt0 = top_singular_pair(X * w)
+        return values, True, lambda: [
+            ModulusResult(float(v), (w * row,), True, 1) for v, row in zip(values, vt0)
+        ]
+    return _modulus_arrays((space,), [X], p, cfg)
 
 
 def _split_scales(lam: np.ndarray, m: np.ndarray, p: float, q: float) -> np.ndarray:
@@ -713,37 +702,24 @@ def sigma_p_dual(form: Tensor, p: float, cfg: SigmaDualConfig | None = None) -> 
     return SigmaDualResult(best, best_fams, converged, iterations)
 
 
-def _fit_blocks(
-    target: np.ndarray, family_sets: Sequence[Sequence[np.ndarray]]
-) -> tuple[list[np.ndarray], float | np.ndarray]:
-    """Joint least-squares coefficients for all blocks; returns residual too.
+def _fit_blocks(target: np.ndarray, stacks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Joint least-squares coefficients of K trials of one set of B blocks, and their residuals.
 
-    ``target`` is the (domain, codomain) matrix and the design [D_1 | D_2 |
-    ...], D_b the Kronecker product of block b's X.T (rows follow the domain
-    axes in C order, columns the family rows in C order), so block b's
-    coefficients are the next prod(m_l) solution rows.  A set given as
-    per-factor (B, m_l, d_l) stacks is B blocks of one shape: one stacked
-    :func:`~tnl.kernels.kron` builds their designs, and their coefficients
-    come back as one (B, m_1, ..., m_n, k) stack.  Per-factor (K, B, m_l, d_l)
-    stacks are K trials of such a set (beta_p's look-ahead): one stacked
-    :func:`~tnl.kernels.refit` solves their K designs, giving (K, B, m_1, ...,
+    ``stacks`` holds one (K, B, m_l, d_l) stack per domain factor and
+    ``target`` is the (domain, codomain) matrix.  A trial's design is [D_1 |
+    D_2 | ...], D_b the Kronecker product of block b's X.T (rows follow the
+    domain axes in C order, columns the family rows in C order), so block
+    b's coefficients are the next prod(m_l) solution rows.  One stacked
+    :func:`~tnl.kernels.kron` builds the K * B designs and one stacked
+    :func:`~tnl.kernels.refit` solves the K trials, giving (K, B, m_1, ...,
     m_n, k) coefficients and the (K,) residuals, each trial's bit for bit the
-    fit of its (B, m_l, d_l) stacks alone.
+    fit of its 2-D design alone.
     """
-    designs: list[np.ndarray] = []
-    for fams in family_sets:
-        D = kron([X.swapaxes(-1, -2) for X in fams])
-        designs.extend(D.swapaxes(0, -3) if D.ndim > 2 else [D])  # block-major
-    # np.hstack, bit for bit; a trial's slice keeps the strides of its 2-D design
-    sol, resid = refit(np.concatenate(designs, axis=-1), target)
-    trials = sol.shape[:-2]
-    out, offset = [], 0
-    for fams in family_sets:
-        shape = fams[0].shape[len(trials) : -2] + tuple(X.shape[-2] for X in fams)
-        size = math.prod(shape)
-        out.append(sol[..., offset : offset + size, :].reshape(trials + shape + target.shape[1:]))
-        offset += size
-    return out, resid
+    D = kron([X.swapaxes(-1, -2) for X in stacks])  # (K, B, rows, prod m_l)
+    # np.hstack of the blocks, bit for bit; a trial's slice keeps the strides of its 2-D design
+    sol, resid = refit(np.concatenate(D.swapaxes(0, 1), axis=-1), target)
+    shape = stacks[0].shape[:2] + tuple(X.shape[-2] for X in stacks) + target.shape[1:]
+    return sol.reshape(shape), resid
 
 
 def _normal_stacks(
@@ -771,22 +747,20 @@ def _beta_price(
     p: float,
     q: float,
     cfg: SigmaConfig,
-) -> tuple[float | list[float], bool]:
-    """Sum over the B blocks of the q-norm of their codomain rows times their strong norms.
+) -> tuple[list[float], bool]:
+    """Per trial, the sum over its B blocks of codomain q-norm times domain strong norms.
 
-    ``stacks`` holds one (B, m_l, d_l) family stack per domain factor and
-    ``coeffs`` the (B, m_1, ..., m_n, k) coefficients.  Each block's term is
-    bit for bit the one of pricing it alone: the q-norm takes
+    ``stacks`` holds one (K, B, m_l, d_l) stack per domain factor and
+    ``coeffs`` the (K, B, m_1, ..., m_n, k) coefficients of K trials.  All
+    K * B blocks are priced in one pass per factor, and the list of the K
+    sums comes back, each summed in block order.  Each block's term is bit
+    for bit the one of pricing it alone: the q-norm takes
     :func:`~tnl.kernels.q_norm`'s steps row by row (its abs is the identity on
     norms) and each root on a Python float, which calls the same ``pow`` as
     q_norm's numpy scalar, where numpy's vectorized power can differ.
-    (K, B, m_l, d_l) stacks and (K, B, m_1, ..., m_n, k) coefficients are K
-    trials: all K * B blocks are priced in one pass per factor, and the list
-    of the K sums comes back, each summed in block order as alone.
     """
-    trials = stacks[0].shape[:-3]
-    count = math.prod(stacks[0].shape[:-2])  # blocks of all trials
-    norms = cod.norm(coeffs.reshape(count, -1, cod.dim))
+    K, blocks = stacks[0].shape[:2]
+    norms = cod.norm(coeffs.reshape(K * blocks, -1, cod.dim))
     top = norms.max(axis=1, keepdims=True)
     if q == INF:
         coefs = top.ravel().tolist()
@@ -795,15 +769,12 @@ def _beta_price(
         sums = ((norms / np.fmax(top, 5e-324)) ** q).sum(axis=1)
         e = 1.0 / q
         coefs = [0.0 if t <= 0.0 else t * s**e for (t,), s in zip(top.tolist(), sums.tolist())]
-    columns = []
-    certified = True
-    for sp, S in zip(domain, stacks):
-        values, exact, _ = _strong_norm(sp, S.reshape(count, *S.shape[-2:]), p, cfg)
-        columns.append(values.tolist())
-        certified = certified and exact
-    blocks = stacks[0].shape[-3]
+    priced = [_strong_norm(sp, S.reshape(K * blocks, *S.shape[2:]), p, cfg)
+              for sp, S in zip(domain, stacks)]
+    columns = [values.tolist() for values, _, _ in priced]
+    certified = all(exact for _, exact, _ in priced)
     totals = []
-    for start in range(0, count, blocks):
+    for start in range(0, K * blocks, blocks):
         total = 0.0
         for b in range(start, start + blocks):
             strong = 1.0
@@ -811,7 +782,7 @@ def _beta_price(
                 strong *= values[b]
             total += coefs[b] * strong
         totals.append(total)
-    return (totals if trials else totals[0]), certified
+    return totals, certified
 
 
 def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResult:
@@ -878,10 +849,11 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
     best_cert = False
     converged = False
     for stacks in candidate_sets:
-        (coeffs,), resid = _fit_blocks(target, [stacks])
+        start = [S[None] for S in stacks]  # the set as a one-trial stack
+        (coeffs,), (resid,) = _fit_blocks(target, start)
         if resid > RESIDUAL_TOL:
             continue
-        val, cert = _beta_price(domain, cod, stacks, coeffs, p, q, cfg.modulus)
+        (val,), cert = _beta_price(domain, cod, start, coeffs[None], p, q, cfg.modulus)
         state = (stacks, coeffs)
         blocks, shapes = len(coeffs), [S.shape[1:] for S in stacks]
         ahead = [np.empty((0, blocks, *shape)) for shape in shapes]  # drawn, not yet used
@@ -897,7 +869,7 @@ def beta_p_upper(z: Tensor, p: float, cfg: BetaConfig | None = None) -> BetaResu
                 steps.append(steps[-1] * 0.7)
             moves = np.array(steps)[:, None, None, None]
             trial = [unit_rows(sp, S + moves * N) for sp, S, N in zip(domain, state[0], noise)]
-            (t_coeffs,), t_resid = _fit_blocks(target, [trial])
+            t_coeffs, t_resid = _fit_blocks(target, trial)
             t_vals, t_cert = _beta_price(domain, cod, trial, t_coeffs, p, q, cfg.modulus)
             for k in range(K):
                 rounds -= 1

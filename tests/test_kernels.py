@@ -304,11 +304,10 @@ def test_lstsq_is_bitwise_numpy():
 
 
 def test_top_singular_value_is_bitwise_numpy():
-    """top_singular_pair: numpy's s[0] and vt[0], from one reduced SVD."""
+    """top_singular_pair of a stack of one: numpy's s[0] and vt[0], from one reduced SVD."""
     for a, _ in _linalg_inputs():
-        got, vec = kernels.top_singular_pair(a)
+        (got,), (vec,) = kernels.top_singular_pair(a[None])
         _, s, vt = np.linalg.svd(a, full_matrices=False)
-        assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(s[0]).tobytes(), a.shape
         assert vec.shape == vt[0].shape and vec.tobytes() == vt[0].tobytes(), a.shape
 
@@ -324,9 +323,9 @@ def test_stacked_top_singular_pair_is_bitwise_each_slice():
             values, rows = kernels.top_singular_pair(a)
             assert values.shape == (B,) and rows.shape == (B, n)
             for b in range(B):
-                value, row = kernels.top_singular_pair(a[b])
-                assert np.float64(values[b]).tobytes() == np.float64(value).tobytes()
-                assert rows[b].tobytes() == row.tobytes()
+                _, s, vt = np.linalg.svd(a[b], full_matrices=False)
+                assert np.float64(values[b]).tobytes() == np.float64(s[0]).tobytes()
+                assert rows[b].tobytes() == vt[0].tobytes()
 
 
 def test_stacked_refit_is_bitwise_each_slice():
@@ -365,7 +364,7 @@ def test_linalg_kernels_raise_where_numpy_raises():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.svd(a, full_matrices=False)
     with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-        kernels.top_singular_pair(a)
+        kernels.top_singular_pair(a[None])
 
 
 def test_numpy_private_names_are_imported_on_first_use():
@@ -382,7 +381,7 @@ def test_numpy_private_names_are_imported_on_first_use():
             private.append(ast.unparse(node))
     assert private == []
     kernels.refit(np.eye(2), np.ones((2, 1)))  # the first call imports them
-    assert kernels.top_singular_pair(np.eye(2))[0] == 1.0
+    assert kernels.top_singular_pair(np.eye(2)[None])[0][0] == 1.0
 
 
 @pytest.mark.parametrize(
@@ -1067,6 +1066,24 @@ def test_modulus_engine_is_called_only_by_modulus_arrays():
     for node in ast.walk(fn):
         if isinstance(node, loops):
             assert not any(map(_calls("_modulus_engine"), ast.walk(node)))
+
+
+def test_search_kernels_have_one_call_shape():
+    """The stacked sigma_p/beta_p kernels branch on no ndim; pi's refine prices at two sites."""
+
+    def ndim_compare(node):
+        return isinstance(node, ast.Compare) and any(
+            isinstance(x, ast.Attribute) and x.attr == "ndim" for x in (node.left, *node.comparators)
+        )
+
+    stacked = {"sigma._modulus_exact", "sigma._modulus_arrays", "sigma._strong_norm",
+               "sigma._fit_blocks", "sigma._beta_price", "kernels.top_singular_pair"}
+    assert not _sites(ndim_compare) & stacked
+    tree = ast.parse((_SRC / "projective.py").read_text())
+    fn = next(node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "_refine_candidate")
+    # the start and the walk of width-trial passes: no second walk beside the first
+    assert sum(map(_calls("_price"), ast.walk(fn))) == 2
 
 
 def test_tensordot_is_called_only_by_apply_axis():

@@ -725,7 +725,7 @@ def test_stack_width_follows_the_design_size(shape, rank, width, monkeypatch):
     coeffs = (rng.standard_normal((shape[0], rank)) @ tnl_kernels.khatri_rao(free).T).reshape(shape)
     projective._refine_candidate(factors, coeffs, 0, free, PiConfig(refine_iters=4))
     assert calls[0] == (rows, rank)
-    assert len(calls) > 1 and set(calls[1:]) == {(8, rows, rank) if width == 8 else (rows, rank)}
+    assert len(calls) > 1 and set(calls[1:]) == {(width, rows, rank)}
     assert (rows * rank <= projective._STACK_ENTRIES) == (width == 8)
 
 

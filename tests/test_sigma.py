@@ -34,7 +34,7 @@ from tnl import evaluators, evaluator_for, injective, projective, report_json, s
 from tnl import witness_search_nonsmooth
 from tnl.injective import sup_bracket
 from tnl.kernels import aligned_outer, aligned_values, column_norms, contract, point_families
-from tnl.kernels import vertex_matrix
+from tnl.kernels import half_vertices, vertex_matrix
 from tnl.evaluators import make_epsilon_evaluator, make_sigma_evaluator
 from tnl.kernels import kron
 from tnl.kernels import RESIDUAL_TOL, q_norm
@@ -330,16 +330,20 @@ def _modulus_exact_by_contract(space, X, p):
 @pytest.mark.parametrize("kind", [1.0, INF])
 @pytest.mark.parametrize("p", P_GRID)
 def test_modulus_exact_one_space_matches_contract_route_bitwise(kind, p):
+    """On the gate's half set, as the program calls it: the full grid's value, row and count."""
     rng = np.random.default_rng([35, int(kind == INF), int(10 * p)])
     for dim in (1, 2, 3):
         for weights in (None, tuple(rng.uniform(0.5, 2.0, dim))):
             sp = NormedSpace(dim, kind, weights)
+            (half,), _ = point_families([sp.dual()], 4096)
+            assert half is half_vertices(sp.dual())
             for m in (2, 3, 4):
                 X = rng.standard_normal((m, dim))
-                got_value, exact, result = sigma._modulus_exact([vertex_matrix(sp.dual())], [X], p)
-                res = result()
+                (got_value,), exact, result = sigma._modulus_exact([half], [X[None]], p)
+                (res,) = result()
                 value, phi = _modulus_exact_by_contract(sp, X, p)
                 assert exact and res.exact and got_value == res.value
+                assert res.iterations == len(vertex_matrix(sp.dual())) == 2 * len(half)
                 assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
                 (got,) = res.functionals
                 assert got.shape == phi.shape and got.tobytes() == phi.tobytes()
@@ -396,18 +400,39 @@ def test_modulus_exact_on_half_sets_is_bitwise_the_full_enumeration():
         if case % 3 == 0:
             mats = [np.round(X) for X in mats]  # ties among the maxima
         if case % 4 == 0:
-            mats = [X[0] for X in mats]  # one (m, d_l) family
+            mats = [X[:1] for X in mats]  # one family, as family_modulus_p prices it
         full = [vertex_matrix(sp) for sp in duals]
         for p in (1.0, 1.5, 2.0, 3.0, INF):
             value, exact, result = sigma._modulus_exact(gate[0], mats, p)
             ref_value, ref = _reference_modulus_exact(full, mats, p)
             assert exact and np.asarray(value).tobytes() == np.asarray(ref_value).tobytes()
-            got = result()
-            for res, (v, funcs, count) in zip(got if isinstance(got, list) else [got], ref,
-                                               strict=True):
+            for res, (v, funcs, count) in zip(result(), ref, strict=True):
                 assert res.exact and res.value == v and res.iterations == count
                 for a, b in zip(res.functionals, funcs, strict=True):
                     assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("family", [np.ones((2, 1)), np.ones((2, 2, 3)), np.ones((0, 3)),
+                                    np.ones(2), np.ones(()), []],
+                         ids=["short rows", "a stack", "no rows", "short vector", "0-d", "no vectors"])
+def test_strong_norm_rejects_a_family_of_another_shape(family):
+    with pytest.raises(SpaceError, match=r"nonempty \(m, 3\) family"):
+        family_strong_norm(NormedSpace(3, 2.0), family, 2.0)
+
+
+def test_strong_norm_takes_one_vector_as_a_family_of_one():
+    sp, x = NormedSpace(3, 1.5), np.array([1.0, -2.0, 0.5])
+    _same_modulus(family_strong_norm(sp, x, 3.0), family_strong_norm(sp, x[None], 3.0))
+
+
+def test_modulus_rejects_a_family_that_mixes_spaces():
+    """Each factor's family is priced in one space, not in whichever member's comes first."""
+    l1, linf, l2 = NormedSpace(2, 1.0), NormedSpace(2, INF), NormedSpace(2, 2.0)
+    mixed = [Vector(l1, np.array([1.0, 1.0])), Vector(linf, np.array([1.0, -1.0]))]
+    basis = [Vector(l2, np.array([1.0, 0.0])), Vector(l2, np.array([0.0, 1.0]))]
+    for fams in ([mixed, basis], [mixed[::-1], basis], [basis, mixed]):
+        with pytest.raises(SpaceError, match="one space"):
+            family_modulus_p(fams, 2.0)
 
 
 def test_strong_norm_accepts_vector_sequence():
@@ -614,7 +639,7 @@ def test_lockstep_sigma_candidates_are_bitwise_the_per_candidate_rule():
             for a, b in zip(got[i][2], ref[2], strict=True):
                 assert _same_bytes(a, b), where
             m = len(ref[1])
-            exact = m == 0 or sigma._modulus_arrays(factors, ref[2], p, cfg)[1]
+            exact = m == 0 or sigma._modulus_arrays(factors, [F[None] for F in ref[2]], p, cfg)[1]
             routes["zero" if m == 0 else "single" if m == 1 else "exact" if exact else "ascent"] += 1
         exit_rounds[len(set(exits) - {None})] += 1
         exit_rounds.update(f"exit {e}" for e in exits)
@@ -707,7 +732,7 @@ def test_sigma_dual_converged_is_false_on_a_round_cap_exit(monkeypatch):
 
 def _scalar_si_ratio(form, spaces, fams, p):
     """One family's ratio as first written: q_norm of the aligned values over the modulus."""
-    den = sigma._modulus_arrays(spaces, fams, p, MODULUS_CONFIG)[0]
+    den = sigma._modulus_arrays(spaces, [F[None] for F in fams], p, MODULUS_CONFIG)[2]()[0].value
     return q_norm(aligned_values(form, fams), p) / den if den > 1e-300 else 0.0
 
 
@@ -736,7 +761,8 @@ def test_batched_si_ratio_matches_the_scalar_formula(route, n, p):
     assert got.shape == (R,)
     for r in range(R):
         one = [F[r] for F in fams]
-        assert sigma._modulus_arrays(spaces, one, p, MODULUS_CONFIG)[1] == (route != "ascent")
+        exact = sigma._modulus_arrays(spaces, [F[None] for F in one], p, MODULUS_CONFIG)[1]
+        assert exact == (route != "ascent")
         want = _scalar_si_ratio(form, spaces, one, p)
         assert want > 0.0
         assert abs(got[r] - want) <= 1e-12 * want
@@ -837,14 +863,14 @@ def test_modulus_oracle_matches_its_loop():
 
 def test_fit_blocks_orders_coefficients_like_the_design():
     rng = np.random.default_rng(37)
-    sets = [[rng.standard_normal((2, 2)), rng.standard_normal((1, 3))],
-            [rng.standard_normal((2, 2)), rng.standard_normal((2, 3))]]
-    coeffs = [rng.standard_normal((2, 1, 2)), rng.standard_normal((2, 2, 2))]
-    target = sum(np.einsum("ja,kb,jkc->abc", X1, X2, B) for (X1, X2), B in zip(sets, coeffs))
-    got, resid = sigma._fit_blocks(target.reshape(6, 2), sets)
-    assert [b.shape for b in got] == [(2, 1, 2), (2, 2, 2)]
-    recon = sum(np.einsum("ja,kb,jkc->abc", X1, X2, B) for (X1, X2), B in zip(sets, got))
-    assert resid <= 1e-9
+    stacks = [rng.standard_normal((1, 2, 2, 2)), rng.standard_normal((1, 2, 1, 3))]
+    coeffs = rng.standard_normal((2, 2, 1, 2))
+    target = np.einsum("Bja,Bkb,Bjkc->abc", stacks[0][0], stacks[1][0], coeffs)
+    got, resid = sigma._fit_blocks(target.reshape(6, 2), stacks)
+    assert got.shape == (1, 2, 2, 1, 2) and resid.shape == (1,)
+    recon = np.einsum("Bja,Bkb,Bjkc->abc", stacks[0][0], stacks[1][0], got[0])
+    assert resid[0] <= 1e-9
+    np.testing.assert_allclose(got[0], coeffs, atol=1e-9)  # a full-rank design: the one fit
     np.testing.assert_allclose(recon, target, atol=1e-9)
 
 
@@ -859,7 +885,7 @@ def _reference_strong_norm(space, X, p, cfg):
         w = space.weight_array()
         _, s, vt = np.linalg.svd(X * w[None, :], full_matrices=False)
         return ModulusResult(float(s[0]), (w * vt[0],), True, 1)
-    return sigma._modulus_arrays((space,), [X], p, cfg)[2]()
+    return sigma._modulus_arrays((space,), [X[None]], p, cfg)[2]()[0]
 
 
 def _reference_fit_blocks(target, family_sets):
@@ -969,28 +995,31 @@ def test_strong_norm_routes_are_bitwise_the_reference():
         cfg = tight if k % 5 == 0 else MODULUS_CONFIG
         ref = _reference_strong_norm(space, X, p, cfg)
         _same_modulus(family_strong_norm(space, X, p, cfg), ref)
-        value, exact, result = sigma._strong_norm(space, X, p, cfg)
+        (value,), exact, result = sigma._strong_norm(space, X[None], p, cfg)
         assert (np.float64(value).tobytes(), exact) == (np.float64(ref.value).tobytes(), ref.exact)
-        _same_modulus(result(), ref)
+        (res,) = result()
+        _same_modulus(res, ref)
 
 
 def test_fit_blocks_is_bitwise_the_reference():
+    """K trials of B blocks, rank-deficient designs included, each trial as its blocks' fit."""
     rng = np.random.default_rng(4444)
     for k in range(300):
         dims = [int(d) for d in rng.integers(1, 4, size=1 + k % 3)]
         cod = int(rng.integers(1, 4))
         target = rng.standard_normal((int(np.prod(dims)), cod))
-        sets = []
-        for _ in range(1 + k % 3):
-            fams = [rng.standard_normal((int(rng.integers(1, 4)), d)) for d in dims]
-            if k % 4 == 0:  # a repeated row: a rank-deficient design
-                fams[0] = np.vstack([fams[0], fams[0][:1]])
-            sets.append(fams)
-        got, resid = sigma._fit_blocks(target, sets)
-        ref, ref_resid = _reference_fit_blocks(target, sets)
-        assert np.float64(resid).tobytes() == np.float64(ref_resid).tobytes()
-        for a, b in zip(got, ref, strict=True):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        K, B = 1 + k % 2, 1 + k % 3
+        stacks = [rng.standard_normal((K, B, int(rng.integers(1, 4)), d)) for d in dims]
+        if k % 4 == 0:  # a repeated row: a rank-deficient design
+            stacks[0] = np.concatenate([stacks[0], stacks[0][:, :, :1]], axis=2)
+        got, resid = sigma._fit_blocks(target, stacks)
+        assert got.shape[:2] == (K, B) and resid.shape == (K,)
+        for t in range(K):
+            sets = [[S[t, b] for S in stacks] for b in range(B)]
+            ref, ref_resid = _reference_fit_blocks(target, sets)
+            assert np.float64(resid[t]).tobytes() == np.float64(ref_resid).tobytes()
+            for a, b in zip(got[t], ref, strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 _W = (0.5, 2.0)
@@ -1108,12 +1137,12 @@ def test_stacked_strong_norms_are_bitwise_each_slice():
         S = unit_rows(space, rng.standard_normal((B, m, dim)))
         cfg = tight if k % 4 == 0 else MODULUS_CONFIG
         values, exact, result = sigma._strong_norm(space, S, p, cfg)
-        assert result is None
         assert values.shape == (B,)
-        for b in range(B):
-            value, slice_exact, _ = sigma._strong_norm(space, S[b], p, cfg)
+        for b, res in enumerate(result()):
+            (value,), slice_exact, slice_result = sigma._strong_norm(space, S[b : b + 1], p, cfg)
             assert np.float64(values[b]).tobytes() == np.float64(value).tobytes(), (space, p, m)
             assert exact == slice_exact
+            _same_modulus(res, slice_result()[0])
         route = _strong_norm_route(space, p, m, exact)
         routes[route] += 1
         weighted[route, w is not None] += 1
@@ -1145,7 +1174,7 @@ def test_fit_blocks_of_a_stacked_set_is_bitwise_its_blocks():
         target = rng.standard_normal((int(np.prod(dims)), int(rng.integers(1, 4))))
         B = 1 + k % 4
         stacks = [rng.standard_normal((B, int(rng.integers(1, 4)), d)) for d in dims]
-        (got,), resid = sigma._fit_blocks(target, [stacks])
+        (got,), (resid,) = sigma._fit_blocks(target, [S[None] for S in stacks])
         ref, ref_resid = _reference_fit_blocks(target, [[S[b] for S in stacks] for b in range(B)])
         assert np.float64(resid).tobytes() == np.float64(ref_resid).tobytes()
         assert got.shape == (B,) + ref[0].shape
@@ -1168,13 +1197,14 @@ def test_beta_price_is_bitwise_the_per_block_objective():
         p = (2.0, 1.0, 1.5, 3.0, INF)[k % 5]
         q = conjugate_exponent(p)
         cfg = SigmaConfig(exact_budget=8) if k % 3 == 0 else MODULUS_CONFIG
-        got = sigma._beta_price(domain, cod, stacks, coeffs, p, q, cfg)
+        (total,), cert = sigma._beta_price(domain, cod, [S[None] for S in stacks], coeffs[None],
+                                            p, q, cfg)
         ref = _reference_beta_objective(
             domain, cod, [[S[b] for S in stacks] for b in range(B)], list(coeffs), p, q, cfg
         )
-        assert type(got[0]) is float
-        assert np.float64(got[0]).tobytes() == np.float64(ref[0]).tobytes(), (factors, p)
-        assert got[1] == ref[1]
+        assert type(total) is float
+        assert np.float64(total).tobytes() == np.float64(ref[0]).tobytes(), (factors, p)
+        assert cert == ref[1]
 
 
 def test_trial_stacks_fit_and_price_bitwise_each_trial():
@@ -1189,16 +1219,16 @@ def test_trial_stacks_fit_and_price_bitwise_each_trial():
         target = rng.standard_normal((rows, cod.dim))
         p = (2.0, 1.0, 1.5, 3.0, INF)[k % 5]
         cfg = SigmaConfig(exact_budget=8) if k % 3 == 0 else MODULUS_CONFIG
-        (coeffs,), resid = sigma._fit_blocks(target, [trials])
+        coeffs, resid = sigma._fit_blocks(target, trials)
         q = conjugate_exponent(p)
         values, cert = sigma._beta_price(domain, cod, trials, coeffs, p, q, cfg)
         assert coeffs.shape[:2] == (K, B) and resid.shape == (K,) and len(values) == K
         for t in range(K):
-            stacks = [S[t] for S in trials]
-            (ref,), ref_resid = sigma._fit_blocks(target, [stacks])
+            stacks = [S[t : t + 1] for S in trials]  # the trial alone, as a one-trial stack
+            (ref,), (ref_resid,) = sigma._fit_blocks(target, stacks)
             assert coeffs[t].shape == ref.shape and coeffs[t].tobytes() == ref.tobytes()
             assert np.float64(resid[t]).tobytes() == np.float64(ref_resid).tobytes()
-            value, ref_cert = sigma._beta_price(domain, cod, stacks, ref, p, q, cfg)
+            (value,), ref_cert = sigma._beta_price(domain, cod, stacks, ref[None], p, q, cfg)
             assert type(values[t]) is float and cert == ref_cert
             assert np.float64(values[t]).tobytes() == np.float64(value).tobytes(), (factors, p)
 
@@ -1210,26 +1240,41 @@ class _PolishWatch:
     passes the residual check and lowers the value is accepted; a run of
     ``sigma._POLISH_STALL`` rejections ends the polish.  No pass prices more
     than ``sigma._LOOKAHEAD`` trials, whether or not a strong norm of the set
-    takes the ascent.
+    takes the ascent.  A pass fits the trials of a draw; a fit with no draw
+    since the last fit (or since the call's pi seed, before its restarts
+    draw) is a candidate set's own.
     """
 
     def __init__(self, monkeypatch):
         self.exits = Counter()
+        self.last = "seed"
         fit, price = sigma._fit_blocks, sigma._beta_price
+        draw, seed = sigma._normal_stacks, sigma.pi_upper
 
-        def watched_fit(target, family_sets):
-            out = fit(target, family_sets)
-            self.resid = out[1]
+        def watched_seed(*args):
+            self.last = "seed"
+            return seed(*args)
+
+        def watched_draw(*args):
+            if self.last != "seed":
+                self.last = "draw"
+            return draw(*args)
+
+        def watched_fit(target, stacks):
+            out = fit(target, stacks)
+            self.resid, self.own, self.last = out[1], self.last != "draw", "fit"
             return out
 
         def watched_price(domain, cod, stacks, coeffs, *args):
             out = price(domain, cod, stacks, coeffs, *args)
-            if stacks[0].ndim == 3:  # a candidate set's own price starts its polish
-                self.value, self.stalled, self.ascent = out[0], 0, not out[1]
+            if self.own:  # a candidate set's own price starts its polish
+                (self.value,), self.stalled, self.ascent = out[0], 0, not out[1]
             else:
                 self.walk(out[0])
             return out
 
+        monkeypatch.setattr(sigma, "pi_upper", watched_seed)
+        monkeypatch.setattr(sigma, "_normal_stacks", watched_draw)
         monkeypatch.setattr(sigma, "_fit_blocks", watched_fit)
         monkeypatch.setattr(sigma, "_beta_price", watched_price)
 
@@ -1362,9 +1407,11 @@ def test_lookahead_draws_the_normals_of_the_sequential_rule(monkeypatch):
             got.append(("draw", count * sum(m * d for m, d in shapes)))
             return real_draw(rng, count, shapes)
 
-        def fit(target, sets):
-            out = real_fit(target, sets)
-            got.append(("fit", sets[0][0].ndim == 3, float(np.max(out[1]))))  # 3-D: a set's own
+        def fit(target, stacks):
+            out = real_fit(target, stacks)
+            # a trial's fit follows its own draws; a set's first fit does not
+            first = not any(e[0] == "fit" for e in got) or got[-1][0] != "draw"
+            got.append(("fit", first, float(np.max(out[1]))))
             return out
 
         monkeypatch.setattr(sigma, "_LOOKAHEAD", width)
