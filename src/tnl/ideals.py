@@ -13,8 +13,9 @@ axis.  This module provides:
 * the one-point adjunction that removes (or re-attaches) a trailing
   one-dimensional scalar slot;
 * the strongly multiple (p, q)-summing constant, estimated from finite
-  families; the inner supremum over the unit ball of multilinear forms is
-  priced on the product forms, one single-family strong norm per factor;
+  families, each family size's restarts priced in one stacked pass; the
+  inner supremum over the unit ball of multilinear forms is priced on the
+  product forms, one strong-norm pass per factor over the whole stack;
 * the exact correspondence between maps into a dual space and scalar
   forms with one extra slot.
 
@@ -31,6 +32,7 @@ grid closed the bracket.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,7 +50,7 @@ from .spaces import (
 )
 from .injective import EpsilonConfig, sup_bracket
 from .kernels import apply_axis, contract_leading, grid_values, outer, q_norm
-from .sigma import MODULUS_CONFIG, SigmaDualConfig, family_strong_norm, sigma_p_dual
+from .sigma import MODULUS_CONFIG, SigmaDualConfig, family_strong_norms, sigma_p_dual
 from .tensors import (
     NormEstimate,
     Tensor,
@@ -444,49 +446,42 @@ _SM_POLISH_ROUNDS = 40
 _SM_STEP = 0.3
 
 
-def _form_ball_denominator(
-    spaces: Sequence[NormedSpace], fams: Sequence[np.ndarray], q: float
-) -> tuple[float, bool]:
-    """Grid q-sum of the families, maximized over forms of supremum norm <= 1.
+def _sm_ratios(
+    A: MultilinearMap, stacks: Sequence[np.ndarray], p: float, q: float
+) -> list[tuple[float, bool]]:
+    """(ratio, exact) of R families, held as one (R, m_l, d_l) stack per domain factor.
 
-    Returns (value, exact).  Exact tiers: a single grid point (the product
-    of member norms) and q = inf (max and sup commute).  Otherwise the
-    supremum over product forms f_1 x ... x f_n with ||f_l||' <= 1: their
-    grid q-sum factorizes into prod_l ||(f_l(x_{l,j}))_j||_q, so it is the
-    product of single-family strong norms (exact on polyhedral and
-    Euclidean/q=2 balls).  One factor keeps its strong norm's exact flag;
-    with more, forms outside the products can score higher, so the value is
-    a lower estimate.  The sound upper bound, the grid q-sum of
-    prod_l ||x_{l,J_l}||, is not used yet.
+    The ratio is the p-sum of output norms on a family's full index grid over
+    its form-ball denominator, the grid q-sum maximized over forms of
+    supremum norm <= 1; 0 where either is below 1e-300.  Exact tiers of the
+    denominator: a single grid point (the product of member norms) and
+    q = inf (max and sup commute).  Otherwise the supremum over product
+    forms f_1 x ... x f_n with ||f_l||' <= 1: their grid q-sum factorizes
+    into prod_l ||(f_l(x_{l,j}))_j||_q, so it is the product of single-family
+    strong norms (exact on polyhedral and Euclidean/q=2 balls), one
+    :func:`~tnl.sigma.family_strong_norms` pass per factor on the whole
+    stack.  One factor keeps its strong norm's exact flag; with more, forms
+    outside the products can score higher, so the value is a lower
+    estimate.  The sound upper bound, the grid q-sum of
+    prod_l ||x_{l,J_l}||, is not used yet.  Each pair is bit for bit the one
+    of pricing its family as a stack of one.
     """
-    # outer product of member norms: entry J is prod_l ||x_{l, J_l}||
-    prod_norms = outer([np.atleast_1d(sp.norm(X)) for sp, X in zip(spaces, fams)])
-    if prod_norms.size == 1:
-        return float(prod_norms.ravel()[0]), True
-    if q == INF:
-        return float(prod_norms.max()), True
-    res = [family_strong_norm(sp, X, q, MODULUS_CONFIG) for sp, X in zip(spaces, fams)]
-    value = res[0].value
-    for r in res[1:]:
-        value *= r.value
-    return value, len(res) == 1 and res[0].exact
-
-
-def _sm_ratio(
-    A: MultilinearMap,
-    fams: Sequence[np.ndarray],
-    p: float,
-    q: float,
-) -> tuple[float, bool]:
-    vals = grid_values(A.coeffs, fams)
-    norms = np.atleast_1d(A.codomain.norm(vals.reshape(-1, A.codomain.dim)))
-    num = q_norm(norms, p)
-    if num <= 1e-300:
-        return 0.0, True
-    den, exact = _form_ball_denominator(A.domain, fams, q)
-    if den <= 1e-300:
-        return 0.0, exact
-    return num / den, exact
+    R = stacks[0].shape[0]
+    if R == 0:
+        return []
+    fams = list(zip(*stacks))  # family r: row r of every stack
+    nums = [q_norm(A.codomain.norm(grid_values(A.coeffs, f).reshape(-1, A.codomain.dim)), p)
+            for f in fams]
+    if q == INF or math.prod(S.shape[1] for S in stacks) == 1:
+        # entry J of the outer product is prod_l ||x_{l, J_l}||
+        dens = [float(outer([sp.norm(X) for sp, X in zip(A.domain, f)]).max()) for f in fams]
+        exact = True
+    else:
+        routes = [family_strong_norms(sp, S, q, MODULUS_CONFIG) for sp, S in zip(A.domain, stacks)]
+        dens = [math.prod(v) for v in zip(*(values.tolist() for values, _, _ in routes))]
+        exact = len(routes) == 1 and routes[0][1]
+    return [(0.0, True) if num <= 1e-300 else (0.0 if den <= 1e-300 else num / den, exact)
+            for num, den in zip(nums, dens)]
 
 
 def sm_pq_norm(
@@ -503,42 +498,45 @@ def sm_pq_norm(
     grid to the supremum over the unit ball of multilinear forms of the
     grid q-sum.  The single-member family built from the supremum-norm
     argmax is always tried first, so the result is never below the
-    supremum norm it was seeded with.  The inner supremum is priced on
-    product forms, one strong norm per factor, with no LP
-    (:func:`_form_ball_denominator`).  Where that is exact (single grid
-    point, q = inf, or a single domain factor with a polyhedral or
-    Euclidean/q=2 ball) the ratio is a certified lower bound of the
-    constant; elsewhere the denominator is a lower estimate and the ratio
-    can overshoot, flagged by converged=False.
+    supremum norm it was seeded with.  Then each family size draws its
+    restarts (restart by restart, factor by factor) and prices them in one
+    stacked pass, walked in draw order; the best family is polished one
+    trial at a time.  The inner supremum is priced on product forms, one
+    strong norm per factor, with no LP (:func:`_sm_ratios`).  Where that is
+    exact (single grid point, q = inf, or a single domain factor with a
+    polyhedral or Euclidean/q=2 ball) the ratio is a certified lower bound
+    of the constant; elsewhere the denominator is a lower estimate and the
+    ratio can overshoot, flagged by converged=False.
     """
     if not (p >= q >= 1.0):
         raise SpaceError("the strongly multiple constant needs p >= q >= 1")
     cfg = cfg or SmConfig()
-    n = A.arity
     if not np.any(A.coeffs):
         return NormEstimate.exact(0.0, seed=cfg.seed)
 
     _, slots = sup_argmax(A)
-    seed_fam = [np.asarray(slots[l], dtype=float)[None, :] for l in range(n)]
 
     best = 0.0
     best_exact = True
     best_fams: list[np.ndarray] | None = None
     evals = 0
 
-    def consider(fams: list[np.ndarray]) -> float:
+    def consider(stacks: list[np.ndarray]) -> list[float]:
+        """Price the stacked families in one pass and walk them in order."""
         nonlocal best, best_exact, best_fams, evals
-        evals += 1
-        r, exact = _sm_ratio(A, fams, p, q)
-        if r > best:
-            best, best_exact, best_fams = r, exact, fams
-        return r
+        priced = _sm_ratios(A, stacks, p, q)
+        for j, (r, exact) in enumerate(priced):
+            evals += 1
+            if r > best:
+                best, best_exact, best_fams = r, exact, [S[j] for S in stacks]
+        return [r for r, _ in priced]
 
-    consider(seed_fam)
+    consider([np.asarray(x, dtype=float)[None, None] for x in slots[: A.arity]])
     rng = np.random.default_rng([cfg.seed, 49979687])
     for m in range(1, family_budget + 1):
-        for _ in range(_SM_RESTARTS):
-            consider([unit_rows(sp, rng.standard_normal((m, sp.dim))) for sp in A.domain])
+        draws = [[unit_rows(sp, rng.standard_normal((m, sp.dim))) for sp in A.domain]
+                 for _ in range(_SM_RESTARTS)]
+        consider([np.stack(fams) for fams in zip(*draws)])
 
     if best_fams is not None:
         cur = [X.copy() for X in best_fams]
@@ -549,7 +547,7 @@ def sm_pq_norm(
                 unit_rows(sp, X + step * rng.standard_normal(X.shape))
                 for sp, X in zip(A.domain, cur)
             ]
-            r = consider(cand)
+            [r] = consider([X[None] for X in cand])
             if r > cur_ratio * (1.0 + 1e-12):
                 cur, cur_ratio = cand, r
                 step = min(step * 1.4, 1.0)

@@ -379,7 +379,7 @@ def norm_gradient(space: NormedSpace, X: np.ndarray) -> np.ndarray:
 
 def column_norms(factors: Sequence[NormedSpace], mats: Sequence[np.ndarray]) -> np.ndarray:
     """The factor norm of every column, one row per factor matrix ((K, R) per (K, d, R) stack)."""
-    return np.stack([np.atleast_1d(f.norm(M.swapaxes(-1, -2))) for f, M in zip(factors, mats)])
+    return np.stack([f.norm(M.swapaxes(-1, -2)) for f, M in zip(factors, mats)])
 
 
 def q_norm(values: np.ndarray, q: float) -> float:

@@ -130,7 +130,7 @@ _STACK_ENTRIES = 36
 
 def _normalize_columns(space: NormedSpace, M: np.ndarray) -> np.ndarray:
     """M with every nonzero column scaled to unit norm; M may be a (K, d, R) stack."""
-    norms = np.atleast_1d(space.norm(M.swapaxes(-1, -2)))
+    norms = space.norm(M.swapaxes(-1, -2))
     safe = np.where(norms > 1e-300, norms, 1.0)
     return M / safe[..., None, :]
 

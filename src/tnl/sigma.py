@@ -57,6 +57,7 @@ __all__ = [
     "BetaResult",
     "family_modulus_p",
     "family_strong_norm",
+    "family_strong_norms",
     "sigma_p_upper",
     "sigma_p_dual",
     "beta_p_upper",
@@ -428,18 +429,19 @@ def family_strong_norm(
     X = X[None] if X.shape == (space.dim,) else X  # one vector: a family of one
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] != space.dim:
         raise SpaceError(f"a strong norm needs a nonempty (m, {space.dim}) family, not {X.shape}")
-    return _strong_norm(space, X[None], p, cfg)[2]()[0]
+    return family_strong_norms(space, X[None], p, cfg)[2]()[0]
 
 
-def _strong_norm(
+def family_strong_norms(
     space: NormedSpace, X: np.ndarray, p: float, cfg: SigmaConfig
 ) -> tuple[np.ndarray, bool, Callable[[], list[ModulusResult]]]:
     """:func:`family_strong_norm` of a (B, m, d) stack of families as ``(values, exact, results)``.
 
-    One route for all B families (beta_p's blocks of one shape), priced in
-    one pass (one engine call on the ascent): ``values`` is the (B,) array
-    of their values, each bit for bit its own family's, and ``results()``
-    builds the list of their :class:`ModulusResult`, functionals included.
+    One route for all B families (beta_p's blocks of one shape, sm_pq's
+    restarts of one size), priced in one pass (one engine call on the
+    ascent): ``values`` is the (B,) array of their values, each bit for bit
+    its own family's, and ``results()`` builds the list of their
+    :class:`ModulusResult`, functionals included.
     """
     if p == INF:  # the largest member norm
         norms = space.norm(X)
@@ -769,7 +771,7 @@ def _beta_price(
         sums = ((norms / np.fmax(top, 5e-324)) ** q).sum(axis=1)
         e = 1.0 / q
         coefs = [0.0 if t <= 0.0 else t * s**e for (t,), s in zip(top.tolist(), sums.tolist())]
-    priced = [_strong_norm(sp, S.reshape(K * blocks, *S.shape[2:]), p, cfg)
+    priced = [family_strong_norms(sp, S.reshape(K * blocks, *S.shape[2:]), p, cfg)
               for sp, S in zip(domain, stacks)]
     columns = [values.tolist() for values, _, _ in priced]
     certified = all(exact for _, exact, _ in priced)

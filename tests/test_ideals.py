@@ -12,6 +12,7 @@ from tnl import (
     LinConfig,
     Linearization,
     MultilinearMap,
+    NormEstimate,
     NormedSpace,
     SigmaDualConfig,
     SmConfig,
@@ -39,7 +40,9 @@ from tnl import (
     vector_scalar_bridge_inverse,
 )
 
-from tnl.ideals import _form_ball_denominator
+from tnl import sigma
+from tnl.ideals import _sm_ratios
+from tnl.kernels import grid_values, outer, q_norm
 from tnl.sigma import MODULUS_CONFIG
 from tnl.spaces import unit_rows
 
@@ -439,58 +442,255 @@ def _product_form_q_sum(funcs, fams, q):
 
 
 def _denominator_case(rng, palette, weighted):
+    """Two or three factors and a stack of three families per factor, each of 2-3 members."""
     spaces = []
     for _ in range(int(rng.integers(2, 4))):
         d = int(rng.integers(2, 4))
         weights = tuple(rng.uniform(0.5, 2.0, d)) if weighted else None
         spaces.append(NormedSpace(d, float(rng.choice(palette)), weights))
-    fams = [rng.standard_normal((int(rng.integers(2, 4)), sp.dim)) for sp in spaces]
-    return tuple(spaces), fams
+    stacks = [rng.standard_normal((3, int(rng.integers(2, 4)), sp.dim)) for sp in spaces]
+    return tuple(spaces), stacks
+
+
+def _sm_numerator(A, fams, p):
+    """The p-sum of output norms on the families' full index grid, as the search prices it."""
+    vals = grid_values(A.coeffs, fams)
+    return q_norm(A.codomain.norm(vals.reshape(-1, A.codomain.dim)), p)
+
+
+def _stacked_denominators(spaces, stacks, q, rng):
+    """_sm_ratios' denominator of each stacked family, read back as numerator / ratio.
+
+    The map is a random scalar form on ``spaces``; its numerator is priced
+    as the search prices it, so the quotient is the denominator up to the
+    rounding of two divisions.
+    """
+    A = MultilinearMap(spaces, scalar_space(),
+                       rng.standard_normal(tuple(sp.dim for sp in spaces) + (1,)))
+    priced = _sm_ratios(A, stacks, 2.0, q)
+    nums = [_sm_numerator(A, [S[r] for S in stacks], 2.0) for r in range(len(priced))]
+    return [(num / ratio, exact) for num, (ratio, exact) in zip(nums, priced)]
 
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_sm_denominator_on_polyhedral_factors_is_the_dual_vertex_maximum(weighted):
     for trial in range(6):
         rng = np.random.default_rng([71, trial, int(weighted)])
-        spaces, fams = _denominator_case(rng, (1.0, INF), weighted)
+        spaces, stacks = _denominator_case(rng, (1.0, INF), weighted)
         for q in (1.0, 1.5, 2.0, 3.0):
-            den, exact = _form_ball_denominator(spaces, fams, q)
-            best = max(_product_form_q_sum(funcs, fams, q)
-                       for funcs in itertools.product(*(ball_vertices(sp.dual()) for sp in spaces)))
-            assert den == pytest.approx(best, rel=1e-12)
-            assert not exact
+            for r, (den, exact) in enumerate(_stacked_denominators(spaces, stacks, q, rng)):
+                fams = [S[r] for S in stacks]
+                best = max(_product_form_q_sum(funcs, fams, q) for funcs in
+                           itertools.product(*(ball_vertices(sp.dual()) for sp in spaces)))
+                assert den == pytest.approx(best, rel=1e-12)
+                assert not exact
 
 
 def test_sm_denominator_on_euclidean_factors_with_q2_is_the_product_of_top_singular_values():
     for trial in range(6):
         rng = np.random.default_rng([72, trial])
-        spaces, fams = _denominator_case(rng, (2.0,), weighted=trial % 2 == 1)
-        den, exact = _form_ball_denominator(spaces, fams, 2.0)
-        tops = [np.linalg.svd(X * sp.weight_array(), compute_uv=False)[0]
-                for sp, X in zip(spaces, fams)]
-        assert den == pytest.approx(float(np.prod(tops)), rel=1e-12)
-        assert not exact
+        spaces, stacks = _denominator_case(rng, (2.0,), weighted=trial % 2 == 1)
+        for r, (den, exact) in enumerate(_stacked_denominators(spaces, stacks, 2.0, rng)):
+            tops = [np.linalg.svd(S[r] * sp.weight_array(), compute_uv=False)[0]
+                    for sp, S in zip(spaces, stacks)]
+            assert den == pytest.approx(float(np.prod(tops)), rel=1e-12)
+            assert not exact
 
 
 def test_sm_denominator_on_smooth_factors_dominates_feasible_product_forms():
     for trial in range(8):
         rng = np.random.default_rng([73, trial])
-        spaces, fams = _denominator_case(rng, (1.0, 1.5, 2.0, 3.0, INF), weighted=trial % 2 == 1)
+        spaces, stacks = _denominator_case(rng, (1.0, 1.5, 2.0, 3.0, INF), weighted=trial % 2 == 1)
         for q in (1.0, 1.5, 2.0, 3.0):
-            den, _ = _form_ball_denominator(spaces, fams, q)
-            for _ in range(20):
-                funcs = [unit_rows(sp.dual(), rng.standard_normal((1, sp.dim)))[0] for sp in spaces]
-                assert den >= _product_form_q_sum(funcs, fams, q) * (1.0 - 1e-12)
+            for r, (den, _) in enumerate(_stacked_denominators(spaces, stacks, q, rng)):
+                fams = [S[r] for S in stacks]
+                for _ in range(20):
+                    funcs = [unit_rows(sp.dual(), rng.standard_normal((1, sp.dim)))[0]
+                             for sp in spaces]
+                    assert den >= _product_form_q_sum(funcs, fams, q) * (1.0 - 1e-12)
 
 
 def test_sm_denominator_one_factor_tier_is_the_strong_norm_bitwise():
+    """On one factor the ratio is the numerator over the family's strong norm, bit for bit."""
     for k, kind in enumerate((1.0, 1.5, 2.0, 3.0, INF)):
         rng = np.random.default_rng([74, k])
         sp = NormedSpace(3, kind, tuple(rng.uniform(0.5, 2.0, 3)))
-        X = rng.standard_normal((3, 3))
+        A = MultilinearMap((sp,), scalar_space(), rng.standard_normal((3, 1)))
+        S = rng.standard_normal((3, 3, 3))
         for q in (1.0, 1.5, 2.0, 3.0):
-            res = family_strong_norm(sp, X, q, MODULUS_CONFIG)
-            assert _form_ball_denominator((sp,), [X], q) == (res.value, res.exact)
+            for X, (ratio, exact) in zip(S, _sm_ratios(A, [S], 2.0, q)):
+                res = family_strong_norm(sp, X, q, MODULUS_CONFIG)
+                assert (ratio, exact) == (_sm_numerator(A, [X], 2.0) / res.value, res.exact)
+
+
+# A frozen copy of the one-family sm_pq search that the stacked search replaced:
+# every (lower, upper, converged, iterations) must stay bit for bit its own.
+
+
+def _reference_form_ball_denominator(spaces, fams, q):
+    prod_norms = outer([np.atleast_1d(sp.norm(X)) for sp, X in zip(spaces, fams)])
+    if prod_norms.size == 1:
+        return float(prod_norms.ravel()[0]), True
+    if q == INF:
+        return float(prod_norms.max()), True
+    res = [family_strong_norm(sp, X, q, MODULUS_CONFIG) for sp, X in zip(spaces, fams)]
+    value = res[0].value
+    for r in res[1:]:
+        value *= r.value
+    return value, len(res) == 1 and res[0].exact
+
+
+def _reference_sm_ratio(A, fams, p, q):
+    vals = grid_values(A.coeffs, fams)
+    norms = np.atleast_1d(A.codomain.norm(vals.reshape(-1, A.codomain.dim)))
+    num = q_norm(norms, p)
+    if num <= 1e-300:
+        return 0.0, True
+    den, exact = _reference_form_ball_denominator(A.domain, fams, q)
+    if den <= 1e-300:
+        return 0.0, exact
+    return num / den, exact
+
+
+def _reference_sm_pq_norm(A, p, q, family_budget=3, cfg=None):
+    if not (p >= q >= 1.0):
+        raise SpaceError("the strongly multiple constant needs p >= q >= 1")
+    cfg = cfg or SmConfig()
+    n = A.arity
+    if not np.any(A.coeffs):
+        return NormEstimate.exact(0.0, seed=cfg.seed)
+
+    _, slots = sup_argmax(A)
+    seed_fam = [np.asarray(slots[l], dtype=float)[None, :] for l in range(n)]
+
+    best = 0.0
+    best_exact = True
+    best_fams = None
+    evals = 0
+
+    def consider(fams):
+        nonlocal best, best_exact, best_fams, evals
+        evals += 1
+        r, exact = _reference_sm_ratio(A, fams, p, q)
+        if r > best:
+            best, best_exact, best_fams = r, exact, fams
+        return r
+
+    consider(seed_fam)
+    rng = np.random.default_rng([cfg.seed, 49979687])
+    for m in range(1, family_budget + 1):
+        for _ in range(8):
+            consider([unit_rows(sp, rng.standard_normal((m, sp.dim))) for sp in A.domain])
+
+    if best_fams is not None:
+        cur = [X.copy() for X in best_fams]
+        cur_ratio = best
+        step = 0.3
+        for _ in range(40):
+            cand = [
+                unit_rows(sp, X + step * rng.standard_normal(X.shape))
+                for sp, X in zip(A.domain, cur)
+            ]
+            r = consider(cand)
+            if r > cur_ratio * (1.0 + 1e-12):
+                cur, cur_ratio = cand, r
+                step = min(step * 1.4, 1.0)
+            else:
+                step *= 0.7
+            if step < 1e-4:
+                break
+
+    return NormEstimate(best, INF, best_exact, evals, cfg.seed)
+
+
+_SM_KINDS = (1.0, INF, 2.0, 1.5, 3.0)
+_SM_PQ = ((2.0, 2.0), (2.0, 1.0), (3.0, 1.5), (INF, 2.0), (INF, INF))
+
+
+def _sm_corpus_map(s):
+    """Map s of the reference corpus: 1-3 factors, every kind, weighted or not, both codomains."""
+    rng = np.random.default_rng([75, s])
+    n = 1 + s % 3
+    domain = []
+    for l in range(n):
+        d = int(rng.integers(1, 4 if n < 3 else 3))
+        weights = tuple(rng.uniform(0.5, 2.0, d)) if (s + l) % 4 == 3 else None
+        domain.append(NormedSpace(d, _SM_KINDS[(s // 3 + 2 * l) % 5], weights))
+    vector = s % 2 == 1
+    cod = NormedSpace(int(rng.integers(2, 4)), _SM_KINDS[s % 5]) if vector else scalar_space()
+    coeffs = rng.standard_normal(tuple(sp.dim for sp in domain) + (cod.dim,))
+    if s % 67 == 0:
+        coeffs[...] = 0.0
+    return MultilinearMap(tuple(domain), cod, coeffs)
+
+
+def test_sm_pq_is_bitwise_the_one_family_reference():
+    """The stacked restarts leave every lower end, flag and count of the one-family loop."""
+    seen = set()
+    for s in range(210):
+        A = _sm_corpus_map(s)
+        p, q = _SM_PQ[s % 5]
+        budget = 1 + (s // 3) % 3  # every budget at every arity
+        cfg = SmConfig(seed=s)
+        got = sm_pq_norm(A, p, q, family_budget=budget, cfg=cfg)
+        ref = _reference_sm_pq_norm(A, p, q, family_budget=budget, cfg=cfg)
+        assert (got.lower, got.upper, got.converged, got.iterations) == (
+            ref.lower, ref.upper, ref.converged, ref.iterations), s
+        seen |= {("kind", sp.p) for sp in A.domain} | {("pq", p, q), ("budget", budget)}
+        seen |= {("weighted",) for sp in A.domain if sp.weights is not None}
+        seen.add(("vector",) if A.codomain.dim > 1 else ("scalar",))
+        seen.add(("zero",) if not np.any(A.coeffs) else ("arity", A.arity))
+    assert seen >= {("kind", k) for k in _SM_KINDS} | {("pq",) + pq for pq in _SM_PQ}
+    assert seen >= {("budget", 1), ("budget", 2), ("budget", 3), ("weighted",), ("vector",),
+                    ("scalar",), ("zero",), ("arity", 1), ("arity", 2), ("arity", 3)}
+
+
+def test_sm_ratios_of_a_stack_are_bitwise_each_family_alone():
+    """Every tier and kind, R from 0 to 9, families the map sends to zero among them."""
+    for trial in range(60):
+        rng = np.random.default_rng([76, trial])
+        n = 1 + trial % 3
+        domain = tuple(NormedSpace(d, _SM_KINDS[(trial + l) % 5],
+                                   tuple(rng.uniform(0.5, 2.0, d)) if trial % 4 == 1 else None)
+                       for l, d in enumerate(rng.integers(1, 4, n).tolist()))
+        cod = scalar_space() if trial % 2 else NormedSpace(2, _SM_KINDS[trial % 5])
+        coeffs = rng.standard_normal(tuple(sp.dim for sp in domain) + (cod.dim,))
+        coeffs[0] = 0.0  # a family of first basis vectors is sent to zero
+        A = MultilinearMap(domain, cod, coeffs)
+        R, m = trial % 10, 1 + (trial // 3) % 3
+        stacks = [unit_rows(sp, rng.standard_normal((R, m, sp.dim))) for sp in domain]
+        if R > 1:
+            stacks[0][1] = 0.0
+            stacks[0][1, :, 0] = 1.0
+        for q in (1.0, 1.5, 2.0, 3.0, INF):
+            priced = _sm_ratios(A, stacks, max(q, 2.0), q)
+            alone = [_sm_ratios(A, [S[r : r + 1] for S in stacks], max(q, 2.0), q)[0]
+                     for r in range(R)]
+            assert len(priced) == R
+            assert priced == alone
+            if R > 1:
+                assert priced[1] == (0.0, True)
+
+
+def test_sm_size_restarts_make_one_engine_call_per_factor(monkeypatch):
+    """On l3 x l1.5 at p = q = 2 the eight size-2 restarts share one ascent per factor."""
+    A = random_map((NormedSpace(3, 3.0), NormedSpace(2, 1.5)), NormedSpace(2, 2.0), seed=0)
+    calls = []
+    engine = sigma._modulus_engine
+
+    def spy(spaces, mats, *args):
+        calls.append((tuple(sp.p for sp in spaces), mats[0].shape))
+        return engine(spaces, mats, *args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sm_pq_norm called family_strong_norm")
+
+    monkeypatch.setattr(sigma, "_modulus_engine", spy)
+    monkeypatch.setattr(sigma, "family_strong_norm", refuse)
+    sm_pq_norm(A, 2.0, 2.0, family_budget=2, cfg=SmConfig(seed=0))
+    # the seed and the size-1 restarts take the one-point tier; polish trials are stacks of one
+    assert calls[:2] == [((3.0,), (8, 2, 3)), ((1.5,), (8, 2, 2))]
+    assert len(calls) > 2 and all(shape[0] == 1 for _, shape in calls[2:])
 
 
 # ---------------------------------------------------------------------------

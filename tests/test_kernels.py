@@ -1076,7 +1076,7 @@ def test_search_kernels_have_one_call_shape():
             isinstance(x, ast.Attribute) and x.attr == "ndim" for x in (node.left, *node.comparators)
         )
 
-    stacked = {"sigma._modulus_exact", "sigma._modulus_arrays", "sigma._strong_norm",
+    stacked = {"sigma._modulus_exact", "sigma._modulus_arrays", "sigma.family_strong_norms",
                "sigma._fit_blocks", "sigma._beta_price", "kernels.top_singular_pair"}
     assert not _sites(ndim_compare) & stacked
     tree = ast.parse((_SRC / "projective.py").read_text())

@@ -995,7 +995,7 @@ def test_strong_norm_routes_are_bitwise_the_reference():
         cfg = tight if k % 5 == 0 else MODULUS_CONFIG
         ref = _reference_strong_norm(space, X, p, cfg)
         _same_modulus(family_strong_norm(space, X, p, cfg), ref)
-        (value,), exact, result = sigma._strong_norm(space, X[None], p, cfg)
+        (value,), exact, result = sigma.family_strong_norms(space, X[None], p, cfg)
         assert (np.float64(value).tobytes(), exact) == (np.float64(ref.value).tobytes(), ref.exact)
         (res,) = result()
         _same_modulus(res, ref)
@@ -1124,7 +1124,7 @@ def _strong_norm_route(space, p, m, exact):
 
 
 def test_stacked_strong_norms_are_bitwise_each_slice():
-    """Every route, weighted and not, B from 1 to 9: each value is its slice's _strong_norm."""
+    """Every route, weighted and not, B from 1 to 9: each value is its slice's strong norm."""
     rng = np.random.default_rng(4545)
     tight = SigmaConfig(exact_budget=8)
     routes, weighted, counts = Counter(), Counter(), set()
@@ -1136,10 +1136,11 @@ def test_stacked_strong_norms_are_bitwise_each_slice():
         B, m = 1 + k % 9, int(rng.integers(1, 4))
         S = unit_rows(space, rng.standard_normal((B, m, dim)))
         cfg = tight if k % 4 == 0 else MODULUS_CONFIG
-        values, exact, result = sigma._strong_norm(space, S, p, cfg)
+        values, exact, result = sigma.family_strong_norms(space, S, p, cfg)
         assert values.shape == (B,)
         for b, res in enumerate(result()):
-            (value,), slice_exact, slice_result = sigma._strong_norm(space, S[b : b + 1], p, cfg)
+            (value,), slice_exact, slice_result = sigma.family_strong_norms(
+                space, S[b : b + 1], p, cfg)
             assert np.float64(values[b]).tobytes() == np.float64(value).tobytes(), (space, p, m)
             assert exact == slice_exact
             _same_modulus(res, slice_result()[0])
