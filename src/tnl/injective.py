@@ -150,9 +150,8 @@ def sup_bracket(
     gives one family per ball (vertices, and grids when
     ``cfg.grid_resolution >= 2``) within ``cfg.budget``, it takes their best
     point: by multilinear Lipschitz slack the supremum is at most
-    best/(1 - sum of radii), exact when no ball is gridded.  A polyhedral
-    ball's family holds one vertex per pair v, -v, as |A| is even in each
-    slot; ``iterations`` counts the full grid, each such vertex twice.
+    best/(1 - sum of radii), exact when no ball is gridded; ``iterations``
+    counts the full grid (the gate's ``rows``, see it on its half sets).
     Otherwise it runs seeded ascent, with upper = inf.  Memoized
     (:func:`~tnl.kernels.memo`): an equal call returns the same bracket and
     fresh copies of the slots.
@@ -166,13 +165,10 @@ def sup_bracket(
         res = multilinear_sup(normalized, balls, cfg)
         est = NormEstimate(res.value * scale, INF, res.converged, res.iterations, cfg.seed)
         return est, res.slots
-    fams, slack = gate
-    # the full grid's family sizes: each kept vertex stands for itself and its negation
-    rows = [2 * len(F) if sp.is_polyhedral() else len(F) for sp, F in zip(balls, fams)]
+    fams, rows, slack = gate
     value, slots = grid_sup(normalized, fams, rows)
     best = value * scale
-    total = math.prod(rows)
-    return NormEstimate(best, best / (1.0 - slack), True, total, cfg.seed), slots
+    return NormEstimate(best, best / (1.0 - slack), True, math.prod(rows), cfg.seed), slots
 
 
 def epsilon_matrix_oracle(z: Tensor) -> float:

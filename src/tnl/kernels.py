@@ -22,27 +22,25 @@ routine, spec and operand order behind each value are decided in one place:
   points, and :func:`grid_plan` gives its radius and a floor on its size
   before it is meshed; :func:`point_families` is the one gate of every
   exhaustive route (the ε/sup enumeration and grid, the π LP and the σ_p
-  exact modulus): one family per ball, within a budget, or None.  Every
-  ball is symmetric and every quantity those routes price is even in each
-  slot, so a polyhedral ball's family is its half set: a tuple stands for
-  its 2^n sign twins, and the routes count (and budget) the full grid.
-  :func:`grid_values` and :func:`grid_sup` take the full grid's family
-  sizes and contract along its einsum path, so every value, argmax and
+  exact modulus): one family per ball (a polyhedral ball's half set) and
+  the full grid's family sizes, which it alone counts, within a budget, or
+  None.  :func:`grid_values` and :func:`grid_sup` take those sizes and
+  contract along the full grid's einsum path, so every value, argmax and
   count is the full enumeration's, bit for bit;
 * :func:`refit`, the one least-squares reconstruction (on a :func:`khatri_rao`
   or :func:`kron` design) behind every pi, sigma_p and beta_p upper end, and
-  :func:`top_singular_pair` (of stacks only): numpy's own LAPACK gufuncs
+  :func:`top_singular_pair`, both of stacks only: numpy's own LAPACK gufuncs
   behind ``np.linalg.lstsq(a, b, rcond=None)`` and the reduced
   ``np.linalg.svd``, under numpy's own error state, without the argument
-  handling (a stack of matrices goes through one gufunc call: the trials of
-  a pi line-search pass, a beta_p set's fit or its look-ahead trials, a
-  stack of strong norms); the pi refine and beta_p polish loops call them
-  hundreds of times per call.
+  handling (a stack of matrices goes through one gufunc call: a pi start or
+  the trials of a line-search pass, a beta_p set's fit or its look-ahead
+  trials, a stack of strong norms); the pi refine and beta_p polish loops
+  call them hundreds of times per call.
   Numpy's private linalg names appear in this module only, imported on first
   use, so a numpy that moves them breaks these two kernels, not ``import tnl``;
 * the helpers the norm modules share: :func:`norm_gradient`,
   :func:`column_norms`, :func:`q_norm`, the pi pivot refit
-  :func:`repair_pivot` (of one state or a stack of trial states) and
+  :func:`repair_pivot` (of a stack of states) and
   :data:`RESIDUAL_TOL`;
 * :func:`memo`, the one cache policy for searches: a small LRU memo keyed
   exactly on a call's arguments (arrays by dtype, shape, strides and bytes),
@@ -308,26 +306,20 @@ def _linalg_gufuncs() -> tuple:
     )
 
 
-def refit(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
-    """``np.linalg.lstsq(design, target, rcond=None)[0]`` and the residual, bit for bit.
+def refit(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each slice's ``np.linalg.lstsq(design[k], target, rcond=None)[0]`` and residual, bit for bit.
 
-    ``design`` is (m, n) and ``target`` (m, k), m and k at least one.  Numpy's
-    own gufunc runs under numpy's own error state and rcond rule, so a
-    non-converging SVD raises the same ``LinAlgError``.  The residual is
-    ``np.linalg.norm(design @ solution - target)``, computed as numpy does.
-    A (K, m, n) stack of designs, beta_p's look-ahead trials or a pi
-    line-search pass of step halvings, shares the one target
-    and goes through one gufunc call and one stacked matmul; it gives the
-    (K, n, k) solutions and the (K,) residuals, each slice's bit for bit its
-    own 2-D call's when the slices have the 2-D design's strides.
+    ``design`` is a (K, m, n) stack (a pi start or line-search pass, a beta_p
+    set's fit or its look-ahead trials) sharing the one (m, k) ``target``, m
+    and k at least one.  One call of numpy's own gufunc, under numpy's own
+    error state and rcond rule (a non-converging SVD raises the same
+    ``LinAlgError``), and one stacked matmul give the (K, n, k) solutions and
+    the (K,) residuals ``np.linalg.norm(design[k] @ solution[k] - target)``,
+    computed as numpy does.
     """
-    rcond = _EPS * max(design.shape[-2:])
-    sol = _linalg_gufuncs()[0](design, target, rcond, signature="ddd->ddid")[0]
-    r = design @ sol - target
-    if design.ndim == 2:
-        r = r.ravel(order="K")
-        return sol, math.sqrt(r.dot(r))
-    r = r.reshape(len(r), 1, -1)  # C-ordered slices: each row is its slice's ravel(order="K")
+    _, m, n = design.shape
+    sol = _linalg_gufuncs()[0](design, target, _EPS * max(m, n), signature="ddd->ddid")[0]
+    r = (design @ sol - target).reshape(len(design), 1, -1)  # each row its slice's ravel("K")
     return sol, np.sqrt(r @ r.swapaxes(-1, -2))[:, 0, 0]  # a vector @ vector is ndarray.dot
 
 
@@ -345,13 +337,13 @@ def top_singular_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def repair_pivot(
     unfolded: np.ndarray, free_mats: Sequence[np.ndarray]
-) -> tuple[np.ndarray, float | np.ndarray]:
-    """Least-squares pivot factor given the other factors; returns residual too.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares pivot factors given the other factors, and their residuals.
 
-    Free factors with one leading batch axis of a common length K (the pi line
-    search's trials) give the (K, d, R) pivot factors and the (K,) residuals
-    from one stacked :func:`khatri_rao` design and one stacked :func:`refit`,
-    each slice bit for bit and in memory layout its own 2-D call's.
+    ``free_mats`` holds one (K, d, R) stack per free factor, K states (a pi
+    start, the trials of a line-search pass): one stacked :func:`khatri_rao`
+    design and one :func:`refit` give the (K, d, R) pivot factors and the
+    (K,) residuals.
     """
     sol, resid = refit(khatri_rao(free_mats), unfolded.T)
     return sol.swapaxes(-1, -2), resid
@@ -491,8 +483,8 @@ def ball_grid(space: NormedSpace, resolution: int) -> tuple[np.ndarray, float]:
 
 def point_families(
     balls: Sequence[NormedSpace], budget: int, resolution: int = 0
-) -> tuple[list[np.ndarray], float] | None:
-    """One point family per ball and the sum of their covering radii, or None.
+) -> tuple[list[np.ndarray], list[int], float] | None:
+    """One point family per ball, the full grid's family sizes and the sum of the radii, or None.
 
     The one gate of every exhaustive route.  A polyhedral ball gives its
     :func:`half_vertices`, one vertex per pair v, -v (radius 0), any other a
@@ -503,19 +495,21 @@ def point_families(
     alike, and the first maximizer in the full grid's C order is a tuple of
     + representatives.  Priced along the full grid's einsum path (the
     ``rows`` of :func:`grid_values`), the half sets give the full sets'
-    values and argmax rows, bit for bit.  The budget, and the counts the
-    callers report, are the full grid's: each kept vertex stands for two.
+    values and argmax rows, bit for bit.  ``rows`` holds that full grid's
+    family sizes, each kept vertex counted twice (:func:`vertex_count`); the
+    budget and the counts the callers report are its product.
     None, before any vertex is built, when a smooth ball has no grid,
-    the radii sum to 1 or more, or the product of the full family sizes
-    exceeds ``budget``.  Nothing is planned unless every (resolution + 1)^dim
-    mesh fits the budget, and nothing is meshed unless the product of the
+    the radii sum to 1 or more, or the product of ``rows`` exceeds
+    ``budget``.  Nothing is planned unless every (resolution + 1)^dim mesh
+    fits the budget, and nothing is meshed unless the product of the
     :func:`grid_plan` floors fits it too.
     """
     smooth = [sp for sp in balls if not sp.is_polyhedral()]
-    if not smooth:
-        if math.prod(map(vertex_count, balls)) > budget:
+    if not smooth:  # as at every modulus and pi LP gate: nothing to plan, mesh or place
+        rows = [vertex_count(sp) for sp in balls]
+        if math.prod(rows) > budget:
             return None
-        return [half_vertices(sp) for sp in balls], 0.0
+        return [half_vertices(sp) for sp in balls], rows, 0.0
     if resolution < 2 or max((resolution + 1) ** sp.dim for sp in smooth) > budget:
         return None  # before grid_plan, whose ticks grow with the resolution
     plans = [grid_plan(sp, resolution) for sp in smooth]
@@ -523,11 +517,12 @@ def point_families(
     vertices = math.prod(vertex_count(sp) for sp in balls if sp.is_polyhedral())
     if slack >= 1.0 or vertices * math.prod(floor for _, floor in plans) > budget:
         return None
-    grids = [ball_grid(sp, resolution)[0] for sp in smooth]
-    if vertices * math.prod(map(len, grids)) > budget:
+    rest = iter([ball_grid(sp, resolution)[0] for sp in smooth])
+    grids = [None if sp.is_polyhedral() else next(rest) for sp in balls]
+    rows = [vertex_count(sp) if G is None else len(G) for sp, G in zip(balls, grids)]
+    if math.prod(rows) > budget:
         return None
-    rest = iter(grids)
-    return [half_vertices(sp) if sp.is_polyhedral() else next(rest) for sp in balls], slack
+    return [half_vertices(sp) if G is None else G for sp, G in zip(balls, grids)], rows, slack
 
 
 _memo: OrderedDict[tuple, object] = OrderedDict()

@@ -138,12 +138,11 @@ def _normalize_columns(space: NormedSpace, M: np.ndarray) -> np.ndarray:
 def _price(
     factors: Sequence[NormedSpace], unfolded: np.ndarray, pivot: int, stacks: list[np.ndarray]
 ) -> tuple:
-    """Objective, residual, factor matrices, column norms and term products of a state.
+    """Objectives, residuals, factor matrices, column norms and term products of K states.
 
-    ``stacks`` holds the normalized (d, R) columns of each free factor, or
-    one (K, d, R) stack per free factor for K states at once; then the pivot
-    factor of every state is refit in one stacked pass, and each result
-    gains the leading K axis ((n, K, R) for the column norms).
+    ``stacks`` holds one (K, d, R) stack of normalized columns per free
+    factor; the pivot factor of every state is refit in one stacked pass,
+    and each result has the leading K axis ((n, K, R) for the column norms).
     """
     pivots, resid = repair_pivot(unfolded, stacks)
     mats = _assemble(stacks, pivots, pivot)
@@ -165,10 +164,11 @@ def _refine_candidate(
     every accepted state reconstructs the tensor.  Each iteration walks its
     eight trial steps (the step, halved seven times) in order and takes the
     first that keeps the residual tolerance and lowers the objective; when
-    none does, the search has converged.  The walk prices ``width`` trials a
-    pass as one stack of states: all eight on a refit design of at most
-    ``_STACK_ENTRIES`` entries, else one; either way the accepted step is the
-    one the one-trial-at-a-time search stops at.  The column norms behind an
+    none does, the search has converged.  The start is priced as a stack of
+    one state, and the walk prices ``width`` trials a pass as one stack of
+    states: all eight on a refit design of at most ``_STACK_ENTRIES``
+    entries, else one; either way the accepted step is the one the
+    one-trial-at-a-time search stops at.  The column norms behind an
     accepted objective give the next gradient.
     """
     free_idx = [l for l in range(len(factors)) if l != pivot]
@@ -176,8 +176,8 @@ def _refine_candidate(
     unfolded = np.moveaxis(coeffs, pivot, 0).reshape(coeffs.shape[pivot], -1)
     width = 8 if unfolded.shape[1] * free_mats[0].shape[1] <= _STACK_ENTRIES else 1
 
-    start = [_normalize_columns(s, M) for s, M in zip(free_spaces, free_mats)]
-    value, resid, mats, norms, prods = _price(factors, unfolded, pivot, start)
+    start = [_normalize_columns(s, M)[None] for s, M in zip(free_spaces, free_mats)]
+    value, resid, mats, norms, prods = _trial(_price(factors, unfolded, pivot, start), 0)
     if resid > RESIDUAL_TOL:
         return INF, None, False
     best = float(value)
@@ -199,24 +199,30 @@ def _refine_candidate(
         accepted = None
         for first in range(0, 8, width):
             t = trials[first : first + width, None, None]
-            values, resid, mats_k, norms_k, prods_k = _price(factors, unfolded, pivot, [
+            priced = _price(factors, unfolded, pivot, [
                 _normalize_columns(s, M - t * g / gnorm)
                 for s, M, g in zip(free_spaces, free, grads)
             ])
+            values, resid = priced[:2]
             ok = (resid <= RESIDUAL_TOL) & (values < best - 1e-15)
             if ok.any():
                 i = int(ok.argmax())  # the first acceptable trial of the pass
-                accepted = (trials[first + i], values[i], [M[i] for M in mats_k], norms_k[:, i],
-                            prods_k[i])
+                accepted = trials[first + i], _trial(priced, i)
                 break
         if accepted is None:  # no trial step lowered the objective
             converged = True
             break
-        trial, value, mats, norms, prods = accepted
+        trial, (value, _, mats, norms, prods) = accepted
         best = float(value)
         free = [mats[l] for l in free_idx]
         step = trial * 1.5
     return best, _assemble(free, mats[pivot], pivot), converged
+
+
+def _trial(priced: tuple, i: int) -> tuple:
+    """State i of a :func:`_price` result, each of its arrays without the K axis."""
+    values, resid, mats, norms, prods = priced
+    return values[i], resid[i], [M[i] for M in mats], norms[:, i], prods[i]
 
 
 def _assemble(free: Sequence[np.ndarray], pivot_mat: np.ndarray, pivot: int) -> list[np.ndarray]:
@@ -318,19 +324,17 @@ def pi_upper(
 
 
 def _pi_lower_polyhedral(
-    pts: Sequence[np.ndarray], coeffs: np.ndarray
+    pts: Sequence[np.ndarray], rows: Sequence[int], coeffs: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Exact dual bound by linear programming over the polytope of feasible forms.
 
-    ``pts`` hold one vertex per pair v, -v of each factor ball (the
-    :func:`~tnl.kernels.point_families` half sets).  A form's value at a
-    tuple with some signs flipped is +-T x at the tuple of + representatives,
-    so the rows [T; -T], one pair per kept tuple, bound the same polytope as
-    the full enumeration, whose rows are 2^n copies of each of these: 2^n
-    times fewer rows, none of them new.  The solver may still land on
-    another optimal point of that polytope, within its tolerance; the exact
-    rescale below, on the full grid's einsum path, keeps the form feasible
-    whatever it returns.
+    ``pts`` and ``rows`` are the :func:`~tnl.kernels.point_families` half
+    sets and full family sizes.  The rows [T; -T], one pair per kept tuple,
+    bound the same polytope as the full enumeration, whose rows are 2^n
+    copies of each of these (see the gate): 2^n times fewer rows, none of
+    them new.  The solver may still land on another optimal point of that
+    polytope, within its tolerance; the exact rescale below, on the full
+    grid's einsum path, keeps the form feasible whatever it returns.
     ``import tnl`` loads numpy only; scipy's LP solver is imported here, on the
     first polyhedral π certificate, so runs that never solve an LP (ε, sup,
     σ_p, β_p, the witness) start without it.
@@ -349,7 +353,7 @@ def _pi_lower_polyhedral(
     if not res.success:
         return 0.0, np.zeros_like(coeffs)
     A = res.x.reshape(coeffs.shape)
-    sup, _ = grid_sup(A, pts, [2 * len(P) for P in pts])  # exact sup norm of A
+    sup, _ = grid_sup(A, pts, rows)  # exact sup norm of A
     if sup <= 1e-300:
         return 0.0, np.zeros_like(coeffs)
     A = A / sup
@@ -419,7 +423,7 @@ def pi_dual_certificate(
     gate = point_families(factors, cfg.lp_budget)
     if gate is not None:
         peak = float(np.abs(coeffs).max())
-        _, A = _pi_lower_polyhedral(gate[0], coeffs / peak)
+        _, A = _pi_lower_polyhedral(*gate[:2], coeffs / peak)  # the half sets and full rows
         return abs(float(np.vdot(A, coeffs))), A
 
     # always available: a rank-one product of normalized dual functionals,

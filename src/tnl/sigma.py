@@ -194,19 +194,17 @@ def _family_arrays(
 
 
 def _modulus_exact(
-    points: Sequence[np.ndarray], mats: Sequence[np.ndarray], p: float
+    points: Sequence[np.ndarray], rows: Sequence[int], mats: Sequence[np.ndarray], p: float
 ) -> tuple[np.ndarray, bool, Callable[[], list[ModulusResult]]]:
     """The moduli of (R, m, d_l) families by enumeration over ``points``, each dual ball's vertices.
 
-    ``points`` hold one vertex per pair phi, -phi of each dual ball (the
-    :func:`~tnl.kernels.point_families` half sets).  Flipping the sign of one
-    functional flips the sign of every term product, exactly, and leaves
-    |products|^p as it was, so each kept tuple prices as all 2^n of its sign
-    twins do; the first maximizer in the full grid's C order is a tuple of
-    + representatives, so the value and the functionals are the full grid's,
-    bit for bit (the outer products of the half sets take the full sets'
+    ``points`` and ``rows`` are the :func:`~tnl.kernels.point_families` half
+    sets and full family sizes.  Flipping the sign of one functional flips
+    the sign of every term product, exactly, and leaves |products|^p as it
+    was, so the value and the functionals are the full grid's, bit for bit
+    (see the gate; the outer products of the half sets take the full sets'
     einsum path, as every family halves alike).  ``iterations`` counts the
-    full grid, 2^n times the tuples priced.
+    full grid, the product of ``rows``.
 
     Returns the (R,) array of their values and a ``results()`` that builds
     each family's :class:`ModulusResult` from the same grid, its value rooted
@@ -229,7 +227,7 @@ def _modulus_exact(
 
     def results() -> list[ModulusResult]:
         out = []
-        count = math.prod(2 * len(P) for P in points)  # the full vertex grid's tuples
+        count = math.prod(rows)
         for r in range(R):
             g = grid[..., r]
             flat = int(np.argmax(g))
@@ -389,7 +387,7 @@ def _modulus_arrays(
     if m > 1:
         gate = point_families([sp.dual() for sp in spaces], cfg.exact_budget // m)
         if gate is not None:
-            return _modulus_exact(gate[0], mats, p)
+            return _modulus_exact(*gate[:2], mats, p)
     if m == 1:
         maxima = [ball_linear_maximizer_batch(sp.dual(), X[:, 0]) for sp, X in zip(spaces, mats)]
         value = math.prod(norms for _, norms in maxima)
@@ -597,7 +595,7 @@ def sigma_p_upper(
         unfolded = np.moveaxis(coeffs, pivot, 0).reshape(coeffs.shape[pivot], -1)
         candidates: list[list[np.ndarray]] = []
         for free in free_lists:
-            piv, resid = repair_pivot(unfolded, free)
+            (piv,), (resid,) = repair_pivot(unfolded, [F[None] for F in free])
             if resid <= RESIDUAL_TOL:
                 candidates.append([*free[:pivot], piv, *free[pivot:]])
         if pi_mats is not None:  # its pivot is already refit from its own free factors

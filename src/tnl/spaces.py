@@ -9,7 +9,8 @@ The module also provides the three primitives every norm estimator in this
 package is built from: seeded unit-sphere sampling (:func:`unit_vector`,
 :func:`unit_rows`), extreme-point enumeration for the polyhedral balls
 (p in {1, inf}), and the closed-form maximizer of a linear functional over
-a unit ball.  The norm modules use :func:`tnl.kernels.vertex_matrix`, the
+a unit ball.  The norm modules' exhaustive routes take their vertices
+from :func:`tnl.kernels.point_families`: one per pair v, -v, out of the
 cached array form of :func:`extreme_points`.
 """
 
@@ -221,7 +222,7 @@ def unit_vector(space: NormedSpace, rng: np.random.Generator) -> np.ndarray:
 
 def unit_rows(space: NormedSpace, X: np.ndarray) -> np.ndarray:
     """The rows (last axis) of X scaled to unit norm; rows of norm at most the tiny cut stay."""
-    norms = np.atleast_1d(space.norm(X))
+    norms = space.norm(X)
     return X / np.where(norms > _tiny_norm(space), norms, 1.0)[..., None]
 
 

@@ -73,8 +73,9 @@ class TestPolyhedralExact:
         z = random_tensor(TensorSpace(factors), seed=1)
         balls = z.space.dual_factors()
         assert point_families(balls, 511) is None  # 8^3 vertex tuples
-        fams, slack = point_families(balls, 512)
+        fams, rows, slack = point_families(balls, 512)
         assert [len(F) for F in fams] == [4, 4, 4] and slack == 0.0  # one vertex per +- pair
+        assert rows == [8, 8, 8]  # the full grid's family sizes
         for sp, F in zip(balls, fams):
             assert np.array_equal(with_negations(sp, F), kernels.vertex_matrix(sp))
         assert eps_bracket(z, EpsilonConfig(budget=511))[0].upper == INF

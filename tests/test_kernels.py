@@ -248,7 +248,7 @@ def test_stacked_khatri_rao_is_bitwise_each_slice():
 
 
 def test_stacked_repair_pivot_is_bitwise_each_slice():
-    """The pi line search's refit: K trial states against one unfolded array, every pivot axis."""
+    """The pi refit: K states against one unfolded array, every pivot axis, each slice numpy's."""
     rng = np.random.default_rng(45)
     count = deficient = 0
     for shape in [(2, 2), (3, 2), (2, 3), (3, 3), (2, 2, 2), (3, 2, 3), (2, 3, 3)]:
@@ -268,7 +268,10 @@ def test_stacked_repair_pivot_is_bitwise_each_slice():
                 piv, resid = kernels.repair_pivot(unfolded, stacks)
                 assert piv.shape == (K, shape[pivot], R) and resid.shape == (K,)
                 for k in range(K):
-                    ref, ref_resid = kernels.repair_pivot(unfolded, [S[k] for S in stacks])
+                    design = kernels.khatri_rao([S[k] for S in stacks])
+                    ref = np.linalg.lstsq(design, unfolded.T, rcond=None)[0]
+                    ref_resid = np.linalg.norm(design @ ref - unfolded.T)
+                    ref = ref.T
                     assert piv[k].tobytes() == ref.tobytes() and piv[k].strides == ref.strides
                     assert np.float64(resid[k]).tobytes() == np.float64(ref_resid).tobytes()
                     count += 1
@@ -287,16 +290,16 @@ def _linalg_inputs():
 
 
 def test_lstsq_is_bitwise_numpy():
-    """refit: numpy's lstsq solution and numpy's norm of its residual, C- and F-ordered targets."""
+    """refit of a stack of one: numpy's lstsq solution and norm of its residual, C and F targets."""
     count = 0
     for a, rng in _linalg_inputs():
         for k in (1, 3):
             # an F-ordered view, as repair_pivot passes its unfolded target
             for b in (rng.standard_normal((a.shape[0], k)), rng.standard_normal((k, a.shape[0])).T):
-                (got, resid), ref = kernels.refit(a, b), np.linalg.lstsq(a, b, rcond=None)[0]
+                (got,), (resid,) = kernels.refit(a[None], b)
+                ref = np.linalg.lstsq(a, b, rcond=None)[0]
                 assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), a.shape
                 assert got.strides == ref.strides
-                assert type(resid) is float
                 want = float(np.linalg.norm(a @ ref - b))
                 assert np.float64(resid).tobytes() == np.float64(want).tobytes(), a.shape
                 count += 1
@@ -329,7 +332,7 @@ def test_stacked_top_singular_pair_is_bitwise_each_slice():
 
 
 def test_stacked_refit_is_bitwise_each_slice():
-    """beta_p's look-ahead: K designs, C- and F-ordered slices, against one target each."""
+    """beta_p's look-ahead: K designs, C- and F-ordered slices, one target, each slice numpy's."""
     rng = np.random.default_rng(43)
     deficient = 0
     for m, n in [(1, 1), (4, 2), (2, 4), (3, 3), (6, 4), (4, 9), (8, 1), (1, 5), (4, 3)]:
@@ -346,7 +349,8 @@ def test_stacked_refit_is_bitwise_each_slice():
                 sol, resid = kernels.refit(design, target)
                 assert sol.shape == (K, n, k) and resid.shape == (K,)
                 for b in range(K):
-                    ref, ref_resid = kernels.refit(design[b], target)
+                    ref = np.linalg.lstsq(design[b], target, rcond=None)[0]
+                    ref_resid = np.linalg.norm(design[b] @ ref - target)
                     assert sol[b].tobytes() == ref.tobytes() and sol[b].strides == ref.strides
                     assert np.float64(resid[b]).tobytes() == np.float64(ref_resid).tobytes()
                     rank = np.linalg.matrix_rank(design[b])
@@ -360,7 +364,7 @@ def test_linalg_kernels_raise_where_numpy_raises():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.lstsq(a, b, rcond=None)
     with pytest.raises(np.linalg.LinAlgError, match="Least Squares"):
-        kernels.refit(a, b)
+        kernels.refit(a[None], b)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.svd(a, full_matrices=False)
     with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
@@ -380,7 +384,7 @@ def test_numpy_private_names_are_imported_on_first_use():
         if any(part.startswith("_") for part in parts):
             private.append(ast.unparse(node))
     assert private == []
-    kernels.refit(np.eye(2), np.ones((2, 1)))  # the first call imports them
+    kernels.refit(np.eye(2)[None], np.ones((2, 1)))  # the first call imports them
     assert kernels.top_singular_pair(np.eye(2)[None])[0][0] == 1.0
 
 
@@ -422,12 +426,14 @@ def test_exhaustive_route_matches_oracle_and_checks_budget_first(counted_extreme
     assert kernels.point_families(mixed, total - 1, 6) is None
     assert counted_extreme_points == []
 
-    fams, slack = kernels.point_families(balls, 96)
+    fams, rows, slack = kernels.point_families(balls, 96)
     assert [len(F) for F in fams] == [2, 3, 2] and slack == 0.0  # one vertex per +- pair
+    assert rows == [4, 6, 4]  # the full grid's family sizes
     for sp, F in zip(balls, fams):
         assert np.array_equal(with_negations(sp, F), kernels.vertex_matrix(sp))
-    fams, slack = kernels.point_families(mixed, total, 6)
+    fams, rows, slack = kernels.point_families(mixed, total, 6)
     assert np.array_equal(fams[0], grid) and slack == delta  # a grid stays whole
+    assert rows == [len(grid), 6, 4]
     for sp, F in zip(mixed[1:], fams[1:]):
         assert np.array_equal(with_negations(sp, F), kernels.vertex_matrix(sp))
     est, slots = sup_bracket(A.coeffs, balls, EpsilonConfig(budget=96))
@@ -490,19 +496,27 @@ def test_point_families_is_the_one_gate(counted_extreme_points, monkeypatch):
     assert kernels.point_families(big, 63) is None
     assert counted_extreme_points == []  # neither refusal built a vertex
     spaces = big + [NormedSpace(1, 2.0)]  # a one-dimensional ball is an interval
-    mats, slack = kernels.point_families(spaces, 128)
+    mats, rows, slack = kernels.point_families(spaces, 128)
     assert len(mats) == 3 and slack == 0.0 and counted_extreme_points
     assert [len(M) for M in mats] == [4, 4, 1]  # one vertex per +- pair
+    assert rows == [8, 8, 2] == [len(kernels.vertex_matrix(sp)) for sp in spaces]  # the full sets
     for M, sp in zip(mats, spaces):
         assert M is kernels.half_vertices(sp)
         assert M.flags.c_contiguous and not M.flags.writeable
         assert np.array_equal(with_negations(sp, M), kernels.vertex_matrix(sp))
-    assert kernels.point_families([], 1) == ([], 0.0)
+    assert kernels.point_families([], 1) == ([], [], 0.0)
     # a grid beside the vertices, with its covering radius as the slack
-    mats, slack = kernels.point_families(smooth, 10**6, 8)
+    mats, rows, slack = kernels.point_families(smooth, 10**6, 8)
     grid, delta = kernels.ball_grid(smooth[1], 8)
     assert mats[0] is kernels.half_vertices(smooth[0]) and np.array_equal(mats[1], grid)
-    assert slack == delta
+    assert rows == [6, len(grid)] and slack == delta
+    # the exhaustive sup reports the product of the gate's rows as its count
+    rng = np.random.default_rng(5)
+    for balls, resolution in [(spaces, 0), (smooth, 8)]:
+        _, rows, _ = kernels.point_families(balls, 10**6, resolution)
+        coeffs = rng.standard_normal(tuple(sp.dim for sp in balls))
+        cfg = EpsilonConfig(budget=10**6, grid_resolution=resolution)
+        assert sup_bracket(coeffs, tuple(balls), cfg)[0].iterations == math.prod(rows)
 
     def no_plan(*args):
         raise AssertionError("a grid was planned")
@@ -563,11 +577,12 @@ def test_half_grids_are_bitwise_the_full_enumeration():
         coeffs = rng.standard_normal(tuple(sp.dim for sp in balls))
         if seen % 3 == 0 and np.any(np.round(coeffs)):
             coeffs = np.round(coeffs)  # ties among the maxima
-        fams, _ = gate
+        fams, rows, _ = gate
         full = [kernels.vertex_matrix(sp) if sp.is_polyhedral() else F
                 for sp, F in zip(balls, fams)]
+        assert rows == [len(F) for F in full]
         value, slots, count = _reference_grid_sup(coeffs, full)
-        got, got_slots = kernels.grid_sup(coeffs, fams, [len(F) for F in full])
+        got, got_slots = kernels.grid_sup(coeffs, fams, rows)
         assert got == value
         for a, b in zip(got_slots, slots, strict=True):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -1047,7 +1062,8 @@ def test_one_supremum_route_rule():
     assert not any(isinstance(node, ast.Try) for node in ast.walk(injective))
     for path in _SRC.glob("*.py"):
         assert "BudgetError" not in path.read_text(), path.name
-    for name in ("evaluators.py", "ideals.py", "verify.py", "sigma.py", "projective.py"):
+    for name in ("evaluators.py", "ideals.py", "verify.py", "sigma.py", "projective.py",
+                 "injective.py"):
         assert "is_polyhedral" not in (_SRC / name).read_text(), name
     # the exact enumeration routes count and build vertices behind one gate
     for name in ("sigma.py", "projective.py"):
@@ -1069,7 +1085,7 @@ def test_modulus_engine_is_called_only_by_modulus_arrays():
 
 
 def test_search_kernels_have_one_call_shape():
-    """The stacked sigma_p/beta_p kernels branch on no ndim; pi's refine prices at two sites."""
+    """The stacked search kernels branch on no ndim; pi's refine prices at two sites."""
 
     def ndim_compare(node):
         return isinstance(node, ast.Compare) and any(
@@ -1077,8 +1093,14 @@ def test_search_kernels_have_one_call_shape():
         )
 
     stacked = {"sigma._modulus_exact", "sigma._modulus_arrays", "sigma.family_strong_norms",
-               "sigma._fit_blocks", "sigma._beta_price", "kernels.top_singular_pair"}
+               "sigma._fit_blocks", "sigma._beta_price", "kernels.top_singular_pair",
+               "kernels.refit", "kernels.repair_pivot", "projective._price"}
     assert not _sites(ndim_compare) & stacked
+    # the least-squares kernels take stacks only: a 2-D design has no (K, m, n) shape
+    with pytest.raises(ValueError):
+        kernels.refit(np.eye(2), np.ones((2, 1)))
+    with pytest.raises(ValueError):
+        kernels.repair_pivot(np.eye(2), [np.eye(2)])
     tree = ast.parse((_SRC / "projective.py").read_text())
     fn = next(node for node in ast.walk(tree)
               if isinstance(node, ast.FunctionDef) and node.name == "_refine_candidate")

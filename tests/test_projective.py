@@ -549,11 +549,11 @@ def test_lp_on_half_rows_is_feasible_and_within_dust_of_the_full_rows(monkeypatc
         if gate is None:
             continue
         case += 1
-        half, _ = gate
+        half, rows, _ = gate
         coeffs = rng.standard_normal(tuple(f.dim for f in factors))
         coeffs /= np.abs(coeffs).max()
         sups.clear()
-        value, A = projective._pi_lower_polyhedral(half, coeffs)
+        value, A = projective._pi_lower_polyhedral(half, rows, coeffs)
         full = [tnl_kernels.vertex_matrix(f) for f in factors]
         # the exact rescale divides by the full grid's sup, bit for bit
         ((form, sup),) = sups
@@ -695,7 +695,7 @@ def test_one_refine_iteration_makes_one_refit_call(monkeypatch):
         _, mats, converged = projective._refine_candidate(
             factors, coeffs, 0, free, PiConfig(refine_iters=iters))
         assert mats is not None and not converged
-        assert calls == [(6, 6)] + [(8, 6, 6)] * iters
+        assert calls == [(1, 6, 6)] + [(8, 6, 6)] * iters  # the start is a stack of one
 
 
 @pytest.mark.parametrize("shape,rank,width", [
@@ -724,7 +724,7 @@ def test_stack_width_follows_the_design_size(shape, rank, width, monkeypatch):
     # an array the start rebuilds, so the search steps under a rank cap too
     coeffs = (rng.standard_normal((shape[0], rank)) @ tnl_kernels.khatri_rao(free).T).reshape(shape)
     projective._refine_candidate(factors, coeffs, 0, free, PiConfig(refine_iters=4))
-    assert calls[0] == (rows, rank)
+    assert calls[0] == (1, rows, rank)
     assert len(calls) > 1 and set(calls[1:]) == {(width, rows, rank)}
     assert (rows * rank <= projective._STACK_ENTRIES) == (width == 8)
 

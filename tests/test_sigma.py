@@ -335,11 +335,11 @@ def test_modulus_exact_one_space_matches_contract_route_bitwise(kind, p):
     for dim in (1, 2, 3):
         for weights in (None, tuple(rng.uniform(0.5, 2.0, dim))):
             sp = NormedSpace(dim, kind, weights)
-            (half,), _ = point_families([sp.dual()], 4096)
+            (half,), rows, _ = point_families([sp.dual()], 4096)
             assert half is half_vertices(sp.dual())
             for m in (2, 3, 4):
                 X = rng.standard_normal((m, dim))
-                (got_value,), exact, result = sigma._modulus_exact([half], [X[None]], p)
+                (got_value,), exact, result = sigma._modulus_exact([half], rows, [X[None]], p)
                 (res,) = result()
                 value, phi = _modulus_exact_by_contract(sp, X, p)
                 assert exact and res.exact and got_value == res.value
@@ -403,7 +403,7 @@ def test_modulus_exact_on_half_sets_is_bitwise_the_full_enumeration():
             mats = [X[:1] for X in mats]  # one family, as family_modulus_p prices it
         full = [vertex_matrix(sp) for sp in duals]
         for p in (1.0, 1.5, 2.0, 3.0, INF):
-            value, exact, result = sigma._modulus_exact(gate[0], mats, p)
+            value, exact, result = sigma._modulus_exact(*gate[:2], mats, p)
             ref_value, ref = _reference_modulus_exact(full, mats, p)
             assert exact and np.asarray(value).tobytes() == np.asarray(ref_value).tobytes()
             for res, (v, funcs, count) in zip(result(), ref, strict=True):

@@ -121,6 +121,8 @@ class TestDuality:
         assert np.array_equal(U[1:], X[1:])  # norm <= 1e-12: left as it is
         stack = np.random.default_rng(3).standard_normal((4, 2, 3))  # rows along the last axis
         assert unit_rows(sp, stack).tobytes() == unit_rows(sp, stack.reshape(8, 3)).tobytes()
+        v = unit_rows(sp, X[0])  # a single vector stays a vector
+        assert v.shape == (3,) and v.tobytes() == U[0].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(p=P_VALUES, data=st.data())
