@@ -15,7 +15,8 @@ axis.  This module provides:
 * the strongly multiple (p, q)-summing constant, estimated from finite
   families, each family size's restarts priced in one stacked pass; the
   inner supremum over the unit ball of multilinear forms is priced on the
-  product forms, one strong-norm pass per factor over the whole stack;
+  product forms, one strong-norm pass (a one-factor
+  :func:`~tnl.sigma.family_moduli` call) per factor over the whole stack;
 * the exact correspondence between maps into a dual space and scalar
   forms with one extra slot.
 
@@ -50,7 +51,7 @@ from .spaces import (
 )
 from .injective import EpsilonConfig, sup_bracket
 from .kernels import apply_axis, contract_leading, grid_values, outer, q_norm
-from .sigma import MODULUS_CONFIG, SigmaDualConfig, family_strong_norms, sigma_p_dual
+from .sigma import MODULUS_CONFIG, SigmaDualConfig, family_moduli, sigma_p_dual
 from .tensors import (
     NormEstimate,
     Tensor,
@@ -458,11 +459,11 @@ def _sm_ratios(
     q = inf (max and sup commute).  Otherwise the supremum over product
     forms f_1 x ... x f_n with ||f_l||' <= 1: their grid q-sum factorizes
     into prod_l ||(f_l(x_{l,j}))_j||_q, so it is the product of single-family
-    strong norms (exact on polyhedral and Euclidean/q=2 balls), one
-    :func:`~tnl.sigma.family_strong_norms` pass per factor on the whole
-    stack.  One factor keeps its strong norm's exact flag; with more, forms
-    outside the products can score higher, so the value is a lower
-    estimate.  The sound upper bound, the grid q-sum of
+    strong norms, the one-factor moduli (exact on polyhedral and
+    Euclidean/q=2 balls), one :func:`~tnl.sigma.family_moduli` pass per
+    factor on the whole stack.  One factor keeps its strong norm's exact
+    flag; with more, forms outside the products can score higher, so the
+    value is a lower estimate.  The sound upper bound, the grid q-sum of
     prod_l ||x_{l,J_l}||, is not used yet.  Each pair is bit for bit the one
     of pricing its family as a stack of one.
     """
@@ -477,7 +478,7 @@ def _sm_ratios(
         dens = [float(outer([sp.norm(X) for sp, X in zip(A.domain, f)]).max()) for f in fams]
         exact = True
     else:
-        routes = [family_strong_norms(sp, S, q, MODULUS_CONFIG) for sp, S in zip(A.domain, stacks)]
+        routes = [family_moduli((sp,), [S], q, MODULUS_CONFIG) for sp, S in zip(A.domain, stacks)]
         dens = [math.prod(v) for v in zip(*(values.tolist() for values, _, _ in routes))]
         exact = len(routes) == 1 and routes[0][1]
     return [(0.0, True) if num <= 1e-300 else (0.0 if den <= 1e-300 else num / den, exact)

@@ -85,20 +85,24 @@ def space_from_json(data: Any) -> NormedSpace:
     if not isinstance(data, dict):
         raise SerializationError(f"factor block must be an object, got {type(data).__name__}")
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
         kind = data["norm"]
         p = _decode_p(data["p"])
     except KeyError as exc:
         raise SerializationError(f"factor block missing key: {exc}") from exc
+    if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool):
+        raise SerializationError(f"dim must be an integer, got {dim!r}")
     if kind == "ellp":
         if "weights" in data:
             raise SerializationError('norm "ellp" does not take weights')
         return _build(NormedSpace, dim, p)
     if kind == "weighted_ellp":
+        if not isinstance(data.get("weights"), list):
+            raise SerializationError('norm "weighted_ellp" needs a list of weights')
         try:
             weights = tuple(float(w) for w in data["weights"])
-        except KeyError as exc:
-            raise SerializationError('norm "weighted_ellp" needs weights') from exc
+        except (TypeError, ValueError) as exc:
+            raise SerializationError(f"weights must be numbers: {exc}") from None
         return _build(NormedSpace, dim, p, weights=weights)
     raise SerializationError(f"unknown norm kind: {kind!r}")
 
@@ -171,7 +175,7 @@ def decomposition_from_json(data: Any, space: TensorSpace) -> Decomposition:
         try:
             weight = float(t["lambda"])
             raw = t["vectors"]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SerializationError(f"bad decomposition term: {t!r}") from exc
         if len(raw) != space.order:
             raise SerializationError("term has the wrong number of vectors")

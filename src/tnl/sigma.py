@@ -12,7 +12,8 @@ turn the dual pairing into exactly that ratio).
 beta_p(z) generalizes the representation to grouped blocks whose coefficient
 arrays live in the final factor F and whose family index runs over a full
 product grid; over that grid the modulus factorizes into per-factor "strong
-p-norms" of each family, which is what the search evaluates.
+p-norms" of each family, its one-factor moduli, which is what the search
+evaluates.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ __all__ = [
     "BetaResult",
     "family_modulus_p",
     "family_strong_norm",
-    "family_strong_norms",
+    "family_moduli",
     "sigma_p_upper",
     "sigma_p_dual",
     "beta_p_upper",
@@ -353,49 +354,73 @@ def family_modulus_p(
 ) -> ModulusResult:
     """sup over dual-ball tuples of the p-sum of aligned term products.
 
-    Exact by enumeration when every factor ball is polyhedral (and for a
-    single-member family, where the supremum is the product of norms);
-    otherwise a monotone conditional-gradient ascent from seeded starts —
-    a lower bound, like every maximization-based estimate in this package.
+    One family priced as a batch of one by :func:`family_moduli`, whose
+    route rule decides exactness: a one-factor family is its strong norm,
+    bit for bit :func:`family_strong_norm`.  Ascent ends are lower
+    estimates, like every maximization-based estimate in this package.
     Each factor's family lies in one space, or :class:`SpaceError` is raised.
     """
     cfg = cfg or SigmaConfig()
     conjugate_exponent(p)  # SpaceError unless p >= 1
     spaces, mats = _family_arrays(families)
     seeds = [tuple(np.asarray(x, dtype=float)[None] for x in s) for s in seeds]
-    return _modulus_arrays(spaces, mats, p, cfg, seeds)[2]()[0]
+    return family_moduli(spaces, mats, p, cfg, seeds)[2]()[0]
 
 
-def _modulus_arrays(
+def family_moduli(
     spaces: Sequence[NormedSpace],
-    mats: Sequence[np.ndarray],
+    stacks: Sequence[np.ndarray],
     p: float,
     cfg: SigmaConfig,
     seeds: Sequence[tuple[np.ndarray, ...]] = (),
 ) -> tuple[np.ndarray, bool, Callable[[], list[ModulusResult]]]:
-    """The moduli of (R, m, d_l) families as ``(values, exact, results)``, one route for all R.
+    """``(values, exact, results)`` of R families, one (R, m, d_l) stack per factor.
 
-    Member norms (m = 1), enumeration (polyhedral dual balls within
-    ``cfg.exact_budget``) or one engine call on the ascent.  ``values`` is
-    the (R,) array of the moduli, ``results()`` builds their ModulusResults,
-    and each seed holds one (R, d_l) stack per factor, a row per family.
-    Each family's result is bit for bit the one of pricing it in a batch of
-    one, and so is its value but on a multi-factor enumeration (see
-    :func:`_modulus_exact`).
+    The family-modulus route rule, one route for all R, the first that applies:
+
+    * one factor (a strong norm) at p = inf: the largest member norm;
+    * one Euclidean factor at p = 2: the top singular value of the weighted
+      family;
+    * enumeration, when m > 1 and every dual ball is polyhedral within
+      ``cfg.exact_budget`` (:func:`_modulus_exact`);
+    * one member (m = 1): the product of the member norms;
+    * otherwise one engine call on the ascent, a lower estimate, from the
+      seeds, each one (R, d_l) stack per factor, a row per family.
+
+    ``values`` is the (R,) array of the moduli and ``results()`` builds
+    their :class:`ModulusResult`, functionals included.  Each family's result
+    is bit for bit the one of pricing it in a batch of one, and so is its
+    value but on a multi-factor enumeration (see :func:`_modulus_exact`).
     """
-    R, m = mats[0].shape[:2]
+    if len(spaces) == 1:  # a strong norm: its closed forms first
+        (sp,), (S,) = spaces, stacks
+        if p == INF:
+            norms = sp.norm(S)
+            values, dual = norms.max(axis=1), sp.dual()
+            return values, True, lambda: [
+                ModulusResult(float(v), (ball_linear_maximizer_batch(dual, X[j : j + 1])[0][0],),
+                              True, 1)
+                for v, X, j in zip(values, S, norms.argmax(axis=1).tolist())
+            ]
+        if sp.p == 2.0 and p == 2.0:
+            w = sp.weight_array()
+            values, vt0 = top_singular_pair(S * w)
+            return values, True, lambda: [
+                ModulusResult(float(v), (w * row,), True, 1) for v, row in zip(values, vt0)
+            ]
+    R, m = stacks[0].shape[:2]
     if m > 1:
         gate = point_families([sp.dual() for sp in spaces], cfg.exact_budget // m)
         if gate is not None:
-            return _modulus_exact(*gate[:2], mats, p)
+            return _modulus_exact(*gate[:2], stacks, p)
     if m == 1:
-        maxima = [ball_linear_maximizer_batch(sp.dual(), X[:, 0]) for sp, X in zip(spaces, mats)]
+        maxima = [ball_linear_maximizer_batch(sp.dual(), X[:, 0]) for sp, X in zip(spaces, stacks)]
         value = math.prod(norms for _, norms in maxima)
         funcs, counts, exact = [y for y, _ in maxima], [1] * R, True
     else:
         rows = [np.stack([s[l] for s in seeds], axis=1) if seeds else np.empty((R, 0, sp.dim))
                 for l, sp in enumerate(spaces)]
-        value, funcs, counts = _modulus_engine(spaces, mats, p, cfg, rows)
+        value, funcs, counts = _modulus_engine(spaces, stacks, p, cfg, rows)
         exact = False
 
     def results() -> list[ModulusResult]:
@@ -413,13 +438,12 @@ def family_strong_norm(
 ) -> ModulusResult:
     """sup over the dual ball of the p-sum of |phi(x_j)| for one family.
 
-    This is the per-factor building block of the grid modulus used by
-    beta_p: over a full product index the joint modulus factorizes into the
-    product of these single-factor strong norms.  Exact for polyhedral
-    balls, for Euclidean balls with p = 2 (largest singular value), and for
-    p = inf (the largest member norm); conditional-gradient ascent otherwise.
-    ``vectors`` is a nonempty (m, dim) family or one (dim,) vector; any
-    other shape raises :class:`SpaceError`.
+    The one-factor family modulus, and the per-factor building block of the
+    grid modulus used by beta_p: over a full product index the joint
+    modulus factorizes into the product of these strong norms.  Priced as a
+    batch of one by :func:`family_moduli`.  ``vectors`` is a nonempty (m,
+    dim) family or one (dim,) vector; any other shape raises
+    :class:`SpaceError`.
     """
     cfg = cfg or SigmaConfig()
     X = np.asarray(vectors if isinstance(vectors, np.ndarray) else [v.coords for v in vectors],
@@ -427,34 +451,7 @@ def family_strong_norm(
     X = X[None] if X.shape == (space.dim,) else X  # one vector: a family of one
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] != space.dim:
         raise SpaceError(f"a strong norm needs a nonempty (m, {space.dim}) family, not {X.shape}")
-    return family_strong_norms(space, X[None], p, cfg)[2]()[0]
-
-
-def family_strong_norms(
-    space: NormedSpace, X: np.ndarray, p: float, cfg: SigmaConfig
-) -> tuple[np.ndarray, bool, Callable[[], list[ModulusResult]]]:
-    """:func:`family_strong_norm` of a (B, m, d) stack of families as ``(values, exact, results)``.
-
-    One route for all B families (beta_p's blocks of one shape, sm_pq's
-    restarts of one size), priced in one pass (one engine call on the
-    ascent): ``values`` is the (B,) array of their values, each bit for bit
-    its own family's, and ``results()`` builds the list of their
-    :class:`ModulusResult`, functionals included.
-    """
-    if p == INF:  # the largest member norm
-        norms = space.norm(X)
-        values, dual = norms.max(axis=1), space.dual()
-        return values, True, lambda: [
-            ModulusResult(float(v), (ball_linear_maximizer_batch(dual, F[j])[0][0],), True, 1)
-            for v, F, j in zip(values, X, norms.argmax(axis=1).tolist())
-        ]
-    if space.p == 2.0 and p == 2.0:  # the top singular value of the weighted family
-        w = space.weight_array()
-        values, vt0 = top_singular_pair(X * w)
-        return values, True, lambda: [
-            ModulusResult(float(v), (w * row,), True, 1) for v, row in zip(values, vt0)
-        ]
-    return _modulus_arrays((space,), [X], p, cfg)
+    return family_moduli((space,), [X[None]], p, cfg)[2]()[0]
 
 
 def _split_scales(lam: np.ndarray, m: np.ndarray, p: float, q: float) -> np.ndarray:
@@ -501,7 +498,7 @@ def _sigma_candidates(
     and the first factor's family, re-evaluating the modulus honestly each
     round, until two rounds agree to 1e-12 (converged) or ``cfg.split_rounds``
     end.  A round prices the live candidates of each term count in one
-    :func:`_modulus_arrays` batch; each keeps its own seeds, split, exit and
+    :func:`family_moduli` batch; each keeps its own seeds, split, exit and
     best state, so each (value, weights, families, converged) is bit for
     bit the one of its candidate evaluated alone.
     """
@@ -527,7 +524,7 @@ def _sigma_candidates(
             stacks = [np.stack([run.fams[l] for run in group]) for l in range(n)]
             rows = [tuple(np.stack([run.seeds[k][l] for run in group]) for l in range(n))
                     for k in range(len(group[0].seeds))]
-            priced.extend(zip(group, _modulus_arrays(factors, stacks, p, cfg, rows)[2]()))
+            priced.extend(zip(group, family_moduli(factors, stacks, p, cfg, rows)[2]()))
         live = []
         for run, mod in priced:
             value = q_norm(run.lam, q) * mod.value
@@ -554,6 +551,41 @@ def _sigma_candidates(
     return out
 
 
+@memo
+def _sigma_search(space: TensorSpace, coeffs: np.ndarray, p: float, cfg: SigmaConfig) -> tuple:
+    """Injective lower end, best value, weights, families, converged, candidates."""
+    factors = space.factors
+    q = conjugate_exponent(p)
+    # seed the modulus runs with the injective argmax at the full default
+    # restart budget: the reported value then never drops below the bound an
+    # injective run at default budgets can certify for the same tensor
+    eps_cfg = EpsilonConfig(restarts=max(32, cfg.restarts), seed=cfg.seed)
+    eps, slots = sup_bracket(coeffs, space.dual_factors(), eps_cfg)
+    seeds = [slots]
+
+    pi_cfg = PiConfig(seed=cfg.seed, restarts=2, max_rank=cfg.max_rank)
+    pivot, free_lists, _, pi_mats, _ = pi_search(factors, coeffs, pi_cfg)
+    unfolded = np.moveaxis(coeffs, pivot, 0).reshape(coeffs.shape[pivot], -1)
+    candidates: list[list[np.ndarray]] = []
+    for free in free_lists:
+        (piv,), (resid,) = repair_pivot(unfolded, [F[None] for F in free])
+        if resid <= RESIDUAL_TOL:
+            candidates.append([*free[:pivot], piv, *free[pivot:]])
+    if pi_mats is not None:  # its pivot is already refit from its own free factors
+        candidates.append(pi_mats)
+
+    best = np.inf
+    best_lam: np.ndarray | None = None
+    best_fams: list[np.ndarray] | None = None
+    converged = False
+    for val, lam, fams, conv in _sigma_candidates(factors, candidates, p, q, cfg, seeds):
+        if val < best:
+            best = val
+            best_lam, best_fams = lam, fams
+            converged = conv
+    return eps.lower, best, best_lam, best_fams, converged, len(candidates)
+
+
 def sigma_p_upper(
     z: Tensor, p: float, cfg: SigmaConfig | None = None
 ) -> SigmaResult:
@@ -578,42 +610,8 @@ def sigma_p_upper(
     if hit is not None:  # one direct candidate; none for the zero tensor
         return SigmaResult(hit[0], hit[1], True, int(g.scale > 0.0), hit[0])
 
-    @memo
-    def search(space: TensorSpace, coeffs: np.ndarray, p: float, cfg: SigmaConfig) -> tuple:
-        """Injective lower end, best value, weights, families, converged, candidates."""
-        factors = space.factors
-        q = conjugate_exponent(p)
-        # seed the modulus runs with the injective argmax at the full default
-        # restart budget: the reported value then never drops below the bound an
-        # injective run at default budgets can certify for the same tensor
-        eps_cfg = EpsilonConfig(restarts=max(32, cfg.restarts), seed=cfg.seed)
-        eps, slots = sup_bracket(coeffs, space.dual_factors(), eps_cfg)
-        seeds = [slots]
-
-        pi_cfg = PiConfig(seed=cfg.seed, restarts=2, max_rank=cfg.max_rank)
-        pivot, free_lists, _, pi_mats, _ = pi_search(factors, coeffs, pi_cfg)
-        unfolded = np.moveaxis(coeffs, pivot, 0).reshape(coeffs.shape[pivot], -1)
-        candidates: list[list[np.ndarray]] = []
-        for free in free_lists:
-            (piv,), (resid,) = repair_pivot(unfolded, [F[None] for F in free])
-            if resid <= RESIDUAL_TOL:
-                candidates.append([*free[:pivot], piv, *free[pivot:]])
-        if pi_mats is not None:  # its pivot is already refit from its own free factors
-            candidates.append(pi_mats)
-
-        best = np.inf
-        best_lam: np.ndarray | None = None
-        best_fams: list[np.ndarray] | None = None
-        converged = False
-        for val, lam, fams, conv in _sigma_candidates(factors, candidates, p, q, cfg, seeds):
-            if val < best:
-                best = val
-                best_lam, best_fams = lam, fams
-                converged = conv
-        return eps.lower, best, best_lam, best_fams, converged, len(candidates)
-
-    reduced = g.reduced
-    eps_lower, best, lam, fams, converged, tried = search(reduced.space, reduced.coeffs, p, cfg)
+    space, coeffs = g.reduced.space, g.reduced.coeffs
+    eps_lower, best, lam, fams, converged, tried = _sigma_search(space, coeffs, p, cfg)
     lower = g.rescale(eps_lower)
     if not np.isfinite(best) or lam is None:
         return SigmaResult(float("inf"), None, False, tried, lower)
@@ -631,7 +629,7 @@ def _si_ratios(
         num = top
     else:  # q_norm per row
         num = top * ((a / np.where(top > 0.0, top, 1.0)[:, None]) ** p).sum(axis=1) ** (1.0 / p)
-    den = _modulus_arrays(spaces, fams, p, MODULUS_CONFIG)[0]
+    den = family_moduli(spaces, fams, p, MODULUS_CONFIG)[0]
     return np.divide(num, den, out=np.zeros(R), where=den > 1e-300)
 
 
@@ -664,7 +662,7 @@ def sigma_p_dual(form: Tensor, p: float, cfg: SigmaDualConfig | None = None) -> 
     if float(np.linalg.norm(coeffs)) == 0.0:
         return SigmaDualResult(0.0, tuple(np.zeros((1, s.dim)) for s in spaces), True, 0, True)
     if len(spaces) == 1:
-        x, norm = ball_linear_maximizer_batch(spaces[0], coeffs)
+        x, norm = ball_linear_maximizer_batch(spaces[0], coeffs[None])
         return SigmaDualResult(float(norm[0]), (x,), True, 0, exact=True)
 
     sup = multilinear_sup(coeffs, tuple(spaces), EpsilonConfig(restarts=8, seed=cfg.seed))
@@ -752,9 +750,10 @@ def _beta_price(
 
     ``stacks`` holds one (K, B, m_l, d_l) stack per domain factor and
     ``coeffs`` the (K, B, m_1, ..., m_n, k) coefficients of K trials.  All
-    K * B blocks are priced in one pass per factor, and the list of the K
-    sums comes back, each summed in block order.  Each block's term is bit
-    for bit the one of pricing it alone: the q-norm takes
+    K * B blocks are priced in one strong-norm pass per factor (a one-factor
+    :func:`family_moduli` call), and the list of the K sums comes back, each
+    summed in block order.  Each block's term is bit for bit the one of
+    pricing it alone: the q-norm takes
     :func:`~tnl.kernels.q_norm`'s steps row by row (its abs is the identity on
     norms) and each root on a Python float, which calls the same ``pow`` as
     q_norm's numpy scalar, where numpy's vectorized power can differ.
@@ -769,7 +768,7 @@ def _beta_price(
         sums = ((norms / np.fmax(top, 5e-324)) ** q).sum(axis=1)
         e = 1.0 / q
         coefs = [0.0 if t <= 0.0 else t * s**e for (t,), s in zip(top.tolist(), sums.tolist())]
-    priced = [family_strong_norms(sp, S.reshape(K * blocks, *S.shape[2:]), p, cfg)
+    priced = [family_moduli((sp,), [S.reshape(K * blocks, *S.shape[2:])], p, cfg)
               for sp, S in zip(domain, stacks)]
     columns = [values.tolist() for values, _, _ in priced]
     certified = all(exact for _, exact, _ in priced)

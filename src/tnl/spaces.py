@@ -35,7 +35,6 @@ __all__ = [
     "pair",
     "sample_unit_sphere",
     "extreme_points",
-    "ball_linear_maximizer",
     "ball_linear_maximizer_batch",
 ]
 
@@ -256,16 +255,16 @@ def extreme_points(space: NormedSpace) -> list[Vector]:
 
 
 def ball_linear_maximizer_batch(space: NormedSpace, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize <c_r, x> over the unit ball of ``space`` for every row c_r.
+    """Maximize <c_r, x> over the unit ball of ``space`` for every row c_r of an (R, dim) array.
 
     Returns (X, vals) where X[r] attains the maximum and vals[r] equals the
     dual norm of c_r.  Rows of zeros map to the first basis direction of the
     ball with value 0.  For p = 1 ties pick the lowest index; for p = inf
     zero entries get sign +1.  All branches are exact closed forms.
     """
-    C = np.atleast_2d(np.asarray(c, dtype=float))
-    if C.shape[-1] != space.dim:
-        raise SpaceError("coefficient length does not match space dimension")
+    C = np.asarray(c, dtype=float)
+    if C.ndim != 2 or C.shape[1] != space.dim:
+        raise SpaceError(f"the maximizer takes (R, {space.dim}) coefficient rows, not {C.shape}")
     w = space.weight_array()
     Cy = C / w  # work in the unweighted ball coordinates
     if space.p == 1.0:
@@ -300,9 +299,3 @@ def ball_linear_maximizer_batch(space: NormedSpace, c: np.ndarray) -> tuple[np.n
             Y[zero, 0] = 1.0
     X = Y / w
     return X, vals
-
-
-def ball_linear_maximizer(space: NormedSpace, c: np.ndarray) -> tuple[np.ndarray, float]:
-    """Single-vector version of :func:`ball_linear_maximizer_batch`."""
-    X, vals = ball_linear_maximizer_batch(space, np.asarray(c, dtype=float)[None, :])
-    return X[0], float(vals[0])

@@ -191,6 +191,23 @@ def test_exit_2_on_infinite_weight(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block", [
+    {"dim": "x", "norm": "ellp", "p": 2.0},
+    {"dim": None, "norm": "ellp", "p": 2.0},
+    {"dim": 2.7, "norm": "ellp", "p": 2.0},
+    {"dim": 2, "norm": "weighted_ellp", "p": 2.0, "weights": 5},
+    {"dim": 2, "norm": "weighted_ellp", "p": 2.0, "weights": ["a", 1]},
+    {"dim": 2, "norm": "weighted_ellp", "p": 2.0, "weights": "12"},
+], ids=["dim-str", "dim-null", "dim-float", "weights-number", "weights-str-entry", "weights-str"])
+def test_exit_2_on_malformed_factor_block(block, tmp_path, capsys):
+    data = tensor_to_json(Tensor(TensorSpace((L2, L2)), np.eye(2)))
+    data["factors"][0] = block
+    path = tmp_path / "block.json"
+    path.write_text(json.dumps(data))
+    assert main(["norm", "--kind", "eps", "--in", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_exit_2_on_unknown_choice(identity_tensor, capsys):
     assert main(["norm", "--kind", "nuclear", "--in", identity_tensor]) == 2
     assert main(["verify", "--suite", "nope"]) == 2

@@ -1048,7 +1048,7 @@ def test_one_supremum_route_rule():
     assert _sites(_calls("grid_sup")) == {"injective.sup_bracket", "projective._pi_lower_polyhedral"}
     # the one gate of the exhaustive routes: sup, the pi LP and the sigma_p exact modulus
     assert _sites(_calls("point_families")) == {
-        "injective.sup_bracket", "projective.pi_dual_certificate", "sigma._modulus_arrays"
+        "injective.sup_bracket", "projective.pi_dual_certificate", "sigma.family_moduli"
     }
     # bare ascent: the ascent route, operator norms, and two searches that only need seeds
     assert _sites(_calls("multilinear_sup")) == {
@@ -1071,12 +1071,12 @@ def test_one_supremum_route_rule():
         assert "vertex_count" not in text and "vertex_matrix" not in text, name
 
 
-def test_modulus_engine_is_called_only_by_modulus_arrays():
+def test_modulus_engine_is_called_only_by_family_moduli():
     """Every family-modulus ascent is one batched engine call behind the route choice."""
-    assert _sites(_calls("_modulus_engine")) == {"sigma._modulus_arrays"}
+    assert _sites(_calls("_modulus_engine")) == {"sigma.family_moduli"}
     tree = ast.parse((_SRC / "sigma.py").read_text())
     fn = next(node for node in ast.walk(tree)
-              if isinstance(node, ast.FunctionDef) and node.name == "_modulus_arrays")
+              if isinstance(node, ast.FunctionDef) and node.name == "family_moduli")
     # the call sits in no loop or comprehension, so a batch never loops over its families
     loops = (ast.For, ast.While, ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.DictComp)
     for node in ast.walk(fn):
@@ -1092,9 +1092,9 @@ def test_search_kernels_have_one_call_shape():
             isinstance(x, ast.Attribute) and x.attr == "ndim" for x in (node.left, *node.comparators)
         )
 
-    stacked = {"sigma._modulus_exact", "sigma._modulus_arrays", "sigma.family_strong_norms",
-               "sigma._fit_blocks", "sigma._beta_price", "kernels.top_singular_pair",
-               "kernels.refit", "kernels.repair_pivot", "projective._price"}
+    stacked = {"sigma._modulus_exact", "sigma.family_moduli", "sigma._fit_blocks",
+               "sigma._beta_price", "kernels.top_singular_pair", "kernels.refit",
+               "kernels.repair_pivot", "projective._price"}
     assert not _sites(ndim_compare) & stacked
     # the least-squares kernels take stacks only: a 2-D design has no (K, m, n) shape
     with pytest.raises(ValueError):
@@ -1115,18 +1115,18 @@ def test_tensordot_is_called_only_by_apply_axis():
 
 
 def test_sigma_reuses_its_own_pi_search_and_injective_bracket():
-    """sigma_p_upper runs pi_search and sup_bracket itself, never a nested pi_upper."""
+    """sigma_p_upper's memoized stage runs pi_search and sup_bracket itself, never a nested pi_upper."""
     tree = ast.parse((_SRC / "sigma.py").read_text())
-    fn = next(
+    fns = [
         node for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "sigma_p_upper"
-    )
+        if isinstance(node, ast.FunctionDef) and node.name in ("sigma_p_upper", "_sigma_search")
+    ]
     called = {
         getattr(node.func, "id", getattr(node.func, "attr", None))
-        for node in ast.walk(fn)
+        for fn in fns for node in ast.walk(fn)
         if isinstance(node, ast.Call)
     }
-    assert {"pi_search", "sup_bracket"} <= called
+    assert len(fns) == 2 and {"_sigma_search", "pi_search", "sup_bracket"} <= called
     assert not called & {"pi_upper", "multilinear_sup"}
     for path in _SRC.glob("*.py"):
         defined = {

@@ -72,6 +72,8 @@ def test_space_json_rejects_malformed_blocks():
         space_from_json({"dim": 2, "norm": "ellp", "p": "two"})
     with pytest.raises(SerializationError):
         space_from_json([2, "ellp", 2.0])
+    with pytest.raises(SerializationError):
+        space_from_json({"dim": True, "norm": "ellp", "p": 2.0})
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +121,12 @@ def test_decomposition_round_trip():
         assert t_out.weight == pytest.approx(t_in.weight, rel=0, abs=0)
         for v_in, v_out in zip(t_in.vectors, t_out.vectors):
             assert np.array_equal(v_in.coords, v_out.coords)
+
+
+def test_decomposition_json_rejects_a_non_number_weight():
+    space = TensorSpace((NormedSpace(2, 2.0), NormedSpace(2, 2.0)))
+    with pytest.raises(SerializationError):
+        decomposition_from_json({"terms": [{"lambda": "x", "vectors": [[1, 0], [0, 1]]}]}, space)
 
 
 def test_load_input_dispatches_on_codomain(tmp_path):

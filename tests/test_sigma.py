@@ -508,7 +508,7 @@ def _reference_modulus(spaces, mats, p, cfg, seeds):
     if m == 1:
         value, funcs = 1.0, []
         for sp, X in zip(spaces, mats):
-            y, val = ball_linear_maximizer_batch(sp.dual(), X[0])
+            y, val = ball_linear_maximizer_batch(sp.dual(), X[:1])
             value *= float(val[0])
             funcs.append(y[0])
         return ModulusResult(value, tuple(funcs), True, 1)
@@ -639,7 +639,7 @@ def test_lockstep_sigma_candidates_are_bitwise_the_per_candidate_rule():
             for a, b in zip(got[i][2], ref[2], strict=True):
                 assert _same_bytes(a, b), where
             m = len(ref[1])
-            exact = m == 0 or sigma._modulus_arrays(factors, [F[None] for F in ref[2]], p, cfg)[1]
+            exact = m == 0 or sigma.family_moduli(factors, [F[None] for F in ref[2]], p, cfg)[1]
             routes["zero" if m == 0 else "single" if m == 1 else "exact" if exact else "ascent"] += 1
         exit_rounds[len(set(exits) - {None})] += 1
         exit_rounds.update(f"exit {e}" for e in exits)
@@ -732,7 +732,7 @@ def test_sigma_dual_converged_is_false_on_a_round_cap_exit(monkeypatch):
 
 def _scalar_si_ratio(form, spaces, fams, p):
     """One family's ratio as first written: q_norm of the aligned values over the modulus."""
-    den = sigma._modulus_arrays(spaces, [F[None] for F in fams], p, MODULUS_CONFIG)[2]()[0].value
+    den = sigma.family_moduli(spaces, [F[None] for F in fams], p, MODULUS_CONFIG)[2]()[0].value
     return q_norm(aligned_values(form, fams), p) / den if den > 1e-300 else 0.0
 
 
@@ -761,8 +761,10 @@ def test_batched_si_ratio_matches_the_scalar_formula(route, n, p):
     assert got.shape == (R,)
     for r in range(R):
         one = [F[r] for F in fams]
-        exact = sigma._modulus_arrays(spaces, [F[None] for F in one], p, MODULUS_CONFIG)[1]
-        assert exact == (route != "ascent")
+        exact = sigma.family_moduli(spaces, [F[None] for F in one], p, MODULUS_CONFIG)[1]
+        # one factor at p = inf, or Euclidean at p = 2, is a strong norm's closed form
+        closed = n == 1 and (p == INF or spaces[0].p == p == 2.0)
+        assert exact == (route != "ascent" or closed)
         want = _scalar_si_ratio(form, spaces, one, p)
         assert want > 0.0
         assert abs(got[r] - want) <= 1e-12 * want
@@ -879,13 +881,13 @@ def _reference_strong_norm(space, X, p, cfg):
     if p == INF:
         norms = np.atleast_1d(space.norm(X))
         j = int(np.argmax(norms))
-        y, _ = ball_linear_maximizer_batch(space.dual(), X[j])
+        y, _ = ball_linear_maximizer_batch(space.dual(), X[j : j + 1])
         return ModulusResult(float(norms[j]), (y[0],), True, 1)
     if space.p == 2.0 and p == 2.0:
         w = space.weight_array()
         _, s, vt = np.linalg.svd(X * w[None, :], full_matrices=False)
         return ModulusResult(float(s[0]), (w * vt[0],), True, 1)
-    return sigma._modulus_arrays((space,), [X[None]], p, cfg)[2]()[0]
+    return sigma.family_moduli((space,), [X[None]], p, cfg)[2]()[0]
 
 
 def _reference_fit_blocks(target, family_sets):
@@ -995,7 +997,7 @@ def test_strong_norm_routes_are_bitwise_the_reference():
         cfg = tight if k % 5 == 0 else MODULUS_CONFIG
         ref = _reference_strong_norm(space, X, p, cfg)
         _same_modulus(family_strong_norm(space, X, p, cfg), ref)
-        (value,), exact, result = sigma.family_strong_norms(space, X[None], p, cfg)
+        (value,), exact, result = sigma.family_moduli((space,), [X[None]], p, cfg)
         assert (np.float64(value).tobytes(), exact) == (np.float64(ref.value).tobytes(), ref.exact)
         (res,) = result()
         _same_modulus(res, ref)
@@ -1136,11 +1138,11 @@ def test_stacked_strong_norms_are_bitwise_each_slice():
         B, m = 1 + k % 9, int(rng.integers(1, 4))
         S = unit_rows(space, rng.standard_normal((B, m, dim)))
         cfg = tight if k % 4 == 0 else MODULUS_CONFIG
-        values, exact, result = sigma.family_strong_norms(space, S, p, cfg)
+        values, exact, result = sigma.family_moduli((space,), [S], p, cfg)
         assert values.shape == (B,)
         for b, res in enumerate(result()):
-            (value,), slice_exact, slice_result = sigma.family_strong_norms(
-                space, S[b : b + 1], p, cfg)
+            (value,), slice_exact, slice_result = sigma.family_moduli(
+                (space,), [S[b : b + 1]], p, cfg)
             assert np.float64(values[b]).tobytes() == np.float64(value).tobytes(), (space, p, m)
             assert exact == slice_exact
             _same_modulus(res, slice_result()[0])
@@ -1151,6 +1153,23 @@ def test_stacked_strong_norms_are_bitwise_each_slice():
     assert set(routes) == {"inf", "svd", "single", "vertices", "ascent"}
     assert all(weighted[route, True] and weighted[route, False] for route in routes)
     assert counts == set(range(1, 10))
+
+
+def test_one_factor_modulus_is_bitwise_the_strong_norm():
+    """family_modulus_p of one factor is family_strong_norm: value, flag, functionals, count."""
+    rng = np.random.default_rng(4747)
+    routes = Counter()
+    for k in range(300):
+        dim = int(rng.integers(1, 4))
+        w = tuple(rng.uniform(0.5, 2.0, dim)) if k % 3 == 0 else None
+        space = NormedSpace(dim, float(rng.choice((1.0, 1.5, 2.0, 3.0, INF))), w)
+        p = float(rng.choice((1.0, 1.5, 2.0, 3.0, INF)))
+        X = rng.standard_normal((int(rng.integers(1, 4)), dim))
+        got = family_modulus_p([[Vector(space, x) for x in X]], p)
+        _same_modulus(got, family_strong_norm(space, X, p))
+        routes[_strong_norm_route(space, p, len(X), got.exact), w is not None] += 1
+    assert {route for route, _ in routes} == {"inf", "svd", "single", "vertices", "ascent"}
+    assert all(routes[route, True] and routes[route, False] for route, _ in routes)
 
 
 def test_one_draw_per_trial_splits_into_the_per_block_draws():

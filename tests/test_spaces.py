@@ -14,7 +14,6 @@ from tnl import (
     scalar_space,
 )
 from tnl.spaces import (
-    ball_linear_maximizer,
     ball_linear_maximizer_batch,
     conjugate_exponent,
     extreme_points,
@@ -160,7 +159,7 @@ class TestBallMachinery:
         dim = data.draw(st.integers(2, 4))
         sp = NormedSpace(dim, p)
         c = data.draw(finite_vec(dim))
-        x, val = ball_linear_maximizer(sp, c)
+        (x,), (val,) = ball_linear_maximizer_batch(sp, c[None])
         assert sp.norm(x) <= 1.0 + 1e-9
         assert val == pytest.approx(sp.dual().norm(c), rel=1e-9, abs=1e-12)
         assert float(np.dot(c, x)) == pytest.approx(val, rel=1e-9, abs=1e-12)
@@ -170,9 +169,11 @@ class TestBallMachinery:
         C = np.random.default_rng(5).standard_normal((4, 3))
         X, vals = ball_linear_maximizer_batch(sp, C)
         for i in range(4):
-            x, v = ball_linear_maximizer(sp, C[i])
+            (x,), (v,) = ball_linear_maximizer_batch(sp, C[i : i + 1])
             assert vals[i] == pytest.approx(v, rel=1e-12)
             np.testing.assert_allclose(X[i], x, atol=1e-12)
+        with pytest.raises(SpaceError, match=r"\(R, 3\) coefficient rows"):
+            ball_linear_maximizer_batch(sp, C[0])  # rows only: one vector is a stack of one
 
     def test_sample_unit_sphere(self):
         sp = NormedSpace(3, 1.5)
