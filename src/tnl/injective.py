@@ -184,10 +184,12 @@ def operator_norm(
 ) -> float:
     """Operator norm of a matrix between normed spaces.
 
-    Computed as the bilinear supremum sup { <g, M x> : x in B_source,
-    g in the dual ball of the target }, which is the injective norm of the
-    matrix viewed as a 2-tensor.  Euclidean-to-Euclidean pairs short-circuit
-    to the singular value oracle; other pairs take ascent alone, a lower end.
+    The bilinear supremum sup { <g, M x> : x in B_source, g in the dual ball
+    of the target }, the injective norm of the matrix viewed as a 2-tensor:
+    the closed form (the top singular value of the weighted matrix) on
+    Euclidean pairs, else :func:`sup_bracket`'s lower end under ``cfg``,
+    exact on polyhedral pairs within the ε budget and otherwise an ascent
+    lower end.
     """
     M = np.asarray(matrix, dtype=float)
     if M.shape != (target.dim, source.dim):
@@ -196,8 +198,4 @@ def operator_norm(
         ws = source.weight_array()
         wt = target.weight_array()
         return float(np.linalg.svd(wt[:, None] * M / ws[None, :], compute_uv=False)[0])
-    normalized, scale, _ = canonical_gauge(M)
-    if scale == 0.0:
-        return 0.0
-    cfg = cfg or EpsilonConfig(restarts=16, max_iters=300)
-    return multilinear_sup(normalized, (target.dual(), source), cfg).value * scale
+    return sup_bracket(M, (target.dual(), source), cfg)[0].lower

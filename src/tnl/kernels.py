@@ -84,7 +84,9 @@ _EPS = np.finfo(np.float64).eps
 #: Search results kept by :func:`memo`.  Repeats come back to back: a
 #: ``tensor_brackets`` item evaluates eps, pi and sigma_p on z and on z (x) 1,
 #: which gauge to one array and keep four entries live (the injective bracket,
-#: the pi search, the pi dual form, the sigma_p stage); ``check_smoothness``
+#: which the pi dual form's product certificate and the sigma_p stage read
+#: back, the pi search, the pi dual form, the sigma_p stage); a pi dual form
+#: with no eps before it stores that bracket itself.  ``check_smoothness``
 #: needs one, beta(z)'s pi seed, until beta(lift) runs.  Twice the largest of
 #: these lets a caller interleave a second tensor or exponent without a miss.
 _MEMO_SIZE = 8

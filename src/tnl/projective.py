@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .spaces import INF, NormedSpace
-from .injective import EpsilonConfig, multilinear_sup
+from .injective import EpsilonConfig, sup_bracket
 from .kernels import RESIDUAL_TOL, column_norms, contract_all_but, grid_sup, kron
 from .kernels import leading_direction, memo, norm_gradient, outer, point_families, repair_pivot
 from .tensors import (
@@ -372,19 +372,20 @@ def _euclidean_embedding_constant(space: NormedSpace) -> float:
 def _product_functional_certificate(
     factors: Sequence[NormedSpace], coeffs: np.ndarray, seed: int
 ) -> tuple[float, np.ndarray]:
-    """Rank-one feasible form built from injective-argmax functionals.
+    """Rank-one feasible form built from the injective bracket's argmax functionals.
 
-    A product of dual-ball functionals has supremum norm exactly the
+    The functionals are :func:`~tnl.injective.sup_bracket`'s slots at the ε
+    defaults and this seed, the ε evaluator's own bracket (a memo hit after
+    it).  A product of dual-ball functionals has supremum norm exactly the
     product of their dual norms, so normalizing each slot certifies
     feasibility outright; the pairing it yields is the injective value
     those functionals attain, which equals the product of norms whenever
     the array is elementary.
     """
     duals = tuple(f.dual() for f in factors)
-    sup = multilinear_sup(coeffs, duals, EpsilonConfig(restarts=8, seed=seed))
+    _, phis = sup_bracket(coeffs, duals, EpsilonConfig(seed=seed))
     slots = []
-    for dual, phi in zip(duals, sup.slots):
-        phi = np.asarray(phi, dtype=float)
+    for dual, phi in zip(duals, phis):
         nrm = float(dual.norm(phi))
         if nrm <= 1e-300:
             return 0.0, np.zeros_like(coeffs)

@@ -168,20 +168,19 @@ def decomposition_to_json(dec: Decomposition) -> dict:
 
 
 def decomposition_from_json(data: Any, space: TensorSpace) -> Decomposition:
-    if not isinstance(data, dict) or "terms" not in data:
-        raise SerializationError('a decomposition needs "terms"')
+    if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
+        raise SerializationError('a decomposition needs a list of "terms"')
     terms = []
     for t in data["terms"]:
         try:
             weight = float(t["lambda"])
             raw = t["vectors"]
+            coords = [np.asarray(v, dtype=float) for v in raw]
         except (KeyError, TypeError, ValueError) as exc:
             raise SerializationError(f"bad decomposition term: {t!r}") from exc
-        if len(raw) != space.order:
+        if len(coords) != space.order:
             raise SerializationError("term has the wrong number of vectors")
-        vectors = tuple(
-            _build(Vector, f, np.asarray(v, dtype=float)) for f, v in zip(space.factors, raw)
-        )
+        vectors = tuple(_build(Vector, f, v) for f, v in zip(space.factors, coords))
         terms.append(DecompositionTerm(weight, vectors))
     return Decomposition(tuple(terms))
 

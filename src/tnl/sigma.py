@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .injective import EpsilonConfig, multilinear_sup, sup_bracket
+from .injective import EpsilonConfig, sup_bracket
 from .kernels import RESIDUAL_TOL, aligned_outer, aligned_values, column_norms, kron, memo
 from .kernels import point_families, q_norm, refit, repair_pivot, top_singular_pair
 from .projective import PiConfig, pi_search, pi_upper
@@ -208,11 +208,10 @@ def _modulus_exact(
     full grid, the product of ``rows``.
 
     Returns the (R,) array of their values and a ``results()`` that builds
-    each family's :class:`ModulusResult` from the same grid, its value rooted
-    on a Python float as for a batch of one.  With one factor (a
-    strong-norm stack) the array takes those roots too; the si_p batches,
-    with two or more factors, keep numpy's vectorized root, whose last bit
-    can differ.
+    each family's :class:`ModulusResult` from the same grid.  Each value is
+    rooted on a Python float, in the array and in ``results()`` alike, so a
+    family priced in a batch is bit for bit the family priced alone (numpy's
+    vectorized root can differ in the last bit).
     """
     R = mats[0].shape[0]
     cols = [X.reshape(-1, X.shape[-1]) for X in mats]  # R * m aligned columns
@@ -241,9 +240,7 @@ def _modulus_exact(
     best = grid.reshape(-1, R).max(axis=0)
     if p == INF:
         return best, True, results
-    if len(points) == 1:
-        return np.array([v ** (1.0 / p) for v in best.tolist()]), True, results
-    return best ** (1.0 / p), True, results
+    return np.array([v ** (1.0 / p) for v in best.tolist()]), True, results
 
 
 def _modulus_engine(
@@ -388,9 +385,8 @@ def family_moduli(
       seeds, each one (R, d_l) stack per factor, a row per family.
 
     ``values`` is the (R,) array of the moduli and ``results()`` builds
-    their :class:`ModulusResult`, functionals included.  Each family's result
-    is bit for bit the one of pricing it in a batch of one, and so is its
-    value but on a multi-factor enumeration (see :func:`_modulus_exact`).
+    their :class:`ModulusResult`, functionals included.  Each family's
+    value and result are bit for bit the ones of pricing it in a batch of one.
     """
     if len(spaces) == 1:  # a strong norm: its closed forms first
         (sp,), (S,) = spaces, stacks
@@ -643,8 +639,9 @@ def sigma_p_dual(form: Tensor, p: float, cfg: SigmaDualConfig | None = None) -> 
     ||(A(x_j))_j||_p / modulus_p(family), which is searched directly.
 
     The zero form and one factor are ``exact``: the dual norm, since A/||A||
-    caps every ratio and the norming singleton attains it.  Otherwise, after the injective
-    argmax singleton, each family size m polishes its restarts in lockstep
+    caps every ratio and the norming singleton attains it.  Otherwise, after
+    the singleton of :func:`~tnl.injective.sup_bracket`'s argmax slots (ε
+    defaults, this seed), each family size m polishes its restarts in lockstep
     from generator ``[seed, 15485863, m]``: a round draws one normal block
     per factor for all restarts and prices the live ones in one batch (one
     engine call where the modulus takes the ascent); a
@@ -665,8 +662,8 @@ def sigma_p_dual(form: Tensor, p: float, cfg: SigmaDualConfig | None = None) -> 
         x, norm = ball_linear_maximizer_batch(spaces[0], coeffs[None])
         return SigmaDualResult(float(norm[0]), (x,), True, 0, exact=True)
 
-    sup = multilinear_sup(coeffs, tuple(spaces), EpsilonConfig(restarts=8, seed=cfg.seed))
-    best_fams = tuple(s[None, :] for s in sup.slots)
+    _, slots = sup_bracket(coeffs, tuple(spaces), EpsilonConfig(seed=cfg.seed))
+    best_fams = tuple(s[None, :] for s in slots)
     best = float(_si_ratios(coeffs, spaces, [F[None] for F in best_fams], p)[0])
     iterations = 0
     converged = True

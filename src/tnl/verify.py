@@ -192,7 +192,7 @@ def check_crossnorm(
                 "elementary_target": target,
                 "elementary_deviations": devs,
                 "duality_pairing": pairing,
-                "duality_upper": est2.upper if np.isfinite(est2.upper) else "inf",
+                "duality_upper": est2.upper,
                 "duality_violation": violation,
                 "duality_vacuous": vacuous,
             }
@@ -251,7 +251,7 @@ def check_metric_mapping(
                 "kind": "identity" if s == 0 else ("zero" if s == 1 else "random"),
                 "operator_norms": op_norms,
                 "image_lower": lhs,
-                "bound": rhs if np.isfinite(rhs) else "inf",
+                "bound": rhs,
                 "violation": violation,
                 "vacuous": vacuous,
             }
@@ -302,8 +302,8 @@ def check_smoothness(
             {
                 "sample": s,
                 "style": style,
-                "base": {"lower": a.lower, "upper": a.upper if np.isfinite(a.upper) else "inf"},
-                "lifted": {"lower": b.lower, "upper": b.upper if np.isfinite(b.upper) else "inf"},
+                "base": {"lower": a.lower, "upper": a.upper},
+                "lifted": {"lower": b.lower, "upper": b.upper},
                 "rel_deviations": devs,
             }
         )
@@ -489,10 +489,7 @@ def check_bidual_consistency(
                 "sample": s,
                 "dims": [f.dim for f in factors],
                 "p_values": [f.p for f in factors],
-                "bracket": {
-                    "lower": est.lower,
-                    "upper": est.upper if np.isfinite(est.upper) else "inf",
-                },
+                "bracket": {"lower": est.lower, "upper": est.upper},
                 "dual_supremum": best,
                 "best_candidate": best_kind,
                 "overshoot": overshoot,

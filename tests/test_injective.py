@@ -302,6 +302,21 @@ class TestOperatorNorm:
         got = operator_norm(np.eye(3), NormedSpace(3, 1.5), NormedSpace(3, 1.5))
         assert got == pytest.approx(1.0, rel=1e-9)
 
+    def test_polyhedral_pairs_take_the_enumeration(self):
+        """On ℓ1/ℓ∞ pairs, weighted or not, the value is the exact bracket's: max over source vertices."""
+        rng = np.random.default_rng(29)
+        for k in range(60):
+            ws = tuple(rng.uniform(0.5, 2.0, 3)) if k % 2 else None
+            source = NormedSpace(3, float(rng.choice((1.0, INF))), ws)
+            target = NormedSpace(2, float(rng.choice((1.0, INF))))
+            M = rng.standard_normal((2, 3))
+            got = operator_norm(M, source, target)
+            est, _ = sup_bracket(M, (target.dual(), source))
+            assert est.lower == est.upper == got
+            want = max(float(target.norm(M @ v)) for v in ball_vertices(source))
+            assert got == pytest.approx(want, rel=1e-12)
+        assert operator_norm(np.zeros((2, 3)), source, target) == 0.0
+
 
 class TestInvariances:
     def test_scaling_equivariance(self):

@@ -481,12 +481,15 @@ def test_budget_checked_before_vertices_are_built(counted_extreme_points):
     assert eps.upper == INF and eps.lower > 0.0
 
     w = Tensor(TensorSpace((NormedSpace(3, 1.0), NormedSpace(3, 1.0))), rng.standard_normal((3, 3)))
-    low = pi_lower(w, PiConfig(lp_budget=20))  # 36 dual constraints
+    assert kernels.point_families(w.space.factors, 20) is None  # the LP gate: 36 dual constraints
     assert counted_extreme_points == []
+    # past the LP gate, the product certificate's ε gate enumerates the dual ℓ∞³ vertices alone
+    low = pi_lower(w, PiConfig(lp_budget=20))
+    assert counted_extreme_points == [NormedSpace(3, INF)]
 
     # within budget the exact LP runs, and the counter sees its vertex builds
     assert 0.0 < low <= pi_lower(w) * (1.0 + 1e-9)
-    assert counted_extreme_points
+    assert NormedSpace(3, 1.0) in counted_extreme_points
 
 
 def test_point_families_is_the_one_gate(counted_extreme_points, monkeypatch):
@@ -733,11 +736,11 @@ def _next_ulp(x: float) -> float:
     return float(np.nextafter(x, np.inf))
 
 
-def _miss_equals_cold(fn, *args) -> None:
-    """``fn(*args)`` adds one memo entry, and equals its result from an empty memo."""
+def _miss_equals_cold(fn, *args, entries: int = 1) -> None:
+    """``fn(*args)`` adds ``entries`` memo entries, and equals its result from an empty memo."""
     before = len(kernels._memo)
     warm = fn(*args)
-    assert len(kernels._memo) == before + 1
+    assert len(kernels._memo) == before + entries
     kernels.cache_clear()
     cold = fn(*args)
     assert repr(warm) == repr(cold)
@@ -787,7 +790,8 @@ def test_memo_key_is_exact():
     for args in [(factors, moved), (reweighted, base), (factors, fortran)]:
         kernels.cache_clear()
         pi_dual_certificate(factors, base)
-        _miss_equals_cold(pi_dual_certificate, *args)
+        # the form and its product certificate's nested sup_bracket entry
+        _miss_equals_cold(pi_dual_certificate, *args, entries=2)
 
     z = Tensor(space, base)
     for name, t, cfg in [
@@ -1050,13 +1054,8 @@ def test_one_supremum_route_rule():
     assert _sites(_calls("point_families")) == {
         "injective.sup_bracket", "projective.pi_dual_certificate", "sigma.family_moduli"
     }
-    # bare ascent: the ascent route, operator norms, and two searches that only need seeds
-    assert _sites(_calls("multilinear_sup")) == {
-        "injective.sup_bracket",
-        "injective.operator_norm",
-        "projective._product_functional_certificate",
-        "sigma.sigma_p_dual",
-    }
+    # bare ascent is sup_bracket's route alone: operator norms and the seeds read its bracket
+    assert _sites(_calls("multilinear_sup")) == {"injective.sup_bracket"}
     # the gate's None is the route: no exception picks one
     injective = ast.parse((_SRC / "injective.py").read_text())
     assert not any(isinstance(node, ast.Try) for node in ast.walk(injective))

@@ -22,8 +22,10 @@ from tnl import (
     sigma_p_upper,
     unflatten_scalar,
 )
+from tnl.evaluators import make_epsilon_evaluator
 from tnl.injective import epsilon_matrix_oracle
 from tnl.tensors import Gauge, from_decomposition, strip_unit_factors, weighted_matrix
+from tnl import injective as tnl_injective
 from tnl import kernels as tnl_kernels
 from tnl import projective
 from tnl.projective import _decomposition_from_mats, _deflation_candidate
@@ -731,7 +733,7 @@ def test_stack_width_follows_the_design_size(shape, rank, width, monkeypatch):
 
 @pytest.mark.parametrize("factors,seed,lower,upper", [
     ((NormedSpace(3, 1.5), NormedSpace(3, 3.0)), 2401,
-     "0x1.ad0a1f655a04cp+1", "0x1.25ac95329ba62p+2"),
+     "0x1.ad0a1f655a04bp+1", "0x1.25ac95329ba62p+2"),
     ((NormedSpace(2, 1.5), NormedSpace(3, INF), NormedSpace(2, 2.0)), 2402,
      "0x1.6f0aad7b87f9dp+1", "0x1.959740e6b23e1p+2"),
 ])
@@ -750,6 +752,33 @@ def test_refine_route_bracket_is_pinned(factors, seed, lower, upper, monkeypatch
     est = pi_estimate(random_tensor(TensorSpace(factors), seed))
     assert (est.lower.hex(), est.upper.hex()) == (lower, upper)
     assert refined and not lps
+
+
+def test_product_certificate_reads_the_epsilon_bracket(monkeypatch):
+    """After the ε evaluator, π's product certificate at the same seed is a memo hit: no ascent."""
+    searched = []
+    ascent = tnl_injective.multilinear_sup
+
+    def counted(*args):
+        searched.append(args)
+        return ascent(*args)
+
+    for module in (tnl_injective, projective):  # every binding the search could be called through
+        monkeypatch.setattr(module, "multilinear_sup", counted, raising=False)
+    for seed in range(4):
+        z = random_tensor(TensorSpace((NormedSpace(3, 1.5), NormedSpace(2, 3.0))), seed)
+        tnl_kernels.cache_clear()
+        pi_lower(z)
+        cold = len(searched)
+        assert cold == 1  # the certificate's own ascent, from an empty memo
+        tnl_kernels.cache_clear()
+        make_epsilon_evaluator()(z)
+        assert len(searched) == cold + 1
+        warm = pi_lower(z)
+        assert len(searched) == cold + 1  # the ε evaluator's bracket, read back
+        tnl_kernels.cache_clear()
+        assert warm.hex() == pi_lower(z).hex()
+        searched.clear()
 
 
 @pytest.mark.parametrize("field,value,message", [

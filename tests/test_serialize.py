@@ -129,6 +129,17 @@ def test_decomposition_json_rejects_a_non_number_weight():
         decomposition_from_json({"terms": [{"lambda": "x", "vectors": [[1, 0], [0, 1]]}]}, space)
 
 
+@pytest.mark.parametrize("data", [
+    {"terms": 5},
+    {"terms": [{"lambda": 1.0, "vectors": 5}]},
+    {"terms": [{"lambda": 1.0, "vectors": [["a", 1], [0, 1]]}]},
+], ids=["terms not a list", "vectors not a list", "non-numeric entry"])
+def test_decomposition_json_rejects_malformed_blocks(data):
+    space = TensorSpace((NormedSpace(2, 2.0), NormedSpace(2, 2.0)))
+    with pytest.raises(SerializationError):
+        decomposition_from_json(data, space)
+
+
 def test_load_input_dispatches_on_codomain(tmp_path):
     space = TensorSpace((NormedSpace(2, 2.0), NormedSpace(2, 2.0)))
     tensor_path = tmp_path / "t.json"

@@ -377,9 +377,7 @@ def _reference_modulus_exact(points, mats, p):
     best = grid.reshape(-1, R).max(axis=0)
     if p == INF:
         return best, results
-    if len(points) == 1:
-        return np.array([v ** (1.0 / p) for v in best.tolist()]), results
-    return best ** (1.0 / p), results
+    return np.array([v ** (1.0 / p) for v in best.tolist()]), results
 
 
 def test_modulus_exact_on_half_sets_is_bitwise_the_full_enumeration():
@@ -410,6 +408,22 @@ def test_modulus_exact_on_half_sets_is_bitwise_the_full_enumeration():
                 assert res.exact and res.value == v and res.iterations == count
                 for a, b in zip(res.functionals, funcs, strict=True):
                     assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_enumerated_moduli_values_are_bitwise_their_results():
+    """Multi-factor polyhedral stacks: the values array is results()' values and each family's alone."""
+    rng = np.random.default_rng(4848)
+    for _ in range(400):
+        spaces = [NormedSpace(int(rng.integers(2, 4)), float(rng.choice((1.0, INF))))
+                  for _ in range(2)]
+        m, p = int(rng.integers(2, 5)), float(rng.choice((1.5, 2.0, 3.0)))
+        stacks = [rng.standard_normal((12, m, sp.dim)) for sp in spaces]
+        values, exact, result = sigma.family_moduli(spaces, stacks, p, MODULUS_CONFIG)
+        assert exact
+        alone = [sigma.family_moduli(spaces, [S[r : r + 1] for S in stacks], p, MODULUS_CONFIG)[0]
+                 for r in range(12)]
+        assert values.tobytes() == np.array([res.value for res in result()]).tobytes()
+        assert values.tobytes() == np.concatenate(alone).tobytes()
 
 
 @pytest.mark.parametrize("family", [np.ones((2, 1)), np.ones((2, 2, 3)), np.ones((0, 3)),
